@@ -1,16 +1,18 @@
 """maclang: a macro-preprocessor language executed by textual substitution.
 
-The word scanner tokenizes source and routes `%` triggers to the macro
-machinery.  Macro bodies, parameter defaults, and `%let` values are stored as
-raw text and re-scanned at every use; `&name` references are substituted from
-the innermost live symbol table and the substituted text is rescanned until
-no references remain.  `%eval(...)` performs integer arithmetic on resolved
-text.  One global symbol table lives for the whole session; each macro
-invocation pushes a local table that is deleted at `%mend`.
+The scanner turns source into statement records that the session executes
+in order.  Macro bodies are stored verbatim and scanned once, on their first
+invocation.  Parameter defaults and call arguments are stored as raw text,
+`%let` values as the text left after resolving them; every `&name` is
+re-resolved at every use, from the innermost live symbol table, and the
+substituted text is rescanned until no references remain.  `%eval(...)`
+performs integer arithmetic on resolved text.  One global symbol table lives
+for the whole session; each macro invocation pushes a local table that is
+deleted at `%mend`.  A name repeated in a parameter list or in a call's
+argument list is an error.
 """
 
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .errors import (
     ArithSyntaxError,
@@ -35,34 +37,19 @@ RESCAN_LIMIT = 64
 _STMT_KEYWORDS = {"let", "put", "macro", "mend"}
 
 
-# --- word scanner
+# --- statement scanner
+#
+# `scan` returns statement records, each a tuple (kind, line, col, a, b)
+# positioned at the statement's first character:
+#   LET    a = name, b = raw value text
+#   PUT    a = raw text
+#   CALL   a = macro name as written, b = {lowercased argument name: raw text}
+#   MACRO  a = the MacroDef
+#   TEXT   a = one open-code word, forwarded to the compiler stream
+#   ERROR  a = error class, b = its first argument; raised at (line, col) only
+#          when execution reaches the record, so the statements before it run
 
-class MacTok(str, Enum):
-    PCT_MACRO = "PCT_MACRO"
-    PCT_MEND = "PCT_MEND"
-    PCT_LET = "PCT_LET"
-    PCT_PUT = "PCT_PUT"
-    PCT_EVAL = "PCT_EVAL"
-    PCT_CALL = "PCT_CALL"
-    AMP_REF = "AMP_REF"
-    IDENT = "IDENT"
-    INT = "INT"
-    OP = "OP"
-    LPAREN = "LPAREN"
-    RPAREN = "RPAREN"
-    EQUALS = "EQUALS"
-    SEMI = "SEMI"
-    COMMA = "COMMA"
-    TEXT = "TEXT"
-    EOF = "EOF"
-
-
-@dataclass(frozen=True)
-class MacroToken:
-    kind: MacTok
-    text: str
-    line: int
-    col: int
+LET, PUT, CALL, MACRO, TEXT, ERROR = "let", "put", "call", "macro", "text", "error"
 
 
 def _strip_comments(source: str, line: int, col: int) -> str:
@@ -109,32 +96,28 @@ class _Scanner:
     """Single-pass scanner; `%let`, `%put`, `%macro`, and macro calls switch
     it into raw-text capture so stored values keep their source spelling."""
 
-    _SINGLE = {"(": MacTok.LPAREN, ")": MacTok.RPAREN, "=": MacTok.EQUALS,
-               ";": MacTok.SEMI, ",": MacTok.COMMA}
-
     def __init__(self, source: str, line: int = 1, col: int = 1):
         self.src = _strip_comments(source, line, col)
         self.n = len(self.src)
         self.i = 0
         self.line = line
         self.col = col
-        self.toks: list[MacroToken] = []
+        self.stmts: list[tuple] = []
 
-    def scan(self) -> list[MacroToken]:
+    def scan(self) -> list[tuple]:
         while self.i < self.n:
             self._next()
-        self._emit(MacTok.EOF, "", self.line, self.col)
-        return self.toks
+        return self.stmts
 
     # low-level helpers
 
-    def _emit(self, kind: MacTok, text: str, line: int, col: int):
-        self.toks.append(MacroToken(kind, text, line, col))
+    def _emit(self, kind: str, line: int, col: int, a, b=None):
+        self.stmts.append((kind, line, col, a, b))
 
     def _peek(self) -> str:
         return self.src[self.i] if self.i < self.n else ""
 
-    def _advance(self) -> str:
+    def _advance(self):
         ch = self.src[self.i]
         self.i += 1
         if ch == "\n":
@@ -142,10 +125,13 @@ class _Scanner:
             self.col = 1
         else:
             self.col += 1
-        return ch
 
     def _skip_ws(self):
         while self.i < self.n and self.src[self.i].isspace():
+            self._advance()
+
+    def _skip_semi(self):
+        if self._peek() == ";":
             self._advance()
 
     def _ident(self) -> str:
@@ -173,89 +159,67 @@ class _Scanner:
         line, col = self.line, self.col
         if ch == "%":
             self._advance()
-            if not (self.i < self.n and _is_ident_start(self.src[self.i])):
+            if not self._peek_ident_after(self.i):
                 raise LexError("stray '%'", line, col, char="%")
             name = self._ident()
             kw = name.lower()
             if kw == "macro":
-                self._emit(MacTok.PCT_MACRO, "%" + name, line, col)
-                self._macro_tail()
+                self._macro_tail(line, col)
             elif kw == "mend":
-                self._emit(MacTok.PCT_MEND, "%" + name, line, col)
+                self._emit(ERROR, line, col, MacroSyntaxError, "%mend without %macro")
             elif kw == "let":
-                self._emit(MacTok.PCT_LET, "%" + name, line, col)
-                self._let_tail()
+                self._let_tail(line, col)
             elif kw == "put":
-                self._emit(MacTok.PCT_PUT, "%" + name, line, col)
-                self._put_tail()
+                self._put_tail(line, col)
             elif kw == "eval":
-                self._emit(MacTok.PCT_EVAL, "%" + name, line, col)
+                self._emit(TEXT, line, col, "%" + name)
             else:
-                self._emit(MacTok.PCT_CALL, name, line, col)
-                self._call_tail()
+                self._call_tail(name, line, col)
             return
         if ch == "&":
             self._advance()
-            if not (self.i < self.n and _is_ident_start(self.src[self.i])):
+            if not self._peek_ident_after(self.i):
                 raise LexError("stray '&'", line, col, char="&")
-            self._emit(MacTok.AMP_REF, self._ident(), line, col)
+            self._emit(TEXT, line, col, self._ident())
             return
+        start = self.i
         if _is_ident_start(ch):
-            self._emit(MacTok.IDENT, self._ident(), line, col)
-            return
-        if ch.isdigit():
-            start = self.i
+            self._ident()
+        elif ch.isdigit():
             while self.i < self.n and self.src[self.i].isdigit():
                 self._advance()
-            self._emit(MacTok.INT, self.src[start:self.i], line, col)
-            return
-        if ch in "+-*/":
+        elif ch in "+-*/()=;,":
             self._advance()
-            self._emit(MacTok.OP, ch, line, col)
-            return
-        if ch in self._SINGLE:
-            self._advance()
-            self._emit(self._SINGLE[ch], ch, line, col)
-            return
-        # any other printable run is raw text for the compiler stream
-        start = self.i
-        while (self.i < self.n and not self.src[self.i].isspace()
-               and self.src[self.i] not in "%&+-*/()=;,"):
-            self._advance()
-        self._emit(MacTok.TEXT, self.src[start:self.i], line, col)
+        else:
+            # any other printable run is raw text for the compiler stream
+            while (self.i < self.n and not self.src[self.i].isspace()
+                   and self.src[self.i] not in "%&+-*/()=;,"):
+                self._advance()
+        self._emit(TEXT, line, col, self.src[start:self.i])
 
     # statement tails
 
-    def _require(self, cond: bool, message: str):
+    def _require(self, cond, message: str):
         if not cond:
             raise MacroSyntaxError(message, self.line, self.col)
 
-    def _let_tail(self):
+    def _let_tail(self, line: int, col: int):
         self._skip_ws()
-        line, col = self.line, self.col
-        self._require(self.i < self.n and _is_ident_start(self.src[self.i]),
-                      "expected a name after %let")
-        self._emit(MacTok.IDENT, self._ident(), line, col)
+        self._require(self._peek_ident_after(self.i), "expected a name after %let")
+        name = self._ident()
         self._skip_ws()
         self._require(self._peek() == "=", "expected '=' in %let")
-        line, col = self.line, self.col
         self._advance()
-        self._emit(MacTok.EQUALS, "=", line, col)
-        line, col = self.line, self.col
         start = self.i
         while self.i < self.n and self.src[self.i] != ";":
             self._advance()
-        self._emit(MacTok.TEXT, self.src[start:self.i].strip(), line, col)
-        if self._peek() == ";":
-            line, col = self.line, self.col
-            self._advance()
-            self._emit(MacTok.SEMI, ";", line, col)
+        self._emit(LET, line, col, name, self.src[start:self.i].strip())
+        self._skip_semi()
 
-    def _put_tail(self):
+    def _put_tail(self, line: int, col: int):
         # raw text to ';'; a following macro statement keyword also ends it,
         # so a missing semicolon does not swallow the next statement
         self._skip_ws()
-        line, col = self.line, self.col
         start = self.i
         while self.i < self.n:
             ch = self.src[self.i]
@@ -264,15 +228,11 @@ class _Scanner:
             if ch == "%" and self._peek_ident_after(self.i + 1).lower() in _STMT_KEYWORDS:
                 break
             self._advance()
-        self._emit(MacTok.TEXT, self.src[start:self.i].strip(), line, col)
-        if self._peek() == ";":
-            line, col = self.line, self.col
-            self._advance()
-            self._emit(MacTok.SEMI, ";", line, col)
+        self._emit(PUT, line, col, self.src[start:self.i].strip())
+        self._skip_semi()
 
-    def _raw_value(self) -> None:
+    def _raw_value(self) -> str:
         """Capture a parameter/argument value up to a top-level ',' or ')'."""
-        line, col = self.line, self.col
         start = self.i
         depth = 0
         while self.i < self.n:
@@ -287,105 +247,97 @@ class _Scanner:
                 break
             self._advance()
         self._require(self.i < self.n, "unterminated parameter list")
-        self._emit(MacTok.TEXT, self.src[start:self.i].strip(), line, col)
+        return self.src[start:self.i].strip()
 
-    def _param_list(self, what: str, values_optional: bool):
-        line, col = self.line, self.col
+    def _param_list(self, what: str, values_optional: bool) -> tuple[dict, tuple | None]:
+        """Read `(name[=value], ...)` into {lowercased name: raw value}.  The
+        first repeated name comes back as an ERROR record for the caller."""
         self._advance()
-        self._emit(MacTok.LPAREN, "(", line, col)
+        entries: dict[str, str] = {}
+        duplicate = None
         while True:
             self._skip_ws()
             if self._peek() == ")":
-                line, col = self.line, self.col
                 self._advance()
-                self._emit(MacTok.RPAREN, ")", line, col)
-                return
+                return entries, duplicate
             line, col = self.line, self.col
-            self._require(self.i < self.n and _is_ident_start(self.src[self.i]),
-                          f"expected a name in {what}")
-            self._emit(MacTok.IDENT, self._ident(), line, col)
+            self._require(self._peek_ident_after(self.i), f"expected a name in {what}")
+            name = self._ident()
+            key = name.lower()
+            if key in entries and duplicate is None:
+                duplicate = (ERROR, line, col, DuplicateParamError, name)
             self._skip_ws()
+            value = ""
             if self._peek() == "=":
-                line, col = self.line, self.col
                 self._advance()
-                self._emit(MacTok.EQUALS, "=", line, col)
-                self._raw_value()
+                value = self._raw_value()
             elif not values_optional:
                 raise MacroSyntaxError(f"{what} entries are written name=value",
                                        self.line, self.col)
+            entries[key] = value
             self._skip_ws()
             if self._peek() == ",":
-                line, col = self.line, self.col
                 self._advance()
-                self._emit(MacTok.COMMA, ",", line, col)
                 continue
             self._require(self._peek() == ")", f"expected ',' or ')' in {what}")
 
-    def _macro_tail(self):
+    def _macro_tail(self, line: int, col: int):
         self._skip_ws()
-        line, col = self.line, self.col
-        self._require(self.i < self.n and _is_ident_start(self.src[self.i]),
-                      "expected a macro name after %macro")
-        self._emit(MacTok.IDENT, self._ident(), line, col)
+        self._require(self._peek_ident_after(self.i), "expected a macro name after %macro")
+        name = self._ident()
         self._skip_ws()
+        params, duplicate = {}, None
         if self._peek() == "(":
-            self._param_list("macro parameter list", values_optional=True)
+            params, duplicate = self._param_list("macro parameter list", values_optional=True)
         self._skip_ws()
         self._require(self._peek() == ";", "expected ';' after %macro header")
-        line, col = self.line, self.col
         self._advance()
-        self._emit(MacTok.SEMI, ";", line, col)
-        self._body_tail()
-
-    def _body_tail(self):
-        """Capture the body verbatim up to the matching %mend."""
         body_line, body_col = self.line, self.col
-        buf: list[str] = []
+        body = self._body_tail()
+        if duplicate is not None:
+            self.stmts.append(duplicate)
+        elif body is None:
+            self._emit(ERROR, line, col, UnterminatedMacroError, name)
+        else:
+            self._emit(MACRO, line, col, MacroDef(
+                name.lower(), list(params.items()), body, body_line, body_col))
+
+    def _body_tail(self) -> str | None:
+        """Capture the body verbatim up to the matching %mend and consume
+        `%mend [name] [;]`; None when the source ends first."""
+        start = self.i
         depth = 0
-        while True:
-            if self.i >= self.n:
-                # no %mend: emit what we have; the definition pass reports it
-                self._emit(MacTok.TEXT, "".join(buf), body_line, body_col)
-                return
-            ch = self.src[self.i]
-            if ch == "%":
+        while self.i < self.n:
+            if self.src[self.i] == "%":
                 word = self._peek_ident_after(self.i + 1)
-                mark_line, mark_col = self.line, self.col
                 if word.lower() == "macro":
                     depth += 1
                 elif word.lower() == "mend":
                     if depth == 0:
-                        self._emit(MacTok.TEXT, "".join(buf), body_line, body_col)
+                        body = self.src[start:self.i]
                         self._advance()
                         self._ident()
-                        self._emit(MacTok.PCT_MEND, "%" + word, mark_line, mark_col)
                         self._skip_ws()
-                        if self.i < self.n and _is_ident_start(self.src[self.i]):
-                            line, col = self.line, self.col
-                            self._emit(MacTok.IDENT, self._ident(), line, col)
+                        if self._peek_ident_after(self.i):
+                            self._ident()
                             self._skip_ws()
-                        if self._peek() == ";":
-                            line, col = self.line, self.col
-                            self._advance()
-                            self._emit(MacTok.SEMI, ";", line, col)
-                        return
+                        self._skip_semi()
+                        return body
                     depth -= 1
-                if word:
-                    buf.append("%" + word)
-                    self._advance()
-                    self._ident()
-                    continue
-            buf.append(ch)
             self._advance()
+        return None
 
-    def _call_tail(self):
+    def _call_tail(self, name: str, line: int, col: int):
         self._skip_ws()
+        args, duplicate = {}, None
         if self._peek() == "(":
-            self._param_list("macro argument list", values_optional=False)
+            args, duplicate = self._param_list("macro argument list", values_optional=False)
+        self.stmts.append(duplicate or (CALL, line, col, name, args))
 
 
-def scan(source: str, line: int = 1, col: int = 1) -> list[MacroToken]:
-    """Tokenize maclang source (with `/* */` comments stripped)."""
+def scan(source: str, line: int = 1, col: int = 1) -> list[tuple]:
+    """Scan maclang source (with `/* */` comments stripped) into statement
+    records; see the record kinds above."""
     return _Scanner(source, line, col).scan()
 
 
@@ -579,6 +531,8 @@ class MacroDef:
     body_text: str                 # stored verbatim, unresolved
     body_line: int = 1
     body_col: int = 1
+    # statement records of body_text, scanned on first invocation
+    body: list[tuple] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -597,7 +551,6 @@ class MacroSession:
         self.log: list[str] = []
         self.compiler_stream: list[str] = []
         self._invocations: dict[str, int] = {}
-        self.stored_text_bytes_peak = 0
 
     # table access
 
@@ -618,104 +571,23 @@ class MacroSession:
         self._execute(scan(source))
         return MacroOutput(list(self.log))
 
-    def _execute(self, toks: list[MacroToken]):
-        i = 0
-        while toks[i].kind is not MacTok.EOF:
-            i = self._statement(toks, i)
-
-    def _statement(self, toks: list[MacroToken], i: int) -> int:
-        tok = toks[i]
-        pos = (tok.line, tok.col)
-        try:
-            if tok.kind is MacTok.PCT_MACRO:
-                return self._define(toks, i)
-            if tok.kind is MacTok.PCT_LET:
-                name = self._want(toks, i + 1, MacTok.IDENT)
-                self._want(toks, i + 2, MacTok.EQUALS)
-                text = self._want(toks, i + 3, MacTok.TEXT)
-                self.let(name.text, text.text)
-                j = i + 4
-                return j + 1 if toks[j].kind is MacTok.SEMI else j
-            if tok.kind is MacTok.PCT_PUT:
-                text = self._want(toks, i + 1, MacTok.TEXT)
-                self.put(text.text)
-                j = i + 2
-                return j + 1 if toks[j].kind is MacTok.SEMI else j
-            if tok.kind is MacTok.PCT_CALL:
-                overrides, j = self._call_overrides(toks, i + 1)
-                self.invoke(tok.text, overrides)
-                return j
-            if tok.kind is MacTok.PCT_MEND:
-                raise MacroSyntaxError("%mend without %macro", *pos)
-            # not a macro statement: forward to the compiler stream and move on
-            self.compiler_stream.append(tok.text)
-            return i + 1
-        except LazyLabError as err:
-            raise err.at(*pos)
-
-    @staticmethod
-    def _want(toks: list[MacroToken], i: int, kind: MacTok) -> MacroToken:
-        tok = toks[i]
-        if tok.kind is not kind:
-            raise MacroSyntaxError(f"expected {kind.value}, found {tok.kind.value}",
-                                   tok.line, tok.col)
-        return tok
-
-    def _define(self, toks: list[MacroToken], i: int) -> int:
-        head = toks[i]
-        name = self._want(toks, i + 1, MacTok.IDENT)
-        j = i + 2
-        params: list[tuple[str, str]] = []
-        seen: set[str] = set()
-        if toks[j].kind is MacTok.LPAREN:
-            j += 1
-            while toks[j].kind is not MacTok.RPAREN:
-                p = self._want(toks, j, MacTok.IDENT)
-                j += 1
-                default = ""
-                if toks[j].kind is MacTok.EQUALS:
-                    default = self._want(toks, j + 1, MacTok.TEXT).text
-                    j += 2
-                key = p.text.lower()
-                if key in seen:
-                    raise DuplicateParamError(p.text, p.line, p.col)
-                seen.add(key)
-                params.append((key, default))
-                if toks[j].kind is MacTok.COMMA:
-                    j += 1
-            j += 1
-        self._want(toks, j, MacTok.SEMI)
-        j += 1
-        body = self._want(toks, j, MacTok.TEXT)
-        j += 1
-        if toks[j].kind is not MacTok.PCT_MEND:
-            raise UnterminatedMacroError(name.text, head.line, head.col)
-        j += 1
-        if toks[j].kind is MacTok.IDENT:
-            j += 1
-        if toks[j].kind is MacTok.SEMI:
-            j += 1
-        self.macros[name.text.lower()] = MacroDef(
-            name.text.lower(), params, body.text, body.line, body.col
-        )
-        return j
-
-    @staticmethod
-    def _call_overrides(toks: list[MacroToken], i: int) -> tuple[dict[str, str], int]:
-        overrides: dict[str, str] = {}
-        j = i
-        if toks[j].kind is MacTok.LPAREN:
-            j += 1
-            while toks[j].kind is not MacTok.RPAREN:
-                name = MacroSession._want(toks, j, MacTok.IDENT)
-                MacroSession._want(toks, j + 1, MacTok.EQUALS)
-                text = MacroSession._want(toks, j + 2, MacTok.TEXT)
-                overrides[name.text.lower()] = text.text
-                j += 3
-                if toks[j].kind is MacTok.COMMA:
-                    j += 1
-            j += 1
-        return overrides, j
+    def _execute(self, stmts: list[tuple]):
+        for kind, line, col, a, b in stmts:
+            try:
+                if kind == TEXT:
+                    self.compiler_stream.append(a)
+                elif kind == LET:
+                    self.let(a, b)
+                elif kind == PUT:
+                    self.put(a)
+                elif kind == CALL:
+                    self.invoke(a, b)
+                elif kind == MACRO:
+                    self.macros[a.name] = a
+                else:
+                    raise a(b, line, col)
+            except LazyLabError as err:
+                raise err.at(line, col)
 
     # statement semantics
 
@@ -740,8 +612,10 @@ class MacroSession:
         try:
             for p, default in definition.params:
                 self._store(table, p, overrides.get(p, default), origin="param")
-            self._execute(scan(definition.body_text,
-                               definition.body_line, definition.body_col))
+            if definition.body is None:
+                definition.body = scan(definition.body_text,
+                                       definition.body_line, definition.body_col)
+            self._execute(definition.body)
         finally:
             self._stack.pop()
             table.status = DELETED
@@ -778,9 +652,6 @@ class MacroSession:
         table.entries[name.lower()] = text
         self.trace.emit(EventKind.VAR_STORED, name.lower(),
                         f"{table.trace_label} {origin} bytes={len(text)} text={text}")
-        current = sum(len(v) for t in self._stack for v in t.entries.values())
-        if current > self.stored_text_bytes_peak:
-            self.stored_text_bytes_peak = current
 
     def _log_line(self, line: str):
         self.log.append(line)

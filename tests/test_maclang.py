@@ -12,9 +12,10 @@ from lazylab.errors import (
     UnresolvedRefError,
     UnterminatedMacroError,
 )
+from lazylab import maclang
+from lazylab.lab import run_with_metrics
 from lazylab.maclang import (
     DELETED,
-    MacTok,
     MacroSession,
     SymbolTable,
     eval_arith,
@@ -25,50 +26,36 @@ from lazylab.maclang import (
 from lazylab.trace import EventKind, TraceSink
 
 
-def kinds(tokens):
-    return [t.kind for t in tokens]
-
-
 def _table(entries, macro=None, ordinal=None):
     return SymbolTable(macro, ordinal, dict(entries))
 
 
 class TestScanner:
     def test_let_statement(self):
-        toks = scan("%let x=2;")
-        assert kinds(toks) == [MacTok.PCT_LET, MacTok.IDENT, MacTok.EQUALS,
-                               MacTok.TEXT, MacTok.SEMI, MacTok.EOF]
-        assert [t.text for t in toks[:5]] == ["%let", "x", "=", "2", ";"]
+        assert scan("%let x=2;") == [("let", 1, 1, "x", "2")]
 
     def test_empty_source(self):
-        assert kinds(scan("")) == [MacTok.EOF]
+        assert scan("") == []
 
     def test_reference_fragment(self):
-        toks = scan("&x*10")
-        assert kinds(toks) == [MacTok.AMP_REF, MacTok.OP, MacTok.INT, MacTok.EOF]
-        assert [t.text for t in toks[:3]] == ["x", "*", "10"]
+        assert scan("&x*10") == [("text", 1, 1, "x", None), ("text", 1, 3, "*", None),
+                                 ("text", 1, 4, "10", None)]
 
     def test_put_keeps_eval_text_raw(self):
-        toks = scan("%put (&x %eval(&y));")
-        assert kinds(toks) == [MacTok.PCT_PUT, MacTok.TEXT, MacTok.SEMI, MacTok.EOF]
-        assert toks[1].text == "(&x %eval(&y))"
+        assert scan("%put (&x %eval(&y));") == [("put", 1, 1, "(&x %eval(&y))", None)]
 
     def test_put_without_semicolon_stops_at_next_statement(self):
-        toks = scan("%put _user_\n%let x=2;")
-        assert toks[0].kind is MacTok.PCT_PUT
-        assert toks[1].text == "_user_"
-        assert toks[2].kind is MacTok.PCT_LET
+        assert scan("%put _user_\n%let x=2;") == [("put", 1, 1, "_user_", None),
+                                                  ("let", 2, 1, "x", "2")]
 
     def test_macro_definition_tokens(self):
-        toks = scan("%macro lazy(x=5,y=&x*10,z=&a+&b);\n%let x=2;\n%mend;")
-        defaults = [toks[i].text for i, t in enumerate(toks) if t.kind is MacTok.TEXT][:3]
-        assert defaults == ["5", "&x*10", "&a+&b"]
-        assert MacTok.PCT_MEND in kinds(toks)
+        [(kind, line, col, d, _)] = scan("%macro lazy(x=5,y=&x*10,z=&a+&b);\n%let x=2;\n%mend;")
+        assert (kind, line, col) == ("macro", 1, 1)
+        assert d.params == [("x", "5"), ("y", "&x*10"), ("z", "&a+&b")]
+        assert (d.body_text, d.body_line, d.body_col) == ("\n%let x=2;\n", 1, 34)
 
     def test_comments_stripped(self):
-        toks = scan("%let x=2; /* a comment ; %let y=3; */")
-        assert kinds(toks) == [MacTok.PCT_LET, MacTok.IDENT, MacTok.EQUALS,
-                               MacTok.TEXT, MacTok.SEMI, MacTok.EOF]
+        assert scan("%let x=2; /* a comment ; %let y=3; */") == [("let", 1, 1, "x", "2")]
 
     def test_unterminated_comment(self):
         with pytest.raises(LexError) as exc:
@@ -82,9 +69,29 @@ class TestScanner:
             scan("& 5")
 
     def test_token_positions(self):
-        toks = scan("%let x=2;\n%put &x;")
-        put = [t for t in toks if t.kind is MacTok.PCT_PUT][0]
-        assert (put.line, put.col) == (2, 1)
+        put = scan("%let x=2;\n%put &x;")[1]
+        assert put[:3] == ("put", 2, 1)
+
+    def test_body_scanned_once_across_invocations(self, monkeypatch):
+        scanned = []
+
+        def counting_scan(source, line=1, col=1):
+            scanned.append(source)
+            return scan(source, line, col)
+
+        monkeypatch.setattr(maclang, "scan", counting_scan)
+        out = run_session("%macro m(); %put x; %mend;\n" + "%m()\n" * 5)
+        assert out.log_lines == ["x"] * 5
+        assert scanned[1:] == [" %put x; "]
+
+    def test_malformed_body_raises_only_when_invoked(self):
+        sink = TraceSink()
+        session = MacroSession(sink)
+        session.run("%macro m();\n%put ok;\n  % 5\n%mend;")
+        with pytest.raises(LexError) as exc:
+            session.run("%m()")
+        assert (exc.value.line, exc.value.col) == (3, 3)
+        assert sink.count(EventKind.TABLE_CREATED) == sink.count(EventKind.TABLE_DELETED) == 1
 
 
 class TestEvalArith:
@@ -162,6 +169,17 @@ class TestDefinitions:
         with pytest.raises(DuplicateParamError):
             run_session("%macro m(a=1,a=2); %mend;")
 
+    def test_duplicate_parameter_fires_after_earlier_statements(self):
+        with pytest.raises(DuplicateParamError) as exc:
+            run_with_metrics("%put a; %macro m(a=1,a=2); %mend;", "macro")
+        assert (exc.value.line, exc.value.col) == (1, 22)
+        assert [(ev.kind, ev.detail) for ev in exc.value.partial_trace] == [
+            (EventKind.OUTPUT_LINE, "a")]
+
+    def test_redefinition_runs_the_new_body(self):
+        src = "%macro m(); %put a; %mend; %m() %macro m(); %put b; %mend; %m()"
+        assert run_session(src).log_lines == ["a", "b"]
+
     def test_unterminated_macro(self):
         with pytest.raises(UnterminatedMacroError):
             run_session("%macro m();\n%put lost;")
@@ -179,6 +197,14 @@ class TestInvocation:
     def test_unknown_override(self):
         with pytest.raises(UnknownParamError):
             run_session("%macro m(a=1); %mend;\n%m(b=2)")
+
+    @pytest.mark.parametrize("args", ["a=2, a=3", "A=2, a=3"])
+    def test_duplicate_argument(self, args):
+        session = MacroSession()
+        with pytest.raises(DuplicateParamError) as exc:
+            session.run(f"%macro m(a=1); %put &a; %mend;\n%put before;\n%m({args})")
+        assert (exc.value.name, exc.value.line, exc.value.col) == ("a", 3, 9)
+        assert session.log == ["before"]
 
     def test_override_beats_default(self):
         out = run_session("%macro lazy(x=5,y=&x*10);\n%put %eval(&y);\n%mend;\n%lazy(x=7)")
@@ -316,10 +342,8 @@ class TestSessions:
         assert deleted == ["inner#1", "outer#1"]
 
     def test_stored_bytes_peak(self, sas_prog1_listing):
-        session = MacroSession()
-        session.run(sas_prog1_listing)
         # params 5/&x*10/&a+&b (11 bytes), then x->2, a->3, b->4 (13 bytes)
-        assert session.stored_text_bytes_peak == 13
+        assert run_with_metrics(sas_prog1_listing, "macro")[1].stored_text_bytes == 13
 
     def test_macro_names_are_case_insensitive(self):
         out = run_session("%macro M(A=1); %put &a; %mend;\n%m(a=9)")
