@@ -6,7 +6,7 @@ or by name (re-evaluated per access); and maclang, a macro preprocessor that
 defers evaluation through textual substitution over scoped symbol tables.
 """
 
-from .environments import Binding, EnvRegistry, Prom, Val
+from .environments import EnvRegistry, Val
 from .errors import LazyLabError
 from .evaluator import (
     Closure,
@@ -44,7 +44,7 @@ from .maclang import (
     run_session,
     scan,
 )
-from .promises import PromiseState, PromiseStore
+from .promises import Promise, PromiseState, PromiseStore
 from .syntax import (
     Program,
     expr_source,

@@ -1,18 +1,15 @@
-"""Environment frames with parent links, identified by handles.
+"""Environment frames with parent links, identified by integer handles.
 
-A registry owns every frame created during one interpreter run.  Frames are
-never destroyed, only marked DISCARDED: their bindings stay inspectable for
-traces, but evaluation-time lookups refuse to touch them.  The root (global)
-frame is created with the registry and cannot be discarded.
+A registry holds only the live frames of one run.  Discarding a frame drops
+it and every binding nothing else references; the trace keeps the record.
+Any later use of a discarded handle raises DiscardedEnvError.  The root
+(global) frame is created with the registry and cannot be discarded.
 """
 
 from dataclasses import dataclass
 
 from .errors import CannotDiscardGlobalError, DiscardedEnvError, UnboundNameError
 from .trace import EventKind, TraceSink
-
-LIVE = "LIVE"
-DISCARDED = "DISCARDED"
 
 
 @dataclass(frozen=True)
@@ -21,97 +18,74 @@ class Val:
     value: object
 
 
-@dataclass(frozen=True)
-class Prom:
-    """A name bound to an unevaluated promise, by id."""
-    promise: int
-
-
-Binding = Val | Prom
-
-
 class _Frame:
-    __slots__ = ("id", "parent", "bindings", "status")
+    __slots__ = ("parent", "bindings")
 
-    def __init__(self, fid: int, parent: int | None):
-        self.id = fid
-        self.parent = parent
-        self.bindings: dict[str, Binding] = {}
-        self.status = LIVE
+    def __init__(self, parent: int | None):
+        self.parent = parent  # a handle, so frames form no reference cycles
+        self.bindings: dict[str, object] = {}  # to a Val or a promises.Promise
 
 
 class EnvRegistry:
-    """All environment frames belonging to a single run.
+    """The live environment frames of a single run.
 
-    The registry hands out integer ids; the global frame is id 0.  Child
-    creation and discarding of non-global frames are traced.
+    The registry hands out sequential integer ids; the global frame is id 0.
+    Child creation and discarding of non-global frames are traced.
     """
 
     def __init__(self, trace: TraceSink | None = None):
         self._trace = trace
-        self._frames: list[_Frame] = [_Frame(0, None)]
+        self._frames: dict[int, _Frame] = {0: _Frame(None)}
+        self._next_id = 1
 
     @property
     def global_id(self) -> int:
         return 0
 
-    def _frame(self, env: int) -> _Frame:
-        try:
-            return self._frames[env]
-        except IndexError:
-            raise DiscardedEnvError(f"no such environment: {env}") from None
-
-    def _require_live(self, env: int) -> _Frame:
-        frame = self._frame(env)
-        if frame.status is not LIVE:
+    def _live(self, env: int) -> _Frame:
+        frame = self._frames.get(env)
+        if frame is None:
             raise DiscardedEnvError(f"environment env{env} was discarded")
         return frame
 
     def is_live(self, env: int) -> bool:
-        return self._frame(env).status is LIVE
+        return env in self._frames
 
     def child(self, parent: int) -> int:
-        """Create an empty LIVE frame under `parent`."""
-        self._require_live(parent)
-        fid = len(self._frames)
-        self._frames.append(_Frame(fid, parent))
+        """Create an empty frame under `parent`."""
+        self._live(parent)
+        fid = self._next_id
+        self._next_id += 1
+        self._frames[fid] = _Frame(parent)
         if self._trace is not None:
             self._trace.emit(EventKind.ENV_CREATED, f"env{fid}", f"parent=env{parent}")
         return fid
 
-    def lookup(self, env: int, name: str) -> Binding:
+    def lookup(self, env: int, name: str) -> object:
         """Find `name` in the nearest frame of the parent chain."""
-        frame = self._require_live(env)
-        while True:
-            if frame.status is not LIVE:
-                raise DiscardedEnvError(
-                    f"lookup of '{name}' crossed discarded frame env{frame.id}"
-                )
-            if name in frame.bindings:
-                return frame.bindings[name]
-            if frame.parent is None:
+        frame = self._live(env)
+        while name not in frame.bindings:
+            parent = frame.parent
+            if parent is None:
                 raise UnboundNameError(name)
-            frame = self._frame(frame.parent)
+            frame = self._frames.get(parent)
+            if frame is None:
+                raise DiscardedEnvError(
+                    f"lookup of '{name}' crossed discarded frame env{parent}"
+                )
+        return frame.bindings[name]
 
-    def define(self, env: int, name: str, binding: Binding) -> None:
+    def define(self, env: int, name: str, binding: object) -> None:
         """Create or overwrite `name` in exactly this frame, never a parent."""
-        self._require_live(env).bindings[name] = binding
+        self._live(env).bindings[name] = binding
 
     def discard(self, env: int) -> None:
         if env == self.global_id:
             raise CannotDiscardGlobalError("the global environment cannot be discarded")
-        frame = self._require_live(env)
-        frame.status = DISCARDED
+        self._live(env)
+        del self._frames[env]
         if self._trace is not None:
             self._trace.emit(EventKind.ENV_DISCARDED, f"env{env}")
 
-    # inspection helpers (work on discarded frames too)
-
-    def status(self, env: int) -> str:
-        return self._frame(env).status
-
-    def parent_of(self, env: int) -> int | None:
-        return self._frame(env).parent
-
-    def bindings_of(self, env: int) -> dict[str, Binding]:
-        return dict(self._frame(env).bindings)
+    def bindings_of(self, env: int) -> dict[str, object]:
+        return dict(self._live(env).bindings)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 
-from .environments import EnvRegistry, Prom, Val
+from .environments import EnvRegistry, Val
 from .errors import (
     ArityError,
     DivisionByZeroError,
@@ -97,6 +97,10 @@ def format_value(v: Value) -> str:
     raise TypeError(f"not a value: {v!r}")
 
 
+# str() of a value is its printed form, which is how trace details show it.
+Num.__str__ = Vec.__str__ = Closure.__str__ = format_value
+
+
 class FunclangRun:
     """One program execution: owns its environments, promises, and trace."""
 
@@ -164,8 +168,8 @@ class FunclangRun:
                 raise MissingArgError(name)
             return binding.value
         if self.strategy is Strategy.NAME:
-            return self.promises.evaluate_uncached(binding.promise, self.eval_expr)
-        return self.promises.force(binding.promise, self.eval_expr)
+            return self.promises.evaluate_uncached(binding, self.eval_expr)
+        return self.promises.force(binding, self.eval_expr)
 
     def _binary(self, e: Binary, env: int) -> Value:
         lhs = self.eval_expr(e.lhs, env)
@@ -225,13 +229,13 @@ class FunclangRun:
                 by_name = dict(supplied)
                 for p, default in f.params:
                     if p in by_name:
-                        pid = self.promises.new(by_name[p], caller_env, label=p)
+                        promise = self.promises.new(by_name[p], caller_env, label=p)
                     elif default is not None:
-                        pid = self.promises.new(default, exec_env, label=p)
+                        promise = self.promises.new(default, exec_env, label=p)
                     else:
                         self.envs.define(exec_env, p, Val(MISSING))
                         continue
-                    self.envs.define(exec_env, p, Prom(pid))
+                    self.envs.define(exec_env, p, promise)
             result: Value | None = None
             for stmt in f.body:
                 result = self.exec_stmt(stmt, exec_env)

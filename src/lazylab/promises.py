@@ -10,13 +10,15 @@ UNFORCED so the failure is reproducible.
 The store also offers an uncached evaluation path (`evaluate_uncached`) used
 by the call-by-name strategy: same expression and environment, no value slot
 ever populated, counters advanced on every access.
+
+The store keeps no promise; each lives as long as the frame that binds it.
 """
 
 from enum import Enum
 from typing import Callable
 
-from .errors import CyclicForceError, DiscardedEnvError
 from .environments import EnvRegistry
+from .errors import CyclicForceError, DiscardedEnvError
 from .syntax import Expr, expr_source
 from .trace import EventKind, TraceSink
 
@@ -27,7 +29,7 @@ class PromiseState(str, Enum):
     FORCED = "FORCED"
 
 
-class _PromiseRec:
+class Promise:
     __slots__ = ("id", "expr", "env", "label", "state", "value",
                  "force_requests", "evaluations")
 
@@ -46,78 +48,57 @@ Evaluator = Callable[[Expr, int], object]
 
 
 class PromiseStore:
-    """All promises belonging to a single run."""
+    """Creates, forces and traces the promises of a single run."""
 
     def __init__(self, envs: EnvRegistry, trace: TraceSink | None = None):
         self._envs = envs
         self._trace = trace
-        self._recs: list[_PromiseRec] = []
+        self._next_id = 0
 
-    def _emit(self, kind: EventKind, rec: _PromiseRec, detail: str):
+    def _emit(self, kind: EventKind, p: Promise, detail: str):
         if self._trace is not None:
-            self._trace.emit(kind, f"promise{rec.id}", detail)
+            self._trace.emit(kind, f"promise{p.id}", detail)
 
-    def new(self, expr: Expr, env: int, label: str | None = None) -> int:
+    def new(self, expr: Expr, env: int, label: str | None = None) -> Promise:
         """Wrap an expression without evaluating anything."""
         if not self._envs.is_live(env):
-            raise DiscardedEnvError(f"cannot capture discarded environment env{env}")
-        pid = len(self._recs)
-        rec = _PromiseRec(pid, expr, env, label)
-        self._recs.append(rec)
-        self._emit(EventKind.PROMISE_CREATED, rec,
+            raise DiscardedEnvError(f"environment env{env} was discarded")
+        p = Promise(self._next_id, expr, env, label)
+        self._next_id += 1
+        self._emit(EventKind.PROMISE_CREATED, p,
                    f"name={label or '_'} env=env{env} expr={expr_source(expr)}")
-        return pid
+        return p
 
-    def force(self, pid: int, evaluator: Evaluator) -> object:
+    def force(self, p: Promise, evaluator: Evaluator) -> object:
         """Return the cached value, evaluating once on first use."""
-        rec = self._recs[pid]
-        rec.force_requests += 1
-        if rec.state is PromiseState.FORCED:
-            self._emit(EventKind.PROMISE_CACHE_HIT, rec, f"name={rec.label or '_'}")
-            return rec.value
-        if rec.state is PromiseState.FORCING:
-            raise CyclicForceError(pid, rec.label)
-        rec.state = PromiseState.FORCING
+        p.force_requests += 1
+        if p.state is PromiseState.FORCED:
+            self._emit(EventKind.PROMISE_CACHE_HIT, p, f"name={p.label or '_'}")
+            return p.value
+        if p.state is PromiseState.FORCING:
+            raise CyclicForceError(p.id, p.label)
+        p.state = PromiseState.FORCING
         try:
-            value = evaluator(rec.expr, rec.env)
+            value = evaluator(p.expr, p.env)
         except BaseException:
-            rec.state = PromiseState.UNFORCED
+            p.state = PromiseState.UNFORCED
             raise
-        rec.value = value
-        rec.state = PromiseState.FORCED
-        rec.evaluations += 1
-        self._emit(EventKind.PROMISE_FORCED, rec, f"name={rec.label or '_'} value={value}")
+        p.value = value
+        p.state = PromiseState.FORCED
+        p.evaluations += 1
+        self._emit(EventKind.PROMISE_FORCED, p, f"name={p.label or '_'} value={value}")
         return value
 
-    def evaluate_uncached(self, pid: int, evaluator: Evaluator) -> object:
+    def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
         """Re-evaluate the wrapped expression; nothing is ever cached."""
-        rec = self._recs[pid]
-        rec.force_requests += 1
-        if rec.state is PromiseState.FORCING:
-            raise CyclicForceError(pid, rec.label)
-        rec.state = PromiseState.FORCING
+        p.force_requests += 1
+        if p.state is PromiseState.FORCING:
+            raise CyclicForceError(p.id, p.label)
+        p.state = PromiseState.FORCING
         try:
-            value = evaluator(rec.expr, rec.env)
+            value = evaluator(p.expr, p.env)
         finally:
-            rec.state = PromiseState.UNFORCED
-        rec.evaluations += 1
-        self._emit(EventKind.NAME_REEVAL, rec, f"name={rec.label or '_'} value={value}")
+            p.state = PromiseState.UNFORCED
+        p.evaluations += 1
+        self._emit(EventKind.NAME_REEVAL, p, f"name={p.label or '_'} value={value}")
         return value
-
-    def metrics(self, pid: int) -> tuple[PromiseState, int, int]:
-        """(state, force_requests, evaluations) snapshot."""
-        rec = self._recs[pid]
-        return rec.state, rec.force_requests, rec.evaluations
-
-    def state(self, pid: int) -> PromiseState:
-        return self._recs[pid].state
-
-    def label(self, pid: int) -> str | None:
-        return self._recs[pid].label
-
-    def forced_value_slots(self) -> int:
-        """How many promises currently hold a computed value."""
-        return sum(1 for rec in self._recs if rec.state is PromiseState.FORCED)
-
-    def ids(self) -> list[int]:
-        return [rec.id for rec in self._recs]

@@ -104,6 +104,11 @@ class TestTrace:
         assert [r for r in records if r.get("kind") == "OUTPUT_LINE"]
         assert "metrics" in records[-1]
 
+    def test_name_trace_shows_printed_values(self, prog2_func, capsys):
+        assert main(["trace", "--lang", "func", "--strategy", "name", prog2_func]) == 0
+        reevals = [r["detail"] for r in self._records(capsys) if r.get("kind") == "NAME_REEVAL"]
+        assert reevals == ["name=y value=20", "name=y value=100"]
+
     def test_empty_program_trace_is_header_and_metrics(self, tmp_path, capsys):
         path = tmp_path / "empty.fl"
         path.write_text("")

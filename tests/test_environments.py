@@ -1,19 +1,23 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lazylab.environments import DISCARDED, EnvRegistry, LIVE, Prom, Val
+from lazylab.environments import EnvRegistry, Val
 from lazylab.errors import (
     CannotDiscardGlobalError,
     DiscardedEnvError,
     UnboundNameError,
 )
+from lazylab.promises import PromiseStore
+from lazylab.syntax import parse_source
 from lazylab.trace import EventKind, TraceSink
 
 
 def test_global_is_root_and_empty():
     envs = EnvRegistry()
-    assert envs.parent_of(envs.global_id) is None
+    assert envs.is_live(envs.global_id)
     assert envs.bindings_of(envs.global_id) == {}
+    # a lookup from the root has no frame left to try, even with a child around
+    envs.define(envs.child(envs.global_id), "anything", Val(1))
     with pytest.raises(UnboundNameError):
         envs.lookup(envs.global_id, "anything")
 
@@ -78,24 +82,26 @@ def test_redefine_overwrites_same_frame():
 
 def test_promise_bindings_round_trip():
     envs = EnvRegistry()
-    envs.define(envs.global_id, "p", Prom(7))
-    assert envs.lookup(envs.global_id, "p") == Prom(7)
+    (stmt,) = parse_source("7").stmts
+    promise = PromiseStore(envs).new(stmt.expr, envs.global_id, label="p")
+    envs.define(envs.global_id, "p", promise)
+    assert envs.lookup(envs.global_id, "p") is promise
 
 
 def test_discard_lifecycle():
     envs = EnvRegistry()
     child = envs.child(envs.global_id)
     envs.define(child, "x", Val(1))
+    assert envs.is_live(child)
     envs.discard(child)
-    assert envs.status(child) == DISCARDED
-    with pytest.raises(DiscardedEnvError):
-        envs.lookup(child, "x")
-    with pytest.raises(DiscardedEnvError):
-        envs.define(child, "y", Val(2))
-    with pytest.raises(DiscardedEnvError):
-        envs.discard(child)
-    # bindings stay inspectable for traces
-    assert envs.bindings_of(child) == {"x": Val(1)}
+    assert not envs.is_live(child)
+    # the frame is dropped: every use of its handle fails, inspection included
+    message = f"environment env{child} was discarded"
+    for use in (lambda: envs.lookup(child, "x"), lambda: envs.define(child, "y", Val(2)),
+                lambda: envs.discard(child), lambda: envs.bindings_of(child),
+                lambda: envs.child(child)):
+        with pytest.raises(DiscardedEnvError, match=message):
+            use()
 
 
 def test_lookup_never_traverses_a_discarded_frame():
@@ -170,12 +176,12 @@ def test_unbound_in_child_defers_to_parent(chain_defs, probe):
 def test_parent_chain_terminates(depth):
     envs = EnvRegistry()
     env = envs.global_id
-    for _ in range(depth):
+    envs.define(env, "v0", Val(0))
+    for level in range(1, depth + 1):
         env = envs.child(env)
-    steps = 0
-    cur = env
-    while cur is not None:
-        cur = envs.parent_of(cur)
-        steps += 1
-        assert steps <= depth + 1
-    assert steps == depth + 1
+        envs.define(env, f"v{level}", Val(level))
+    # the deepest frame reaches every ancestor, and the walk stops at the root
+    for level in range(depth + 1):
+        assert envs.lookup(env, f"v{level}") == Val(level)
+    with pytest.raises(UnboundNameError):
+        envs.lookup(env, "nowhere")

@@ -1,8 +1,9 @@
+import gc
 from decimal import Decimal
 
 import pytest
 
-from lazylab.environments import Val
+from lazylab.environments import Val, _Frame
 from lazylab.errors import (
     ArityError,
     CyclicForceError,
@@ -20,7 +21,8 @@ from lazylab.evaluator import (
     Vec,
     run_program,
 )
-from lazylab.promises import PromiseState
+from lazylab.lab import metrics_from_events
+from lazylab.promises import Promise
 from lazylab.syntax import parse_source
 from lazylab.trace import EventKind
 
@@ -101,7 +103,7 @@ class TestStrategies:
         assert out.lines == ["2", "2", "2"]
         assert r.trace.count(EventKind.NAME_REEVAL) == 4  # 3 prints + return
         assert r.trace.count(EventKind.PROMISE_FORCED) == 0
-        assert r.promises.forced_value_slots() == 0
+        assert metrics_from_events(r.trace.events).forced_value_slots == 0
 
     def test_supplied_arguments_capture_the_caller(self):
         # the argument expression reads the caller's `a`, not the body's
@@ -219,18 +221,38 @@ class TestRunHygiene:
         assert [(e.kind, e.subject, e.detail) for e in r1.trace.events] == \
                [(e.kind, e.subject, e.detail) for e in r2.trace.events]
 
+    def test_live_state_stays_bounded(self):
+        # discarded frames and the promises they bound are garbage at once,
+        # even while the run itself is still referenced
+        calls = "".join(f"x <- f(a = {i})\n" for i in range(200))
+        r, _ = run_full("f <- function(a = 1, b = a * 2) { b }\n" + calls, Strategy.NEED)
+        assert r.envs.lookup(r.envs.global_id, "x") == Val(Num(Decimal(398)))
+        assert r.trace.count(EventKind.ENV_DISCARDED) == 200
+        assert r.trace.count(EventKind.PROMISE_CREATED) == 400
+        gc.collect()
+        live = gc.get_objects()
+        assert sum(isinstance(o, Promise) for o in live) == 0
+        assert sum(isinstance(o, _Frame) for o in live) == 1  # the global frame
+
 
 class TestPromiseMetricsThroughRuns:
+    @staticmethod
+    def _promises_named(r, name):
+        return [e.subject for e in r.trace.of_kind(EventKind.PROMISE_CREATED)
+                if e.detail.startswith(f"name={name} ")]
+
     def test_prog2_need_metrics_for_y(self, r_prog2_listing):
         r, _ = run_full(r_prog2_listing, Strategy.NEED)
-        y_promises = [pid for pid in r.promises.ids() if r.promises.label(pid) == "y"]
-        assert len(y_promises) == 1
-        state, accesses, evaluations = r.promises.metrics(y_promises[0])
-        assert state is PromiseState.FORCED
-        assert (accesses, evaluations) == (2, 1)
+        (y,) = self._promises_named(r, "y")
+        forced = [e.subject for e in r.trace.of_kind(EventKind.PROMISE_FORCED)]
+        assert forced == [y]
+        m = metrics_from_events(r.trace.events)
+        assert (m.arg_accesses["y"], m.arg_evaluations["y"]) == (2, 1)
 
     def test_never_read_argument_stays_untouched(self, r_prog1_listing):
         r, _ = run_full(r_prog1_listing, Strategy.NEED)
-        x_promises = [pid for pid in r.promises.ids() if r.promises.label(pid) == "x"]
-        assert len(x_promises) == 1
-        assert r.promises.metrics(x_promises[0]) == (PromiseState.UNFORCED, 0, 0)
+        (x,) = self._promises_named(r, "x")
+        assert all(e.subject != x for e in r.trace.events
+                   if e.kind is not EventKind.PROMISE_CREATED)
+        m = metrics_from_events(r.trace.events)
+        assert "x" not in m.arg_accesses and "x" not in m.arg_evaluations

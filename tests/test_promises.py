@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from lazylab.environments import EnvRegistry
 from lazylab.errors import CyclicForceError, DiscardedEnvError, UnboundNameError
 from lazylab.evaluator import Num
+from lazylab.lab import metrics_from_events
 from lazylab.promises import PromiseState, PromiseStore
 from lazylab.syntax import parse_source
 from lazylab.trace import EventKind, TraceSink
@@ -32,35 +33,39 @@ def _counting_evaluator(result=Num(Decimal(1))):
     return evaluator, calls
 
 
+def _metrics(promise):
+    return promise.state, promise.force_requests, promise.evaluations
+
+
 def test_new_promise_is_unforced_and_evaluates_nothing(store):
     envs, promises = store
     evaluator, calls = _counting_evaluator()
-    pid = promises.new(_expr("x*10"), envs.global_id, label="y")
-    assert promises.metrics(pid) == (PromiseState.UNFORCED, 0, 0)
+    p = promises.new(_expr("x*10"), envs.global_id, label="y")
+    assert _metrics(p) == (PromiseState.UNFORCED, 0, 0)
     assert calls == []
 
 
 def test_literal_promise_not_constant_folded(store):
     envs, promises = store
-    pid = promises.new(_expr("5"), envs.global_id)
-    assert promises.state(pid) is PromiseState.UNFORCED
+    p = promises.new(_expr("5"), envs.global_id)
+    assert p.state is PromiseState.UNFORCED
 
 
 def test_wrapping_never_looks_names_up(store):
     envs, promises = store
     # a and b are unbound everywhere; construction must still succeed
-    pid = promises.new(_expr("a+b"), envs.global_id)
-    assert promises.state(pid) is PromiseState.UNFORCED
+    p = promises.new(_expr("a+b"), envs.global_id)
+    assert p.state is PromiseState.UNFORCED
 
 
 def test_force_caches_single_evaluation(store):
     envs, promises = store
     evaluator, calls = _counting_evaluator(Num(Decimal(20)))
-    pid = promises.new(_expr("x*10"), envs.global_id, label="y")
-    assert promises.force(pid, evaluator) == Num(Decimal(20))
-    assert promises.force(pid, evaluator) == Num(Decimal(20))
+    p = promises.new(_expr("x*10"), envs.global_id, label="y")
+    assert promises.force(p, evaluator) == Num(Decimal(20))
+    assert promises.force(p, evaluator) == Num(Decimal(20))
     assert len(calls) == 1
-    assert promises.metrics(pid) == (PromiseState.FORCED, 2, 1)
+    assert _metrics(p) == (PromiseState.FORCED, 2, 1)
 
 
 def test_force_events(store):
@@ -68,9 +73,9 @@ def test_force_events(store):
     sink = TraceSink()
     promises_traced = PromiseStore(envs, sink)
     evaluator, _ = _counting_evaluator()
-    pid = promises_traced.new(_expr("1"), envs.global_id, label="v")
-    promises_traced.force(pid, evaluator)
-    promises_traced.force(pid, evaluator)
+    p = promises_traced.new(_expr("1"), envs.global_id, label="v")
+    promises_traced.force(p, evaluator)
+    promises_traced.force(p, evaluator)
     kinds = [ev.kind for ev in sink.events]
     assert kinds == [EventKind.PROMISE_CREATED, EventKind.PROMISE_FORCED,
                      EventKind.PROMISE_CACHE_HIT]
@@ -90,14 +95,14 @@ def test_error_leaves_promise_unforced_and_retryable(store):
     def failing(expr, env):
         raise UnboundNameError("x")
 
-    pid = promises.new(_expr("x"), envs.global_id, label="p")
+    p = promises.new(_expr("x"), envs.global_id, label="p")
     with pytest.raises(UnboundNameError):
-        promises.force(pid, failing)
-    assert promises.metrics(pid) == (PromiseState.UNFORCED, 1, 0)
+        promises.force(p, failing)
+    assert _metrics(p) == (PromiseState.UNFORCED, 1, 0)
     # the environment is repaired; forcing now succeeds and counts once
     ok, calls = _counting_evaluator(Num(Decimal(3)))
-    assert promises.force(pid, ok) == Num(Decimal(3))
-    assert promises.metrics(pid) == (PromiseState.FORCED, 2, 1)
+    assert promises.force(p, ok) == Num(Decimal(3))
+    assert _metrics(p) == (PromiseState.FORCED, 2, 1)
 
 
 def test_two_promise_cycle_detected(store):
@@ -114,32 +119,37 @@ def test_two_promise_cycle_detected(store):
     with pytest.raises(CyclicForceError):
         promises.force(px, evaluator)
     # both ends of the cycle rolled back to UNFORCED
-    assert promises.state(px) is PromiseState.UNFORCED
-    assert promises.state(py) is PromiseState.UNFORCED
+    assert px.state is PromiseState.UNFORCED
+    assert py.state is PromiseState.UNFORCED
 
 
 def test_uncached_evaluation_never_populates_the_slot(store):
-    envs, promises = store
+    envs, _ = store
+    sink = TraceSink()
+    promises = PromiseStore(envs, sink)
     evaluator, calls = _counting_evaluator(Num(Decimal(7)))
-    pid = promises.new(_expr("q"), envs.global_id, label="p")
+    p = promises.new(_expr("q"), envs.global_id, label="p")
     for _ in range(3):
-        assert promises.evaluate_uncached(pid, evaluator) == Num(Decimal(7))
-    assert promises.metrics(pid) == (PromiseState.UNFORCED, 3, 3)
+        assert promises.evaluate_uncached(p, evaluator) == Num(Decimal(7))
+    assert _metrics(p) == (PromiseState.UNFORCED, 3, 3)
+    assert p.value is None
     assert len(calls) == 3
-    assert promises.forced_value_slots() == 0
+    assert metrics_from_events(sink.events).forced_value_slots == 0
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.booleans(), min_size=0, max_size=12))
 def test_occupancy_matches_forced_count(force_flags):
     envs = EnvRegistry()
-    promises = PromiseStore(envs)
+    sink = TraceSink()
+    promises = PromiseStore(envs, sink)
     evaluator, _ = _counting_evaluator()
-    pids = [promises.new(_expr("1"), envs.global_id) for _ in force_flags]
-    for pid, do_force in zip(pids, force_flags):
+    ps = [promises.new(_expr("1"), envs.global_id) for _ in force_flags]
+    for p, do_force in zip(ps, force_flags):
         if do_force:
-            promises.force(pid, evaluator)
-    assert promises.forced_value_slots() == sum(force_flags)
+            promises.force(p, evaluator)
+    assert sum(p.state is PromiseState.FORCED for p in ps) == sum(force_flags)
+    assert metrics_from_events(sink.events).forced_value_slots == sum(force_flags)
 
 
 @settings(max_examples=50, deadline=None)
@@ -148,10 +158,10 @@ def test_at_most_once_and_idempotent(n_forces):
     envs = EnvRegistry()
     promises = PromiseStore(envs)
     evaluator, calls = _counting_evaluator(Num(Decimal(42)))
-    pid = promises.new(_expr("e"), envs.global_id)
-    results = {promises.force(pid, evaluator) for _ in range(n_forces)}
+    p = promises.new(_expr("e"), envs.global_id)
+    results = {promises.force(p, evaluator) for _ in range(n_forces)}
     assert results == {Num(Decimal(42))}
-    state, requests, evaluations = promises.metrics(pid)
+    state, requests, evaluations = _metrics(p)
     assert evaluations <= 1
     assert requests == n_forces
     assert len(calls) == evaluations
