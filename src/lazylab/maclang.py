@@ -1,17 +1,21 @@
 """maclang: a macro-preprocessor language executed by textual substitution.
 
 The scanner turns source into statement records that the session executes
-in order.  Macro bodies are stored verbatim and scanned once, on their first
-invocation.  Parameter defaults and call arguments are stored as raw text,
-`%let` values as the text left after resolving them; every `&name` is
-re-resolved at every use, from the innermost live symbol table, and the
-substituted text is rescanned until no references remain.  `%eval(...)`
-performs integer arithmetic on resolved text.  One global symbol table lives
-for the whole session; each macro invocation pushes a local table that is
-deleted at `%mend`.  A name repeated in a parameter list or in a call's
-argument list is an error.
+in order.  It and the `&` and `%eval(` passes move forward over string
+offsets with compiled patterns; a (line, col) is worked out only for a record
+or an error, and a macro body's records count from where the body starts in
+the source.  Digits are decimal digits (`str.isdecimal`).  Macro bodies are
+stored verbatim and scanned once, on their first invocation.  Parameter
+defaults and call arguments are stored as raw text, `%let` values as the
+text left after resolving them; every `&name` is re-resolved at every use,
+from the innermost live symbol table, and the substituted text is rescanned
+until no references remain.  `%eval(...)` performs integer arithmetic on
+resolved text.  One global symbol table lives for the whole session; each
+macro invocation pushes a local table that is deleted at `%mend`.  A name
+repeated in a parameter list or in a call's argument list is an error.
 """
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -29,12 +33,7 @@ from .errors import (
 )
 from .trace import EventKind, TraceSink
 
-LIVE = "LIVE"
-DELETED = "DELETED"
-
 RESCAN_LIMIT = 64
-
-_STMT_KEYWORDS = {"let", "put", "macro", "mend"}
 
 
 # --- statement scanner
@@ -48,321 +47,234 @@ _STMT_KEYWORDS = {"let", "put", "macro", "mend"}
 #   TEXT   a = one open-code word, forwarded to the compiler stream
 #   ERROR  a = error class, b = its first argument; raised at (line, col) only
 #          when execution reaches the record, so the statements before it run
+#
+# The scanner moves forward over string offsets with compiled patterns and
+# works out (line, col) only for a record or an error.  `\w` is exactly
+# `str.isalnum()` or "_", `\d` is `str.isdecimal()` and `\s` is `str.isspace()`;
+# no pattern class is "a letter or _", so `_is_ident_start` checks the first
+# character of a name.
 
 LET, PUT, CALL, MACRO, TEXT, ERROR = "let", "put", "call", "macro", "text", "error"
 
-
-def _strip_comments(source: str, line: int, col: int) -> str:
-    """Replace `/* ... */` comments with spaces, preserving line breaks."""
-    out: list[str] = []
-    i, n = 0, len(source)
-    cur_line, cur_col = line, col
-    while i < n:
-        if source[i] == "/" and i + 1 < n and source[i + 1] == "*":
-            start_line, start_col = cur_line, cur_col
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise LexError("unterminated comment", start_line, start_col, char="/*")
-            for ch in source[i:end + 2]:
-                if ch == "\n":
-                    out.append("\n")
-                    cur_line += 1
-                    cur_col = 1
-                else:
-                    out.append(" ")
-                    cur_col += 1
-            i = end + 2
-            continue
-        ch = source[i]
-        out.append(ch)
-        if ch == "\n":
-            cur_line += 1
-            cur_col = 1
-        else:
-            cur_col += 1
-        i += 1
-    return "".join(out)
+_COMMENT = re.compile(r"/\*.*?(\*/|\Z)", re.S)  # an unclosed comment runs to the end
+_NOT_NEWLINE = re.compile(r"[^\n]")
+_SPACE = re.compile(r"\s*")
+_WORD = re.compile(r"\w+")
+_OPEN_CODE = re.compile(r"\d+|[-+*/()=;,]|[^\s%&+\-*/()=;,]+")
+_LET_VALUE = re.compile(r"([^;]*);?")
+_PUT_END = re.compile(r";|(?=%(?:let|put|macro|mend)(?!\w))", re.I)
+_NESTING = re.compile(r"%(?:(macro)|mend)(?!\w)", re.I)
+_VALUE_END = re.compile(r"[(),]")
+# The loops call `pattern.search`, not `finditer`: on CPython 3.11 every
+# `finditer` call leaves a fresh "search" string in the interpreter's method
+# cache, which the benchmark's peak memory counted.
 
 
 def _is_ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
 class _Scanner:
-    """Single-pass scanner; `%let`, `%put`, `%macro`, and macro calls switch
-    it into raw-text capture so stored values keep their source spelling."""
+    """Single pass over offsets; `%let`, `%put`, `%macro`, and macro calls
+    capture raw text so stored values keep their source spelling."""
 
     def __init__(self, source: str, line: int = 1, col: int = 1):
-        self.src = _strip_comments(source, line, col)
-        self.n = len(self.src)
+        self._mark, self._line, self._col = 0, line, col
+        # _pos reads the source while comments are blanked; blanking moves
+        # no offset and keeps every line break
+        self.src = source
+        self.src = _COMMENT.sub(self._blank, source)
         self.i = 0
-        self.line = line
-        self.col = col
         self.stmts: list[tuple] = []
 
+    def _blank(self, comment: re.Match) -> str:
+        if not comment.group(1):
+            raise LexError("unterminated comment", *self._pos(comment.start()), char="/*")
+        return _NOT_NEWLINE.sub(" ", comment.group())
+
+    def _pos(self, i: int) -> tuple[int, int]:
+        """(line, col) of offset i; the offsets asked for never decrease."""
+        newlines = self.src.count("\n", self._mark, i)
+        if newlines:
+            self._line += newlines
+            self._col = i - self.src.rindex("\n", self._mark, i)
+        else:
+            self._col += i - self._mark
+        self._mark = i
+        return self._line, self._col
+
+    def _error(self, message: str) -> MacroSyntaxError:
+        return MacroSyntaxError(message, *self._pos(self.i))
+
+    def _ident_at(self, i: int) -> str:
+        """The identifier starting at offset i, or ''."""
+        if i < len(self.src) and _is_ident_start(self.src[i]):
+            return _WORD.match(self.src, i).group()
+        return ""
+
+    def _skip_space(self):
+        self.i = _SPACE.match(self.src, self.i).end()
+
+    def _peek(self, ch: str) -> bool:
+        """Skip whitespace; whether the next character is ch."""
+        self._skip_space()
+        return self.src.startswith(ch, self.i)
+
+    def _take(self, ch: str) -> bool:
+        if self._peek(ch):
+            self.i += 1
+            return True
+        return False
+
+    def _expect_name(self, message: str) -> str:
+        self._skip_space()
+        name = self._ident_at(self.i)
+        if not name:
+            raise self._error(message)
+        self.i += len(name)
+        return name
+
     def scan(self) -> list[tuple]:
-        while self.i < self.n:
-            self._next()
+        src = self.src
+        while (start := _SPACE.match(src, self.i).end()) < len(src):
+            line, col = self._pos(start)
+            ch = src[start]
+            if ch in "%&":
+                name = self._ident_at(start + 1)
+                if not name:
+                    raise LexError(f"stray {ch!r}", line, col, char=ch)
+                self.i = start + 1 + len(name)
+                if ch == "&":
+                    self.stmts.append((TEXT, line, col, name, None))
+                else:
+                    self._statement(name, line, col)
+            else:
+                word = self._ident_at(start) or _OPEN_CODE.match(src, start).group()
+                self.i = start + len(word)
+                self.stmts.append((TEXT, line, col, word, None))
         return self.stmts
 
-    # low-level helpers
-
-    def _emit(self, kind: str, line: int, col: int, a, b=None):
-        self.stmts.append((kind, line, col, a, b))
-
-    def _peek(self) -> str:
-        return self.src[self.i] if self.i < self.n else ""
-
-    def _advance(self):
-        ch = self.src[self.i]
-        self.i += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
+    def _statement(self, name: str, line: int, col: int):
+        kw = name.lower()
+        if kw == "macro":
+            self._macro(line, col)
+        elif kw == "mend":
+            self.stmts.append((ERROR, line, col, MacroSyntaxError, "%mend without %macro"))
+        elif kw == "let":
+            var = self._expect_name("expected a name after %let")
+            if not self._take("="):
+                raise self._error("expected '=' in %let")
+            value = _LET_VALUE.match(self.src, self.i)
+            self.stmts.append((LET, line, col, var, value.group(1).strip()))
+            self.i = value.end()
+        elif kw == "put":
+            # raw text to ';'; a following macro statement keyword also ends
+            # it, so a missing semicolon does not swallow the next statement
+            end = _PUT_END.search(self.src, self.i)
+            stop = end.start() if end else len(self.src)
+            self.stmts.append((PUT, line, col, self.src[self.i:stop].strip(), None))
+            self.i = end.end() if end else stop
+        elif kw == "eval":
+            self.stmts.append((TEXT, line, col, "%" + name, None))
         else:
-            self.col += 1
-
-    def _skip_ws(self):
-        while self.i < self.n and self.src[self.i].isspace():
-            self._advance()
-
-    def _skip_semi(self):
-        if self._peek() == ";":
-            self._advance()
-
-    def _ident(self) -> str:
-        start = self.i
-        while self.i < self.n and _is_ident_char(self.src[self.i]):
-            self._advance()
-        return self.src[start:self.i]
-
-    def _peek_ident_after(self, j: int) -> str:
-        """Read an identifier starting at offset j without consuming."""
-        if j >= self.n or not _is_ident_start(self.src[j]):
-            return ""
-        k = j
-        while k < self.n and _is_ident_char(self.src[k]):
-            k += 1
-        return self.src[j:k]
-
-    # normal-mode scanning
-
-    def _next(self):
-        ch = self._peek()
-        if ch.isspace():
-            self._advance()
-            return
-        line, col = self.line, self.col
-        if ch == "%":
-            self._advance()
-            if not self._peek_ident_after(self.i):
-                raise LexError("stray '%'", line, col, char="%")
-            name = self._ident()
-            kw = name.lower()
-            if kw == "macro":
-                self._macro_tail(line, col)
-            elif kw == "mend":
-                self._emit(ERROR, line, col, MacroSyntaxError, "%mend without %macro")
-            elif kw == "let":
-                self._let_tail(line, col)
-            elif kw == "put":
-                self._put_tail(line, col)
-            elif kw == "eval":
-                self._emit(TEXT, line, col, "%" + name)
-            else:
-                self._call_tail(name, line, col)
-            return
-        if ch == "&":
-            self._advance()
-            if not self._peek_ident_after(self.i):
-                raise LexError("stray '&'", line, col, char="&")
-            self._emit(TEXT, line, col, self._ident())
-            return
-        start = self.i
-        if _is_ident_start(ch):
-            self._ident()
-        elif ch.isdigit():
-            while self.i < self.n and self.src[self.i].isdigit():
-                self._advance()
-        elif ch in "+-*/()=;,":
-            self._advance()
-        else:
-            # any other printable run is raw text for the compiler stream
-            while (self.i < self.n and not self.src[self.i].isspace()
-                   and self.src[self.i] not in "%&+-*/()=;,"):
-                self._advance()
-        self._emit(TEXT, line, col, self.src[start:self.i])
-
-    # statement tails
-
-    def _require(self, cond, message: str):
-        if not cond:
-            raise MacroSyntaxError(message, self.line, self.col)
-
-    def _let_tail(self, line: int, col: int):
-        self._skip_ws()
-        self._require(self._peek_ident_after(self.i), "expected a name after %let")
-        name = self._ident()
-        self._skip_ws()
-        self._require(self._peek() == "=", "expected '=' in %let")
-        self._advance()
-        start = self.i
-        while self.i < self.n and self.src[self.i] != ";":
-            self._advance()
-        self._emit(LET, line, col, name, self.src[start:self.i].strip())
-        self._skip_semi()
-
-    def _put_tail(self, line: int, col: int):
-        # raw text to ';'; a following macro statement keyword also ends it,
-        # so a missing semicolon does not swallow the next statement
-        self._skip_ws()
-        start = self.i
-        while self.i < self.n:
-            ch = self.src[self.i]
-            if ch == ";":
-                break
-            if ch == "%" and self._peek_ident_after(self.i + 1).lower() in _STMT_KEYWORDS:
-                break
-            self._advance()
-        self._emit(PUT, line, col, self.src[start:self.i].strip())
-        self._skip_semi()
-
-    def _raw_value(self) -> str:
-        """Capture a parameter/argument value up to a top-level ',' or ')'."""
-        start = self.i
-        depth = 0
-        while self.i < self.n:
-            ch = self.src[self.i]
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif ch == "," and depth == 0:
-                break
-            self._advance()
-        self._require(self.i < self.n, "unterminated parameter list")
-        return self.src[start:self.i].strip()
+            args, duplicate = {}, None
+            if self._peek("("):
+                args, duplicate = self._param_list("macro argument list", values_optional=False)
+            self.stmts.append(duplicate or (CALL, line, col, name, args))
 
     def _param_list(self, what: str, values_optional: bool) -> tuple[dict, tuple | None]:
         """Read `(name[=value], ...)` into {lowercased name: raw value}.  The
         first repeated name comes back as an ERROR record for the caller."""
-        self._advance()
+        self.i += 1
         entries: dict[str, str] = {}
         duplicate = None
-        while True:
-            self._skip_ws()
-            if self._peek() == ")":
-                self._advance()
-                return entries, duplicate
-            line, col = self.line, self.col
-            self._require(self._peek_ident_after(self.i), f"expected a name in {what}")
-            name = self._ident()
+        while not self._take(")"):
+            name = self._expect_name(f"expected a name in {what}")
             key = name.lower()
             if key in entries and duplicate is None:
-                duplicate = (ERROR, line, col, DuplicateParamError, name)
-            self._skip_ws()
-            value = ""
-            if self._peek() == "=":
-                self._advance()
-                value = self._raw_value()
-            elif not values_optional:
-                raise MacroSyntaxError(f"{what} entries are written name=value",
-                                       self.line, self.col)
-            entries[key] = value
-            self._skip_ws()
-            if self._peek() == ",":
-                self._advance()
-                continue
-            self._require(self._peek() == ")", f"expected ',' or ')' in {what}")
+                duplicate = (ERROR, *self._pos(self.i - len(name)), DuplicateParamError, name)
+            if self._take("="):
+                entries[key] = self._raw_value()
+            elif values_optional:
+                entries[key] = ""
+            else:
+                raise self._error(f"{what} entries are written name=value")
+            if not self._take(",") and not self._peek(")"):
+                raise self._error(f"expected ',' or ')' in {what}")
+        return entries, duplicate
 
-    def _macro_tail(self, line: int, col: int):
-        self._skip_ws()
-        self._require(self._peek_ident_after(self.i), "expected a macro name after %macro")
-        name = self._ident()
-        self._skip_ws()
+    def _raw_value(self) -> str:
+        """Capture a parameter/argument value up to a top-level ',' or ')'."""
+        depth, end = 0, self.i
+        while (stop := _VALUE_END.search(self.src, end)) is not None:
+            end = stop.end()
+            if stop.group() == "(":
+                depth += 1
+            elif depth == 0:
+                value = self.src[self.i:stop.start()].strip()
+                self.i = stop.start()
+                return value
+            elif stop.group() == ")":
+                depth -= 1
+        self.i = len(self.src)
+        raise self._error("unterminated parameter list")
+
+    def _macro(self, line: int, col: int):
+        name = self._expect_name("expected a macro name after %macro")
         params, duplicate = {}, None
-        if self._peek() == "(":
+        if self._peek("("):
             params, duplicate = self._param_list("macro parameter list", values_optional=True)
-        self._skip_ws()
-        self._require(self._peek() == ";", "expected ';' after %macro header")
-        self._advance()
-        body_line, body_col = self.line, self.col
-        body = self._body_tail()
+        if not self._take(";"):
+            raise self._error("expected ';' after %macro header")
+        body_line, body_col = self._pos(self.i)
+        body = self._body()
         if duplicate is not None:
             self.stmts.append(duplicate)
         elif body is None:
-            self._emit(ERROR, line, col, UnterminatedMacroError, name)
+            self.stmts.append((ERROR, line, col, UnterminatedMacroError, name))
         else:
-            self._emit(MACRO, line, col, MacroDef(
-                name.lower(), list(params.items()), body, body_line, body_col))
+            self.stmts.append((MACRO, line, col, MacroDef(
+                name.lower(), list(params.items()), body, body_line, body_col), None))
 
-    def _body_tail(self) -> str | None:
+    def _body(self) -> str | None:
         """Capture the body verbatim up to the matching %mend and consume
         `%mend [name] [;]`; None when the source ends first."""
-        start = self.i
-        depth = 0
-        while self.i < self.n:
-            if self.src[self.i] == "%":
-                word = self._peek_ident_after(self.i + 1)
-                if word.lower() == "macro":
-                    depth += 1
-                elif word.lower() == "mend":
-                    if depth == 0:
-                        body = self.src[start:self.i]
-                        self._advance()
-                        self._ident()
-                        self._skip_ws()
-                        if self._peek_ident_after(self.i):
-                            self._ident()
-                            self._skip_ws()
-                        self._skip_semi()
-                        return body
-                    depth -= 1
-            self._advance()
+        start, depth = self.i, 0
+        while (keyword := _NESTING.search(self.src, self.i)) is not None:
+            self.i = keyword.end()
+            if keyword.group(1):
+                depth += 1
+            elif depth:
+                depth -= 1
+            else:
+                self._skip_space()
+                self.i += len(self._ident_at(self.i))
+                self._take(";")
+                return self.src[start:keyword.start()]
+        self.i = len(self.src)
         return None
-
-    def _call_tail(self, name: str, line: int, col: int):
-        self._skip_ws()
-        args, duplicate = {}, None
-        if self._peek() == "(":
-            args, duplicate = self._param_list("macro argument list", values_optional=False)
-        self.stmts.append(duplicate or (CALL, line, col, name, args))
 
 
 def scan(source: str, line: int = 1, col: int = 1) -> list[tuple]:
-    """Scan maclang source (with `/* */` comments stripped) into statement
+    """Scan maclang source (with `/* */` comments blanked) into statement
     records; see the record kinds above."""
     return _Scanner(source, line, col).scan()
 
 
 # --- %eval integer arithmetic
 
+_ARITH_TOKEN = re.compile(r"(\d+)|([-+*/()])|[ \t\r\n]+|(.)", re.S)
+
+
 def _arith_tokens(text: str) -> list:
     toks: list = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(int(text[i:j]))
-            i = j
-            continue
-        if ch in "+-*/()":
-            toks.append(ch)
-            i += 1
-            continue
-        raise ArithSyntaxError(f"unexpected {ch!r} in integer expression")
+    for number, op, other in _ARITH_TOKEN.findall(text):
+        if other:
+            raise ArithSyntaxError(f"unexpected {other!r} in integer expression")
+        if number:
+            toks.append(int(number))
+        elif op:
+            toks.append(op)
     return toks
 
 
@@ -438,7 +350,6 @@ class SymbolTable:
     macro_name: str | None
     ordinal: int | None
     entries: dict[str, str] = field(default_factory=dict)
-    status: str = LIVE
 
     @property
     def is_global(self) -> bool:
@@ -453,72 +364,56 @@ class SymbolTable:
         return "global" if self.is_global else f"{self.macro_name}#{self.ordinal}"
 
 
+_REF = re.compile(r"&(\w+)")
+_EVAL = re.compile(r"%eval[ \t]*\(", re.I)
+_PAREN = re.compile(r"[()]")
+
+
 def resolve_text(text: str, tables: list[SymbolTable],
                  trace: TraceSink | None = None, _depth: int = 0) -> str:
     """Substitute every `&name` from the innermost table defining it, then
     rescan the substituted text so chained references resolve.  The rescan
     depth per original reference is capped; nothing is ever cached."""
-    out: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "&" and i + 1 < n and _is_ident_start(text[i + 1]):
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            name = text[i + 1:j]
-            key = name.lower()
-            owner = None
-            for table in tables:
-                if key in table.entries:
-                    owner = table
-                    break
-            if owner is None:
-                raise UnresolvedRefError(name)
-            if _depth >= RESCAN_LIMIT:
-                raise DepthExceededError(name, RESCAN_LIMIT)
-            entry = owner.entries[key]
-            if trace is not None:
-                trace.emit(EventKind.VAR_RESOLVED, key,
-                           f"{owner.trace_label} text={entry}")
-            out.append(resolve_text(entry, tables, trace, _depth + 1))
-            i = j
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    def substitute(ref: re.Match) -> str:
+        name = ref.group(1)
+        if not _is_ident_start(name[0]):
+            return ref.group()
+        key = name.lower()
+        owner = None
+        for table in tables:
+            if key in table.entries:
+                owner = table
+                break
+        if owner is None:
+            raise UnresolvedRefError(name)
+        if _depth >= RESCAN_LIMIT:
+            raise DepthExceededError(name, RESCAN_LIMIT)
+        entry = owner.entries[key]
+        if trace is not None:
+            trace.emit(EventKind.VAR_RESOLVED, key, f"{owner.trace_label} text={entry}")
+        return resolve_text(entry, tables, trace, _depth + 1)
+
+    return _REF.sub(substitute, text)
 
 
 def _apply_evals(text: str, trace: TraceSink | None = None) -> str:
     """Replace every `%eval(...)` in resolved text with its integer result."""
     out: list[str] = []
-    low = text.lower()
-    i, n = 0, len(text)
-    while i < n:
-        if low.startswith("%eval", i):
-            j = i + 5
-            while j < n and text[j] in " \t":
-                j += 1
-            if j < n and text[j] == "(":
-                depth = 1
-                k = j + 1
-                while k < n and depth:
-                    if text[k] == "(":
-                        depth += 1
-                    elif text[k] == ")":
-                        depth -= 1
-                    k += 1
-                if depth:
-                    raise ArithSyntaxError("unterminated %eval(...)")
-                inner = _apply_evals(text[j + 1:k - 1], trace)
-                value = eval_arith(inner)
-                if trace is not None:
-                    trace.emit(EventKind.ARITH_EVAL, inner.strip(), str(value))
-                out.append(str(value))
-                i = k
-                continue
-        out.append(text[i])
-        i += 1
+    i = 0
+    while (call := _EVAL.search(text, i)) is not None:
+        depth, close = 1, call
+        while depth:
+            close = _PAREN.search(text, close.end())
+            if close is None:
+                raise ArithSyntaxError("unterminated %eval(...)")
+            depth += 1 if close.group() == "(" else -1
+        inner = _apply_evals(text[call.end():close.start()], trace)
+        value = eval_arith(inner)
+        if trace is not None:
+            trace.emit(EventKind.ARITH_EVAL, inner.strip(), str(value))
+        out.extend((text[i:call.start()], str(value)))
+        i = close.end()
+    out.append(text[i:])
     return "".join(out)
 
 
@@ -561,9 +456,6 @@ class MacroSession:
     def live_tables(self) -> list[SymbolTable]:
         """Live tables, innermost local first, global last."""
         return list(reversed(self._stack))
-
-    def stack_depth(self) -> int:
-        return len(self._stack)
 
     # execution
 
@@ -618,7 +510,6 @@ class MacroSession:
             self._execute(definition.body)
         finally:
             self._stack.pop()
-            table.status = DELETED
             self.trace.emit(EventKind.TABLE_DELETED, table.trace_label)
         return MacroOutput(self.log[mark:])
 

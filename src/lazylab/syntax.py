@@ -72,13 +72,13 @@ def tokenize(source: str) -> list[SrcToken]:
                 col += 1
             continue
         start_line, start_col = line, col
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
-            if j < n - 1 and source[j] == "." and source[j + 1].isdigit():
+            if j < n - 1 and source[j] == "." and source[j + 1].isdecimal():
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j].isdecimal():
                     j += 1
             tokens.append(SrcToken(TokKind.NUMBER, source[i:j], start_line, start_col))
             col += j - i
@@ -204,8 +204,9 @@ class _Parser:
         self.i = 0
 
     def peek(self, ahead: int = 0) -> SrcToken:
-        j = min(self.i + ahead, len(self.toks) - 1)
-        return self.toks[j]
+        # in bounds: advance() stops at the final EOF, and peek(1) is only
+        # asked after peek() returned a name
+        return self.toks[self.i + ahead]
 
     def advance(self) -> SrcToken:
         tok = self.toks[self.i]

@@ -72,6 +72,17 @@ class TestRun:
         assert main(["run", "--lang", "func", str(path)]) == 1
         assert ":1:6: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lang,source,position", [
+        ("func", "x <- ²\n", "1:6"),
+        ("func", "print(12²)\n", "1:9"),
+        ("macro", "%put %eval(²+1);\n", "1:1"),
+    ])
+    def test_non_decimal_digit_is_a_diagnostic(self, tmp_path, capsys, lang, source, position):
+        path = tmp_path / "bad.txt"
+        path.write_text(source)
+        assert main(["run", "--lang", lang, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"{path}:{position}: error:")
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr(sys, "stdin", io.StringIO("print(1 + 2)\n"))

@@ -1,10 +1,14 @@
+import time
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from lazylab.errors import (
     ArithSyntaxError,
     DepthExceededError,
     DivisionByZeroError,
     DuplicateParamError,
+    LazyLabError,
     LexError,
     MacroSyntaxError,
     UnknownMacroError,
@@ -15,7 +19,6 @@ from lazylab.errors import (
 from lazylab import maclang
 from lazylab.lab import run_with_metrics
 from lazylab.maclang import (
-    DELETED,
     MacroSession,
     SymbolTable,
     eval_arith,
@@ -72,6 +75,22 @@ class TestScanner:
         put = scan("%let x=2;\n%put &x;")[1]
         assert put[:3] == ("put", 2, 1)
 
+    @pytest.mark.parametrize("source", [
+        "%put " + "x " * 40000,
+        "%macro m(); " + "x " * 40000,
+    ])
+    def test_unterminated_statements_scan_in_linear_time(self, source):
+        start = time.perf_counter()
+        scan(source)
+        assert time.perf_counter() - start < 1.0
+
+    def test_unterminated_comments_fail_in_linear_time(self):
+        start = time.perf_counter()
+        with pytest.raises(LexError) as exc:
+            scan("/* " * 40000)
+        assert time.perf_counter() - start < 1.0
+        assert (exc.value.line, exc.value.col) == (1, 1)
+
     def test_body_scanned_once_across_invocations(self, monkeypatch):
         scanned = []
 
@@ -111,7 +130,7 @@ class TestEvalArith:
         with pytest.raises(DivisionByZeroError):
             eval_arith("1/0")
 
-    @pytest.mark.parametrize("bad", ["", "2.5", "abc", "1+", "(1", "1 2"])
+    @pytest.mark.parametrize("bad", ["", "2.5", "abc", "1+", "(1", "1 2", "²+1"])
     def test_syntax_errors(self, bad):
         with pytest.raises(ArithSyntaxError):
             eval_arith(bad)
@@ -210,6 +229,11 @@ class TestInvocation:
         out = run_session("%macro lazy(x=5,y=&x*10);\n%put %eval(&y);\n%mend;\n%lazy(x=7)")
         assert out.log_lines == ["70"]
 
+    def test_body_errors_carry_source_positions(self):
+        with pytest.raises(UnresolvedRefError) as exc:
+            run_session("%macro m(); %put &ghost; %mend;\n%m()")
+        assert (exc.value.line, exc.value.col) == (1, 13)
+
     def test_table_deleted_even_on_error(self):
         sink = TraceSink()
         session = MacroSession(sink)
@@ -266,6 +290,10 @@ class TestLetAndPut:
         out = run_session(src)
         assert out.log_lines == ["INNER I 1", "OUTER O 2", "GLOBAL G 7"]
 
+    def test_put_eval_after_a_capital_dotted_i(self):
+        # "İ".lower() is two characters long; %eval is still found
+        assert run_session("%put İ %eval(1+1);").log_lines == ["İ 2"]
+
     def test_put_golden_composite_line(self):
         src = (
             "%macro lazy(x=5,y=&x*10,z=&a+&b);\n"
@@ -310,10 +338,12 @@ class TestSessions:
         assert "20" in session.compiler_stream
 
     def test_global_table_survives_whole_session(self):
-        session = MacroSession()
+        sink = TraceSink()
+        session = MacroSession(sink)
         session.run("%let g=1;\n%macro m(); %put &g; %mend;\n%m()")
-        assert session.global_table.status == "LIVE"
-        assert session.stack_depth() == 1
+        assert session.run("%put &g;").log_lines == ["1", "1"]
+        deleted = [ev.subject for ev in sink.of_kind(EventKind.TABLE_DELETED)]
+        assert "global" not in deleted
 
     def test_store_as_text_byte_for_byte(self):
         sink = TraceSink()
@@ -353,3 +383,30 @@ class TestSessions:
         with pytest.raises(UnresolvedRefError) as exc:
             run_session("%put ok;\n%put &ghost;")
         assert (exc.value.line, exc.value.col) == (2, 1)
+
+
+_SOUP = st.sampled_from([
+    "%let ", "%put ", "%macro ", "%mend", "%eval(", "%m", "%", "&", "&x", "x", "=", ";",
+    "(", ")", ",", " ", "\n", "\t", "/*", "*/", "1", "+", "²", "İ", "_user_",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_SOUP, max_size=30).map("".join) | st.text(max_size=30),
+       st.integers(1, 5), st.integers(1, 5))
+@example("²", 1, 1)
+def test_scan_records_point_at_their_statements(source, line, col):
+    try:
+        records = scan(source, line, col)
+    except LazyLabError:
+        return
+    line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
+    for kind, rec_line, rec_col, a, b in records:
+        k = rec_line - line
+        at = line_starts[k] + rec_col - (col if k == 0 else 1)
+        if kind == "text":
+            assert source.startswith(a, at) or source.startswith("&" + a, at)
+        elif kind == "error" and a is DuplicateParamError:
+            assert source.startswith(b, at)
+        else:
+            assert source[at] == "%"
