@@ -34,7 +34,7 @@ class EnvRegistry:
     """
 
     def __init__(self, trace: TraceSink | None = None):
-        self._trace = trace
+        self._trace = trace or TraceSink()
         self._frames: dict[int, _Frame] = {0: _Frame(None)}
         self._next_id = 1
 
@@ -57,8 +57,7 @@ class EnvRegistry:
         fid = self._next_id
         self._next_id += 1
         self._frames[fid] = _Frame(parent)
-        if self._trace is not None:
-            self._trace.emit(EventKind.ENV_CREATED, f"env{fid}", f"parent=env{parent}")
+        self._trace.emit(EventKind.ENV_CREATED, f"env{fid}", env=parent)
         return fid
 
     def lookup(self, env: int, name: str) -> object:
@@ -84,8 +83,7 @@ class EnvRegistry:
             raise CannotDiscardGlobalError("the global environment cannot be discarded")
         self._live(env)
         del self._frames[env]
-        if self._trace is not None:
-            self._trace.emit(EventKind.ENV_DISCARDED, f"env{env}")
+        self._trace.emit(EventKind.ENV_DISCARDED, f"env{env}")
 
     def bindings_of(self, env: int) -> dict[str, object]:
         return dict(self._live(env).bindings)

@@ -69,6 +69,10 @@ class DivisionByZeroError(LazyLabError):
         super().__init__(message)
 
 
+class NumberTooLargeError(LazyLabError):
+    """A number beyond what the engine can compute with or print."""
+
+
 class TypeMismatchError(LazyLabError):
     pass
 

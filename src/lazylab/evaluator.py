@@ -26,6 +26,7 @@ from .errors import (
     DivisionByZeroError,
     LazyLabError,
     MissingArgError,
+    NumberTooLargeError,
     TypeMismatchError,
 )
 from .promises import PromiseStore
@@ -129,7 +130,7 @@ class FunclangRun:
                 value = self.eval_expr(stmt.expr, env)
                 line = format_value(value)
                 self.output.lines.append(line)
-                self.trace.emit(EventKind.OUTPUT_LINE, "stdout", line)
+                self.trace.emit(EventKind.OUTPUT_LINE, "stdout", text=line)
                 return value
             if isinstance(stmt, ExprStmt):
                 return self.eval_expr(stmt.expr, env)
@@ -180,18 +181,21 @@ class FunclangRun:
             if isinstance(side, Vec):
                 raise TypeMismatchError("arithmetic on a vector")
         a, b = lhs.value, rhs.value
-        if e.op == "+":
-            return Num(a + b)
-        if e.op == "-":
-            return Num(a - b)
-        if e.op == "*":
-            return Num(a * b)
-        if b == 0:
-            raise DivisionByZeroError()
         try:
-            return Num(a / b)
-        except (decimal.DivisionByZero, decimal.InvalidOperation):
-            raise DivisionByZeroError() from None
+            if e.op == "+":
+                return Num(a + b)
+            if e.op == "-":
+                return Num(a - b)
+            if e.op == "*":
+                return Num(a * b)
+            if b == 0:
+                raise DivisionByZeroError()
+            try:
+                return Num(a / b)
+            except (decimal.DivisionByZero, decimal.InvalidOperation):
+                raise DivisionByZeroError() from None
+        except decimal.Overflow:
+            raise NumberTooLargeError("arithmetic overflow: exponent out of range") from None
 
     def _vector(self, e: VectorCtor, env: int) -> Value:
         elements: list[Decimal] = []

@@ -39,32 +39,20 @@ class Metrics:
     output_lines: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "arg_evaluations": dict(self.arg_evaluations),
-            "arg_accesses": dict(self.arg_accesses),
-            "var_resolutions": dict(self.var_resolutions),
-            "forced_value_slots": self.forced_value_slots,
-            "stored_text_bytes": self.stored_text_bytes,
-            "output_lines": self.output_lines,
-        }
-
-
-def _detail_field(detail: str, key: str) -> str:
-    for part in detail.split(" "):
-        if part.startswith(key + "="):
-            return part[len(key) + 1:]
-    return ""
+        # a shallow copy: dataclasses.asdict gives the same JSON but took
+        # 5 % of a traced run on the corpus workload
+        return dict(vars(self))
 
 
 def metrics_from_events(events: list[TraceEvent]) -> Metrics:
     """Aggregate counters from a trace; a pure function of the event list."""
     m = Metrics()
-    table_bytes: dict[tuple[str, str], int] = {}
+    table_bytes: dict[str, dict[str, int]] = {}  # live table label -> {name: text bytes}
     running = 0
     for ev in events:
         if ev.kind in (EventKind.PROMISE_FORCED, EventKind.NAME_REEVAL,
                        EventKind.PROMISE_CACHE_HIT):
-            name = _detail_field(ev.detail, "name")
+            name = ev.param or "_"
             m.arg_accesses[name] = m.arg_accesses.get(name, 0) + 1
             if ev.kind is not EventKind.PROMISE_CACHE_HIT:
                 m.arg_evaluations[name] = m.arg_evaluations.get(name, 0) + 1
@@ -73,16 +61,14 @@ def metrics_from_events(events: list[TraceEvent]) -> Metrics:
         elif ev.kind is EventKind.VAR_RESOLVED:
             m.var_resolutions[ev.subject] = m.var_resolutions.get(ev.subject, 0) + 1
         elif ev.kind is EventKind.VAR_STORED:
-            scope = ev.detail.split(" ", 1)[0]
-            nbytes = int(_detail_field(ev.detail, "bytes"))
-            key = (scope, ev.subject)
-            running += nbytes - table_bytes.get(key, 0)
-            table_bytes[key] = nbytes
+            entries = table_bytes.setdefault(ev.table, {})
+            nbytes = len(ev.text)
+            running += nbytes - entries.get(ev.subject, 0)
+            entries[ev.subject] = nbytes
             if running > m.stored_text_bytes:
                 m.stored_text_bytes = running
         elif ev.kind is EventKind.TABLE_DELETED:
-            for key in [k for k in table_bytes if k[0] == ev.subject]:
-                running -= table_bytes.pop(key)
+            running -= sum(table_bytes.pop(ev.subject, {}).values())
         elif ev.kind is EventKind.OUTPUT_LINE:
             m.output_lines += 1
     return m

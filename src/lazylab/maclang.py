@@ -26,6 +26,7 @@ from .errors import (
     LazyLabError,
     LexError,
     MacroSyntaxError,
+    NumberTooLargeError,
     UnknownMacroError,
     UnknownParamError,
     UnresolvedRefError,
@@ -272,7 +273,11 @@ def _arith_tokens(text: str) -> list:
         if other:
             raise ArithSyntaxError(f"unexpected {other!r} in integer expression")
         if number:
-            toks.append(int(number))
+            try:
+                toks.append(int(number))
+            except ValueError:  # CPython's int/str conversion digit limit
+                raise NumberTooLargeError(
+                    f"integer of {len(number)} digits is too long for %eval") from None
         elif op:
             toks.append(op)
     return toks
@@ -390,13 +395,13 @@ def resolve_text(text: str, tables: list[SymbolTable],
             raise DepthExceededError(name, RESCAN_LIMIT)
         entry = owner.entries[key]
         if trace is not None:
-            trace.emit(EventKind.VAR_RESOLVED, key, f"{owner.trace_label} text={entry}")
+            trace.emit(EventKind.VAR_RESOLVED, key, table=owner.trace_label, text=entry)
         return resolve_text(entry, tables, trace, _depth + 1)
 
     return _REF.sub(substitute, text)
 
 
-def _apply_evals(text: str, trace: TraceSink | None = None) -> str:
+def _apply_evals(text: str, trace: TraceSink) -> str:
     """Replace every `%eval(...)` in resolved text with its integer result."""
     out: list[str] = []
     i = 0
@@ -409,9 +414,12 @@ def _apply_evals(text: str, trace: TraceSink | None = None) -> str:
             depth += 1 if close.group() == "(" else -1
         inner = _apply_evals(text[call.end():close.start()], trace)
         value = eval_arith(inner)
-        if trace is not None:
-            trace.emit(EventKind.ARITH_EVAL, inner.strip(), str(value))
-        out.extend((text[i:call.start()], str(value)))
+        try:
+            result = str(value)
+        except ValueError:  # CPython's int/str conversion digit limit
+            raise NumberTooLargeError("%eval result has too many digits to print") from None
+        trace.emit(EventKind.ARITH_EVAL, inner.strip(), text=result)
+        out.extend((text[i:call.start()], result))
         i = close.end()
     out.append(text[i:])
     return "".join(out)
@@ -498,8 +506,7 @@ class MacroSession:
         self._invocations[definition.name] = ordinal
         table = SymbolTable(definition.name, ordinal)
         self._stack.append(table)
-        self.trace.emit(EventKind.TABLE_CREATED, table.trace_label,
-                        f"macro={definition.name}")
+        self.trace.emit(EventKind.TABLE_CREATED, table.trace_label, text=definition.name)
         mark = len(self.log)
         try:
             for p, default in definition.params:
@@ -542,11 +549,11 @@ class MacroSession:
     def _store(self, table: SymbolTable, name: str, text: str, origin: str):
         table.entries[name.lower()] = text
         self.trace.emit(EventKind.VAR_STORED, name.lower(),
-                        f"{table.trace_label} {origin} bytes={len(text)} text={text}")
+                        table=table.trace_label, origin=origin, text=text)
 
     def _log_line(self, line: str):
         self.log.append(line)
-        self.trace.emit(EventKind.OUTPUT_LINE, "log", line)
+        self.trace.emit(EventKind.OUTPUT_LINE, "log", text=line)
 
 
 def run_session(source: str, trace: TraceSink | None = None) -> MacroOutput:

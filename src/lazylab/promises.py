@@ -19,7 +19,7 @@ from typing import Callable
 
 from .environments import EnvRegistry
 from .errors import CyclicForceError, DiscardedEnvError
-from .syntax import Expr, expr_source
+from .syntax import Expr
 from .trace import EventKind, TraceSink
 
 
@@ -52,12 +52,8 @@ class PromiseStore:
 
     def __init__(self, envs: EnvRegistry, trace: TraceSink | None = None):
         self._envs = envs
-        self._trace = trace
+        self._trace = trace or TraceSink()
         self._next_id = 0
-
-    def _emit(self, kind: EventKind, p: Promise, detail: str):
-        if self._trace is not None:
-            self._trace.emit(kind, f"promise{p.id}", detail)
 
     def new(self, expr: Expr, env: int, label: str | None = None) -> Promise:
         """Wrap an expression without evaluating anything."""
@@ -65,15 +61,15 @@ class PromiseStore:
             raise DiscardedEnvError(f"environment env{env} was discarded")
         p = Promise(self._next_id, expr, env, label)
         self._next_id += 1
-        self._emit(EventKind.PROMISE_CREATED, p,
-                   f"name={label or '_'} env=env{env} expr={expr_source(expr)}")
+        self._trace.emit(EventKind.PROMISE_CREATED, f"promise{p.id}",
+                         param=label, env=env, expr=expr)
         return p
 
     def force(self, p: Promise, evaluator: Evaluator) -> object:
         """Return the cached value, evaluating once on first use."""
         p.force_requests += 1
         if p.state is PromiseState.FORCED:
-            self._emit(EventKind.PROMISE_CACHE_HIT, p, f"name={p.label or '_'}")
+            self._trace.emit(EventKind.PROMISE_CACHE_HIT, f"promise{p.id}", param=p.label)
             return p.value
         if p.state is PromiseState.FORCING:
             raise CyclicForceError(p.id, p.label)
@@ -86,7 +82,8 @@ class PromiseStore:
         p.value = value
         p.state = PromiseState.FORCED
         p.evaluations += 1
-        self._emit(EventKind.PROMISE_FORCED, p, f"name={p.label or '_'} value={value}")
+        self._trace.emit(EventKind.PROMISE_FORCED, f"promise{p.id}",
+                         param=p.label, text=str(value))
         return value
 
     def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
@@ -100,5 +97,6 @@ class PromiseStore:
         finally:
             p.state = PromiseState.UNFORCED
         p.evaluations += 1
-        self._emit(EventKind.NAME_REEVAL, p, f"name={p.label or '_'} value={value}")
+        self._trace.emit(EventKind.NAME_REEVAL, f"promise{p.id}",
+                         param=p.label, text=str(value))
         return value

@@ -1,10 +1,15 @@
 """Ordered instrumentation events shared by both engines.
 
 Every run owns one sink; event ordinals are strictly increasing within it.
+An event carries its facts as fields, and `TraceEvent.detail` renders them in
+the v1 `key=value` layout that `lab.trace_jsonl` writes.  This module is the
+only one that knows that layout.
 """
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
+
+from .syntax import Expr
 
 
 class EventKind(str, Enum):
@@ -22,12 +27,40 @@ class EventKind(str, Enum):
     OUTPUT_LINE = "OUTPUT_LINE"
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     ord: int
     kind: EventKind
     subject: str
-    detail: str
+    param: str | None = None  # PROMISE_*, NAME_REEVAL: the parameter label
+    env: int | None = None    # ENV_CREATED: the parent; PROMISE_CREATED: the captured env
+    expr: Expr | None = None  # PROMISE_CREATED: the unevaluated expression
+    # PROMISE_FORCED, NAME_REEVAL: the printed value; VAR_STORED, VAR_RESOLVED:
+    # the entry's text; ARITH_EVAL: the result; OUTPUT_LINE: the line;
+    # TABLE_CREATED: the macro name
+    text: str = ""
+    table: str | None = None   # VAR_STORED, VAR_RESOLVED: the table's label
+    origin: str | None = None  # VAR_STORED: "param" or "let"
+
+    @property
+    def detail(self) -> str:
+        """The v1 detail text of this event."""
+        return _DETAIL[self.kind](self)
+
+
+_DETAIL = {
+    EventKind.ENV_CREATED: lambda e: f"parent=env{e.env}",
+    EventKind.ENV_DISCARDED: lambda e: "",
+    EventKind.PROMISE_CREATED: lambda e: f"name={e.param or '_'} env=env{e.env} expr={e.expr}",
+    EventKind.PROMISE_FORCED: lambda e: f"name={e.param or '_'} value={e.text}",
+    EventKind.PROMISE_CACHE_HIT: lambda e: f"name={e.param or '_'}",
+    EventKind.NAME_REEVAL: lambda e: f"name={e.param or '_'} value={e.text}",
+    EventKind.TABLE_CREATED: lambda e: f"macro={e.text}",
+    EventKind.TABLE_DELETED: lambda e: "",
+    EventKind.VAR_STORED: lambda e: f"{e.table} {e.origin} bytes={len(e.text)} text={e.text}",
+    EventKind.VAR_RESOLVED: lambda e: f"{e.table} text={e.text}",
+    EventKind.ARITH_EVAL: lambda e: e.text,
+    EventKind.OUTPUT_LINE: lambda e: e.text,
+}
 
 
 class TraceSink:
@@ -37,8 +70,10 @@ class TraceSink:
         self.events: list[TraceEvent] = []
         self._next_ord = 1
 
-    def emit(self, kind: EventKind, subject: str, detail: str = "") -> TraceEvent:
-        ev = TraceEvent(self._next_ord, kind, subject, detail)
+    def emit(self, kind: EventKind, subject: str, *, param: str | None = None,
+             env: int | None = None, expr: Expr | None = None, text: str = "",
+             table: str | None = None, origin: str | None = None) -> TraceEvent:
+        ev = TraceEvent(self._next_ord, kind, subject, param, env, expr, text, table, origin)
         self._next_ord += 1
         self.events.append(ev)
         return ev

@@ -83,6 +83,18 @@ class TestRun:
         assert main(["run", "--lang", lang, str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:{position}: error:")
 
+    @pytest.mark.parametrize("lang,source,position", [
+        ("macro", "%put %eval(" + "1" * 5000 + "+1);\n", "1:1"),
+        ("macro", "%let a=" + "9" * 2200 + ";\n%put %eval(&a*&a);\n", "2:1"),
+        ("func", "x0 <- 10\n" + "".join(f"x{i} <- x{i - 1} * x{i - 1}\n" for i in range(1, 22)),
+         "21:12"),
+    ], ids=["eval-literal", "eval-result", "decimal-overflow"])
+    def test_oversized_number_is_a_diagnostic(self, tmp_path, capsys, lang, source, position):
+        path = tmp_path / "big.txt"
+        path.write_text(source)
+        assert main(["run", "--lang", lang, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"{path}:{position}: error:")
+
     def test_stdin_input(self, capsys, monkeypatch):
         import io
         monkeypatch.setattr(sys, "stdin", io.StringIO("print(1 + 2)\n"))

@@ -1,9 +1,11 @@
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from lazylab.errors import UnboundNameError
+import lazylab.lab
 from lazylab.evaluator import Strategy
 from lazylab.lab import (
     DivergenceReport,
@@ -60,6 +62,29 @@ class TestRunWithMetrics:
             )
             forced = sum(1 for e in events if e.kind is EventKind.PROMISE_FORCED)
             assert metrics.forced_value_slots == forced
+
+    def test_table_byte_accounting_is_linear(self, monkeypatch):
+        # 5k invocations each delete a local table while 5k globals are live;
+        # aggregating must not rescan the global entries at every deletion
+        n = 5000
+        source = ("".join(f"%let g{i}=v{i};\n" for i in range(n))
+                  + "%macro m(a=1); %let b=&a; %mend;\n" + "%m()\n" * n)
+        spent = []
+
+        def timed(events):
+            start = time.perf_counter()
+            metrics = metrics_from_events(events)
+            spent.append(time.perf_counter() - start)
+            return metrics
+
+        monkeypatch.setattr(lazylab.lab, "metrics_from_events", timed)
+        start = time.perf_counter()
+        _, metrics, events = run_with_metrics(source, "macro")
+        run_s = time.perf_counter() - start - spent[0]
+        assert len(events) == 6 * n
+        assert metrics.stored_text_bytes == sum(len(f"v{i}") for i in range(n)) + 2
+        # the run is linear; quadratic aggregation took several times as long
+        assert spent[0] < run_s
 
 
 class TestDiffOutputs:
@@ -134,7 +159,6 @@ class TestGenerator:
         reevals = [e for e in name_events if e.kind is EventKind.NAME_REEVAL
                    and "name=p " in e.detail + " "]
         assert len(reevals) == 2
-
 
 class TestTraceSerialization:
     def test_header_events_metrics(self):
