@@ -6,7 +6,7 @@ or by name (re-evaluated per access); and maclang, a macro preprocessor that
 defers evaluation through textual substitution over scoped symbol tables.
 """
 
-from .environments import EnvRegistry, Val
+from .environments import EnvRegistry
 from .errors import LazyLabError
 from .evaluator import (
     Closure,

@@ -10,7 +10,7 @@ import json
 import os
 import sys
 
-from .errors import LazyLabError
+from .errors import LazyLabError, LexError
 from .evaluator import Strategy, format_value, run_program
 from .lab import (
     DivergenceReport,
@@ -71,6 +71,8 @@ def _color() -> bool:
 
 
 def _diagnose(input_name: str, err: LazyLabError) -> None:
+    if input_name == "-":
+        input_name = "<stdin>"
     line = err.line if err.line is not None else 1
     col = err.col if err.col is not None else 1
     text = f"{input_name}:{line}:{col}: error: {err.message}"
@@ -84,11 +86,22 @@ def _usage(message: str) -> int:
     return 2
 
 
-def _read_input(path: str) -> tuple[str, str]:
+def _read_input(path: str) -> str:
+    """The text of a file or of stdin ('-'), decoded strictly as UTF-8; CRLF
+    and CR line ends are read as LF, as text-mode files read them."""
     if path == "-":
-        return sys.stdin.read(), "<stdin>"
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read(), path
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # the column counts characters, as the lexers do
+        before = data[:err.start].decode("utf-8")
+        raise LexError(f"invalid UTF-8 byte 0x{data[err.start]:02x}",
+                       before.count("\n") + 1, len(before) - before.rfind("\n")) from None
 
 
 def _check_strategy(args) -> Strategy | None:
@@ -105,8 +118,8 @@ class _UsageError(Exception):
 
 def _cmd_run(args) -> int:
     strategy = _check_strategy(args)
-    source, name = _read_input(args.input)
     try:
+        source = _read_input(args.input)
         if args.lang == "func":
             out = run_program(parse_source(source), strategy)
             lines = list(out.lines)
@@ -117,7 +130,7 @@ def _cmd_run(args) -> int:
             lines = run_session(source).log_lines
             result = None
     except LazyLabError as err:
-        _diagnose(name, err)
+        _diagnose(args.input, err)
         return 1
     if args.output == "json":
         print(json.dumps({"lines": lines, "result": result}))
@@ -129,13 +142,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_trace(args) -> int:
     strategy = _check_strategy(args)
-    source, name = _read_input(args.input)
     try:
-        _, metrics, events = run_with_metrics(source, args.lang, strategy)
+        _, metrics, events = run_with_metrics(_read_input(args.input), args.lang, strategy)
     except LazyLabError as err:
         for line in trace_jsonl(getattr(err, "partial_trace", [])):
             print(line)
-        _diagnose(name, err)
+        _diagnose(args.input, err)
         return 1
     for line in trace_jsonl(events, metrics):
         print(line)
@@ -153,12 +165,12 @@ def _format_report(name: str | None, report: DivergenceReport) -> list[str]:
 
 
 def _cmd_diff(args) -> int:
-    source, name = _read_input(args.input)
     try:
+        source = _read_input(args.input)
         left_lines, left_metrics, _ = run_with_metrics(source, "func", Strategy(args.left))
         right_lines, right_metrics, _ = run_with_metrics(source, "func", Strategy(args.right))
     except LazyLabError as err:
-        _diagnose(name, err)
+        _diagnose(args.input, err)
         return 1
     report = diff_outputs(left_lines, right_lines)
     report.metrics_delta = metrics_delta(left_metrics, right_metrics)

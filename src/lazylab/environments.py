@@ -6,16 +6,8 @@ Any later use of a discarded handle raises DiscardedEnvError.  The root
 (global) frame is created with the registry and cannot be discarded.
 """
 
-from dataclasses import dataclass
-
 from .errors import CannotDiscardGlobalError, DiscardedEnvError, UnboundNameError
 from .trace import EventKind, TraceSink
-
-
-@dataclass(frozen=True)
-class Val:
-    """A name bound directly to a value."""
-    value: object
 
 
 class _Frame:
@@ -23,7 +15,7 @@ class _Frame:
 
     def __init__(self, parent: int | None):
         self.parent = parent  # a handle, so frames form no reference cycles
-        self.bindings: dict[str, object] = {}  # to a Val or a promises.Promise
+        self.bindings: dict[str, object] = {}  # to a value or a promises.Promise
 
 
 class EnvRegistry:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 
-from .environments import EnvRegistry, Val
+from .environments import EnvRegistry
 from .errors import (
     ArityError,
     DivisionByZeroError,
@@ -29,7 +29,7 @@ from .errors import (
     NumberTooLargeError,
     TypeMismatchError,
 )
-from .promises import PromiseStore
+from .promises import Promise, PromiseStore
 from .syntax import (
     Assign,
     Binary,
@@ -124,7 +124,7 @@ class FunclangRun:
         try:
             if isinstance(stmt, Assign):
                 value = self.eval_expr(stmt.expr, env)
-                self.envs.define(env, stmt.name, Val(value))
+                self.envs.define(env, stmt.name, value)
                 return value
             if isinstance(stmt, PrintStmt):
                 value = self.eval_expr(stmt.expr, env)
@@ -164,13 +164,13 @@ class FunclangRun:
 
     def _read(self, name: str, env: int) -> Value:
         binding = self.envs.lookup(env, name)
-        if isinstance(binding, Val):
-            if binding.value is MISSING:
-                raise MissingArgError(name)
-            return binding.value
-        if self.strategy is Strategy.NAME:
-            return self.promises.evaluate_uncached(binding, self.eval_expr)
-        return self.promises.force(binding, self.eval_expr)
+        if isinstance(binding, Promise):
+            if self.strategy is Strategy.NAME:
+                return self.promises.evaluate_uncached(binding, self.eval_expr)
+            return self.promises.force(binding, self.eval_expr)
+        if binding is MISSING:
+            raise MissingArgError(name)
+        return binding
 
     def _binary(self, e: Binary, env: int) -> Value:
         lhs = self.eval_expr(e.lhs, env)
@@ -224,11 +224,11 @@ class FunclangRun:
                 values = {p: self.eval_expr(expr, caller_env) for p, expr in supplied}
                 for p, default in f.params:
                     if p in values:
-                        self.envs.define(exec_env, p, Val(values[p]))
+                        self.envs.define(exec_env, p, values[p])
                     elif default is not None:
-                        self.envs.define(exec_env, p, Val(self.eval_expr(default, exec_env)))
+                        self.envs.define(exec_env, p, self.eval_expr(default, exec_env))
                     else:
-                        self.envs.define(exec_env, p, Val(MISSING))
+                        self.envs.define(exec_env, p, MISSING)
             else:
                 by_name = dict(supplied)
                 for p, default in f.params:
@@ -237,7 +237,7 @@ class FunclangRun:
                     elif default is not None:
                         promise = self.promises.new(default, exec_env, label=p)
                     else:
-                        self.envs.define(exec_env, p, Val(MISSING))
+                        self.envs.define(exec_env, p, MISSING)
                         continue
                     self.envs.define(exec_env, p, promise)
             result: Value | None = None

@@ -352,21 +352,9 @@ def eval_arith(text: str) -> int:
 @dataclass
 class SymbolTable:
     """Name → raw text entries for one scope; insertion order preserved."""
-    macro_name: str | None
-    ordinal: int | None
+    trace_label: str    # "global", or "name#k" for the k-th invocation of a macro
+    scope_display: str  # "GLOBAL", or the macro name upper-cased, for %put _user_
     entries: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def is_global(self) -> bool:
-        return self.macro_name is None
-
-    @property
-    def scope_display(self) -> str:
-        return "GLOBAL" if self.is_global else self.macro_name.upper()
-
-    @property
-    def trace_label(self) -> str:
-        return "global" if self.is_global else f"{self.macro_name}#{self.ordinal}"
 
 
 _REF = re.compile(r"&(\w+)")
@@ -374,8 +362,8 @@ _EVAL = re.compile(r"%eval[ \t]*\(", re.I)
 _PAREN = re.compile(r"[()]")
 
 
-def resolve_text(text: str, tables: list[SymbolTable],
-                 trace: TraceSink | None = None, _depth: int = 0) -> str:
+def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
+                 _depth: int = 0) -> str:
     """Substitute every `&name` from the innermost table defining it, then
     rescan the substituted text so chained references resolve.  The rescan
     depth per original reference is capped; nothing is ever cached."""
@@ -394,8 +382,7 @@ def resolve_text(text: str, tables: list[SymbolTable],
         if _depth >= RESCAN_LIMIT:
             raise DepthExceededError(name, RESCAN_LIMIT)
         entry = owner.entries[key]
-        if trace is not None:
-            trace.emit(EventKind.VAR_RESOLVED, key, table=owner.trace_label, text=entry)
+        trace.emit(EventKind.VAR_RESOLVED, key, table=owner.trace_label, text=entry)
         return resolve_text(entry, tables, trace, _depth + 1)
 
     return _REF.sub(substitute, text)
@@ -448,7 +435,7 @@ class MacroSession:
 
     def __init__(self, trace: TraceSink | None = None):
         self.trace = trace if trace is not None else TraceSink()
-        self._global = SymbolTable(None, None)
+        self._global = SymbolTable("global", "GLOBAL")
         self._stack: list[SymbolTable] = [self._global]  # global first, innermost last
         self.macros: dict[str, MacroDef] = {}
         self.log: list[str] = []
@@ -491,7 +478,7 @@ class MacroSession:
 
     # statement semantics
 
-    def invoke(self, name: str, overrides: dict[str, str] | None = None) -> MacroOutput:
+    def invoke(self, name: str, overrides: dict[str, str] | None = None):
         """Run a defined macro: push a local table, store parameter text
         verbatim, execute the body, delete the table at %mend."""
         definition = self.macros.get(name.lower())
@@ -504,10 +491,9 @@ class MacroSession:
                 raise UnknownParamError(definition.name, key)
         ordinal = self._invocations.get(definition.name, 0) + 1
         self._invocations[definition.name] = ordinal
-        table = SymbolTable(definition.name, ordinal)
+        table = SymbolTable(f"{definition.name}#{ordinal}", definition.name.upper())
         self._stack.append(table)
         self.trace.emit(EventKind.TABLE_CREATED, table.trace_label, text=definition.name)
-        mark = len(self.log)
         try:
             for p, default in definition.params:
                 self._store(table, p, overrides.get(p, default), origin="param")
@@ -518,7 +504,6 @@ class MacroSession:
         finally:
             self._stack.pop()
             self.trace.emit(EventKind.TABLE_DELETED, table.trace_label)
-        return MacroOutput(self.log[mark:])
 
     def let(self, name: str, raw_text: str):
         """Resolve the value text, then update the innermost table already

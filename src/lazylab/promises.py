@@ -9,9 +9,12 @@ UNFORCED so the failure is reproducible.
 
 The store also offers an uncached evaluation path (`evaluate_uncached`) used
 by the call-by-name strategy: same expression and environment, no value slot
-ever populated, counters advanced on every access.
+ever populated.
 
-The store keeps no promise; each lives as long as the frame that binds it.
+A promise is its expression, environment and value slot, and nothing more:
+accesses and evaluations are counted from the trace (PROMISE_FORCED,
+PROMISE_CACHE_HIT, NAME_REEVAL), not on the promise.  The store keeps no
+promise; each lives as long as the frame that binds it.
 """
 
 from enum import Enum
@@ -30,8 +33,7 @@ class PromiseState(str, Enum):
 
 
 class Promise:
-    __slots__ = ("id", "expr", "env", "label", "state", "value",
-                 "force_requests", "evaluations")
+    __slots__ = ("id", "expr", "env", "label", "state", "value")
 
     def __init__(self, pid: int, expr: Expr, env: int, label: str | None):
         self.id = pid
@@ -40,8 +42,6 @@ class Promise:
         self.label = label
         self.state = PromiseState.UNFORCED
         self.value = None
-        self.force_requests = 0
-        self.evaluations = 0
 
 
 Evaluator = Callable[[Expr, int], object]
@@ -67,7 +67,6 @@ class PromiseStore:
 
     def force(self, p: Promise, evaluator: Evaluator) -> object:
         """Return the cached value, evaluating once on first use."""
-        p.force_requests += 1
         if p.state is PromiseState.FORCED:
             self._trace.emit(EventKind.PROMISE_CACHE_HIT, f"promise{p.id}", param=p.label)
             return p.value
@@ -81,14 +80,12 @@ class PromiseStore:
             raise
         p.value = value
         p.state = PromiseState.FORCED
-        p.evaluations += 1
         self._trace.emit(EventKind.PROMISE_FORCED, f"promise{p.id}",
                          param=p.label, text=str(value))
         return value
 
     def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
         """Re-evaluate the wrapped expression; nothing is ever cached."""
-        p.force_requests += 1
         if p.state is PromiseState.FORCING:
             raise CyclicForceError(p.id, p.label)
         p.state = PromiseState.FORCING
@@ -96,7 +93,6 @@ class PromiseStore:
             value = evaluator(p.expr, p.env)
         finally:
             p.state = PromiseState.UNFORCED
-        p.evaluations += 1
         self._trace.emit(EventKind.NAME_REEVAL, f"promise{p.id}",
                          param=p.label, text=str(value))
         return value

@@ -12,8 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from lazylab.cli import main as cli_main
-from lazylab.environments import Val
-from lazylab.errors import UnboundNameError
+from lazylab.errors import LazyLabError, UnboundNameError
 from lazylab.evaluator import Closure, FunclangRun, Num, Strategy
 from lazylab.lab import (
     PairName,
@@ -104,9 +103,9 @@ def test_a06_execution_environment_lifecycle(env_lifecycle_program):
         run.run(parse_source(env_lifecycle_program))
         bindings = run.envs.bindings_of(run.envs.global_id)
         assert set(bindings) == {"y", "h", "z"}
-        assert bindings["y"] == Val(Num(6))
-        assert isinstance(bindings["h"].value, Closure)
-        assert bindings["z"] == Val(Num(3))
+        assert bindings["y"] == Num(6)
+        assert isinstance(bindings["h"], Closure)
+        assert bindings["z"] == Num(3)
         created = run.trace.of_kind(EventKind.ENV_CREATED)
         discarded = run.trace.of_kind(EventKind.ENV_DISCARDED)
         assert len(created) == 1 and len(discarded) == 1
@@ -130,6 +129,10 @@ def test_a07_unused_unbound_default_is_lazy():
             run_with_metrics(src, "func", Strategy.STRICT)
 
 
+_PROMISE_KINDS = (EventKind.PROMISE_CREATED, EventKind.PROMISE_FORCED,
+                  EventKind.PROMISE_CACHE_HIT)
+
+
 def test_a08_at_most_once_over_the_corpus(corpus):
     with criterion("A08 at-most-once over 500 programs"):
         assert len(corpus) >= 500
@@ -140,7 +143,11 @@ def test_a08_at_most_once_over_the_corpus(corpus):
                 if ev.kind is EventKind.PROMISE_FORCED:
                     per_promise[ev.subject] = per_promise.get(ev.subject, 0) + 1
             assert all(n <= 1 for n in per_promise.values()), f"seed {seed}"
-            _, name_metrics, _ = runs[Strategy.NAME]
+            _, _, strict_events = runs[Strategy.STRICT]
+            assert not any(ev.kind in _PROMISE_KINDS for ev in strict_events), f"seed {seed}"
+            _, name_metrics, name_events = runs[Strategy.NAME]
+            assert not any(ev.kind is EventKind.PROMISE_FORCED for ev in name_events), \
+                f"seed {seed}"
             for arg, evals in need_metrics.arg_evaluations.items():
                 assert evals <= 1, f"seed {seed} arg {arg}"
                 assert evals <= name_metrics.arg_evaluations.get(arg, 0), \
@@ -196,6 +203,25 @@ def test_a10_memory_proxies_at_parameter_storage_time():
         assert max(e.ord for e in param_stores) < min(e.ord for e in other_var_events)
 
 
+# Error programs whose partial traces must still close every frame and table.
+_FUNC_ERRORS = (
+    "f <- function(x) { y + x }\nf(1)\n",                       # unbound name in a body
+    "f <- function(x) { x }\nf()\n",                            # missing argument
+    "f <- function(x = x) { x }\nf()\n",                        # self-referential default
+    "f <- function(x = 1/0) { x }\nf()\n",                      # error in a default
+    "g <- function(a) { a + q }\nf <- function(b) { g(b) }\nf(1)\n",  # error in a nested call
+)
+_MACRO_ERRORS = (
+    "%macro m(); %put &ghost; %mend;\n%m()",
+    "%macro m(a=1); %put &a; %mend;\n%m(b=2)",
+    "%macro inner(); %put &ghost; %mend;\n%macro outer(); %inner() %mend;\n%outer()",
+)
+
+
+def _count(events, kind):
+    return sum(1 for e in events if e.kind is kind)
+
+
 def test_a11_lifecycle_counts(corpus, sas_prog1_listing, sas_prog2_listing):
     with criterion("A11 created equals discarded/deleted"):
         nested = (
@@ -219,3 +245,17 @@ def test_a11_lifecycle_counts(corpus, sas_prog1_listing, sas_prog2_listing):
                 env_created = sum(1 for e in events if e.kind is EventKind.ENV_CREATED)
                 env_discarded = sum(1 for e in events if e.kind is EventKind.ENV_DISCARDED)
                 assert env_created == env_discarded
+        for source in _FUNC_ERRORS:
+            for strategy in Strategy:
+                with pytest.raises(LazyLabError) as exc:
+                    run_with_metrics(source, "func", strategy)
+                events = exc.value.partial_trace
+                assert _count(events, EventKind.ENV_CREATED) >= 1, (source, strategy)
+                assert _count(events, EventKind.ENV_CREATED) == \
+                    _count(events, EventKind.ENV_DISCARDED), (source, strategy)
+        for source in _MACRO_ERRORS:
+            with pytest.raises(LazyLabError) as exc:
+                run_with_metrics(source, "macro")
+            events = exc.value.partial_trace
+            assert _count(events, EventKind.TABLE_CREATED) == \
+                _count(events, EventKind.TABLE_DELETED), source

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -96,10 +97,30 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"{path}:{position}: error:")
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-        monkeypatch.setattr(sys, "stdin", io.StringIO("print(1 + 2)\n"))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"print(1 + 2)\n")))
         assert main(["run", "--lang", "func", "-"]) == 0
         assert capsys.readouterr().out == "3\n"
+
+    @pytest.mark.parametrize("command,lang", [
+        ("run", "func"), ("trace", "func"), ("run", "macro"), ("trace", "macro"),
+    ])
+    def test_invalid_utf8_file_is_a_diagnostic(self, tmp_path, capsys, command, lang):
+        path = tmp_path / "bad.fl"
+        path.write_bytes(b"x <- 1\nprint(x\xff)\n")
+        assert main([command, "--lang", lang, str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}:2:8: error: invalid UTF-8 byte 0xff\n"
+
+    def test_invalid_utf8_stdin_is_a_diagnostic(self, capsys, monkeypatch):
+        # the column counts characters: "é" is two bytes but one column
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xc3\xa9 \xc3(")))
+        assert main(["run", "--lang", "func", "-"]) == 1
+        assert capsys.readouterr().err == "<stdin>:1:3: error: invalid UTF-8 byte 0xc3\n"
+
+    def test_carriage_returns_end_lines(self, tmp_path, capsys):
+        path = tmp_path / "cr.fl"
+        path.write_bytes(b"x <- 1\r\nprint(x)\rprint(y)\r")
+        assert main(["run", "--lang", "func", str(path)]) == 1
+        assert ":3:7: error: unbound name 'y'" in capsys.readouterr().err
 
     def test_json_output(self, prog1_func, capsys):
         assert main(["run", "--lang", "func", "--output", "json", prog1_func]) == 0

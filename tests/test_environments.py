@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lazylab.environments import EnvRegistry, Val
+from lazylab.environments import EnvRegistry
 from lazylab.errors import (
     CannotDiscardGlobalError,
     DiscardedEnvError,
@@ -17,29 +17,29 @@ def test_global_is_root_and_empty():
     assert envs.is_live(envs.global_id)
     assert envs.bindings_of(envs.global_id) == {}
     # a lookup from the root has no frame left to try, even with a child around
-    envs.define(envs.child(envs.global_id), "anything", Val(1))
+    envs.define(envs.child(envs.global_id), "anything", 1)
     with pytest.raises(UnboundNameError):
         envs.lookup(envs.global_id, "anything")
 
 
 def test_define_then_lookup_in_global():
     envs = EnvRegistry()
-    envs.define(envs.global_id, "y", Val(6))
-    assert envs.lookup(envs.global_id, "y") == Val(6)
+    envs.define(envs.global_id, "y", 6)
+    assert envs.lookup(envs.global_id, "y") == 6
 
 
 def test_child_sees_parent_bindings():
     envs = EnvRegistry()
-    envs.define(envs.global_id, "y", Val(6))
+    envs.define(envs.global_id, "y", 6)
     child = envs.child(envs.global_id)
-    assert envs.lookup(child, "y") == Val(6)
+    assert envs.lookup(child, "y") == 6
 
 
 def test_child_binding_stays_local():
     envs = EnvRegistry()
     child = envs.child(envs.global_id)
-    envs.define(child, "x", Val(1))
-    assert envs.lookup(child, "x") == Val(1)
+    envs.define(child, "x", 1)
+    assert envs.lookup(child, "x") == 1
     with pytest.raises(UnboundNameError):
         envs.lookup(envs.global_id, "x")
 
@@ -48,36 +48,36 @@ def test_sibling_frames_are_independent():
     envs = EnvRegistry()
     left = envs.child(envs.global_id)
     right = envs.child(envs.global_id)
-    envs.define(left, "a", Val(1))
+    envs.define(left, "a", 1)
     with pytest.raises(UnboundNameError):
         envs.lookup(right, "a")
 
 
 def test_shadowing_innermost_wins():
     envs = EnvRegistry()
-    envs.define(envs.global_id, "x", Val(5))
+    envs.define(envs.global_id, "x", 5)
     child = envs.child(envs.global_id)
-    envs.define(child, "x", Val(2))
-    assert envs.lookup(child, "x") == Val(2)
-    assert envs.lookup(envs.global_id, "x") == Val(5)
+    envs.define(child, "x", 2)
+    assert envs.lookup(child, "x") == 2
+    assert envs.lookup(envs.global_id, "x") == 5
 
 
 def test_define_in_child_never_changes_parent():
     envs = EnvRegistry()
-    envs.define(envs.global_id, "x", Val(5))
+    envs.define(envs.global_id, "x", 5)
     child = envs.child(envs.global_id)
-    envs.define(child, "x", Val(2))
+    envs.define(child, "x", 2)
     # two independent lookups confirm the parent is untouched
-    assert envs.lookup(envs.global_id, "x") == Val(5)
-    assert envs.lookup(child, "x") == Val(2)
+    assert envs.lookup(envs.global_id, "x") == 5
+    assert envs.lookup(child, "x") == 2
 
 
 def test_redefine_overwrites_same_frame():
     envs = EnvRegistry()
     child = envs.child(envs.global_id)
-    envs.define(child, "x", Val(2))
-    envs.define(child, "x", Val(10))
-    assert envs.lookup(child, "x") == Val(10)
+    envs.define(child, "x", 2)
+    envs.define(child, "x", 10)
+    assert envs.lookup(child, "x") == 10
 
 
 def test_promise_bindings_round_trip():
@@ -91,13 +91,13 @@ def test_promise_bindings_round_trip():
 def test_discard_lifecycle():
     envs = EnvRegistry()
     child = envs.child(envs.global_id)
-    envs.define(child, "x", Val(1))
+    envs.define(child, "x", 1)
     assert envs.is_live(child)
     envs.discard(child)
     assert not envs.is_live(child)
     # the frame is dropped: every use of its handle fails, inspection included
     message = f"environment env{child} was discarded"
-    for use in (lambda: envs.lookup(child, "x"), lambda: envs.define(child, "y", Val(2)),
+    for use in (lambda: envs.lookup(child, "x"), lambda: envs.define(child, "y", 2),
                 lambda: envs.discard(child), lambda: envs.bindings_of(child),
                 lambda: envs.child(child)):
         with pytest.raises(DiscardedEnvError, match=message):
@@ -108,7 +108,7 @@ def test_lookup_never_traverses_a_discarded_frame():
     envs = EnvRegistry()
     middle = envs.child(envs.global_id)
     leaf = envs.child(middle)
-    envs.define(envs.global_id, "x", Val(1))
+    envs.define(envs.global_id, "x", 1)
     envs.discard(middle)
     with pytest.raises(DiscardedEnvError):
         envs.lookup(leaf, "x")
@@ -156,7 +156,7 @@ def test_unbound_in_child_defers_to_parent(chain_defs, probe):
         env = envs.child(env)
         frames.append(env)
         for name, value in defs:
-            envs.define(env, name, Val(value))
+            envs.define(env, name, value)
     for parent, child in zip(frames, frames[1:]):
         if probe in envs.bindings_of(child):
             continue
@@ -176,12 +176,12 @@ def test_unbound_in_child_defers_to_parent(chain_defs, probe):
 def test_parent_chain_terminates(depth):
     envs = EnvRegistry()
     env = envs.global_id
-    envs.define(env, "v0", Val(0))
+    envs.define(env, "v0", 0)
     for level in range(1, depth + 1):
         env = envs.child(env)
-        envs.define(env, f"v{level}", Val(level))
+        envs.define(env, f"v{level}", level)
     # the deepest frame reaches every ancestor, and the walk stops at the root
     for level in range(depth + 1):
-        assert envs.lookup(env, f"v{level}") == Val(level)
+        assert envs.lookup(env, f"v{level}") == level
     with pytest.raises(UnboundNameError):
         envs.lookup(env, "nowhere")

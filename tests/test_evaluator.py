@@ -3,7 +3,7 @@ from decimal import Decimal
 
 import pytest
 
-from lazylab.environments import Val, _Frame
+from lazylab.environments import _Frame
 from lazylab.errors import (
     ArityError,
     CyclicForceError,
@@ -67,9 +67,9 @@ class TestGoldenPrograms:
         g = r.envs.global_id
         bindings = r.envs.bindings_of(g)
         assert set(bindings) == {"y", "h", "z"}
-        assert bindings["y"] == Val(Num(Decimal(6)))
-        assert isinstance(bindings["h"].value, Closure)
-        assert bindings["z"] == Val(Num(Decimal(3)))
+        assert bindings["y"] == Num(Decimal(6))
+        assert isinstance(bindings["h"], Closure)
+        assert bindings["z"] == Num(Decimal(3))
         created = r.trace.of_kind(EventKind.ENV_CREATED)
         discarded = r.trace.of_kind(EventKind.ENV_DISCARDED)
         assert len(created) == len(discarded) == 1
@@ -226,7 +226,7 @@ class TestRunHygiene:
         # even while the run itself is still referenced
         calls = "".join(f"x <- f(a = {i})\n" for i in range(200))
         r, _ = run_full("f <- function(a = 1, b = a * 2) { b }\n" + calls, Strategy.NEED)
-        assert r.envs.lookup(r.envs.global_id, "x") == Val(Num(Decimal(398)))
+        assert r.envs.lookup(r.envs.global_id, "x") == Num(Decimal(398))
         assert r.trace.count(EventKind.ENV_DISCARDED) == 200
         assert r.trace.count(EventKind.PROMISE_CREATED) == 400
         gc.collect()

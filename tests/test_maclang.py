@@ -29,8 +29,8 @@ from lazylab.maclang import (
 from lazylab.trace import EventKind, TraceSink
 
 
-def _table(entries, macro=None, ordinal=None):
-    return SymbolTable(macro, ordinal, dict(entries))
+def _table(entries, label="global", scope="GLOBAL"):
+    return SymbolTable(label, scope, dict(entries))
 
 
 class TestScanner:
@@ -138,36 +138,39 @@ class TestEvalArith:
 
 class TestResolveText:
     def test_chained_reference_rescans(self):
-        tables = [_table({"x": "2", "y": "&x*10"}, macro="lazy", ordinal=1)]
-        assert resolve_text("&y", tables) == "2*10"
+        tables = [_table({"x": "2", "y": "&x*10"}, "lazy#1", "LAZY")]
+        sink = TraceSink()
+        assert resolve_text("&y", tables, sink) == "2*10"
+        assert [(ev.subject, ev.table) for ev in sink.events] == \
+            [("y", "lazy#1"), ("x", "lazy#1")]
 
     def test_plain_text_passes_through(self):
-        assert resolve_text("plain", [_table({})]) == "plain"
+        assert resolve_text("plain", [_table({})], TraceSink()) == "plain"
 
     def test_innermost_table_wins(self):
-        inner = _table({"v": "inner"}, macro="m", ordinal=1)
+        inner = _table({"v": "inner"}, "m#1", "M")
         outer = _table({"v": "outer"})
-        assert resolve_text("&v", [inner, outer]) == "inner"
-        assert resolve_text("&v", [outer]) == "outer"
+        assert resolve_text("&v", [inner, outer], TraceSink()) == "inner"
+        assert resolve_text("&v", [outer], TraceSink()) == "outer"
 
     def test_unresolved_reference(self):
         with pytest.raises(UnresolvedRefError) as exc:
-            resolve_text("&ghost", [_table({})])
+            resolve_text("&ghost", [_table({})], TraceSink())
         assert exc.value.name == "ghost"
 
     def test_self_reference_exceeds_depth(self):
         with pytest.raises(DepthExceededError):
-            resolve_text("&a", [_table({"a": "&a"})])
+            resolve_text("&a", [_table({"a": "&a"})], TraceSink())
 
     def test_spacing_preserved(self):
         tables = [_table({"x": "2"})]
-        assert resolve_text("( &x  *  3 )", tables) == "( 2  *  3 )"
+        assert resolve_text("( &x  *  3 )", tables, TraceSink()) == "( 2  *  3 )"
 
     def test_resolution_is_pure_and_uncached(self):
         table = _table({"x": "2", "y": "&x*10"})
-        assert resolve_text("&y", [table]) == "2*10"
+        assert resolve_text("&y", [table], TraceSink()) == "2*10"
         table.entries["x"] = "10"
-        assert resolve_text("&y", [table]) == "10*10"
+        assert resolve_text("&y", [table], TraceSink()) == "10*10"
 
 
 class TestDefinitions:
@@ -245,8 +248,7 @@ class TestInvocation:
         session = MacroSession()
         session.run("%macro m(); %put inner; %mend;")
         session.put("before")
-        out = session.invoke("m")
-        assert out.log_lines == ["inner"]
+        session.invoke("m")
         assert session.log == ["before", "inner"]
 
 

@@ -19,8 +19,9 @@ def _expr(text):
 
 @pytest.fixture
 def store():
-    envs = EnvRegistry()
-    return envs, PromiseStore(envs)
+    sink = TraceSink()
+    envs = EnvRegistry(sink)
+    return envs, PromiseStore(envs, sink), sink
 
 
 def _counting_evaluator(result=Num(Decimal(1))):
@@ -33,56 +34,57 @@ def _counting_evaluator(result=Num(Decimal(1))):
     return evaluator, calls
 
 
-def _metrics(promise):
-    return promise.state, promise.force_requests, promise.evaluations
+def _metrics(sink, promise):
+    """(state, accesses, evaluations) of a promise, counted from the trace."""
+    kinds = [ev.kind for ev in sink.events if ev.subject == f"promise{promise.id}"]
+    evaluations = kinds.count(EventKind.PROMISE_FORCED) + kinds.count(EventKind.NAME_REEVAL)
+    return promise.state, evaluations + kinds.count(EventKind.PROMISE_CACHE_HIT), evaluations
 
 
 def test_new_promise_is_unforced_and_evaluates_nothing(store):
-    envs, promises = store
+    envs, promises, sink = store
     evaluator, calls = _counting_evaluator()
     p = promises.new(_expr("x*10"), envs.global_id, label="y")
-    assert _metrics(p) == (PromiseState.UNFORCED, 0, 0)
+    assert _metrics(sink, p) == (PromiseState.UNFORCED, 0, 0)
     assert calls == []
 
 
 def test_literal_promise_not_constant_folded(store):
-    envs, promises = store
+    envs, promises, _ = store
     p = promises.new(_expr("5"), envs.global_id)
     assert p.state is PromiseState.UNFORCED
 
 
 def test_wrapping_never_looks_names_up(store):
-    envs, promises = store
+    envs, promises, _ = store
     # a and b are unbound everywhere; construction must still succeed
     p = promises.new(_expr("a+b"), envs.global_id)
     assert p.state is PromiseState.UNFORCED
 
 
 def test_force_caches_single_evaluation(store):
-    envs, promises = store
+    envs, promises, sink = store
     evaluator, calls = _counting_evaluator(Num(Decimal(20)))
     p = promises.new(_expr("x*10"), envs.global_id, label="y")
     assert promises.force(p, evaluator) == Num(Decimal(20))
     assert promises.force(p, evaluator) == Num(Decimal(20))
     assert len(calls) == 1
-    assert _metrics(p) == (PromiseState.FORCED, 2, 1)
+    assert _metrics(sink, p) == (PromiseState.FORCED, 2, 1)
 
 
 def test_force_events(store):
-    envs, promises = store
-    sink = TraceSink()
-    promises_traced = PromiseStore(envs, sink)
+    envs, promises, sink = store
     evaluator, _ = _counting_evaluator()
-    p = promises_traced.new(_expr("1"), envs.global_id, label="v")
-    promises_traced.force(p, evaluator)
-    promises_traced.force(p, evaluator)
+    p = promises.new(_expr("1"), envs.global_id, label="v")
+    promises.force(p, evaluator)
+    promises.force(p, evaluator)
     kinds = [ev.kind for ev in sink.events]
     assert kinds == [EventKind.PROMISE_CREATED, EventKind.PROMISE_FORCED,
                      EventKind.PROMISE_CACHE_HIT]
 
 
 def test_new_over_discarded_env_rejected(store):
-    envs, promises = store
+    envs, promises, _ = store
     child = envs.child(envs.global_id)
     envs.discard(child)
     with pytest.raises(DiscardedEnvError):
@@ -90,25 +92,32 @@ def test_new_over_discarded_env_rejected(store):
 
 
 def test_error_leaves_promise_unforced_and_retryable(store):
-    envs, promises = store
+    envs, promises, sink = store
+    p = promises.new(_expr("x"), envs.global_id, label="p")
+    failed = []
 
     def failing(expr, env):
+        failed.append(expr)
         raise UnboundNameError("x")
 
-    p = promises.new(_expr("x"), envs.global_id, label="p")
+    def accesses_and_evaluations():
+        # a force that raises emits no event, so its evaluator calls count it
+        state, accesses, evaluations = _metrics(sink, p)
+        return state, accesses + len(failed), evaluations
+
     with pytest.raises(UnboundNameError):
         promises.force(p, failing)
-    assert _metrics(p) == (PromiseState.UNFORCED, 1, 0)
+    assert accesses_and_evaluations() == (PromiseState.UNFORCED, 1, 0)
     # the environment is repaired; forcing now succeeds and counts once
     ok, calls = _counting_evaluator(Num(Decimal(3)))
     assert promises.force(p, ok) == Num(Decimal(3))
-    assert _metrics(p) == (PromiseState.FORCED, 2, 1)
+    assert accesses_and_evaluations() == (PromiseState.FORCED, 2, 1)
 
 
 def test_two_promise_cycle_detected(store):
     # hand trace: forcing px evaluates `y`, which forces py, which evaluates
     # `x`, which forces px again while it is still FORCING
-    envs, promises = store
+    envs, promises, _ = store
     px = promises.new(_expr("y"), envs.global_id, label="x")
     py = promises.new(_expr("x"), envs.global_id, label="y")
 
@@ -124,14 +133,12 @@ def test_two_promise_cycle_detected(store):
 
 
 def test_uncached_evaluation_never_populates_the_slot(store):
-    envs, _ = store
-    sink = TraceSink()
-    promises = PromiseStore(envs, sink)
+    envs, promises, sink = store
     evaluator, calls = _counting_evaluator(Num(Decimal(7)))
     p = promises.new(_expr("q"), envs.global_id, label="p")
     for _ in range(3):
         assert promises.evaluate_uncached(p, evaluator) == Num(Decimal(7))
-    assert _metrics(p) == (PromiseState.UNFORCED, 3, 3)
+    assert _metrics(sink, p) == (PromiseState.UNFORCED, 3, 3)
     assert p.value is None
     assert len(calls) == 3
     assert metrics_from_events(sink.events).forced_value_slots == 0
@@ -156,12 +163,13 @@ def test_occupancy_matches_forced_count(force_flags):
 @given(st.integers(1, 8))
 def test_at_most_once_and_idempotent(n_forces):
     envs = EnvRegistry()
-    promises = PromiseStore(envs)
+    sink = TraceSink()
+    promises = PromiseStore(envs, sink)
     evaluator, calls = _counting_evaluator(Num(Decimal(42)))
     p = promises.new(_expr("e"), envs.global_id)
     results = {promises.force(p, evaluator) for _ in range(n_forces)}
     assert results == {Num(Decimal(42))}
-    state, requests, evaluations = _metrics(p)
+    state, requests, evaluations = _metrics(sink, p)
     assert evaluations <= 1
     assert requests == n_forces
     assert len(calls) == evaluations
