@@ -5,7 +5,8 @@ assignment with `<-` or `=`, `function(a, b = expr){ ... }` definitions with
 per-parameter default expressions, calls with named or positional arguments,
 a flat vector constructor `c(...)`, and a `print(...)` statement.  There are
 no statement separators; a statement ends where the expression can no longer
-be extended.
+be extended.  The `(` of an argument list must be on the line where its callee
+ends, so a statement may start with a parenthesised expression.
 """
 
 from dataclasses import dataclass, field
@@ -222,6 +223,11 @@ class _Parser:
             tok.line, tok.col, expected=expected,
         )
 
+    def opens_args(self, ahead: int) -> bool:
+        """Is peek(ahead) a `(` on the same line as the token just before it?"""
+        tok = self.peek(ahead)
+        return tok.kind is TokKind.LPAREN and tok.line == self.toks[self.i + ahead - 1].line
+
     def expect(self, kind: TokKind, what: str) -> SrcToken:
         if self.peek().kind is not kind:
             self.fail((what,))
@@ -238,7 +244,7 @@ class _Parser:
     def statement(self) -> Stmt:
         tok = self.peek()
         pos = (tok.line, tok.col)
-        if tok.kind is TokKind.IDENT and tok.text == "print" and self.peek(1).kind is TokKind.LPAREN:
+        if tok.kind is TokKind.IDENT and tok.text == "print" and self.opens_args(1):
             self.advance()
             self.advance()
             e = self.expression()
@@ -272,7 +278,7 @@ class _Parser:
 
     def factor(self) -> Expr:
         e = self.primary()
-        while self.peek().kind is TokKind.LPAREN:
+        while self.opens_args(0):
             tok = self.peek()
             e = Call(e, self.call_args(), (tok.line, tok.col))
         return e
@@ -284,7 +290,7 @@ class _Parser:
             self.advance()
             return NumberLit(Decimal(tok.text), pos)
         if tok.kind is TokKind.IDENT:
-            if tok.text == "c" and self.peek(1).kind is TokKind.LPAREN:
+            if tok.text == "c" and self.opens_args(1):
                 self.advance()
                 return VectorCtor(self.vector_elements(), pos)
             self.advance()

@@ -101,6 +101,15 @@ class TestParse:
         assert parse_source("a-b-c") == parse_source("(a-b)-c")
         assert parse_source("a*b+c") == parse_source("(a*b)+c")
 
+    def test_paren_on_a_new_line_starts_a_statement(self):
+        zero = NumberLit(Decimal(0))
+        assert parse_source("0\n(0 + 0) * 0").stmts == (
+            ExprStmt(zero),
+            ExprStmt(Binary("*", Binary("+", zero, zero), zero)),
+        )
+        assert parse_source("f\n(x)").stmts == (ExprStmt(Ident("f")), ExprStmt(Ident("x")))
+        assert parse_source("f(\nx)").stmts == (ExprStmt(Call(Ident("f"), ((None, Ident("x")),))),)
+
     def test_statement_equals_is_assign(self):
         (stmt,) = parse_source("x=2").stmts
         assert stmt == Assign("x", NumberLit(Decimal(2)))
