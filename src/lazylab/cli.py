@@ -40,15 +40,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_strategy=True):
+    def add_common(p):
         p.add_argument("--lang", choices=["func", "macro"], required=True)
-        if with_strategy:
-            p.add_argument("--strategy", choices=[s.value for s in Strategy],
-                           help="argument-passing strategy (func only; default: need)")
-        p.add_argument("--output", choices=["text", "json"], default="text")
+        p.add_argument("--strategy", choices=[s.value for s in Strategy],
+                       help="argument-passing strategy (func only; default: need)")
         p.add_argument("input", help="program file, or '-' for stdin")
 
-    add_common(sub.add_parser("run", help="run a program and print its output"))
+    run = sub.add_parser("run", help="run a program and print its output")
+    add_common(run)
+    run.add_argument("--output", choices=["text", "json"], default="text")
     add_common(sub.add_parser("trace", help="run a program and emit a JSON-lines trace"))
 
     diff = sub.add_parser("diff", help="run one funclang program under two strategies")
@@ -106,7 +106,7 @@ def _read_input(path: str) -> str:
 
 def _check_strategy(args) -> Strategy | None:
     if args.lang == "macro":
-        if getattr(args, "strategy", None) is not None:
+        if args.strategy is not None:
             raise _UsageError("--strategy is only valid with --lang func")
         return None
     return Strategy(args.strategy or "need")

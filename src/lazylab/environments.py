@@ -1,7 +1,7 @@
 """Environment frames with parent links, identified by integer handles.
 
 A registry holds only the live frames of one run.  Discarding a frame drops
-it and every binding nothing else references; the trace keeps the record.
+it and every binding nothing else references; a keeping trace records it.
 Any later use of a discarded handle raises DiscardedEnvError.  The root
 (global) frame is created with the registry and cannot be discarded.
 """

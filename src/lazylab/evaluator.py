@@ -287,5 +287,9 @@ def run_program(
     strategy: Strategy | str,
     trace: TraceSink | None = None,
 ) -> Output:
-    """Execute a parsed program in a fresh run under the given strategy."""
+    """Execute a parsed program in a fresh run under the given strategy.
+
+    Without a sink the run keeps no trace; pass a `TraceSink()` to keep one."""
+    if trace is None:
+        trace = TraceSink(keep=False)
     return FunclangRun(strategy, trace).run(program)

@@ -542,5 +542,9 @@ class MacroSession:
 
 
 def run_session(source: str, trace: TraceSink | None = None) -> MacroOutput:
-    """Run a whole maclang session over the given source."""
+    """Run a whole maclang session over the given source.
+
+    Without a sink the session keeps no trace; pass a `TraceSink()` to keep one."""
+    if trace is None:
+        trace = TraceSink(keep=False)
     return MacroSession(trace).run(source)

@@ -81,7 +81,7 @@ class PromiseStore:
         p.value = value
         p.state = PromiseState.FORCED
         self._trace.emit(EventKind.PROMISE_FORCED, f"promise{p.id}",
-                         param=p.label, text=str(value))
+                         param=p.label, text=value)
         return value
 
     def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
@@ -94,5 +94,5 @@ class PromiseStore:
         finally:
             p.state = PromiseState.UNFORCED
         self._trace.emit(EventKind.NAME_REEVAL, f"promise{p.id}",
-                         param=p.label, text=str(value))
+                         param=p.label, text=value)
         return value

@@ -1,9 +1,12 @@
 """Ordered instrumentation events shared by both engines.
 
-Every run owns one sink; event ordinals are strictly increasing within it.
-An event carries its facts as fields, and `TraceEvent.detail` renders them in
-the v1 `key=value` layout that `lab.trace_jsonl` writes.  This module is the
-only one that knows that layout.
+A traced run owns one sink, and event ordinals are strictly increasing
+within it.  A sink made with `keep=False` keeps nothing and builds no event;
+`run_program` and `run_session` use one when they are given no sink, so a
+plain run's memory does not grow with its trace.  An event carries its facts
+as fields, and `TraceEvent.detail` renders them in the v1 `key=value` layout
+that `lab.trace_jsonl` writes.  This module is the only one that knows that
+layout.
 """
 
 from enum import Enum
@@ -64,19 +67,22 @@ _DETAIL = {
 
 
 class TraceSink:
-    """Collects trace events for one run, assigning 1-based ordinals."""
+    """Collects the trace events of one run, assigning 1-based ordinals.
 
-    def __init__(self):
-        self.events: list[TraceEvent] = []
-        self._next_ord = 1
+    With `keep=False`, `events` is None and `emit` returns at once."""
+
+    def __init__(self, keep: bool = True):
+        self.events: list[TraceEvent] | None = [] if keep else None
 
     def emit(self, kind: EventKind, subject: str, *, param: str | None = None,
-             env: int | None = None, expr: Expr | None = None, text: str = "",
-             table: str | None = None, origin: str | None = None) -> TraceEvent:
-        ev = TraceEvent(self._next_ord, kind, subject, param, env, expr, text, table, origin)
-        self._next_ord += 1
-        self.events.append(ev)
-        return ev
+             env: int | None = None, expr: Expr | None = None, text: object = "",
+             table: str | None = None, origin: str | None = None) -> None:
+        """Record one event; `text` is converted with str() only if it is kept."""
+        events = self.events
+        if events is None:
+            return
+        events.append(TraceEvent(len(events) + 1, kind, subject, param, env, expr,
+                                 str(text), table, origin))
 
     def of_kind(self, kind: EventKind) -> list[TraceEvent]:
         return [ev for ev in self.events if ev.kind is kind]

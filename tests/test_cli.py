@@ -170,6 +170,14 @@ class TestTrace:
         assert len(created) == 1 and len(deleted) == 1
         assert created[0]["ord"] < deleted[0]["ord"]
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_output_option_is_usage_error(self, prog2_func, capsys, output):
+        # trace always writes JSON lines
+        assert main(["trace", "--lang", "func", "--output", output, prog2_func]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --output" in captured.err
+
 
 class TestDiff:
     def test_need_vs_name_diverges(self, prog2_func, capsys):

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -233,6 +234,22 @@ class TestRunHygiene:
         live = gc.get_objects()
         assert sum(isinstance(o, Promise) for o in live) == 0
         assert sum(isinstance(o, _Frame) for o in live) == 1  # the global frame
+
+    def test_plain_run_memory_is_flat_in_calls(self):
+        # a run without a sink keeps no trace, so nothing grows with the calls
+        def peak(calls):
+            program = parse_source("f <- function(a = 1, b = a * 2) { b }\n" +
+                                   "".join(f"x <- f(a = {i})\n" for i in range(calls)))
+            run_program(program, Strategy.NEED)  # first-run allocations are not the run's
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_program(program, Strategy.NEED)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4000) < 2 * peak(1000)
 
 
 class TestPromiseMetricsThroughRuns:

@@ -6,7 +6,9 @@ import pytest
 
 from lazylab.errors import UnboundNameError
 import lazylab.lab
-from lazylab.evaluator import Strategy
+import lazylab.trace
+from lazylab.cli import main
+from lazylab.evaluator import Strategy, run_program
 from lazylab.lab import (
     DivergenceReport,
     PairName,
@@ -20,6 +22,8 @@ from lazylab.lab import (
     run_with_metrics,
     trace_jsonl,
 )
+from lazylab.maclang import run_session
+from lazylab.syntax import parse_source
 from lazylab.trace import EventKind
 
 
@@ -85,6 +89,29 @@ class TestRunWithMetrics:
         assert metrics.stored_text_bytes == sum(len(f"v{i}") for i in range(n)) + 2
         # the run is linear; quadratic aggregation took several times as long
         assert spent[0] < run_s
+
+
+class _EventBuilt(Exception):
+    pass
+
+
+class TestPlainRuns:
+    def test_plain_runs_build_no_event(self, monkeypatch, tmp_path, capsys):
+        def no_event(*fields):
+            raise _EventBuilt(fields)
+
+        monkeypatch.setattr(lazylab.trace, "TraceEvent", no_event)
+        out = run_program(parse_source(load_program("r_prog1.fl")), "need")
+        assert (out.lines, out.result) == (["2 20 7"], None)
+        assert run_session(load_program("sas_prog1.ml")).log_lines == ["(2 20 7)"]
+        for lang, name, expected in (("func", "r_prog1.fl", "2 20 7\n"),
+                                     ("macro", "sas_prog1.ml", "(2 20 7)\n")):
+            path = tmp_path / name
+            path.write_text(load_program(name))
+            assert main(["run", "--lang", lang, str(path)]) == 0
+            assert capsys.readouterr().out == expected
+        with pytest.raises(_EventBuilt):
+            run_with_metrics(load_program("r_prog1.fl"), "func")
 
 
 class TestDiffOutputs:
