@@ -1,0 +1,177 @@
+"""Differential digests: every run's trace, pinned by a SHA-256 per input.
+
+For each input below, the digest covers the `trace_jsonl(events, metrics)`
+lines of a traced run or, when the run raises a `LazyLabError`, the partial
+trace plus `type|message|line|col`.  tests/golden/digests.json holds the
+first 16 hex digits of each.  A change that alters any trace, output or
+error position fails here and names the first input that differs; a change
+that means to alter them rewrites the manifest and says why:
+
+    PYTHONPATH=src python tests/test_digests.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from lazylab.errors import LazyLabError
+from lazylab.lab import (
+    generate_divergent,
+    generate_program,
+    load_program,
+    run_with_metrics,
+    trace_jsonl,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+MANIFEST = ROOT / "tests" / "golden" / "digests.json"
+sys.path.append(str(ROOT / "bench"))
+
+import workloads  # noqa: E402  (bench/workloads.py)
+
+STRATEGIES = ("strict", "need", "name")
+
+# Each error program raises a LazyLabError; funclang ones run under every
+# strategy.  The "-chain" ones fail inside a chain of binary operators.
+FUNC_ERRORS = {
+    "unbound-in-chain": "x <- 1 + 2 + y + 4\n",
+    "closure-in-chain": "f <- function(a) { a }\nx <- 1 + f + 2\n",
+    "closure-last-in-chain": "f <- function(a) { a }\nx <- 1 * 2 * f\n",
+    "vector-in-chain": "v <- c(1, 2)\nx <- 3 - 1 - v - 4\n",
+    "division-by-zero-in-chain": "x <- 2 * 3 / (1 - 1) + 4\n",
+    "overflow-in-chain": (
+        "a <- 100000000000000000000000000000000000000000000000000\n"
+        + "".join(f"a <- a * a * {k}\n" for k in range(1, 17))
+    ),
+    "unbound-after-forces-in-chain": "f <- function(a, b) { a + b + a + zz }\nprint(f(1, 2))\n",
+    "unbound-in-print-chain": "print(1 + 2 * (3 - q))\n",
+    "unbound-in-default-chain": "f <- function(a, b = a + 1 + c0) { b }\nf(1)\n",
+    "vector-element-closure": "f <- function(a) { a }\nx <- c(1, f)\n",
+    "call-of-number": "x <- 5\nx(1)\n",
+    "too-many-arguments": "f <- function(a) { a }\nf(1, 2)\n",
+    "unknown-named-argument": "f <- function(a) { a }\nf(b = 1)\n",
+    "missing-argument": "f <- function(a) { a + 1 }\nf()\n",
+    "self-default": "f <- function(x = x) { x }\nf()\n",
+    "division-by-zero-default": "f <- function(a = 1 / 0) { a }\nf()\n",
+    "nested-call": (
+        "g <- function(b) { b + zz }\n"
+        "f <- function(a) { g(a) * 2 }\n"
+        "print(f(1))\n"
+    ),
+    "escaped-closure": (
+        "mk <- function(a) { function(b) { a + b } }\n"
+        "h <- mk(1)\n"
+        "h(2)\n"
+    ),
+    "parse-error": "x <- 1 + 2 +\n",
+    "lex-error": "x <- 1 $ 2\n",
+}
+
+MACRO_ERRORS = {
+    "unresolved": "%let a=1;\n%put &a &ghost;\n",
+    "unknown-param": "%macro m(a); %put &a; %mend;\n%m(b=1)\n",
+    "unknown-macro": "%put before;\n%nope()\n",
+    "unterminated-macro": "%macro m(); %put x;\n",
+    "eval-division-by-zero": "%let z=0;\n%put %eval(1 + 2 / &z);\n",
+    "eval-syntax": "%put %eval(1+);\n",
+    "eval-name": "%let a=2;\n%put %eval(&a + x);\n",
+    "self-reference": "%macro m(a=&a); %put &a; %mend;\n%m()\n",
+    "duplicate-param": "%macro m(a, a); %mend;\n",
+    "nested-invocation": (
+        "%macro inner(); %put &nope; %mend;\n"
+        "%macro outer(); %put out; %inner() %mend;\n"
+        "%outer()\n"
+    ),
+    "unterminated-eval": "%put %eval(1+2;\n",
+}
+
+BENCH_WORKLOADS = ("call_chain", "macro_invoke", "macro_store")
+
+
+def _programs():
+    for seed in range(500):
+        source = generate_program(seed)
+        for strategy in STRATEGIES:
+            yield f"{seed}/{strategy}", "func", strategy, source
+
+
+def _divergent():
+    for seed in range(200):
+        source = generate_divergent(seed)
+        for strategy in ("need", "name"):
+            yield f"{seed}/{strategy}", "func", strategy, source
+
+
+def _workload(workload):
+    def inputs():
+        for i, case in enumerate(workloads.build(workload, 1)):
+            for strategy in case.strategies:
+                yield f"{i}/{strategy}", case.lang, strategy, case.source
+    return inputs
+
+
+def _bundled():
+    for program in ("r_prog1", "r_prog2"):
+        for strategy in STRATEGIES:
+            yield f"{program}/{strategy}", "func", strategy, load_program(program + ".fl")
+    for program in ("sas_prog1", "sas_prog2"):
+        yield f"{program}/-", "macro", None, load_program(program + ".ml")
+
+
+def _errors():
+    for name, source in FUNC_ERRORS.items():
+        for strategy in STRATEGIES:
+            yield f"{name}/{strategy}", "func", strategy, source
+    for name, source in MACRO_ERRORS.items():
+        yield f"{name}/-", "macro", None, source
+
+
+# input set -> its (key, lang, strategy, source) inputs, in manifest order
+SETS = {
+    "program": _programs,
+    "divergent": _divergent,
+    **{w: _workload(w) for w in BENCH_WORKLOADS},
+    "bundled": _bundled,
+    "error": _errors,
+}
+
+
+def _digest(lang: str, strategy: str | None, source: str) -> str:
+    try:
+        _, metrics, events = run_with_metrics(source, lang, strategy)
+        lines = trace_jsonl(events, metrics)
+    except LazyLabError as err:
+        lines = trace_jsonl(err.partial_trace)
+        lines.append(f"{type(err).__name__}|{err.message}|{err.line}|{err.col}")
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+
+def compute(name: str) -> dict[str, str]:
+    return {f"{name}/{key}": _digest(lang, strategy, source)
+            for key, lang, strategy, source in SETS[name]()}
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_digests_match_manifest(name):
+    expected = {k: v for k, v in json.loads(MANIFEST.read_text()).items()
+                if k.split("/", 1)[0] == name}
+    actual = compute(name)
+    assert expected, f"the manifest has no {name!r} inputs"
+    for key in [*expected, *actual]:
+        assert actual.get(key) == expected.get(key), f"first differing input: {key}"
+
+
+def test_error_programs_fail():
+    """Every error program raises, so each of its digests pins an error."""
+    for key, lang, strategy, source in _errors():
+        with pytest.raises(LazyLabError):
+            run_with_metrics(source, lang, strategy)
+
+
+if __name__ == "__main__":
+    manifest = {k: v for name in SETS for k, v in compute(name).items()}
+    MANIFEST.write_text(json.dumps(manifest, indent=0) + "\n")
+    print(f"wrote {MANIFEST}")
