@@ -13,8 +13,8 @@ import sys
 from .errors import LazyLabError, LexError
 from .evaluator import Strategy, format_value, run_program
 from .lab import (
+    PAIRS,
     DivergenceReport,
-    PairName,
     Verdict,
     diff_outputs,
     generate_program,
@@ -25,13 +25,6 @@ from .lab import (
 )
 from .maclang import run_session
 from .syntax import parse_source
-
-_EXPECTED_PAIR_VERDICTS = {
-    PairName.PROGRAM1: Verdict.EQUAL,
-    PairName.PROGRAM2: Verdict.DIVERGED,
-    PairName.PROGRAM2_NAME: Verdict.EQUAL,
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -70,12 +63,12 @@ def _color() -> bool:
     return sys.stderr.isatty() and os.environ.get("LAZYLAB_COLOR") != "0"
 
 
-def _diagnose(input_name: str, err: LazyLabError) -> None:
+def _diagnose(input_name: str, err: LazyLabError, context: str = "") -> None:
     if input_name == "-":
         input_name = "<stdin>"
     line = err.line if err.line is not None else 1
     col = err.col if err.col is not None else 1
-    text = f"{input_name}:{line}:{col}: error: {err.message}"
+    text = f"{input_name}:{line}:{col}: error: {context}{err.message}"
     if _color():
         text = f"\x1b[31m{text}\x1b[0m"
     print(text, file=sys.stderr)
@@ -165,13 +158,16 @@ def _format_report(name: str | None, report: DivergenceReport) -> list[str]:
 
 
 def _cmd_diff(args) -> int:
+    runs, context = [], ""
     try:
         source = _read_input(args.input)
-        left_lines, left_metrics, _ = run_with_metrics(source, "func", Strategy(args.left))
-        right_lines, right_metrics, _ = run_with_metrics(source, "func", Strategy(args.right))
+        for strategy in (args.left, args.right):
+            context = f"{strategy} run: "  # which side fails is part of the contrast
+            runs.append(run_with_metrics(source, "func", Strategy(strategy)))
     except LazyLabError as err:
-        _diagnose(args.input, err)
+        _diagnose(args.input, err, context)
         return 1
+    (left_lines, left_metrics, _), (right_lines, right_metrics, _) = runs
     report = diff_outputs(left_lines, right_lines)
     report.metrics_delta = metrics_delta(left_metrics, right_metrics)
     if args.output == "json":
@@ -184,14 +180,13 @@ def _cmd_diff(args) -> int:
 
 def _cmd_pairs(args) -> int:
     results = []
-    for pair in PairName:
+    for pair in PAIRS:
         try:
             results.append((pair, paired_run(pair)))
         except LazyLabError as err:
             _diagnose(f"<pair {pair.value}>", err)
             return 1
-    ok = all(report.verdict is _EXPECTED_PAIR_VERDICTS[pair]
-             for pair, report in results)
+    ok = all(report.verdict is PAIRS[pair].expected for pair, report in results)
     if args.output == "json":
         print(json.dumps([
             {"pair": pair.value, **report.to_dict()} for pair, report in results

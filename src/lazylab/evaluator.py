@@ -121,45 +121,34 @@ class FunclangRun:
         return self.output
 
     def exec_stmt(self, stmt: Stmt, env: int) -> Value:
-        try:
-            if isinstance(stmt, Assign):
-                value = self.eval_expr(stmt.expr, env)
-                self.envs.define(env, stmt.name, value)
-                return value
-            if isinstance(stmt, PrintStmt):
-                value = self.eval_expr(stmt.expr, env)
-                line = format_value(value)
-                self.output.lines.append(line)
-                self.trace.emit(EventKind.OUTPUT_LINE, "stdout", text=line)
-                return value
-            if isinstance(stmt, ExprStmt):
-                return self.eval_expr(stmt.expr, env)
-        except LazyLabError as err:
-            raise err.at(*stmt.pos)
-        raise TypeError(f"not a statement: {stmt!r}")
+        value = self.eval_expr(stmt.expr, env)
+        if isinstance(stmt, Assign):
+            self.envs.define(env, stmt.name, value)
+        elif isinstance(stmt, PrintStmt):
+            line = format_value(value)
+            self.output.lines.append(line)
+            self.trace.emit(EventKind.OUTPUT_LINE, "stdout", text=line)
+        return value
 
     def eval_expr(self, e: Expr, env: int) -> Value:
         try:
-            return self._eval(e, env)
+            if isinstance(e, NumberLit):
+                return Num(e.value)
+            if isinstance(e, Ident):
+                return self._read(e.name, env)
+            if isinstance(e, Binary):
+                return self._binary(e, env)
+            if isinstance(e, VectorCtor):
+                return self._vector(e, env)
+            if isinstance(e, FunctionDef):
+                return Closure(e.params, e.body, env)
+            if isinstance(e, Call):
+                callee = self.eval_expr(e.callee, env)
+                if not isinstance(callee, Closure):
+                    raise TypeMismatchError("call of a non-function value")
+                return self.call_closure(callee, e.args, env, e.pos)
         except LazyLabError as err:
             raise err.at(*e.pos)
-
-    def _eval(self, e: Expr, env: int) -> Value:
-        if isinstance(e, NumberLit):
-            return Num(e.value)
-        if isinstance(e, Ident):
-            return self._read(e.name, env)
-        if isinstance(e, Binary):
-            return self._binary(e, env)
-        if isinstance(e, VectorCtor):
-            return self._vector(e, env)
-        if isinstance(e, FunctionDef):
-            return Closure(e.params, e.body, env)
-        if isinstance(e, Call):
-            callee = self.eval_expr(e.callee, env)
-            if not isinstance(callee, Closure):
-                raise TypeMismatchError("call of a non-function value")
-            return self.call_closure(callee, e.args, env, e.pos)
         raise TypeError(f"not an expression: {e!r}")
 
     def _read(self, name: str, env: int) -> Value:
@@ -173,29 +162,37 @@ class FunclangRun:
         return binding
 
     def _binary(self, e: Binary, env: int) -> Value:
-        lhs = self.eval_expr(e.lhs, env)
-        rhs = self.eval_expr(e.rhs, env)
-        for side in (lhs, rhs):
-            if isinstance(side, Closure):
-                raise TypeMismatchError("arithmetic on a function")
-            if isinstance(side, Vec):
-                raise TypeMismatchError("arithmetic on a vector")
-        a, b = lhs.value, rhs.value
-        try:
-            if e.op == "+":
-                return Num(a + b)
-            if e.op == "-":
-                return Num(a - b)
-            if e.op == "*":
-                return Num(a * b)
-            if b == 0:
-                raise DivisionByZeroError()
+        # The parser builds `a + b + c` left-deep: walk its left spine in a
+        # loop, so only source nesting (parentheses, calls) nests Python frames.
+        chain = [e]
+        while isinstance(chain[-1].lhs, Binary):
+            chain.append(chain[-1].lhs)
+        lhs = self.eval_expr(chain[-1].lhs, env)
+        for node in reversed(chain):
+            rhs = self.eval_expr(node.rhs, env)
             try:
-                return Num(a / b)
-            except (decimal.DivisionByZero, decimal.InvalidOperation):
-                raise DivisionByZeroError() from None
-        except decimal.Overflow:
-            raise NumberTooLargeError("arithmetic overflow: exponent out of range") from None
+                for side in (lhs, rhs):
+                    if isinstance(side, Closure):
+                        raise TypeMismatchError("arithmetic on a function")
+                    if isinstance(side, Vec):
+                        raise TypeMismatchError("arithmetic on a vector")
+                a, b = lhs.value, rhs.value
+                if node.op == "+":
+                    lhs = Num(a + b)
+                elif node.op == "-":
+                    lhs = Num(a - b)
+                elif node.op == "*":
+                    lhs = Num(a * b)
+                elif b == 0:
+                    raise DivisionByZeroError()
+                else:
+                    lhs = Num(a / b)
+            except decimal.Overflow:
+                raise NumberTooLargeError(
+                    "arithmetic overflow: exponent out of range", *node.pos) from None
+            except LazyLabError as err:
+                raise err.at(*node.pos)
+        return lhs
 
     def _vector(self, e: VectorCtor, env: int) -> Value:
         elements: list[Decimal] = []

@@ -7,6 +7,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import LazyLabError
 from .evaluator import Strategy, run_program
@@ -150,31 +151,34 @@ def load_program(name: str) -> str:
     return resources.files("lazylab").joinpath("programs", name).read_text(encoding="utf-8")
 
 
-def _strip_outer_parens(line: str) -> str:
-    if line.startswith("(") and line.endswith(")"):
-        return line[1:-1]
-    return line
+class Pair(NamedTuple):
+    func_program: str
+    strategy: Strategy
+    macro_program: str
+    expected: Verdict
+    # sas_prog1 logs its values inside parentheses; strip them before the diff
+    unwrap_macro_line: bool = False
+
+
+# PROGRAM1 compares the defaulted-call programs; PROGRAM2 contrasts
+# call-by-need with the macro engine; PROGRAM2_NAME replays the funclang side
+# under call-by-name, which matches the macro engine line for line.
+PAIRS = {
+    PairName.PROGRAM1: Pair("r_prog1.fl", Strategy.NEED, "sas_prog1.ml", Verdict.EQUAL, True),
+    PairName.PROGRAM2: Pair("r_prog2.fl", Strategy.NEED, "sas_prog2.ml", Verdict.DIVERGED),
+    PairName.PROGRAM2_NAME: Pair("r_prog2.fl", Strategy.NAME, "sas_prog2.ml", Verdict.EQUAL),
+}
 
 
 def paired_run(pair: PairName | str) -> DivergenceReport:
-    """Run one of the bundled funclang/maclang pairs and diff the outputs.
-
-    PROGRAM1 compares the defaulted-call programs (maclang's parenthesized
-    log line is unwrapped before the diff); PROGRAM2 contrasts call-by-need
-    with the macro engine; PROGRAM2_NAME replays the funclang side under
-    call-by-name, which matches the macro engine line for line.
-    """
-    pair = PairName(pair)
-    if pair is PairName.PROGRAM1:
-        func_source, func_strategy, macro_name = load_program("r_prog1.fl"), Strategy.NEED, "sas_prog1.ml"
-    elif pair is PairName.PROGRAM2:
-        func_source, func_strategy, macro_name = load_program("r_prog2.fl"), Strategy.NEED, "sas_prog2.ml"
-    else:
-        func_source, func_strategy, macro_name = load_program("r_prog2.fl"), Strategy.NAME, "sas_prog2.ml"
-    left_lines, left_metrics, _ = run_with_metrics(func_source, "func", func_strategy)
-    right_lines, right_metrics, _ = run_with_metrics(load_program(macro_name), "macro")
-    if pair is PairName.PROGRAM1:
-        right_lines = [_strip_outer_parens(line) for line in right_lines]
+    """Run one of the bundled funclang/maclang pairs and diff the outputs."""
+    pair = PAIRS[PairName(pair)]
+    left_lines, left_metrics, _ = run_with_metrics(
+        load_program(pair.func_program), "func", pair.strategy)
+    right_lines, right_metrics, _ = run_with_metrics(load_program(pair.macro_program), "macro")
+    if pair.unwrap_macro_line:
+        right_lines = [line[1:-1] if line.startswith("(") and line.endswith(")") else line
+                       for line in right_lines]
     report = diff_outputs(left_lines, right_lines)
     report.metrics_delta = metrics_delta(left_metrics, right_metrics)
     return report

@@ -324,10 +324,11 @@ def eval_arith(text: str) -> int:
         return value
 
     def unary() -> int:
-        if peek() == "-":
+        sign = 1
+        while peek() == "-":
             take()
-            return -unary()
-        return atom()
+            sign = -sign
+        return sign * atom()
 
     def atom() -> int:
         tok = take() if pos < len(toks) else None

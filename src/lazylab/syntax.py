@@ -430,12 +430,14 @@ def _expr_source(e: Expr, parent_prec: int, right_side: bool, indent: int) -> st
     if isinstance(e, Ident):
         return e.name
     if isinstance(e, Binary):
+        # a left operand of the same precedence never needs parentheses, so
+        # a left-deep chain prints in a loop, not one frame per operator
         prec = _PREC[e.op]
-        text = "{} {} {}".format(
-            _expr_source(e.lhs, prec, False, indent),
-            e.op,
-            _expr_source(e.rhs, prec, True, indent),
-        )
+        node, right = e, []
+        while isinstance(node, Binary) and _PREC[node.op] == prec:
+            right.append(f" {node.op} {_expr_source(node.rhs, prec, True, indent)}")
+            node = node.lhs
+        text = _expr_source(node, prec, False, indent) + "".join(reversed(right))
         if prec < parent_prec or (prec == parent_prec and right_side):
             return f"({text})"
         return text

@@ -122,6 +122,23 @@ class TestRun:
         assert main(["run", "--lang", "func", str(path)]) == 1
         assert ":3:7: error: unbound name 'y'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["strict", "need", "name"])
+    @pytest.mark.parametrize("op,terms,value", [
+        (" + ", ["1"] * 3000, "3000"),
+        (" * ", ["2", "0.5"] * 1500, "1"),
+    ], ids=["sum", "product"])
+    def test_long_operator_chain(self, tmp_path, capsys, strategy, op, terms, value):
+        path = tmp_path / "chain.fl"
+        path.write_text(f"x <- {op.join(terms)}\nprint(x)\n")
+        assert main(["run", "--lang", "func", "--strategy", strategy, str(path)]) == 0
+        assert capsys.readouterr().out == f"{value}\n"
+
+    def test_long_unary_minus_chain_in_eval(self, tmp_path, capsys):
+        path = tmp_path / "minus.ml"
+        path.write_text("%put %eval(" + "-" * 3000 + "1);\n%put %eval(" + "-" * 3001 + "1);\n")
+        assert main(["run", "--lang", "macro", str(path)]) == 0
+        assert capsys.readouterr().out == "1\n-1\n"
+
     def test_json_output(self, prog1_func, capsys):
         assert main(["run", "--lang", "func", "--output", "json", prog1_func]) == 0
         assert json.loads(capsys.readouterr().out) == {"lines": ["2 20 7"], "result": None}
@@ -170,6 +187,17 @@ class TestTrace:
         assert len(created) == 1 and len(deleted) == 1
         assert created[0]["ord"] < deleted[0]["ord"]
 
+    def test_long_operator_chain_argument(self, tmp_path, capsys):
+        chain = " + ".join(["1"] * 3000)
+        path = tmp_path / "arg.fl"
+        path.write_text(f"f <- function(x) {{ x }}\nf({chain})\n")
+        assert main(["trace", "--lang", "func", "--strategy", "need", str(path)]) == 0
+        records = self._records(capsys)
+        created = [r["detail"] for r in records if r.get("kind") == "PROMISE_CREATED"]
+        forced = [r["detail"] for r in records if r.get("kind") == "PROMISE_FORCED"]
+        assert created == [f"name=x env=env0 expr={chain}"]
+        assert forced == ["name=x value=3000"]
+
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_output_option_is_usage_error(self, prog2_func, capsys, output):
         # trace always writes JSON lines
@@ -191,6 +219,13 @@ class TestDiff:
         assert main(["diff", "need", "strict", str(path)]) == 0
         assert capsys.readouterr().out.strip() == "EQUAL"
 
+    @pytest.mark.parametrize("left,right", [("strict", "need"), ("need", "strict")])
+    def test_failing_run_names_its_strategy(self, prog1_func, capsys, left, right):
+        assert main(["diff", left, right, prog1_func]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{prog1_func}:1:38: error: strict run: unbound name 'a'\n"
+
     def test_single_strategy_is_usage_error(self, prog2_func):
         assert main(["diff", "need", prog2_func]) == 2
 
@@ -205,8 +240,12 @@ class TestDiff:
 class TestPairs:
     def test_expected_pattern(self, capsys):
         assert main(["pairs"]) == 0
-        out = capsys.readouterr().out
-        assert "PROGRAM1" in out and "EQUAL" in out and "DIVERGED" in out
+        assert capsys.readouterr().out == (
+            "PROGRAM1      EQUAL\n"
+            "PROGRAM2      DIVERGED at line 2: '20' vs '100'\n"
+            "PROGRAM2_NAME EQUAL\n"
+            "verdict pattern: expected\n"
+        )
 
     def test_json_verdicts(self, capsys):
         assert main(["pairs", "--output", "json"]) == 0

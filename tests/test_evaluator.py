@@ -189,6 +189,14 @@ class TestValuesAndPrinting:
         with pytest.raises(TypeMismatchError):
             run("c(1, 2) + 1\n")
 
+    def test_closure_prints_as_closure(self):
+        assert run("f <- function(a) { a }\nprint(f)\n").lines == ["<closure>"]
+
+    def test_closure_vector_element_rejected_at_the_vector(self):
+        with pytest.raises(TypeMismatchError) as exc:
+            run("f <- function(a) { a }\nx <- c(1, f)\n")
+        assert (exc.value.line, exc.value.col) == (2, 6)
+
     def test_result_is_last_expression_statement(self):
         out = run("x <- 1\nx + 1\n")
         assert out.result == Num(Decimal(2))
@@ -214,6 +222,21 @@ class TestRunHygiene:
         with pytest.raises(LazyLabError) as exc:
             run("x <- 1\ny <- nosuch + 1\n")
         assert (exc.value.line, exc.value.col) == (2, 6)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("source,error,position", [
+        # an operand's own error is at the operand
+        ("x <- 1 + 2 + y + 4\n", UnboundNameError, (1, 14)),
+        ("g <- function(a) { a * 2 * 3 + zz }\nprint(g(1))\n", UnboundNameError, (1, 32)),
+        # an operator's error is at the operator that applies it
+        ("f <- function(a) { a }\nx <- 1 + f + 2\n", TypeMismatchError, (2, 8)),
+        ("f <- function(a) { a }\nx <- 1 * 2 * f\n", TypeMismatchError, (2, 12)),
+        ("x <- 2 * 3 / (1 - 1) + 4\n", DivisionByZeroError, (1, 12)),
+    ], ids=["unbound", "unbound-in-body", "closure", "closure-last", "division"])
+    def test_chain_errors_carry_positions(self, source, error, position, strategy):
+        with pytest.raises(error) as exc:
+            run(source, strategy)
+        assert (exc.value.line, exc.value.col) == position
 
     def test_deterministic_replay(self, r_prog2_listing):
         r1, out1 = run_full(r_prog2_listing, Strategy.NEED)

@@ -122,6 +122,7 @@ class TestEvalArith:
         ("(1+2)*3", 9),
         ("-4/3", -1),
         ("2 * 10", 20),
+        ("--3", 3),
     ])
     def test_values(self, text, expected):
         assert eval_arith(text) == expected
@@ -210,6 +211,27 @@ class TestDefinitions:
         with pytest.raises(MacroSyntaxError):
             run_session("%mend;")
 
+    @pytest.mark.parametrize("source,message", [
+        ("%m(a)", "macro argument list entries are written name=value"),
+        ("%m(a=1", "unterminated parameter list"),
+        ("%macro m() %put x;", "expected ';' after %macro header"),
+        ("%macro m(a b); %mend;", "expected ',' or ')' in macro parameter list"),
+    ])
+    def test_malformed_header_or_argument_list(self, source, message):
+        with pytest.raises(MacroSyntaxError) as exc:
+            run_session(source)
+        assert exc.value.message == message
+
+    def test_parameters_without_defaults_are_empty(self):
+        session = MacroSession()
+        session.run("%macro m(a, b); %put a=&a b=&b; %mend;\n%m(b=2)")
+        assert session.macros["m"].params == [("a", ""), ("b", "")]
+        assert session.log == ["a= b=2"]
+
+    def test_macro_defined_in_a_body_runs(self):
+        src = "%macro outer(); %macro inner(); %put in; %mend; %inner() %mend;\n%outer()\n%inner()"
+        assert run_session(src).log_lines == ["in", "in"]
+
 
 class TestInvocation:
     def test_unknown_macro(self):
@@ -227,6 +249,13 @@ class TestInvocation:
             session.run(f"%macro m(a=1); %put &a; %mend;\n%put before;\n%m({args})")
         assert (exc.value.name, exc.value.line, exc.value.col) == ("a", 3, 9)
         assert session.log == ["before"]
+
+    @pytest.mark.parametrize("args,value", [
+        ("a=f(1,2)", "f(1,2)"),  # parentheses nest inside a value
+        ("a=1 b=2", "1 b=2"),    # a value runs to a top-level ',' or ')'
+    ])
+    def test_argument_value_is_raw_text(self, args, value):
+        assert run_session(f"%macro m(a=0); %put &a; %mend;\n%m({args})").log_lines == [value]
 
     def test_override_beats_default(self):
         out = run_session("%macro lazy(x=5,y=&x*10);\n%put %eval(&y);\n%mend;\n%lazy(x=7)")
@@ -272,6 +301,14 @@ class TestLetAndPut:
         session = MacroSession()
         session.run("%let x=2;\n%let a=&x;\n%let x=9;")
         assert session.global_table.entries["a"] == "2"
+
+    def test_put_unterminated_eval(self):
+        with pytest.raises(ArithSyntaxError) as exc:
+            run_session("%put %eval(1+2;")
+        assert exc.value.message == "unterminated %eval(...)"
+
+    def test_put_keeps_an_ampersand_before_a_digit(self):
+        assert run_session("%put x&1;").log_lines == ["x&1"]
 
     def test_put_plain_text(self):
         assert run_session("%put hello;").log_lines == ["hello"]

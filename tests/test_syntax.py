@@ -1,7 +1,7 @@
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lazylab.errors import LexError, ParseError
 from lazylab.syntax import (
@@ -147,7 +147,8 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_source("(x = 2)")
 
-    @pytest.mark.parametrize("bad", ["f(,)", "x <-", "function(", "1 +", "a + )"])
+    @pytest.mark.parametrize("bad", ["f(,)", "x <-", "function(", "1 +", "a + )",
+                                     "function(a <- 1) { a }", "f <- function(a) { a"])
     def test_errors_carry_positions_in_bounds(self, bad):
         with pytest.raises((ParseError, LexError)) as exc:
             parse_source(bad)
@@ -213,6 +214,7 @@ _programs = st.builds(
 
 @settings(max_examples=60, deadline=None)
 @given(_programs)
+@example(parse_source("(function(a) { a })(1)\n"))
 def test_print_parse_round_trip(program):
     assert parse_source(program_source(program)) == program
 
