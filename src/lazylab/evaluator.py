@@ -171,11 +171,10 @@ class FunclangRun:
         for node in reversed(chain):
             rhs = self.eval_expr(node.rhs, env)
             try:
-                for side in (lhs, rhs):
-                    if isinstance(side, Closure):
-                        raise TypeMismatchError("arithmetic on a function")
-                    if isinstance(side, Vec):
-                        raise TypeMismatchError("arithmetic on a vector")
+                if not (isinstance(lhs, Num) and isinstance(rhs, Num)):
+                    bad = rhs if isinstance(lhs, Num) else lhs
+                    kind = "function" if isinstance(bad, Closure) else "vector"
+                    raise TypeMismatchError(f"arithmetic on a {kind}")
                 a, b = lhs.value, rhs.value
                 if node.op == "+":
                     lhs = Num(a + b)
