@@ -1,5 +1,6 @@
-"""Differential harness: instrumented runs, metrics, output diffing, paired
-program comparisons, and deterministic program generation for property tests.
+"""Differential harness: instrumented runs, metrics, the v1 JSON-lines trace,
+output diffing, paired program comparisons, and deterministic program
+generation for property tests.
 """
 
 import json
@@ -7,6 +8,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .errors import LazyLabError
@@ -32,6 +34,11 @@ class PairName(str, Enum):
 
 @dataclass
 class Metrics:
+    """Counters folded from one trace.
+
+    `stored_text_bytes`, like `VAR_STORED`'s `bytes=`, counts the characters
+    (code points) of the stored text, not its UTF-8 bytes."""
+
     arg_evaluations: dict[str, int] = field(default_factory=dict)
     arg_accesses: dict[str, int] = field(default_factory=dict)
     var_resolutions: dict[str, int] = field(default_factory=dict)
@@ -45,34 +52,51 @@ class Metrics:
         return dict(vars(self))
 
 
+# module names: on Python 3.11 reading EventKind.VAR_RESOLVED goes through
+# the enum metaclass's __getattr__ hook, which made the fold below five
+# times slower
+_RESOLVED, _STORED = EventKind.VAR_RESOLVED, EventKind.VAR_STORED
+_FORCED, _REEVAL, _CACHE_HIT = (EventKind.PROMISE_FORCED, EventKind.NAME_REEVAL,
+                                EventKind.PROMISE_CACHE_HIT)
+_DELETED, _OUTPUT = EventKind.TABLE_DELETED, EventKind.OUTPUT_LINE
+
+
 def metrics_from_events(events: list[TraceEvent]) -> Metrics:
     """Aggregate counters from a trace; a pure function of the event list."""
-    m = Metrics()
+    evaluations: dict[str, int] = {}
+    accesses: dict[str, int] = {}
+    resolutions: dict[str, int] = {}
     table_bytes: dict[str, dict[str, int]] = {}  # live table label -> {name: text bytes}
-    running = 0
+    forced = running = peak = output_lines = 0
+    # the most frequent kinds first: maclang traces are mostly resolutions
+    # and stores
     for ev in events:
-        if ev.kind in (EventKind.PROMISE_FORCED, EventKind.NAME_REEVAL,
-                       EventKind.PROMISE_CACHE_HIT):
-            name = ev.param or "_"
-            m.arg_accesses[name] = m.arg_accesses.get(name, 0) + 1
-            if ev.kind is not EventKind.PROMISE_CACHE_HIT:
-                m.arg_evaluations[name] = m.arg_evaluations.get(name, 0) + 1
-            if ev.kind is EventKind.PROMISE_FORCED:
-                m.forced_value_slots += 1
-        elif ev.kind is EventKind.VAR_RESOLVED:
-            m.var_resolutions[ev.subject] = m.var_resolutions.get(ev.subject, 0) + 1
-        elif ev.kind is EventKind.VAR_STORED:
+        kind = ev.kind
+        if kind is _RESOLVED:
+            resolutions[ev.subject] = resolutions.get(ev.subject, 0) + 1
+        elif kind is _STORED:
             entries = table_bytes.setdefault(ev.table, {})
             nbytes = len(ev.text)
             running += nbytes - entries.get(ev.subject, 0)
             entries[ev.subject] = nbytes
-            if running > m.stored_text_bytes:
-                m.stored_text_bytes = running
-        elif ev.kind is EventKind.TABLE_DELETED:
+            if running > peak:
+                peak = running
+        elif kind is _FORCED or kind is _REEVAL:
+            name = ev.param or "_"
+            accesses[name] = accesses.get(name, 0) + 1
+            evaluations[name] = evaluations.get(name, 0) + 1
+            if kind is _FORCED:
+                forced += 1
+        elif kind is _CACHE_HIT:
+            name = ev.param or "_"
+            accesses[name] = accesses.get(name, 0) + 1
+        elif kind is _DELETED:
             running -= sum(table_bytes.pop(ev.subject, {}).values())
-        elif ev.kind is EventKind.OUTPUT_LINE:
-            m.output_lines += 1
-    return m
+        elif kind is _OUTPUT:
+            output_lines += 1
+    return Metrics(arg_evaluations=evaluations, arg_accesses=accesses,
+                   var_resolutions=resolutions, forced_value_slots=forced,
+                   stored_text_bytes=peak, output_lines=output_lines)
 
 
 def run_with_metrics(
@@ -185,17 +209,34 @@ def paired_run(pair: PairName | str) -> DivergenceReport:
 
 
 # --- trace serialization
+#
+# json.dumps writes a dict's keys in order with ", " and ": " separators,
+# and escapes each string with encode_basestring_ascii under its default
+# ensure_ascii. A per-kind template filled by the same escaper gives the
+# same line without building a dict per event.
+
+_HEADER_LINE = json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION})
+_EVENT_LINE = {
+    kind: '{"ord": %d, "kind": ' + json.dumps(kind.value) + ', "subject": %s, "detail": %s}'
+    for kind in EventKind
+}
+
 
 def trace_jsonl(events: list[TraceEvent], metrics: Metrics | None = None) -> list[str]:
-    """JSON-lines form: header record, one record per event, metrics last."""
-    lines = [json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION})]
-    for ev in events:
-        lines.append(json.dumps({
-            "ord": ev.ord,
-            "kind": ev.kind.value,
-            "subject": ev.subject,
-            "detail": ev.detail,
-        }))
+    """JSON-lines form: header record, one record per event, metrics last.
+
+    An event line is `{"ord": 1, "kind": "...", "subject": "...", "detail":
+    "..."}`: keys in that order, `", "` and `": "` separators, and ASCII
+    only, with `\\uXXXX` escapes and surrogate pairs for astral characters;
+    byte for byte what `json.dumps` writes for that dict. `tests/golden/`,
+    `tests/golden/digests.json` and a property in `tests/test_lab.py` pin it.
+    """
+    lines = [_HEADER_LINE]
+    template, escape = _EVENT_LINE, encode_basestring_ascii
+    # extend from a generator: a list comprehension's temporary list raised
+    # the traced peak
+    lines.extend(template[ev.kind] % (ev.ord, escape(ev.subject), escape(ev.detail))
+                 for ev in events)
     if metrics is not None:
         lines.append(json.dumps({"metrics": metrics.to_dict()}))
     return lines

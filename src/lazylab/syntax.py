@@ -141,12 +141,36 @@ class Ident(Expr):
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Binary(Expr):
     op: str
     lhs: Expr
     rhs: Expr
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
+
+    # The parser builds `a + b + c` left-deep: compare, hash and print the
+    # left spine in a loop, so only source nesting nests Python frames.
+    def _spine(self) -> list:
+        """Each node's (op, rhs) from the top down, then the leftmost operand."""
+        node, parts = self, []
+        while isinstance(node, Binary):
+            parts.append((node.op, node.rhs))
+            node = node.lhs
+        parts.append(node)
+        return parts
+
+    def __eq__(self, other):
+        if other.__class__ is not Binary:
+            return NotImplemented
+        return self._spine() == other._spine()
+
+    def __hash__(self):
+        return hash(tuple(self._spine()))
+
+    def __repr__(self):
+        *ops, leftmost = self._spine()
+        return ("".join(f"Binary(op={op!r}, lhs=" for op, _ in ops) + repr(leftmost)
+                + "".join(f", rhs={rhs!r})" for _, rhs in reversed(ops)))
 
 
 @dataclass(frozen=True)

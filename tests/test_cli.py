@@ -198,6 +198,24 @@ class TestTrace:
         assert created == [f"name=x env=env0 expr={chain}"]
         assert forced == ["name=x value=3000"]
 
+    def test_non_ascii_text_is_escaped(self, tmp_path, capsys):
+        path = tmp_path / "esc.ml"
+        path.write_text('%let q=say "hi" \\ café 😀\ttab;\n%put &q;\n', encoding="utf-8")
+        assert main(["trace", "--lang", "macro", str(path)]) == 0
+        # bytes= counts characters: the value is 21 characters, 25 bytes in UTF-8
+        # the output is ASCII: é and the astral 😀 (a surrogate pair) are \u escapes
+        text = r'say \"hi\" \\ caf\u00e9 \ud83d\ude00\ttab'
+        assert capsys.readouterr().out.splitlines() == [
+            '{"format": "lazylab-trace", "version": 1}',
+            '{"ord": 1, "kind": "VAR_STORED", "subject": "q", "detail": '
+            f'"global let bytes=21 text={text}"}}',
+            '{"ord": 2, "kind": "VAR_RESOLVED", "subject": "q", "detail": '
+            f'"global text={text}"}}',
+            f'{{"ord": 3, "kind": "OUTPUT_LINE", "subject": "log", "detail": "{text}"}}',
+            '{"metrics": {"arg_evaluations": {}, "arg_accesses": {}, "var_resolutions": '
+            '{"q": 1}, "forced_value_slots": 0, "stored_text_bytes": 21, "output_lines": 1}}',
+        ]
+
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_output_option_is_usage_error(self, prog2_func, capsys, output):
         # trace always writes JSON lines

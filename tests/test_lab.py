@@ -3,6 +3,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lazylab.errors import UnboundNameError
 import lazylab.lab
@@ -23,8 +24,8 @@ from lazylab.lab import (
     trace_jsonl,
 )
 from lazylab.maclang import run_session
-from lazylab.syntax import parse_source
-from lazylab.trace import EventKind
+from lazylab.syntax import Ident, parse_source
+from lazylab.trace import EventKind, TraceEvent
 
 
 class TestRunWithMetrics:
@@ -187,6 +188,13 @@ class TestGenerator:
                    and "name=p " in e.detail + " "]
         assert len(reevals) == 2
 
+
+# any character, lone surrogates included, with quotes, backslashes, C0
+# controls, DEL, non-ASCII and astral characters drawn often
+_TEXT = st.text(st.characters(exclude_categories=())
+                | st.sampled_from('"\\\x00\t\n\x1f\x7fé\u2028😀'))
+
+
 class TestTraceSerialization:
     def test_header_events_metrics(self):
         lines_out, metrics, events = run_with_metrics(
@@ -205,6 +213,17 @@ class TestTraceSerialization:
         _, _, events = run_with_metrics(load_program("sas_prog1.ml"), "macro")
         outputs = [e.detail for e in events if e.kind is EventKind.OUTPUT_LINE]
         assert outputs == ["(2 20 7)"]
+
+    @pytest.mark.parametrize("kind", list(EventKind))
+    @settings(max_examples=20, deadline=None)
+    @given(ord_=st.integers(min_value=1), subject=_TEXT, param=_TEXT, table=_TEXT,
+           text=_TEXT)
+    def test_event_line_is_json_dumps_of_the_record(self, kind, ord_, subject, param,
+                                                    table, text):
+        # expr prints as its name, so it carries arbitrary text too
+        ev = TraceEvent(ord_, kind, subject, param, 0, Ident(text), text, table, "let")
+        assert trace_jsonl([ev])[1] == json.dumps(
+            {"ord": ev.ord, "kind": ev.kind.value, "subject": ev.subject, "detail": ev.detail})
 
 
 class TestParallelRuns:

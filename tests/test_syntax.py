@@ -101,6 +101,19 @@ class TestParse:
         assert parse_source("a-b-c") == parse_source("(a-b)-c")
         assert parse_source("a*b+c") == parse_source("(a*b)+c")
 
+    def test_long_operator_chain_compares_hashes_and_prints(self):
+        terms = ["1"] * 3000
+        chain = parse_source(" + ".join(terms))
+        # other positions, same structure
+        assert chain == parse_source("+".join(terms))
+        assert hash(chain) == hash(parse_source("+".join(terms)))
+        assert chain != parse_source(" + ".join(terms[:-1] + ["2"]))
+        assert chain != parse_source(" + ".join(terms[:-2] + ["1 - 1"]))
+        assert chain.stmts[0].expr != NumberLit(Decimal(1))
+        one = "NumberLit(value=Decimal('1'))"
+        assert repr(chain.stmts[0].expr) == (
+            "Binary(op='+', lhs=" * 2999 + one + f", rhs={one})" * 2999)
+
     def test_paren_on_a_new_line_starts_a_statement(self):
         zero = NumberLit(Decimal(0))
         assert parse_source("0\n(0 + 0) * 0").stmts == (
