@@ -68,6 +68,17 @@ FUNC_ERRORS = {
     ),
     "parse-error": "x <- 1 + 2 +\n",
     "lex-error": "x <- 1 $ 2\n",
+    "vector-trailing-comma": "x <- c(1, )\n",
+    "arguments-without-comma": "f <- function(a, b) { a }\nf(1 2)\n",
+    "duplicate-named-argument": "f <- function(a) { a }\nf(a = 1, a = 2)\n",
+    "duplicate-parameter": "f <- function(a, a) { a }\n",
+    "empty-default": "f <- function(a = ) { a }\n",
+    "parameters-without-comma": "f <- function(a b) { a }\n",
+    "operator-without-operand": "x <- 1 * * 2\n",
+    "unclosed-parenthesis": "x <- (1 + 2\n",
+    "operand-missing-in-parentheses": "x <- 2 * (3 - )\n",
+    "print-two-arguments": "print(1, 2)\n",
+    "division-by-zero-mid-chain": "x <- 1 - 2 / 0 * 3\n",
 }
 
 MACRO_ERRORS = {
@@ -86,6 +97,15 @@ MACRO_ERRORS = {
         "%outer()\n"
     ),
     "unterminated-eval": "%put %eval(1+2;\n",
+    "eval-adjacent-group": "%put %eval((1 2));\n",
+    "eval-adjacent-integers": "%put %eval(1 2);\n",
+    "eval-empty": "%put %eval();\n",
+    "eval-lone-minus": "%put %eval(-);\n",
+    "eval-operand-missing-in-group": "%put %eval(1+(2*)3);\n",
+    "eval-division-by-zero-in-group": "%put %eval(--(1/(2-2)));\n",
+    "eval-division-by-zero-before-group": "%put %eval(1/0 (2));\n",
+    "eval-trailing-plus": "%put %eval(2*(3+4)/0 +);\n",
+    "eval-unary-plus": "%put %eval(+1);\n",
 }
 
 BENCH_WORKLOADS = ("call_chain", "macro_invoke", "macro_store")
