@@ -42,20 +42,26 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a program and print its output")
     add_common(run)
     run.add_argument("--output", choices=["text", "json"], default="text")
-    add_common(sub.add_parser("trace", help="run a program and emit a JSON-lines trace"))
+    run.set_defaults(handler=_cmd_run)
+    trace = sub.add_parser("trace", help="run a program and emit a JSON-lines trace")
+    add_common(trace)
+    trace.set_defaults(handler=_cmd_trace)
 
     diff = sub.add_parser("diff", help="run one funclang program under two strategies")
     diff.add_argument("left", choices=[s.value for s in Strategy])
     diff.add_argument("right", choices=[s.value for s in Strategy])
     diff.add_argument("--output", choices=["text", "json"], default="text")
     diff.add_argument("input", help="program file, or '-' for stdin")
+    diff.set_defaults(handler=_cmd_diff)
 
     pairs = sub.add_parser("pairs", help="run the bundled paired programs")
     pairs.add_argument("--output", choices=["text", "json"], default="text")
+    pairs.set_defaults(handler=_cmd_pairs)
 
     gen = sub.add_parser("gen", help="generate a deterministic test program")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--size", type=int, default=12)
+    gen.set_defaults(handler=_cmd_gen)
     return parser
 
 
@@ -211,22 +217,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as ex:
         return int(ex.code or 0)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "diff":
-            return _cmd_diff(args)
-        if args.command == "pairs":
-            return _cmd_pairs(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
+        return args.handler(args)
     except _UsageError as ex:
         return _usage(str(ex))
     except OSError as ex:
         print(f"lazylab: error: {ex}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -215,27 +215,22 @@ class FunclangRun:
         exec_env = self.envs.child(f.defined_in)
         try:
             supplied = self._match_args(f.params, args, pos)
-            if self.strategy is Strategy.STRICT:
-                # Supplied args evaluate in the caller, in source order.
-                values = {p: self.eval_expr(expr, caller_env) for p, expr in supplied}
-                for p, default in f.params:
-                    if p in values:
-                        self.envs.define(exec_env, p, values[p])
-                    elif default is not None:
-                        self.envs.define(exec_env, p, self.eval_expr(default, exec_env))
-                    else:
-                        self.envs.define(exec_env, p, MISSING)
-            else:
-                by_name = dict(supplied)
-                for p, default in f.params:
-                    if p in by_name:
-                        promise = self.promises.new(by_name[p], caller_env, label=p)
-                    elif default is not None:
-                        promise = self.promises.new(default, exec_env, label=p)
-                    else:
-                        self.envs.define(exec_env, p, MISSING)
-                        continue
-                    self.envs.define(exec_env, p, promise)
+            strict = self.strategy is Strategy.STRICT
+            if strict:
+                # Supplied args evaluate in the caller, in source order,
+                # before any default.
+                supplied = {p: self.eval_expr(e, caller_env) for p, e in supplied.items()}
+            for p, default in f.params:
+                if p in supplied:
+                    value = (supplied[p] if strict
+                             else self.promises.new(supplied[p], caller_env, label=p))
+                elif default is None:
+                    value = MISSING
+                elif strict:
+                    value = self.eval_expr(default, exec_env)
+                else:
+                    value = self.promises.new(default, exec_env, label=p)
+                self.envs.define(exec_env, p, value)
             result: Value | None = None
             for stmt in f.body:
                 result = self.exec_stmt(stmt, exec_env)
@@ -249,33 +244,26 @@ class FunclangRun:
         params: tuple[tuple[str, Expr | None], ...],
         args: tuple[tuple[str | None, Expr], ...],
         pos: tuple[int, int],
-    ) -> list[tuple[str, Expr]]:
-        """Resolve each argument to a parameter name, preserving source order.
+    ) -> dict[str, Expr]:
+        """Map each parameter given an argument to its expression, in source
+        order.
 
         Named arguments bind by exact name; remaining positional arguments
         fill the still-unfilled parameters left to right.
         """
         names = [p for p, _ in params]
-        named = {}
         for name, _expr in args:
-            if name is not None:
-                if name not in names:
-                    raise ArityError(f"unknown named argument '{name}'", *pos)
-                named[name] = True
-        unfilled = [p for p in names if p not in named]
-        resolved: list[tuple[str, Expr]] = []
-        k = 0
+            if name is not None and name not in names:
+                raise ArityError(f"unknown named argument '{name}'", *pos)
+        named = {name for name, _expr in args}
+        unfilled = iter([p for p in names if p not in named])
+        matched: dict[str, Expr] = {}
         for name, expr in args:
+            name = name or next(unfilled, None)
             if name is None:
-                if k >= len(unfilled):
-                    raise ArityError(
-                        f"too many arguments: expected at most {len(names)}", *pos
-                    )
-                resolved.append((unfilled[k], expr))
-                k += 1
-            else:
-                resolved.append((name, expr))
-        return resolved
+                raise ArityError(f"too many arguments: expected at most {len(names)}", *pos)
+            matched[name] = expr
+        return matched
 
 
 def run_program(

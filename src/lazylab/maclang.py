@@ -15,6 +15,7 @@ macro invocation pushes a local table that is deleted at `%mend`.  A name
 repeated in a parameter list or in a call's argument list is an error.
 """
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -283,69 +284,74 @@ def _arith_tokens(text: str) -> list:
     return toks
 
 
+def _divide(dividend: int, divisor: int) -> int:
+    """Integer division truncating toward zero."""
+    if divisor == 0:
+        raise DivisionByZeroError("division by zero in %eval")
+    quot, rem = divmod(dividend, divisor)
+    return quot + 1 if rem != 0 and (dividend < 0) != (divisor < 0) else quot
+
+
+# binary operator: (precedence, function); `*` and `/` bind tightest
+_ARITH_OPS = {"+": (1, operator.add), "-": (1, operator.sub),
+              "*": (2, operator.mul), "/": (2, _divide)}
+
+
+def _apply(ops: list[str], values: list[int]):
+    """Apply the operator on top of ops to the two values on top of values."""
+    rhs = values.pop()
+    values[-1] = _ARITH_OPS[ops.pop()][1](values[-1], rhs)
+
+
 def eval_arith(text: str) -> int:
-    """Evaluate `+ - * /` integer arithmetic; division truncates toward zero."""
+    """Evaluate `+ - * /` integer arithmetic; division truncates toward zero.
+
+    One pass over the tokens keeps the pending binary operators and open `(`
+    in `ops`, their operands in `values`, and the unary sign before each open
+    `(` in `signs`.  `*` and `/` apply as soon as their right operand is
+    complete, `+` and `-` when the next token binds no tighter, so each error
+    is raised where a left-to-right reading meets it."""
     toks = _arith_tokens(text)
     if not toks:
         raise ArithSyntaxError("empty integer expression")
-    pos = 0
-
-    def peek():
-        return toks[pos] if pos < len(toks) else None
-
-    def take():
-        nonlocal pos
-        tok = toks[pos]
-        pos += 1
-        return tok
-
-    def expr() -> int:
-        value = term()
-        while peek() in ("+", "-"):
-            if take() == "+":
-                value += term()
-            else:
-                value -= term()
-        return value
-
-    def term() -> int:
-        value = unary()
-        while peek() in ("*", "/"):
-            if take() == "*":
-                value *= unary()
-            else:
-                divisor = unary()
-                if divisor == 0:
-                    raise DivisionByZeroError("division by zero in %eval")
-                quot, rem = divmod(value, divisor)
-                if rem != 0 and (value < 0) != (divisor < 0):
-                    quot += 1
-                value = quot
-        return value
-
-    def unary() -> int:
-        sign = 1
-        while peek() == "-":
-            take()
-            sign = -sign
-        return sign * atom()
-
-    def atom() -> int:
-        tok = take() if pos < len(toks) else None
-        if isinstance(tok, int):
-            return tok
-        if tok == "(":
-            value = expr()
-            if peek() != ")":
+    toks.append(None)  # the end: every branch returns or raises on it
+    ops: list[str] = []
+    values: list[int] = []
+    signs: list[int] = []
+    sign, want_operand = 1, True
+    for tok in toks:
+        if want_operand:
+            if tok == "-":
+                sign = -sign
+                continue
+            if tok == "(":
+                ops.append(tok)
+                signs.append(sign)
+                sign = 1
+                continue
+            if not isinstance(tok, int):
+                raise ArithSyntaxError(f"expected an integer, found {tok!r}")
+            value, sign = sign * tok, 1
+        else:
+            prec = _ARITH_OPS[tok][0] if tok in _ARITH_OPS else 0
+            if ops and ops[-1] != "(" and _ARITH_OPS[ops[-1]][0] >= prec:
+                _apply(ops, values)  # a pending + or -
+            if prec:
+                ops.append(tok)
+                want_operand = True
+                continue
+            if not ops:
+                if tok is None:
+                    return values[0]
+                raise ArithSyntaxError(f"trailing {tok!r} in integer expression")
+            if tok != ")":
                 raise ArithSyntaxError("missing ')' in integer expression")
-            take()
-            return value
-        raise ArithSyntaxError(f"expected an integer, found {tok!r}")
-
-    value = expr()
-    if pos != len(toks):
-        raise ArithSyntaxError(f"trailing {toks[pos]!r} in integer expression")
-    return value
+            ops.pop()
+            value = signs.pop() * values.pop()
+        values.append(value)
+        want_operand = False
+        if ops and ops[-1] != "(" and _ARITH_OPS[ops[-1]][0] == 2:
+            _apply(ops, values)  # the right operand of a * or / is complete
 
 
 # --- symbol tables and resolution
@@ -358,6 +364,14 @@ class SymbolTable:
     entries: dict[str, str] = field(default_factory=dict)
 
 
+def _owner(tables: list[SymbolTable], key: str) -> SymbolTable | None:
+    """The innermost table defining key, or None."""
+    for table in tables:
+        if key in table.entries:
+            return table
+    return None
+
+
 _REF = re.compile(r"&(\w+)")
 _EVAL = re.compile(r"%eval[ \t]*\(", re.I)
 _PAREN = re.compile(r"[()]")
@@ -365,19 +379,16 @@ _PAREN = re.compile(r"[()]")
 
 def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
                  _depth: int = 0) -> str:
-    """Substitute every `&name` from the innermost table defining it, then
-    rescan the substituted text so chained references resolve.  The rescan
-    depth per original reference is capped; nothing is ever cached."""
+    """Substitute every `&name` from the innermost table defining it (tables
+    run innermost first), then rescan the substituted text so chained
+    references resolve.  The rescan depth per original reference is capped;
+    nothing is ever cached."""
     def substitute(ref: re.Match) -> str:
         name = ref.group(1)
         if not _is_ident_start(name[0]):
             return ref.group()
         key = name.lower()
-        owner = None
-        for table in tables:
-            if key in table.entries:
-                owner = table
-                break
+        owner = _owner(tables, key)
         if owner is None:
             raise UnresolvedRefError(name)
         if _depth >= RESCAN_LIMIT:
@@ -436,22 +447,16 @@ class MacroSession:
 
     def __init__(self, trace: TraceSink | None = None):
         self.trace = trace if trace is not None else TraceSink()
-        self._global = SymbolTable("global", "GLOBAL")
-        self._stack: list[SymbolTable] = [self._global]  # global first, innermost last
+        # live tables, innermost first, global last
+        self._tables = [SymbolTable("global", "GLOBAL")]
         self.macros: dict[str, MacroDef] = {}
         self.log: list[str] = []
         self.compiler_stream: list[str] = []
         self._invocations: dict[str, int] = {}
 
-    # table access
-
     @property
     def global_table(self) -> SymbolTable:
-        return self._global
-
-    def live_tables(self) -> list[SymbolTable]:
-        """Live tables, innermost local first, global last."""
-        return list(reversed(self._stack))
+        return self._tables[-1]
 
     # execution
 
@@ -493,7 +498,7 @@ class MacroSession:
         ordinal = self._invocations.get(definition.name, 0) + 1
         self._invocations[definition.name] = ordinal
         table = SymbolTable(f"{definition.name}#{ordinal}", definition.name.upper())
-        self._stack.append(table)
+        self._tables.insert(0, table)
         self.trace.emit(EventKind.TABLE_CREATED, table.trace_label, text=definition.name)
         try:
             for p, default in definition.params:
@@ -503,38 +508,29 @@ class MacroSession:
                                        definition.body_line, definition.body_col)
             self._execute(definition.body)
         finally:
-            self._stack.pop()
+            del self._tables[0]
             self.trace.emit(EventKind.TABLE_DELETED, table.trace_label)
 
     def let(self, name: str, raw_text: str):
         """Resolve the value text, then update the innermost table already
         defining the name, or create the entry in the innermost live table."""
-        value = self.resolve(raw_text)
+        value = resolve_text(raw_text, self._tables, self.trace)
         key = name.lower()
-        target = None
-        for table in self.live_tables():
-            if key in table.entries:
-                target = table
-                break
-        if target is None:
-            target = self._stack[-1]
-        self._store(target, key, value, origin="let")
+        self._store(_owner(self._tables, key) or self._tables[0], key, value, origin="let")
 
     def put(self, text: str):
         if text.strip().lower() == "_user_":
-            for table in self.live_tables():
+            for table in self._tables:
                 for key, value in table.entries.items():
                     self._log_line(f"{table.scope_display} {key.upper()} {value}")
             return
-        resolved = self.resolve(text)
+        resolved = resolve_text(text, self._tables, self.trace)
         self._log_line(_apply_evals(resolved, self.trace))
 
-    def resolve(self, text: str) -> str:
-        return resolve_text(text, self.live_tables(), self.trace)
-
-    def _store(self, table: SymbolTable, name: str, text: str, origin: str):
-        table.entries[name.lower()] = text
-        self.trace.emit(EventKind.VAR_STORED, name.lower(),
+    def _store(self, table: SymbolTable, key: str, text: str, origin: str):
+        """Store text under an already lowercased key."""
+        table.entries[key] = text
+        self.trace.emit(EventKind.VAR_STORED, key,
                         table=table.trace_label, origin=origin, text=text)
 
     def _log_line(self, line: str):

@@ -223,6 +223,10 @@ class Program:
 
 # --- parser
 
+# binary operator precedence, read by the parser and the printer
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 class _Parser:
     def __init__(self, tokens: list[SrcToken]):
         self.toks = tokens
@@ -282,21 +286,16 @@ class _Parser:
         e = self.expression()
         return ExprStmt(e, pos)
 
-    # expressions, lowest precedence first
+    # expressions
 
-    def expression(self) -> Expr:
-        left = self.term()
-        while self.peek().kind is TokKind.OP and self.peek().text in "+-":
-            op = self.advance()
-            right = self.term()
-            left = Binary(op.text, left, right, (op.line, op.col))
-        return left
-
-    def term(self) -> Expr:
+    def expression(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over _PREC: an operand, then each operator that
+        binds at least min_prec with its right operand.  A chain of one
+        precedence is read in this loop, and the tree is left-deep."""
         left = self.factor()
-        while self.peek().kind is TokKind.OP and self.peek().text in "*/":
-            op = self.advance()
-            right = self.factor()
+        while (op := self.peek()).kind is TokKind.OP and _PREC[op.text] >= min_prec:
+            self.advance()
+            right = self.expression(_PREC[op.text] + 1)
             left = Binary(op.text, left, right, (op.line, op.col))
         return left
 
@@ -304,7 +303,7 @@ class _Parser:
         e = self.primary()
         while self.opens_args(0):
             tok = self.peek()
-            e = Call(e, self.call_args(), (tok.line, tok.col))
+            e = Call(e, tuple(self.comma_list(self.call_arg, set())), (tok.line, tok.col))
         return e
 
     def primary(self) -> Expr:
@@ -314,10 +313,9 @@ class _Parser:
             self.advance()
             return NumberLit(Decimal(tok.text), pos)
         if tok.kind is TokKind.IDENT:
-            if tok.text == "c" and self.opens_args(1):
-                self.advance()
-                return VectorCtor(self.vector_elements(), pos)
             self.advance()
+            if tok.text == "c" and self.opens_args(0):
+                return VectorCtor(tuple(self.comma_list(self.expression)), pos)
             return Ident(tok.text, pos)
         if tok.kind is TokKind.LPAREN:
             self.advance()
@@ -329,30 +327,23 @@ class _Parser:
         self.fail(("a number", "a name", "'('", "'function'"))
         raise AssertionError("unreachable")
 
-    def vector_elements(self) -> tuple[Expr, ...]:
+    def comma_list(self, item, *args) -> list:
+        """Read `( item, ... )`, calling item(*args) for each entry."""
         self.expect(TokKind.LPAREN, "'('")
-        elems: list[Expr] = []
+        items = []
         if self.peek().kind is not TokKind.RPAREN:
-            elems.append(self.expression())
+            items.append(item(*args))
             while self.peek().kind is TokKind.COMMA:
                 self.advance()
-                elems.append(self.expression())
+                items.append(item(*args))
         self.expect(TokKind.RPAREN, "')'")
-        return tuple(elems)
+        return items
 
-    def call_args(self) -> tuple[tuple[str | None, Expr], ...]:
-        self.expect(TokKind.LPAREN, "'('")
-        args: list[tuple[str | None, Expr]] = []
-        seen: set[str] = set()
-        if self.peek().kind is not TokKind.RPAREN:
-            while True:
-                args.append(self.call_arg(seen))
-                if self.peek().kind is TokKind.COMMA:
-                    self.advance()
-                    continue
-                break
-        self.expect(TokKind.RPAREN, "')'")
-        return tuple(args)
+    @staticmethod
+    def reject_duplicate(tok: SrcToken, seen: set[str], what: str):
+        if tok.text in seen:
+            raise ParseError(f"duplicate {what} '{tok.text}'", tok.line, tok.col)
+        seen.add(tok.text)
 
     def call_arg(self, seen: set[str]) -> tuple[str | None, Expr]:
         tok = self.peek()
@@ -363,45 +354,25 @@ class _Parser:
                     "assignment is not allowed in an argument list",
                     assign.line, assign.col,
                 )
-            if tok.text in seen:
-                raise ParseError(
-                    f"duplicate named argument '{tok.text}'", tok.line, tok.col
-                )
-            seen.add(tok.text)
+            self.reject_duplicate(tok, seen, "named argument")
             self.advance()
             self.advance()
             return tok.text, self.expression()
         return None, self.expression()
 
+    def param(self, seen: set[str]) -> tuple[str, Expr | None]:
+        name_tok = self.expect(TokKind.IDENT, "a parameter name")
+        self.reject_duplicate(name_tok, seen, "parameter")
+        if self.peek().kind is not TokKind.ASSIGN:
+            return name_tok.text, None
+        assign = self.advance()
+        if assign.text != "=":
+            raise ParseError("parameter defaults are written with '='", assign.line, assign.col)
+        return name_tok.text, self.expression()
+
     def function_def(self) -> FunctionDef:
         kw = self.expect(TokKind.KW_FUNCTION, "'function'")
-        self.expect(TokKind.LPAREN, "'('")
-        params: list[tuple[str, Expr | None]] = []
-        seen: set[str] = set()
-        if self.peek().kind is not TokKind.RPAREN:
-            while True:
-                name_tok = self.expect(TokKind.IDENT, "a parameter name")
-                if name_tok.text in seen:
-                    raise ParseError(
-                        f"duplicate parameter '{name_tok.text}'",
-                        name_tok.line, name_tok.col,
-                    )
-                seen.add(name_tok.text)
-                default: Expr | None = None
-                if self.peek().kind is TokKind.ASSIGN:
-                    assign = self.advance()
-                    if assign.text != "=":
-                        raise ParseError(
-                            "parameter defaults are written with '='",
-                            assign.line, assign.col,
-                        )
-                    default = self.expression()
-                params.append((name_tok.text, default))
-                if self.peek().kind is TokKind.COMMA:
-                    self.advance()
-                    continue
-                break
-        self.expect(TokKind.RPAREN, "')'")
+        params = self.comma_list(self.param, set())
         self.expect(TokKind.LBRACE, "'{'")
         body: list[Stmt] = []
         while self.peek().kind is not TokKind.RBRACE:
@@ -435,7 +406,6 @@ def format_number(d: Decimal) -> str:
     return s
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 _ATOM_PREC = 9
 
 

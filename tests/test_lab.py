@@ -1,6 +1,9 @@
+import gc
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ import lazylab.trace
 from lazylab.cli import main
 from lazylab.evaluator import Strategy, run_program
 from lazylab.lab import (
+    PAIRS,
     DivergenceReport,
     PairName,
     Verdict,
@@ -113,6 +117,32 @@ class TestPlainRuns:
             assert capsys.readouterr().out == expected
         with pytest.raises(_EventBuilt):
             run_with_metrics(load_program("r_prog1.fl"), "func")
+
+    def test_runs_leave_no_cyclic_garbage(self):
+        """What a run keeps is freed by reference counting alone, so a peak
+        measured by tracemalloc does not depend on when the collector runs."""
+        sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads  # bench/workloads.py
+
+        inputs = [(lang, strategy, load_program(name))
+                  for pair in PAIRS.values()
+                  for lang, strategy, name in (("func", pair.strategy, pair.func_program),
+                                               ("macro", None, pair.macro_program))]
+        for w in workloads.WORKLOADS:
+            case = workloads.build(w, 1)[0]
+            inputs += [(case.lang, strategy, case.source) for strategy in case.strategies]
+        gc.collect()
+        gc.disable()
+        try:
+            for lang, strategy, source in inputs:
+                if lang == "func":
+                    run_program(parse_source(source), strategy)
+                else:
+                    run_session(source)
+                run_with_metrics(source, lang, strategy)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDiffOutputs:

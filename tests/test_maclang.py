@@ -137,6 +137,82 @@ class TestEvalArith:
             eval_arith(bad)
 
 
+def _recursive_eval_arith(text: str) -> int:
+    """A recursive-descent %eval, kept as the reference for the one-pass
+    `eval_arith`: the same value, or the same error at the same point."""
+    toks = maclang._arith_tokens(text)
+    if not toks:
+        raise ArithSyntaxError("empty integer expression")
+    pos = 0
+
+    def peek():
+        return toks[pos] if pos < len(toks) else None
+
+    def take():
+        nonlocal pos
+        pos += 1
+        return toks[pos - 1]
+
+    def expr() -> int:
+        value = term()
+        while peek() in ("+", "-"):
+            value = value + term() if take() == "+" else value - term()
+        return value
+
+    def term() -> int:
+        value = unary()
+        while peek() in ("*", "/"):
+            if take() == "*":
+                value *= unary()
+                continue
+            divisor = unary()
+            if divisor == 0:
+                raise DivisionByZeroError("division by zero in %eval")
+            quot, rem = divmod(value, divisor)
+            value = quot + 1 if rem != 0 and (value < 0) != (divisor < 0) else quot
+        return value
+
+    def unary() -> int:
+        sign = 1
+        while peek() == "-":
+            take()
+            sign = -sign
+        return sign * atom()
+
+    def atom() -> int:
+        tok = take() if pos < len(toks) else None
+        if isinstance(tok, int):
+            return tok
+        if tok == "(":
+            value = expr()
+            if peek() != ")":
+                raise ArithSyntaxError("missing ')' in integer expression")
+            take()
+            return value
+        raise ArithSyntaxError(f"expected an integer, found {tok!r}")
+
+    value = expr()
+    if pos != len(toks):
+        raise ArithSyntaxError(f"trailing {toks[pos]!r} in integer expression")
+    return value
+
+
+def _outcome(evaluate, text):
+    try:
+        return evaluate(text)
+    except LazyLabError as err:
+        return type(err), err.message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789+-*/() ", max_size=24))
+@example("1/0 (2)")
+@example("--(1/(2-2))")
+@example("2*(3+4)/0 +")
+def test_eval_arith_matches_recursive_reference(text):
+    assert _outcome(eval_arith, text) == _outcome(_recursive_eval_arith, text)
+
+
 class TestResolveText:
     def test_chained_reference_rescans(self):
         tables = [_table({"x": "2", "y": "&x*10"}, "lazy#1", "LAZY")]
@@ -282,11 +358,14 @@ class TestInvocation:
 
 
 class TestLetAndPut:
-    def test_let_updates_innermost_table_defining_the_name(self):
-        out = run_session(
-            "%macro m(x=5);\n%let x=2;\n%put _user_;\n%mend;\n%m()"
-        )
-        assert out.log_lines == ["M X 2"]
+    @pytest.mark.parametrize("source,lines", [
+        ("%macro m(x=5);\n%let x=2;\n%put _user_;\n%mend;\n%m()", ["M X 2"]),
+        # the owner of o is the enclosing macro's table, not inner's
+        ("%macro inner(); %let o=9; %mend;\n"
+         "%macro outer(); %let o=2; %inner() %put &o; %mend;\n%outer()", ["9"]),
+    ], ids=["own-table", "enclosing-table"])
+    def test_let_updates_innermost_table_defining_the_name(self, source, lines):
+        assert run_session(source).log_lines == lines
 
     def test_let_creates_in_innermost_live_table(self):
         out = run_session("%macro m();\n%let a=3;\n%put _user_;\n%mend;\n%m()")

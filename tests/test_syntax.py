@@ -100,6 +100,12 @@ class TestParse:
         assert parse_source("a+b*c") == parse_source("a+(b*c)")
         assert parse_source("a-b-c") == parse_source("(a-b)-c")
         assert parse_source("a*b+c") == parse_source("(a*b)+c")
+        # the round trip cannot see a parser and a printer that agree on the
+        # wrong associativity; the parenthesised forms can
+        assert parse_source("a/b/c") == parse_source("(a/b)/c")
+        assert parse_source("a-b+c") == parse_source("(a-b)+c")
+        assert parse_source("a/b*c") == parse_source("(a/b)*c")
+        assert parse_source("a+b*c-d/e") == parse_source("(a+(b*c))-(d/e)")
 
     def test_long_operator_chain_compares_hashes_and_prints(self):
         terms = ["1"] * 3000
