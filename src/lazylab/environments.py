@@ -9,6 +9,10 @@ Any later use of a discarded handle raises DiscardedEnvError.  The root
 from .errors import CannotDiscardGlobalError, DiscardedEnvError, UnboundNameError
 from .trace import EventKind, TraceSink
 
+# module names for every call (the hot-path rule in syntax's docstring)
+_ENV_CREATED = EventKind.ENV_CREATED
+_ENV_DISCARDED = EventKind.ENV_DISCARDED
+
 
 class _Frame:
     __slots__ = ("parent", "bindings")
@@ -49,7 +53,7 @@ class EnvRegistry:
         fid = self._next_id
         self._next_id += 1
         self._frames[fid] = _Frame(parent)
-        self._trace.emit(EventKind.ENV_CREATED, f"env{fid}", env=parent)
+        self._trace.emit(_ENV_CREATED, f"env{fid}", env=parent)
         return fid
 
     def lookup(self, env: int, name: str) -> object:
@@ -75,7 +79,7 @@ class EnvRegistry:
             raise CannotDiscardGlobalError("the global environment cannot be discarded")
         self._live(env)
         del self._frames[env]
-        self._trace.emit(EventKind.ENV_DISCARDED, f"env{env}")
+        self._trace.emit(_ENV_DISCARDED, f"env{env}")
 
     def bindings_of(self, env: int) -> dict[str, object]:
         return dict(self._live(env).bindings)

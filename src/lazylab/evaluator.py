@@ -54,6 +54,12 @@ class Strategy(str, Enum):
     NAME = "name"
 
 
+# module names for every read and call (the hot-path rule in syntax's docstring)
+_STRICT = Strategy.STRICT
+_NAME = Strategy.NAME
+_OUTPUT_LINE = EventKind.OUTPUT_LINE
+
+
 @dataclass(frozen=True)
 class Num:
     value: Decimal
@@ -127,7 +133,7 @@ class FunclangRun:
         elif isinstance(stmt, PrintStmt):
             line = format_value(value)
             self.output.lines.append(line)
-            self.trace.emit(EventKind.OUTPUT_LINE, "stdout", text=line)
+            self.trace.emit(_OUTPUT_LINE, "stdout", text=line)
         return value
 
     def eval_expr(self, e: Expr, env: int) -> Value:
@@ -154,7 +160,7 @@ class FunclangRun:
     def _read(self, name: str, env: int) -> Value:
         binding = self.envs.lookup(env, name)
         if isinstance(binding, Promise):
-            if self.strategy is Strategy.NAME:
+            if self.strategy is _NAME:
                 return self.promises.evaluate_uncached(binding, self.eval_expr)
             return self.promises.force(binding, self.eval_expr)
         if binding is MISSING:
@@ -215,7 +221,7 @@ class FunclangRun:
         exec_env = self.envs.child(f.defined_in)
         try:
             supplied = self._match_args(f.params, args, pos)
-            strict = self.strategy is Strategy.STRICT
+            strict = self.strategy is _STRICT
             if strict:
                 # Supplied args evaluate in the caller, in source order,
                 # before any default.
@@ -251,17 +257,17 @@ class FunclangRun:
         Named arguments bind by exact name; remaining positional arguments
         fill the still-unfilled parameters left to right.
         """
-        names = [p for p, _ in params]
+        names = {p for p, _ in params}
         for name, _expr in args:
             if name is not None and name not in names:
                 raise ArityError(f"unknown named argument '{name}'", *pos)
         named = {name for name, _expr in args}
-        unfilled = iter([p for p in names if p not in named])
+        unfilled = iter([p for p, _ in params if p not in named])
         matched: dict[str, Expr] = {}
         for name, expr in args:
             name = name or next(unfilled, None)
             if name is None:
-                raise ArityError(f"too many arguments: expected at most {len(names)}", *pos)
+                raise ArityError(f"too many arguments: expected at most {len(params)}", *pos)
             matched[name] = expr
         return matched
 

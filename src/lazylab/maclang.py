@@ -37,6 +37,15 @@ from .trace import EventKind, TraceSink
 
 RESCAN_LIMIT = 64
 
+# module names for every reference, store and call (the hot-path rule in
+# syntax's docstring)
+_TABLE_CREATED = EventKind.TABLE_CREATED
+_TABLE_DELETED = EventKind.TABLE_DELETED
+_VAR_STORED = EventKind.VAR_STORED
+_VAR_RESOLVED = EventKind.VAR_RESOLVED
+_ARITH_EVAL = EventKind.ARITH_EVAL
+_OUTPUT_LINE = EventKind.OUTPUT_LINE
+
 
 # --- statement scanner
 #
@@ -374,7 +383,7 @@ def _owner(tables: list[SymbolTable], key: str) -> SymbolTable | None:
 
 _REF = re.compile(r"&(\w+)")
 _EVAL = re.compile(r"%eval[ \t]*\(", re.I)
-_PAREN = re.compile(r"[()]")
+_EVAL_OR_PAREN = re.compile(f"{_EVAL.pattern}|[()]", re.I)
 
 
 def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
@@ -394,34 +403,65 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
         if _depth >= RESCAN_LIMIT:
             raise DepthExceededError(name, RESCAN_LIMIT)
         entry = owner.entries[key]
-        trace.emit(EventKind.VAR_RESOLVED, key, table=owner.trace_label, text=entry)
+        trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
         return resolve_text(entry, tables, trace, _depth + 1)
 
     return _REF.sub(substitute, text)
 
 
 def _apply_evals(text: str, trace: TraceSink) -> str:
-    """Replace every `%eval(...)` in resolved text with its integer result."""
+    """Replace every `%eval(...)` in resolved text with its integer result.
+
+    One pass from left to right.  Outside a call only `%eval(` is looked
+    for; inside one, `(` and `)` are counted too.  Each open call is on a
+    stack as its text so far and its count of open `(`.  A call nested in
+    another is evaluated only when the outermost one closes, so an
+    unterminated call is reported before anything inside it runs."""
     out: list[str] = []
-    i = 0
-    while (call := _EVAL.search(text, i)) is not None:
-        depth, close = 1, call
-        while depth:
-            close = _PAREN.search(text, close.end())
-            if close is None:
-                raise ArithSyntaxError("unterminated %eval(...)")
-            depth += 1 if close.group() == "(" else -1
-        inner = _apply_evals(text[call.end():close.start()], trace)
+    stack: list[list] = []   # [pieces, open '(' count] per open call, innermost last
+    closed: list[list] = []  # pieces of the closed calls in the open outermost one
+    i = pos = 0              # text[i:] is not copied yet; the search goes on at pos
+    while (tok := (_EVAL_OR_PAREN if stack else _EVAL).search(text, pos)) is not None:
+        pos = tok.end()
+        ch = text[tok.start()]
+        if ch == "%":
+            (stack[-1][0] if stack else out).append(text[i:tok.start()])
+            stack.append([[], 0])
+            i = pos
+        elif ch == "(":
+            stack[-1][1] += 1
+        elif stack[-1][1]:
+            stack[-1][1] -= 1
+        else:
+            pieces = stack.pop()[0]
+            pieces.append(text[i:tok.start()])
+            i = pos
+            closed.append(pieces)
+            if stack:
+                stack[-1][0].append(len(closed) - 1)
+            else:
+                out.append(_evaluate(closed, trace))
+                closed.clear()
+    if stack:
+        raise ArithSyntaxError("unterminated %eval(...)")
+    out.append(text[i:])
+    return "".join(out)
+
+
+def _evaluate(closed: list[list], trace: TraceSink) -> str:
+    """Evaluate the calls of one outermost `%eval(`, given inner first as
+    their pieces: text, or the index in `closed` of a call nested there."""
+    results: list[str] = []
+    for pieces in closed:
+        inner = "".join(p if isinstance(p, str) else results[p] for p in pieces)
         value = eval_arith(inner)
         try:
             result = str(value)
         except ValueError:  # CPython's int/str conversion digit limit
             raise NumberTooLargeError("%eval result has too many digits to print") from None
-        trace.emit(EventKind.ARITH_EVAL, inner.strip(), text=result)
-        out.extend((text[i:call.start()], result))
-        i = close.end()
-    out.append(text[i:])
-    return "".join(out)
+        trace.emit(_ARITH_EVAL, inner.strip(), text=result)
+        results.append(result)
+    return results[-1]
 
 
 # --- macro definitions and session
@@ -499,7 +539,7 @@ class MacroSession:
         self._invocations[definition.name] = ordinal
         table = SymbolTable(f"{definition.name}#{ordinal}", definition.name.upper())
         self._tables.insert(0, table)
-        self.trace.emit(EventKind.TABLE_CREATED, table.trace_label, text=definition.name)
+        self.trace.emit(_TABLE_CREATED, table.trace_label, text=definition.name)
         try:
             for p, default in definition.params:
                 self._store(table, p, overrides.get(p, default), origin="param")
@@ -509,7 +549,7 @@ class MacroSession:
             self._execute(definition.body)
         finally:
             del self._tables[0]
-            self.trace.emit(EventKind.TABLE_DELETED, table.trace_label)
+            self.trace.emit(_TABLE_DELETED, table.trace_label)
 
     def let(self, name: str, raw_text: str):
         """Resolve the value text, then update the innermost table already
@@ -530,12 +570,12 @@ class MacroSession:
     def _store(self, table: SymbolTable, key: str, text: str, origin: str):
         """Store text under an already lowercased key."""
         table.entries[key] = text
-        self.trace.emit(EventKind.VAR_STORED, key,
+        self.trace.emit(_VAR_STORED, key,
                         table=table.trace_label, origin=origin, text=text)
 
     def _log_line(self, line: str):
         self.log.append(line)
-        self.trace.emit(EventKind.OUTPUT_LINE, "log", text=line)
+        self.trace.emit(_OUTPUT_LINE, "log", text=line)
 
 
 def run_session(source: str, trace: TraceSink | None = None) -> MacroOutput:

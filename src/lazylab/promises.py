@@ -32,6 +32,16 @@ class PromiseState(str, Enum):
     FORCED = "FORCED"
 
 
+# module names for every force (the hot-path rule in syntax's docstring)
+_UNFORCED = PromiseState.UNFORCED
+_FORCING = PromiseState.FORCING
+_FORCED = PromiseState.FORCED
+_PROMISE_CREATED = EventKind.PROMISE_CREATED
+_PROMISE_FORCED = EventKind.PROMISE_FORCED
+_PROMISE_CACHE_HIT = EventKind.PROMISE_CACHE_HIT
+_NAME_REEVAL = EventKind.NAME_REEVAL
+
+
 class Promise:
     __slots__ = ("id", "expr", "env", "label", "state", "value")
 
@@ -40,7 +50,7 @@ class Promise:
         self.expr = expr
         self.env = env
         self.label = label
-        self.state = PromiseState.UNFORCED
+        self.state = _UNFORCED
         self.value = None
 
 
@@ -61,38 +71,38 @@ class PromiseStore:
             raise DiscardedEnvError(f"environment env{env} was discarded")
         p = Promise(self._next_id, expr, env, label)
         self._next_id += 1
-        self._trace.emit(EventKind.PROMISE_CREATED, f"promise{p.id}",
+        self._trace.emit(_PROMISE_CREATED, f"promise{p.id}",
                          param=label, env=env, expr=expr)
         return p
 
     def force(self, p: Promise, evaluator: Evaluator) -> object:
         """Return the cached value, evaluating once on first use."""
-        if p.state is PromiseState.FORCED:
-            self._trace.emit(EventKind.PROMISE_CACHE_HIT, f"promise{p.id}", param=p.label)
+        if p.state is _FORCED:
+            self._trace.emit(_PROMISE_CACHE_HIT, f"promise{p.id}", param=p.label)
             return p.value
-        if p.state is PromiseState.FORCING:
+        if p.state is _FORCING:
             raise CyclicForceError(p.id, p.label)
-        p.state = PromiseState.FORCING
+        p.state = _FORCING
         try:
             value = evaluator(p.expr, p.env)
         except BaseException:
-            p.state = PromiseState.UNFORCED
+            p.state = _UNFORCED
             raise
         p.value = value
-        p.state = PromiseState.FORCED
-        self._trace.emit(EventKind.PROMISE_FORCED, f"promise{p.id}",
+        p.state = _FORCED
+        self._trace.emit(_PROMISE_FORCED, f"promise{p.id}",
                          param=p.label, text=value)
         return value
 
     def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
         """Re-evaluate the wrapped expression; nothing is ever cached."""
-        if p.state is PromiseState.FORCING:
+        if p.state is _FORCING:
             raise CyclicForceError(p.id, p.label)
-        p.state = PromiseState.FORCING
+        p.state = _FORCING
         try:
             value = evaluator(p.expr, p.env)
         finally:
-            p.state = PromiseState.UNFORCED
-        self._trace.emit(EventKind.NAME_REEVAL, f"promise{p.id}",
+            p.state = _UNFORCED
+        self._trace.emit(_NAME_REEVAL, f"promise{p.id}",
                          param=p.label, text=value)
         return value

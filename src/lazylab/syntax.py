@@ -7,6 +7,12 @@ a flat vector constructor `c(...)`, and a `print(...)` statement.  There are
 no statement separators; a statement ends where the expression can no longer
 be extended.  The `(` of an argument list must be on the line where its callee
 ends, so a statement may start with a parenthesised expression.
+
+Hot-path rule, here and in the engines: hot code reads Enum members through
+private module-level names (`_EOF = TokKind.EOF`), because on CPython 3.11
+every `TokKind.EOF` read goes through the Enum metaclass and costs about ten
+times a global read.  Tokens are a slotted, non-frozen dataclass, so they are
+unhashable; nothing hashes one.
 """
 
 from dataclasses import dataclass, field
@@ -35,7 +41,7 @@ class TokKind(str, Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SrcToken:
     kind: TokKind
     text: str
@@ -43,18 +49,31 @@ class SrcToken:
     col: int
 
 
-_PUNCT = {
-    "(": TokKind.LPAREN,
-    ")": TokKind.RPAREN,
-    "{": TokKind.LBRACE,
-    "}": TokKind.RBRACE,
-    ",": TokKind.COMMA,
+# the token kinds under module names (see the hot-path rule above)
+_NUMBER = TokKind.NUMBER
+_IDENT = TokKind.IDENT
+_ASSIGN = TokKind.ASSIGN
+_OP = TokKind.OP
+_LPAREN = TokKind.LPAREN
+_RPAREN = TokKind.RPAREN
+_LBRACE = TokKind.LBRACE
+_RBRACE = TokKind.RBRACE
+_COMMA = TokKind.COMMA
+_KW_FUNCTION = TokKind.KW_FUNCTION
+_EOF = TokKind.EOF
+
+# one-character tokens: their kind
+_SINGLE = {
+    "=": _ASSIGN,
+    "+": _OP, "-": _OP, "*": _OP, "/": _OP,
+    "(": _LPAREN, ")": _RPAREN, "{": _LBRACE, "}": _RBRACE, ",": _COMMA,
 }
 
 
 def tokenize(source: str) -> list[SrcToken]:
     """Split funclang source into tokens; `#` starts a comment to end of line."""
     tokens: list[SrcToken] = []
+    append = tokens.append
     i, line, col, n = 0, 1, 1, len(source)
     while i < n:
         ch = source[i]
@@ -62,61 +81,43 @@ def tokenize(source: str) -> list[SrcToken]:
             i += 1
             line += 1
             col = 1
-            continue
-        if ch in " \t\r":
+        elif ch in " \t\r":
             i += 1
             col += 1
-            continue
-        if ch == "#":
+        elif ch == "#":
             while i < n and source[i] != "\n":
                 i += 1
                 col += 1
-            continue
-        start_line, start_col = line, col
-        if ch.isdecimal():
-            j = i
+        elif ch in _SINGLE:
+            append(SrcToken(_SINGLE[ch], ch, line, col))
+            i += 1
+            col += 1
+        elif ch.isdecimal():
+            j = i + 1
             while j < n and source[j].isdecimal():
                 j += 1
             if j < n - 1 and source[j] == "." and source[j + 1].isdecimal():
-                j += 1
+                j += 2
                 while j < n and source[j].isdecimal():
                     j += 1
-            tokens.append(SrcToken(TokKind.NUMBER, source[i:j], start_line, start_col))
+            append(SrcToken(_NUMBER, source[i:j], line, col))
             col += j - i
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             text = source[i:j]
-            kind = TokKind.KW_FUNCTION if text == "function" else TokKind.IDENT
-            tokens.append(SrcToken(kind, text, start_line, start_col))
+            append(SrcToken(_KW_FUNCTION if text == "function" else _IDENT, text, line, col))
             col += j - i
             i = j
-            continue
-        if ch == "<" and i + 1 < n and source[i + 1] == "-":
-            tokens.append(SrcToken(TokKind.ASSIGN, "<-", start_line, start_col))
+        elif ch == "<" and source.startswith("-", i + 1):
+            append(SrcToken(_ASSIGN, "<-", line, col))
             i += 2
             col += 2
-            continue
-        if ch == "=":
-            tokens.append(SrcToken(TokKind.ASSIGN, "=", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "+-*/":
-            tokens.append(SrcToken(TokKind.OP, ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(SrcToken(_PUNCT[ch], ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise LexError(f"unexpected character {ch!r}", line, col, char=ch)
-    tokens.append(SrcToken(TokKind.EOF, "", line, col))
+        else:
+            raise LexError(f"unexpected character {ch!r}", line, col, char=ch)
+    append(SrcToken(_EOF, "", line, col))
     return tokens
 
 
@@ -239,13 +240,13 @@ class _Parser:
 
     def advance(self) -> SrcToken:
         tok = self.toks[self.i]
-        if tok.kind is not TokKind.EOF:
+        if tok.kind is not _EOF:
             self.i += 1
         return tok
 
     def fail(self, expected: tuple[str, ...], tok: SrcToken | None = None):
         tok = tok or self.peek()
-        shown = tok.text if tok.kind is not TokKind.EOF else "end of input"
+        shown = tok.text if tok.kind is not _EOF else "end of input"
         raise ParseError(
             f"expected {' or '.join(expected)}, found {shown!r}",
             tok.line, tok.col, expected=expected,
@@ -254,7 +255,7 @@ class _Parser:
     def opens_args(self, ahead: int) -> bool:
         """Is peek(ahead) a `(` on the same line as the token just before it?"""
         tok = self.peek(ahead)
-        return tok.kind is TokKind.LPAREN and tok.line == self.toks[self.i + ahead - 1].line
+        return tok.kind is _LPAREN and tok.line == self.toks[self.i + ahead - 1].line
 
     def expect(self, kind: TokKind, what: str) -> SrcToken:
         if self.peek().kind is not kind:
@@ -265,20 +266,20 @@ class _Parser:
 
     def program(self) -> Program:
         stmts = []
-        while self.peek().kind is not TokKind.EOF:
+        while self.peek().kind is not _EOF:
             stmts.append(self.statement())
         return Program(tuple(stmts))
 
     def statement(self) -> Stmt:
         tok = self.peek()
         pos = (tok.line, tok.col)
-        if tok.kind is TokKind.IDENT and tok.text == "print" and self.opens_args(1):
+        if tok.kind is _IDENT and tok.text == "print" and self.opens_args(1):
             self.advance()
             self.advance()
             e = self.expression()
-            self.expect(TokKind.RPAREN, "')'")
+            self.expect(_RPAREN, "')'")
             return PrintStmt(e, pos)
-        if tok.kind is TokKind.IDENT and self.peek(1).kind is TokKind.ASSIGN:
+        if tok.kind is _IDENT and self.peek(1).kind is _ASSIGN:
             self.advance()
             self.advance()
             e = self.expression()
@@ -293,7 +294,7 @@ class _Parser:
         binds at least min_prec with its right operand.  A chain of one
         precedence is read in this loop, and the tree is left-deep."""
         left = self.factor()
-        while (op := self.peek()).kind is TokKind.OP and _PREC[op.text] >= min_prec:
+        while (op := self.peek()).kind is _OP and _PREC[op.text] >= min_prec:
             self.advance()
             right = self.expression(_PREC[op.text] + 1)
             left = Binary(op.text, left, right, (op.line, op.col))
@@ -309,34 +310,34 @@ class _Parser:
     def primary(self) -> Expr:
         tok = self.peek()
         pos = (tok.line, tok.col)
-        if tok.kind is TokKind.NUMBER:
+        if tok.kind is _NUMBER:
             self.advance()
             return NumberLit(Decimal(tok.text), pos)
-        if tok.kind is TokKind.IDENT:
+        if tok.kind is _IDENT:
             self.advance()
             if tok.text == "c" and self.opens_args(0):
                 return VectorCtor(tuple(self.comma_list(self.expression)), pos)
             return Ident(tok.text, pos)
-        if tok.kind is TokKind.LPAREN:
+        if tok.kind is _LPAREN:
             self.advance()
             e = self.expression()
-            self.expect(TokKind.RPAREN, "')'")
+            self.expect(_RPAREN, "')'")
             return e
-        if tok.kind is TokKind.KW_FUNCTION:
+        if tok.kind is _KW_FUNCTION:
             return self.function_def()
         self.fail(("a number", "a name", "'('", "'function'"))
         raise AssertionError("unreachable")
 
     def comma_list(self, item, *args) -> list:
         """Read `( item, ... )`, calling item(*args) for each entry."""
-        self.expect(TokKind.LPAREN, "'('")
+        self.expect(_LPAREN, "'('")
         items = []
-        if self.peek().kind is not TokKind.RPAREN:
+        if self.peek().kind is not _RPAREN:
             items.append(item(*args))
-            while self.peek().kind is TokKind.COMMA:
+            while self.peek().kind is _COMMA:
                 self.advance()
                 items.append(item(*args))
-        self.expect(TokKind.RPAREN, "')'")
+        self.expect(_RPAREN, "')'")
         return items
 
     @staticmethod
@@ -347,7 +348,7 @@ class _Parser:
 
     def call_arg(self, seen: set[str]) -> tuple[str | None, Expr]:
         tok = self.peek()
-        if tok.kind is TokKind.IDENT and self.peek(1).kind is TokKind.ASSIGN:
+        if tok.kind is _IDENT and self.peek(1).kind is _ASSIGN:
             assign = self.peek(1)
             if assign.text != "=":
                 raise ParseError(
@@ -361,9 +362,9 @@ class _Parser:
         return None, self.expression()
 
     def param(self, seen: set[str]) -> tuple[str, Expr | None]:
-        name_tok = self.expect(TokKind.IDENT, "a parameter name")
+        name_tok = self.expect(_IDENT, "a parameter name")
         self.reject_duplicate(name_tok, seen, "parameter")
-        if self.peek().kind is not TokKind.ASSIGN:
+        if self.peek().kind is not _ASSIGN:
             return name_tok.text, None
         assign = self.advance()
         if assign.text != "=":
@@ -371,17 +372,17 @@ class _Parser:
         return name_tok.text, self.expression()
 
     def function_def(self) -> FunctionDef:
-        kw = self.expect(TokKind.KW_FUNCTION, "'function'")
+        kw = self.expect(_KW_FUNCTION, "'function'")
         params = self.comma_list(self.param, set())
-        self.expect(TokKind.LBRACE, "'{'")
+        self.expect(_LBRACE, "'{'")
         body: list[Stmt] = []
-        while self.peek().kind is not TokKind.RBRACE:
-            if self.peek().kind is TokKind.EOF:
+        while self.peek().kind is not _RBRACE:
+            if self.peek().kind is _EOF:
                 self.fail(("'}'",))
             body.append(self.statement())
         if not body:
             self.fail(("a statement (function bodies cannot be empty)",))
-        self.expect(TokKind.RBRACE, "'}'")
+        self.expect(_RBRACE, "'}'")
         return FunctionDef(tuple(params), tuple(body), (kw.line, kw.col))
 
 

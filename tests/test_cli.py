@@ -145,6 +145,12 @@ class TestRun:
         assert main(["run", "--lang", "macro", str(path)]) == 0
         assert capsys.readouterr().out == "1\n"
 
+    def test_deeply_nested_evals(self, tmp_path, capsys):
+        path = tmp_path / "evals.ml"
+        path.write_text("%put " + "%eval(" * 3000 + "1" + ")" * 3000 + ";\n")
+        assert main(["run", "--lang", "macro", str(path)]) == 0
+        assert capsys.readouterr().out == "1\n"
+
     def test_json_output(self, prog1_func, capsys):
         assert main(["run", "--lang", "func", "--output", "json", prog1_func]) == 0
         assert json.loads(capsys.readouterr().out) == {"lines": ["2 20 7"], "result": None}

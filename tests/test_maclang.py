@@ -386,6 +386,21 @@ class TestLetAndPut:
             run_session("%put %eval(1+2;")
         assert exc.value.message == "unterminated %eval(...)"
 
+    def test_nested_evals_run_inner_first(self):
+        sink = TraceSink()
+        out = MacroSession(sink).run("%put %eval(%eval(1+%eval(2*3)) * %EVAL (4)) (x);")
+        assert out.log_lines == ["28 (x)"]
+        assert [(ev.subject, ev.text) for ev in sink.of_kind(EventKind.ARITH_EVAL)] == [
+            ("2*3", "6"), ("1+6", "7"), ("4", "4"), ("7 * 4", "28")]
+
+    def test_unterminated_eval_runs_nothing_inside_it(self):
+        # the first call runs; the division inside the unterminated one does not
+        sink = TraceSink()
+        with pytest.raises(ArithSyntaxError) as exc:
+            MacroSession(sink).run("%put %eval(1) %eval(%eval(1/0) + 1;")
+        assert exc.value.message == "unterminated %eval(...)"
+        assert [ev.text for ev in sink.of_kind(EventKind.ARITH_EVAL)] == ["1"]
+
     def test_put_keeps_an_ampersand_before_a_digit(self):
         assert run_session("%put x&1;").log_lines == ["x&1"]
 

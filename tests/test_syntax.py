@@ -73,6 +73,49 @@ class TestTokenize:
         positions = [(t.line, t.col) for t in toks]
         assert positions == sorted(positions)
 
+    # A tab and a `\r` are one column each; only `\n` starts a line.
+    @pytest.mark.parametrize("source,expected", [
+        ("x <- 1\r\nprint(x)\r\n", [
+            ("IDENT", "x", 1, 1), ("ASSIGN", "<-", 1, 3), ("NUMBER", "1", 1, 6),
+            ("IDENT", "print", 2, 1), ("LPAREN", "(", 2, 6), ("IDENT", "x", 2, 7),
+            ("RPAREN", ")", 2, 8), ("EOF", "", 3, 1),
+        ]),
+        ("a\t<-\t2\n\tb", [
+            ("IDENT", "a", 1, 1), ("ASSIGN", "<-", 1, 3), ("NUMBER", "2", 1, 6),
+            ("IDENT", "b", 2, 2), ("EOF", "", 2, 3),
+        ]),
+        ("x <- 1 # end", [
+            ("IDENT", "x", 1, 1), ("ASSIGN", "<-", 1, 3), ("NUMBER", "1", 1, 6),
+            ("EOF", "", 1, 13),
+        ]),
+        ("1.5", [("NUMBER", "1.5", 1, 1), ("EOF", "", 1, 4)]),
+        ("<-", [("ASSIGN", "<-", 1, 1), ("EOF", "", 1, 3)]),
+        # Unicode decimal digits are digits, Unicode letters are letters
+        ("٣ <- 1", [
+            ("NUMBER", "٣", 1, 1), ("ASSIGN", "<-", 1, 3), ("NUMBER", "1", 1, 6),
+            ("EOF", "", 1, 7),
+        ]),
+        ("é <- ٣.٥", [
+            ("IDENT", "é", 1, 1), ("ASSIGN", "<-", 1, 3), ("NUMBER", "٣.٥", 1, 6),
+            ("EOF", "", 1, 9),
+        ]),
+    ], ids=["crlf", "tabs", "comment-at-end", "decimal", "arrow", "arabic-digit", "letter"])
+    def test_edge_case_tokens(self, source, expected):
+        assert [(t.kind.name, t.text, t.line, t.col) for t in tokenize(source)] == expected
+
+    @pytest.mark.parametrize("source,char,position", [
+        ("1.", ".", (1, 2)),       # a number needs a digit after its '.'
+        ("x <- 1.", ".", (1, 7)),
+        ("1..5", ".", (1, 2)),
+        ("<", "<", (1, 1)),        # a '<' that starts no '<-'
+        ("x < 1", "<", (1, 3)),
+        ("a <", "<", (1, 3)),
+    ])
+    def test_edge_case_lex_errors(self, source, char, position):
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        assert (exc.value.char, (exc.value.line, exc.value.col)) == (char, position)
+
 
 class TestParse:
     def test_program_one_structure(self, r_prog1_listing):
