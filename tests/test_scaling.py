@@ -34,21 +34,23 @@ def growth(run, small, large) -> float:
     The sizes alternate, so that a slow stretch of a shared machine falls on
     both, and the collector is off, so that a collection that falls into one
     size only does not count."""
-    best = {id(small): float("inf"), id(large): float("inf")}
+    best = [float("inf"), float("inf")]
     gc.collect()
     gc.disable()
     try:
-        for arg in (small, large) * 3:
-            t0 = time.process_time()
-            run(arg)
-            best[id(arg)] = min(best[id(arg)], time.process_time() - t0)
+        for _ in range(3):
+            for k, arg in enumerate((small, large)):
+                t0 = time.process_time()
+                run(arg)
+                best[k] = min(best[k], time.process_time() - t0)
     finally:
         gc.enable()
-    return best[id(large)] / best[id(small)]
+    return best[1] / best[0]
 
 
 def straight_line(n: int) -> str:
-    return "x0 <- 1\n" + "".join(f"x{i} <- x{i - 1} * 2 + {i}\n" for i in range(1, n)) + "print(x0)\n"
+    lines = "".join(f"x{i} <- x{i - 1} * 2 + {i}\n" for i in range(1, n))
+    return f"x0 <- 1\n{lines}print(x0)\n"
 
 
 def vector(n: int) -> str:
@@ -78,9 +80,9 @@ CASES = {
     # construct: (n, input of size n, what is timed)
     "tokenize-and-parse": (600, straight_line, parse_source),
     "vector-length": (2000, vector, lambda src: run_program(parse_source(src), "need")),
-    "print-parse-round-trip": (100, function_body, lambda src: program_source(parse_source(src))),
-    "named-arguments": (2000, named_arguments, lambda p: run_program(p, "strict")),
-    "nested-evals": (1000, nested_evals, run_session),
+    "print-parse-round-trip": (180, function_body, lambda src: program_source(parse_source(src))),
+    "named-arguments": (2500, named_arguments, lambda p: run_program(p, "strict")),
+    "nested-evals": (1200, nested_evals, run_session),
 }
 
 
