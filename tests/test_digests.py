@@ -106,6 +106,24 @@ MACRO_ERRORS = {
     "eval-division-by-zero-before-group": "%put %eval(1/0 (2));\n",
     "eval-trailing-plus": "%put %eval(2*(3+4)/0 +);\n",
     "eval-unary-plus": "%put %eval(+1);\n",
+    "let-without-equals": "%let x 1;\n",
+    "let-without-equals-on-next-line": "%let x\n  1;\n",
+    "let-without-name": "%let =1;\n",
+    "let-name-starts-with-digit": "%let 1x=2;\n",
+    "let-name-starts-with-superscript": "%let \u00b2=1;\n",
+    "let-at-end": "%let",
+    "let-joined-to-name": "%letx=1;\n",
+}
+
+# Each edge program runs to the end: `%let` and `%put` spellings the scanner
+# reads without an error.
+MACRO_EDGES = {
+    "let-upper-case-spaced": "%LET X = 1 ;\n",
+    "let-tab-and-newlines": "%let\tx\n=\n1;\n",
+    "let-without-semicolon-at-end": "%let x=1",
+    "let-empty-value": "%let x=;\n",
+    "let-comment-in-value": "%let x=a /* c ; */ b;\n",
+    "put-ended-by-let": "%put a\n%let y=2;\n",
 }
 
 BENCH_WORKLOADS = ("call_chain", "macro_invoke", "macro_store")
@@ -141,6 +159,11 @@ def _bundled():
         yield f"{program}/-", "macro", None, load_program(program + ".ml")
 
 
+def _edges():
+    for name, source in MACRO_EDGES.items():
+        yield f"{name}/-", "macro", None, source
+
+
 def _errors():
     for name, source in FUNC_ERRORS.items():
         for strategy in STRATEGIES:
@@ -155,6 +178,7 @@ SETS = {
     "divergent": _divergent,
     **{w: _workload(w) for w in BENCH_WORKLOADS},
     "bundled": _bundled,
+    "edge": _edges,
     "error": _errors,
 }
 
