@@ -124,9 +124,10 @@ class UnresolvedRefError(LazyLabError):
 
 
 class DepthExceededError(LazyLabError):
-    def __init__(self, name: str, limit: int):
-        super().__init__(f"resolving '&{name}' exceeded {limit} rescans (self-referential value?)")
-        self.name = name
+    """A chain of rescans or of nested invocations longer than its limit."""
+
+    def __init__(self, action: str, limit: int, levels: str):
+        super().__init__(f"{action} exceeded {limit} {levels}")
 
 
 class ArithSyntaxError(LazyLabError):

@@ -4,14 +4,16 @@ The scanner turns source into statement records that the session executes
 in order.  It and the `&` and `%eval(` passes move forward over string
 offsets with compiled patterns; a (line, col) is worked out only for a record
 or an error, and a macro body's records count from where the body starts in
-the source.  Digits are decimal digits (`str.isdecimal`).  Macro bodies are
-stored verbatim and scanned once, on their first invocation.  Parameter
-defaults and call arguments are stored as raw text, `%let` values as the
-text left after resolving them; every `&name` is re-resolved at every use,
-from the innermost live symbol table, and the substituted text is rescanned
-until no references remain.  `%eval(...)` performs integer arithmetic on
-resolved text.  One global symbol table lives for the whole session; each
-macro invocation pushes a local table that is deleted at `%mend`.  A name
+the source.  A `%let` statement is read by one pattern match.  Digits are
+decimal digits (`str.isdecimal`).  Macro bodies are stored verbatim and
+scanned once, on their first invocation.  Parameter defaults and call
+arguments are stored as raw text, `%let` values as the text left after
+resolving them; every `&name` is re-resolved at every use, from the innermost
+live symbol table, and the substituted text is rescanned until no references
+remain.  Text without `&` skips resolution.  `%eval(...)` performs integer
+arithmetic on resolved text.  One global symbol table lives for the whole
+session; each macro invocation pushes a local table that is deleted at
+`%mend`, and invocations nest at most `MACRO_DEPTH_LIMIT` deep.  A name
 repeated in a parameter list or in a call's argument list is an error.
 """
 
@@ -36,6 +38,7 @@ from .errors import (
 from .trace import EventKind, TraceSink
 
 RESCAN_LIMIT = 64
+MACRO_DEPTH_LIMIT = 100  # nested invocations; each nests two Python frames
 
 # module names for every reference, store and call (the hot-path rule in
 # syntax's docstring)
@@ -63,7 +66,10 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 # works out (line, col) only for a record or an error.  `\w` is exactly
 # `str.isalnum()` or "_", `\d` is `str.isdecimal()` and `\s` is `str.isspace()`;
 # no pattern class is "a letter or _", so `_is_ident_start` checks the first
-# character of a name.
+# character of a name.  After the `%let` keyword, one match of `_LET` reads the
+# name, the `=` and the value; only when it fails, or the name does not start
+# as a name, do the step helpers read the statement again, to raise the error
+# where they stop.  A syntax error points at the next non-space character.
 
 LET, PUT, CALL, MACRO, TEXT, ERROR = "let", "put", "call", "macro", "text", "error"
 
@@ -72,7 +78,7 @@ _NOT_NEWLINE = re.compile(r"[^\n]")
 _SPACE = re.compile(r"\s*")
 _WORD = re.compile(r"\w+")
 _OPEN_CODE = re.compile(r"\d+|[-+*/()=;,]|[^\s%&+\-*/()=;,]+")
-_LET_VALUE = re.compile(r"([^;]*);?")
+_LET = re.compile(r"\s*(\w+)\s*=([^;]*);?")  # name, '=' and value to ';'
 _PUT_END = re.compile(r";|(?=%(?:let|put|macro|mend)(?!\w))", re.I)
 _NESTING = re.compile(r"%(?:(macro)|mend)(?!\w)", re.I)
 _VALUE_END = re.compile(r"[(),]")
@@ -115,7 +121,7 @@ class _Scanner:
         return self._line, self._col
 
     def _error(self, message: str) -> MacroSyntaxError:
-        return MacroSyntaxError(message, *self._pos(self.i))
+        return MacroSyntaxError(message, *self._pos(_SPACE.match(self.src, self.i).end()))
 
     def _ident_at(self, i: int) -> str:
         """The identifier starting at offset i, or ''."""
@@ -172,12 +178,12 @@ class _Scanner:
         elif kw == "mend":
             self.stmts.append((ERROR, line, col, MacroSyntaxError, "%mend without %macro"))
         elif kw == "let":
-            var = self._expect_name("expected a name after %let")
-            if not self._take("="):
+            let = _LET.match(self.src, self.i)
+            if let is None or not _is_ident_start(let[1][0]):
+                self._expect_name("expected a name after %let")
                 raise self._error("expected '=' in %let")
-            value = _LET_VALUE.match(self.src, self.i)
-            self.stmts.append((LET, line, col, var, value.group(1).strip()))
-            self.i = value.end()
+            self.stmts.append((LET, line, col, let[1], let[2].strip()))
+            self.i = let.end()
         elif kw == "put":
             # raw text to ';'; a following macro statement keyword also ends
             # it, so a missing semicolon does not swallow the next statement
@@ -392,6 +398,9 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
     run innermost first), then rescan the substituted text so chained
     references resolve.  The rescan depth per original reference is capped;
     nothing is ever cached."""
+    if "&" not in text:
+        return text
+
     def substitute(ref: re.Match) -> str:
         name = ref.group(1)
         if not _is_ident_start(name[0]):
@@ -401,7 +410,8 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
         if owner is None:
             raise UnresolvedRefError(name)
         if _depth >= RESCAN_LIMIT:
-            raise DepthExceededError(name, RESCAN_LIMIT)
+            raise DepthExceededError(f"resolving '&{name}'", RESCAN_LIMIT,
+                                     "rescans (self-referential value?)")
         entry = owner.entries[key]
         trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
         return resolve_text(entry, tables, trace, _depth + 1)
@@ -535,6 +545,9 @@ class MacroSession:
         for key in overrides:
             if key not in param_names:
                 raise UnknownParamError(definition.name, key)
+        if len(self._tables) > MACRO_DEPTH_LIMIT:
+            raise DepthExceededError(f"invoking '%{definition.name}'", MACRO_DEPTH_LIMIT,
+                                     "nested invocations (recursive macro?)")
         ordinal = self._invocations.get(definition.name, 0) + 1
         self._invocations[definition.name] = ordinal
         table = SymbolTable(f"{definition.name}#{ordinal}", definition.name.upper())

@@ -96,6 +96,12 @@ class TestRun:
         assert main(["run", "--lang", lang, str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:{position}: error:")
 
+    def test_recursive_macro_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "recursive.ml"
+        path.write_text("%macro m(); %m() %mend;\n%m()\n")
+        assert main(["run", "--lang", "macro", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"{path}:1:13: error: invoking '%m' exceeded")
+
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"print(1 + 2)\n")))
         assert main(["run", "--lang", "func", "-"]) == 0

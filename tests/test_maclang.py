@@ -342,6 +342,23 @@ class TestInvocation:
             run_session("%macro m(); %put &ghost; %mend;\n%m()")
         assert (exc.value.line, exc.value.col) == (1, 13)
 
+    @pytest.mark.parametrize("depth", [maclang.MACRO_DEPTH_LIMIT, maclang.MACRO_DEPTH_LIMIT + 1])
+    def test_nested_invocations_are_bounded(self, depth):
+        """m0 calls m1 ... calls m{depth-1}: the limit itself runs, one more
+        raises at the innermost call, and every table is deleted."""
+        macros = "".join(f"%macro m{i}(); %m{i + 1}() %mend;\n" for i in range(depth - 1))
+        source = f"{macros}%macro m{depth - 1}(); %put deep; %mend;\n%m0()\n"
+        sink = TraceSink()
+        if depth <= maclang.MACRO_DEPTH_LIMIT:
+            assert run_session(source, sink).log_lines == ["deep"]
+        else:
+            with pytest.raises(DepthExceededError) as exc:
+                run_session(source, sink)
+            caller = f"%macro m{depth - 2}(); "  # line depth - 1 calls m{depth - 1}
+            assert (exc.value.line, exc.value.col) == (depth - 1, len(caller) + 1)
+            assert "exceeded 100 nested invocations" in exc.value.message
+        assert sink.count(EventKind.TABLE_CREATED) == sink.count(EventKind.TABLE_DELETED)
+
     def test_table_deleted_even_on_error(self):
         sink = TraceSink()
         session = MacroSession(sink)

@@ -11,7 +11,7 @@ from decimal import Decimal
 import pytest
 
 from lazylab.evaluator import run_program
-from lazylab.maclang import run_session
+from lazylab.maclang import MacroSession, run_session
 from lazylab.syntax import (
     Assign,
     Binary,
@@ -25,6 +25,7 @@ from lazylab.syntax import (
     parse_source,
     program_source,
 )
+from lazylab.trace import TraceSink
 
 BOUND = 8
 
@@ -76,6 +77,26 @@ def nested_evals(n: int) -> str:
     return "%put " + "%eval(" * n + "1" + " + 1)" * n + ";\n"
 
 
+def global_lets(n: int) -> str:
+    return "".join(f"%let v{i}=x{i};\n" for i in range(n))
+
+
+def references_in_put(n: int) -> str:
+    return "%let x=1;\n%put " + "&x " * n + ";\n"
+
+
+def globals_table(n: int) -> dict[str, str]:
+    return dict.fromkeys((f"v{i}" for i in range(n)), "x")
+
+
+def put_user(entries: dict[str, str]):
+    """`%put _user_` in a fresh session holding the entries as its globals,
+    stored directly: storing them by `%let` would cost more than listing them."""
+    session = MacroSession(TraceSink(keep=False))
+    session.global_table.entries = entries
+    session.put("_user_")
+
+
 CASES = {
     # construct: (n, input of size n, what is timed)
     "tokenize-and-parse": (600, straight_line, parse_source),
@@ -83,6 +104,9 @@ CASES = {
     "print-parse-round-trip": (180, function_body, lambda src: program_source(parse_source(src))),
     "named-arguments": (2500, named_arguments, lambda p: run_program(p, "strict")),
     "nested-evals": (1200, nested_evals, run_session),
+    "global-lets": (1600, global_lets, run_session),
+    "references-in-put": (5500, references_in_put, run_session),
+    "put-user": (17000, globals_table, put_user),
 }
 
 
