@@ -356,7 +356,7 @@ class TestInvocation:
                 run_session(source, sink)
             caller = f"%macro m{depth - 2}(); "  # line depth - 1 calls m{depth - 1}
             assert (exc.value.line, exc.value.col) == (depth - 1, len(caller) + 1)
-            assert "exceeded 100 nested invocations" in exc.value.message
+            assert f"exceeded {maclang.MACRO_DEPTH_LIMIT} nested" in exc.value.message
         assert sink.count(EventKind.TABLE_CREATED) == sink.count(EventKind.TABLE_DELETED)
 
     def test_table_deleted_even_on_error(self):
