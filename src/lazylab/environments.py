@@ -29,14 +29,12 @@ class EnvRegistry:
     Child creation and discarding of non-global frames are traced.
     """
 
+    global_id = 0
+
     def __init__(self, trace: TraceSink | None = None):
         self._trace = trace or TraceSink()
-        self._frames: dict[int, _Frame] = {0: _Frame(None)}
-        self._next_id = 1
-
-    @property
-    def global_id(self) -> int:
-        return 0
+        self._frames: dict[int, _Frame] = {self.global_id: _Frame(None)}
+        self._next_id = self.global_id + 1
 
     def _live(self, env: int) -> _Frame:
         frame = self._frames.get(env)

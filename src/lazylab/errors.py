@@ -32,9 +32,7 @@ class LexError(LazyLabError):
 
 
 class ParseError(LazyLabError):
-    def __init__(self, message: str, line: int, col: int, expected: tuple[str, ...] = ()):
-        super().__init__(message, line, col)
-        self.expected = expected
+    pass
 
 
 # --- environments
@@ -56,10 +54,8 @@ class CannotDiscardGlobalError(LazyLabError):
 # --- promises
 
 class CyclicForceError(LazyLabError):
-    def __init__(self, promise_id: int, label: str | None = None):
-        what = f"argument '{label}'" if label else f"promise {promise_id}"
-        super().__init__(f"cyclic forcing of {what}")
-        self.promise_id = promise_id
+    def __init__(self, label: str):
+        super().__init__(f"cyclic forcing of argument '{label}'")
 
 
 # --- evaluation
@@ -94,14 +90,14 @@ class MacroSyntaxError(LazyLabError):
 
 
 class DuplicateParamError(LazyLabError):
-    def __init__(self, name: str, line: int | None = None, col: int | None = None):
-        super().__init__(f"duplicate parameter '{name}'", line, col)
+    def __init__(self, name: str):
+        super().__init__(f"duplicate parameter '{name}'")
         self.name = name
 
 
 class UnterminatedMacroError(LazyLabError):
-    def __init__(self, name: str, line: int | None = None, col: int | None = None):
-        super().__init__(f"macro '{name}' has no matching %mend", line, col)
+    def __init__(self, name: str):
+        super().__init__(f"macro '{name}' has no matching %mend")
         self.name = name
 
 

@@ -72,8 +72,7 @@ class Vec:
 
 @dataclass(frozen=True)
 class Closure:
-    params: tuple[tuple[str, Expr | None], ...]
-    body: tuple[Stmt, ...]
+    defn: FunctionDef
     defined_in: int
 
 
@@ -147,12 +146,12 @@ class FunclangRun:
             if isinstance(e, VectorCtor):
                 return self._vector(e, env)
             if isinstance(e, FunctionDef):
-                return Closure(e.params, e.body, env)
+                return Closure(e, env)
             if isinstance(e, Call):
                 callee = self.eval_expr(e.callee, env)
                 if not isinstance(callee, Closure):
                     raise TypeMismatchError("call of a non-function value")
-                return self.call_closure(callee, e.args, env, e.pos)
+                return self.call_closure(callee, e.args, env)
         except LazyLabError as err:
             raise err.at(*e.pos)
         raise TypeError(f"not an expression: {e!r}")
@@ -216,17 +215,16 @@ class FunclangRun:
         f: Closure,
         args: tuple[tuple[str | None, Expr], ...],
         caller_env: int,
-        pos: tuple[int, int],
     ) -> Value:
         exec_env = self.envs.child(f.defined_in)
         try:
-            supplied = self._match_args(f.params, args, pos)
+            supplied = self._match_args(f.defn.params, args)
             strict = self.strategy is _STRICT
             if strict:
                 # Supplied args evaluate in the caller, in source order,
                 # before any default.
                 supplied = {p: self.eval_expr(e, caller_env) for p, e in supplied.items()}
-            for p, default in f.params:
+            for p, default in f.defn.params:
                 if p in supplied:
                     value = (supplied[p] if strict
                              else self.promises.new(supplied[p], caller_env, label=p))
@@ -238,7 +236,7 @@ class FunclangRun:
                     value = self.promises.new(default, exec_env, label=p)
                 self.envs.define(exec_env, p, value)
             result: Value | None = None
-            for stmt in f.body:
+            for stmt in f.defn.body:
                 result = self.exec_stmt(stmt, exec_env)
             assert result is not None  # parser rejects empty bodies
             return result
@@ -249,7 +247,6 @@ class FunclangRun:
     def _match_args(
         params: tuple[tuple[str, Expr | None], ...],
         args: tuple[tuple[str | None, Expr], ...],
-        pos: tuple[int, int],
     ) -> dict[str, Expr]:
         """Map each parameter given an argument to its expression, in source
         order.
@@ -260,14 +257,14 @@ class FunclangRun:
         names = {p for p, _ in params}
         for name, _expr in args:
             if name is not None and name not in names:
-                raise ArityError(f"unknown named argument '{name}'", *pos)
+                raise ArityError(f"unknown named argument '{name}'")
         named = {name for name, _expr in args}
         unfilled = iter([p for p, _ in params if p not in named])
         matched: dict[str, Expr] = {}
         for name, expr in args:
             name = name or next(unfilled, None)
             if name is None:
-                raise ArityError(f"too many arguments: expected at most {len(params)}", *pos)
+                raise ArityError(f"too many arguments: expected at most {len(params)}")
             matched[name] = expr
         return matched
 

@@ -5,7 +5,7 @@ generation for property tests.
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from json.encoder import encode_basestring_ascii
@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import LazyLabError
 from .evaluator import Strategy, run_program
-from .maclang import MacroSession
+from .maclang import run_session
 from .syntax import parse_source
 from .trace import EventKind, TraceEvent, TraceSink
 
@@ -39,12 +39,12 @@ class Metrics:
     `stored_text_bytes`, like `VAR_STORED`'s `bytes=`, counts the characters
     (code points) of the stored text, not its UTF-8 bytes."""
 
-    arg_evaluations: dict[str, int] = field(default_factory=dict)
-    arg_accesses: dict[str, int] = field(default_factory=dict)
-    var_resolutions: dict[str, int] = field(default_factory=dict)
-    forced_value_slots: int = 0
-    stored_text_bytes: int = 0
-    output_lines: int = 0
+    arg_evaluations: dict[str, int]
+    arg_accesses: dict[str, int]
+    var_resolutions: dict[str, int]
+    forced_value_slots: int
+    stored_text_bytes: int
+    output_lines: int
 
     def to_dict(self) -> dict:
         # a shallow copy: dataclasses.asdict gives the same JSON but took
@@ -82,13 +82,13 @@ def metrics_from_events(events: list[TraceEvent]) -> Metrics:
             if running > peak:
                 peak = running
         elif kind is _FORCED or kind is _REEVAL:
-            name = ev.param or "_"
+            name = ev.param
             accesses[name] = accesses.get(name, 0) + 1
             evaluations[name] = evaluations.get(name, 0) + 1
             if kind is _FORCED:
                 forced += 1
         elif kind is _CACHE_HIT:
-            name = ev.param or "_"
+            name = ev.param
             accesses[name] = accesses.get(name, 0) + 1
         elif kind is _DELETED:
             running -= sum(table_bytes.pop(ev.subject, {}).values())
@@ -119,7 +119,7 @@ def run_with_metrics(
         elif engine == "macro":
             if strategy is not None:
                 raise ValueError("strategy applies to the func engine only")
-            lines = MacroSession(sink).run(source).log_lines
+            lines = run_session(source, sink).log_lines
         else:
             raise ValueError(f"unknown engine {engine!r}")
     except LazyLabError as err:

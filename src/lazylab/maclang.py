@@ -59,8 +59,8 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 #   CALL   a = macro name as written, b = {lowercased argument name: raw text}
 #   MACRO  a = the MacroDef
 #   TEXT   a = one open-code word, forwarded to the compiler stream
-#   ERROR  a = error class, b = its first argument; raised at (line, col) only
-#          when execution reaches the record, so the statements before it run
+#   ERROR  a = error class, b = its one argument; raised as a(b) at (line, col)
+#          only when execution reaches the record, so the statements before it run
 #
 # The scanner moves forward over string offsets with compiled patterns and
 # works out (line, col) only for a record or an error.  `\w` is exactly
@@ -251,7 +251,7 @@ class _Scanner:
             self.stmts.append((ERROR, line, col, UnterminatedMacroError, name))
         else:
             self.stmts.append((MACRO, line, col, MacroDef(
-                name.lower(), list(params.items()), body, body_line, body_col), None))
+                name.lower(), params, body, body_line, body_col), None))
 
     def _body(self) -> str | None:
         """Capture the body verbatim up to the matching %mend and consume
@@ -479,10 +479,10 @@ def _evaluate(closed: list[list], trace: TraceSink) -> str:
 @dataclass
 class MacroDef:
     name: str
-    params: list[tuple[str, str]]  # (name, default text; may be empty)
-    body_text: str                 # stored verbatim, unresolved
-    body_line: int = 1
-    body_col: int = 1
+    params: dict[str, str]  # lowercased name -> default text (may be empty), in order
+    body_text: str          # stored verbatim, unresolved
+    body_line: int
+    body_col: int
     # statement records of body_text, scanned on first invocation
     body: list[tuple] | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -528,7 +528,7 @@ class MacroSession:
                 elif kind == MACRO:
                     self.macros[a.name] = a
                 else:
-                    raise a(b, line, col)
+                    raise a(b)
             except LazyLabError as err:
                 raise err.at(line, col)
 
@@ -541,9 +541,8 @@ class MacroSession:
         if definition is None:
             raise UnknownMacroError(name)
         overrides = {k.lower(): v for k, v in (overrides or {}).items()}
-        param_names = {p for p, _ in definition.params}
         for key in overrides:
-            if key not in param_names:
+            if key not in definition.params:
                 raise UnknownParamError(definition.name, key)
         if len(self._tables) > MACRO_DEPTH_LIMIT:
             raise DepthExceededError(f"invoking '%{definition.name}'", MACRO_DEPTH_LIMIT,
@@ -554,7 +553,7 @@ class MacroSession:
         self._tables.insert(0, table)
         self.trace.emit(_TABLE_CREATED, table.trace_label, text=definition.name)
         try:
-            for p, default in definition.params:
+            for p, default in definition.params.items():
                 self._store(table, p, overrides.get(p, default), origin="param")
             if definition.body is None:
                 definition.body = scan(definition.body_text,

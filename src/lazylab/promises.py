@@ -45,7 +45,7 @@ _NAME_REEVAL = EventKind.NAME_REEVAL
 class Promise:
     __slots__ = ("id", "expr", "env", "label", "state", "value")
 
-    def __init__(self, pid: int, expr: Expr, env: int, label: str | None):
+    def __init__(self, pid: int, expr: Expr, env: int, label: str):
         self.id = pid
         self.expr = expr
         self.env = env
@@ -65,8 +65,8 @@ class PromiseStore:
         self._trace = trace or TraceSink()
         self._next_id = 0
 
-    def new(self, expr: Expr, env: int, label: str | None = None) -> Promise:
-        """Wrap an expression without evaluating anything."""
+    def new(self, expr: Expr, env: int, label: str) -> Promise:
+        """Wrap an expression for the parameter `label` without evaluating anything."""
         if not self._envs.is_live(env):
             raise DiscardedEnvError(f"environment env{env} was discarded")
         p = Promise(self._next_id, expr, env, label)
@@ -81,7 +81,7 @@ class PromiseStore:
             self._trace.emit(_PROMISE_CACHE_HIT, f"promise{p.id}", param=p.label)
             return p.value
         if p.state is _FORCING:
-            raise CyclicForceError(p.id, p.label)
+            raise CyclicForceError(p.label)
         p.state = _FORCING
         try:
             value = evaluator(p.expr, p.env)
@@ -97,7 +97,7 @@ class PromiseStore:
     def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
         """Re-evaluate the wrapped expression; nothing is ever cached."""
         if p.state is _FORCING:
-            raise CyclicForceError(p.id, p.label)
+            raise CyclicForceError(p.label)
         p.state = _FORCING
         try:
             value = evaluator(p.expr, p.env)

@@ -244,13 +244,10 @@ class _Parser:
             self.i += 1
         return tok
 
-    def fail(self, expected: tuple[str, ...], tok: SrcToken | None = None):
-        tok = tok or self.peek()
+    def fail(self, expected: tuple[str, ...]):
+        tok = self.peek()
         shown = tok.text if tok.kind is not _EOF else "end of input"
-        raise ParseError(
-            f"expected {' or '.join(expected)}, found {shown!r}",
-            tok.line, tok.col, expected=expected,
-        )
+        raise ParseError(f"expected {' or '.join(expected)}, found {shown!r}", tok.line, tok.col)
 
     def opens_args(self, ahead: int) -> bool:
         """Is peek(ahead) a `(` on the same line as the token just before it?"""

@@ -53,10 +53,10 @@ class TraceEvent(NamedTuple):
 _DETAIL = {
     EventKind.ENV_CREATED: lambda e: f"parent=env{e.env}",
     EventKind.ENV_DISCARDED: lambda e: "",
-    EventKind.PROMISE_CREATED: lambda e: f"name={e.param or '_'} env=env{e.env} expr={e.expr}",
-    EventKind.PROMISE_FORCED: lambda e: f"name={e.param or '_'} value={e.text}",
-    EventKind.PROMISE_CACHE_HIT: lambda e: f"name={e.param or '_'}",
-    EventKind.NAME_REEVAL: lambda e: f"name={e.param or '_'} value={e.text}",
+    EventKind.PROMISE_CREATED: lambda e: f"name={e.param} env=env{e.env} expr={e.expr}",
+    EventKind.PROMISE_FORCED: lambda e: f"name={e.param} value={e.text}",
+    EventKind.PROMISE_CACHE_HIT: lambda e: f"name={e.param}",
+    EventKind.NAME_REEVAL: lambda e: f"name={e.param} value={e.text}",
     EventKind.TABLE_CREATED: lambda e: f"macro={e.text}",
     EventKind.TABLE_DELETED: lambda e: "",
     EventKind.VAR_STORED: lambda e: f"{e.table} {e.origin} bytes={len(e.text)} text={e.text}",

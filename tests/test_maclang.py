@@ -54,7 +54,7 @@ class TestScanner:
     def test_macro_definition_tokens(self):
         [(kind, line, col, d, _)] = scan("%macro lazy(x=5,y=&x*10,z=&a+&b);\n%let x=2;\n%mend;")
         assert (kind, line, col) == ("macro", 1, 1)
-        assert d.params == [("x", "5"), ("y", "&x*10"), ("z", "&a+&b")]
+        assert list(d.params.items()) == [("x", "5"), ("y", "&x*10"), ("z", "&a+&b")]
         assert (d.body_text, d.body_line, d.body_col) == ("\n%let x=2;\n", 1, 34)
 
     def test_comments_stripped(self):
@@ -255,13 +255,13 @@ class TestDefinitions:
         session = MacroSession()
         session.run("%macro lazy(x=5,y=&x*10,z=&a+&b);\n%mend;")
         d = session.macros["lazy"]
-        assert d.params == [("x", "5"), ("y", "&x*10"), ("z", "&a+&b")]
+        assert list(d.params.items()) == [("x", "5"), ("y", "&x*10"), ("z", "&a+&b")]
 
     def test_empty_macro(self):
         session = MacroSession()
         session.run("%macro m(); %mend;")
         d = session.macros["m"]
-        assert d.params == []
+        assert list(d.params.items()) == []
         assert d.body_text.strip() == ""
 
     def test_duplicate_parameter(self):
@@ -301,7 +301,7 @@ class TestDefinitions:
     def test_parameters_without_defaults_are_empty(self):
         session = MacroSession()
         session.run("%macro m(a, b); %put a=&a b=&b; %mend;\n%m(b=2)")
-        assert session.macros["m"].params == [("a", ""), ("b", "")]
+        assert list(session.macros["m"].params.items()) == [("a", ""), ("b", "")]
         assert session.log == ["a= b=2"]
 
     def test_macro_defined_in_a_body_runs(self):

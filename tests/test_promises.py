@@ -51,14 +51,14 @@ def test_new_promise_is_unforced_and_evaluates_nothing(store):
 
 def test_literal_promise_not_constant_folded(store):
     envs, promises, _ = store
-    p = promises.new(_expr("5"), envs.global_id)
+    p = promises.new(_expr("5"), envs.global_id, label="p")
     assert p.state is PromiseState.UNFORCED
 
 
 def test_wrapping_never_looks_names_up(store):
     envs, promises, _ = store
     # a and b are unbound everywhere; construction must still succeed
-    p = promises.new(_expr("a+b"), envs.global_id)
+    p = promises.new(_expr("a+b"), envs.global_id, label="p")
     assert p.state is PromiseState.UNFORCED
 
 
@@ -88,7 +88,7 @@ def test_new_over_discarded_env_rejected(store):
     child = envs.child(envs.global_id)
     envs.discard(child)
     with pytest.raises(DiscardedEnvError):
-        promises.new(_expr("1"), child)
+        promises.new(_expr("1"), child, label="p")
 
 
 def test_error_leaves_promise_unforced_and_retryable(store):
@@ -151,7 +151,7 @@ def test_occupancy_matches_forced_count(force_flags):
     sink = TraceSink()
     promises = PromiseStore(envs, sink)
     evaluator, _ = _counting_evaluator()
-    ps = [promises.new(_expr("1"), envs.global_id) for _ in force_flags]
+    ps = [promises.new(_expr("1"), envs.global_id, label="p") for _ in force_flags]
     for p, do_force in zip(ps, force_flags):
         if do_force:
             promises.force(p, evaluator)
@@ -166,7 +166,7 @@ def test_at_most_once_and_idempotent(n_forces):
     sink = TraceSink()
     promises = PromiseStore(envs, sink)
     evaluator, calls = _counting_evaluator(Num(Decimal(42)))
-    p = promises.new(_expr("e"), envs.global_id)
+    p = promises.new(_expr("e"), envs.global_id, label="p")
     results = {promises.force(p, evaluator) for _ in range(n_forces)}
     assert results == {Num(Decimal(42))}
     state, requests, evaluations = _metrics(sink, p)
