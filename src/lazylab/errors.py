@@ -23,6 +23,17 @@ class LazyLabError(Exception):
         return self.message
 
 
+# --- resource limits, in both engines
+
+class DepthExceededError(LazyLabError):
+    """A nesting deeper than its limit: parentheses and argument lists in the
+    funclang parser, calls and argument evaluations in the evaluator, macro
+    invocations, or rescans of a macro variable."""
+
+    def __init__(self, action: str, limit: int, levels: str):
+        super().__init__(f"{action} exceeded {limit} {levels}")
+
+
 # --- lexing / parsing
 
 class LexError(LazyLabError):
@@ -117,13 +128,6 @@ class UnresolvedRefError(LazyLabError):
     def __init__(self, name: str):
         super().__init__(f"unresolved reference '&{name}'")
         self.name = name
-
-
-class DepthExceededError(LazyLabError):
-    """A chain of rescans or of nested invocations longer than its limit."""
-
-    def __init__(self, action: str, limit: int, levels: str):
-        super().__init__(f"{action} exceeded {limit} {levels}")
 
 
 class ArithSyntaxError(LazyLabError):

@@ -13,6 +13,10 @@ Three strategies share one AST and one runtime:
 Supplied-argument promises capture the caller's environment; default
 promises capture the execution environment, so defaults see assignments made
 earlier in the body.
+
+A closure is its `FunctionDef` and the frame it was made in.  Closure calls
+and promise evaluations in progress (a cache hit is neither) nest at most
+`CALL_DEPTH_LIMIT` deep; one more is a positioned `DepthExceededError`.
 """
 
 import decimal
@@ -23,6 +27,7 @@ from enum import Enum
 from .environments import EnvRegistry
 from .errors import (
     ArityError,
+    DepthExceededError,
     DivisionByZeroError,
     LazyLabError,
     MissingArgError,
@@ -53,6 +58,12 @@ class Strategy(str, Enum):
     NEED = "need"
     NAME = "name"
 
+
+# A level nests five to six Python frames.  From a shallow stack on CPython
+# 3.10-3.13, the deepest runs at this bound and syntax.NESTING_LIMIT need at
+# most 615 of Python's default 1,000 frames; the rest is the callers'.
+CALL_DEPTH_LIMIT = 100
+_LEVELS = "nested calls and argument evaluations"
 
 # module names for every read and call (the hot-path rule in syntax's docstring)
 _STRICT = Strategy.STRICT
@@ -116,6 +127,7 @@ class FunclangRun:
         self.envs = EnvRegistry(self.trace)
         self.promises = PromiseStore(self.envs, self.trace)
         self.output = Output()
+        self.depth = 0  # closure calls and promise evaluations in progress
 
     def run(self, program: Program) -> Output:
         g = self.envs.global_id
@@ -160,11 +172,21 @@ class FunclangRun:
         binding = self.envs.lookup(env, name)
         if isinstance(binding, Promise):
             if self.strategy is _NAME:
-                return self.promises.evaluate_uncached(binding, self.eval_expr)
-            return self.promises.force(binding, self.eval_expr)
+                return self.promises.evaluate_uncached(binding, self._evaluate)
+            return self.promises.force(binding, self._evaluate)
         if binding is MISSING:
             raise MissingArgError(name)
         return binding
+
+    def _evaluate(self, e: Expr, env: int) -> Value:
+        """Evaluate a promise's expression, one level deeper."""
+        if self.depth >= CALL_DEPTH_LIMIT:
+            raise DepthExceededError("evaluating an argument", CALL_DEPTH_LIMIT, _LEVELS)
+        self.depth += 1
+        try:
+            return self.eval_expr(e, env)
+        finally:
+            self.depth -= 1
 
     def _binary(self, e: Binary, env: int) -> Value:
         # The parser builds `a + b + c` left-deep: walk its left spine in a
@@ -216,7 +238,10 @@ class FunclangRun:
         args: tuple[tuple[str | None, Expr], ...],
         caller_env: int,
     ) -> Value:
+        if self.depth >= CALL_DEPTH_LIMIT:
+            raise DepthExceededError("calling a function", CALL_DEPTH_LIMIT, _LEVELS)
         exec_env = self.envs.child(f.defined_in)
+        self.depth += 1
         try:
             supplied = self._match_args(f.defn.params, args)
             strict = self.strategy is _STRICT
@@ -241,6 +266,7 @@ class FunclangRun:
             assert result is not None  # parser rejects empty bodies
             return result
         finally:
+            self.depth -= 1
             self.envs.discard(exec_env)
 
     @staticmethod

@@ -6,7 +6,9 @@ per-parameter default expressions, calls with named or positional arguments,
 a flat vector constructor `c(...)`, and a `print(...)` statement.  There are
 no statement separators; a statement ends where the expression can no longer
 be extended.  The `(` of an argument list must be on the line where its callee
-ends, so a statement may start with a parenthesised expression.
+ends, so a statement may start with a parenthesised expression.  Parentheses,
+`( item, ... )` lists and chained calls `f()()` nest at most `NESTING_LIMIT`
+deep; the `(` beyond it is a positioned `DepthExceededError`.
 
 Hot-path rule, here and in the engines: hot code reads Enum members through
 private module-level names (`_EOF = TokKind.EOF`), because on CPython 3.11
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 
-from .errors import LexError, ParseError
+from .errors import DepthExceededError, LexError, ParseError
 
 Pos = tuple[int, int]
 NO_POS: Pos = (0, 0)
@@ -227,11 +229,17 @@ class Program:
 # binary operator precedence, read by the parser and the printer
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
+# A level nests at most six parser frames (a function as a parameter's
+# default) and two evaluator frames; evaluator.CALL_DEPTH_LIMIT gives the stack
+# that both bounds leave.
+NESTING_LIMIT = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[SrcToken]):
         self.toks = tokens
         self.i = 0
+        self.depth = 0  # open parentheses, lists and chained calls
 
     def peek(self, ahead: int = 0) -> SrcToken:
         # in bounds: advance() stops at the final EOF, and peek(1) is only
@@ -258,6 +266,18 @@ class _Parser:
         if self.peek().kind is not kind:
             self.fail((what,))
         return self.advance()
+
+    def open_paren(self):
+        """Consume a `(`, one level deeper until its close_paren()."""
+        tok = self.expect(_LPAREN, "'('")
+        self.depth += 1
+        if self.depth > NESTING_LIMIT:
+            raise DepthExceededError("opening '('", NESTING_LIMIT,
+                                     "nested parentheses, lists and calls").at(tok.line, tok.col)
+
+    def close_paren(self):
+        self.expect(_RPAREN, "')'")
+        self.depth -= 1
 
     # statements
 
@@ -299,9 +319,12 @@ class _Parser:
 
     def factor(self) -> Expr:
         e = self.primary()
+        depth = self.depth
         while self.opens_args(0):
             tok = self.peek()
             e = Call(e, tuple(self.comma_list(self.call_arg, set())), (tok.line, tok.col))
+            self.depth += 1  # the next call's tree holds this one
+        self.depth = depth
         return e
 
     def primary(self) -> Expr:
@@ -316,9 +339,9 @@ class _Parser:
                 return VectorCtor(tuple(self.comma_list(self.expression)), pos)
             return Ident(tok.text, pos)
         if tok.kind is _LPAREN:
-            self.advance()
+            self.open_paren()
             e = self.expression()
-            self.expect(_RPAREN, "')'")
+            self.close_paren()
             return e
         if tok.kind is _KW_FUNCTION:
             return self.function_def()
@@ -327,14 +350,14 @@ class _Parser:
 
     def comma_list(self, item, *args) -> list:
         """Read `( item, ... )`, calling item(*args) for each entry."""
-        self.expect(_LPAREN, "'('")
+        self.open_paren()
         items = []
         if self.peek().kind is not _RPAREN:
             items.append(item(*args))
             while self.peek().kind is _COMMA:
                 self.advance()
                 items.append(item(*args))
-        self.expect(_RPAREN, "')'")
+        self.close_paren()
         return items
 
     @staticmethod

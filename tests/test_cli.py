@@ -38,6 +38,12 @@ def prog2_macro(tmp_path):
     return str(path)
 
 
+SELF_CALL = "f <- function(){ f() }\nf()\n"
+NESTED_CALLS = "f <- function(x) { x }\ny <- " + "f(" * 170 + "1" + ")" * 170 + "\nprint(y)\n"
+DEFAULT_CHAIN = ("f <- function(" + ", ".join(["a0 = 1"] + [f"a{i} = a{i - 1}" for i in range(1, 331)])
+                 + ") { a330 }\nprint(f())\n")
+
+
 class TestRun:
     def test_func_need(self, prog1_func, capsys):
         assert main(["run", "--lang", "func", "--strategy", "need", prog1_func]) == 0
@@ -101,6 +107,45 @@ class TestRun:
         path.write_text("%macro m(); %m() %mend;\n%m()\n")
         assert main(["run", "--lang", "macro", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:1:13: error: invoking '%m' exceeded")
+
+    # each ended in a RecursionError traceback: the first three recurse for
+    # ever, the last three nest deeper than the evaluator's or the parser's bound
+    @pytest.mark.parametrize("source,strategy,error", [
+        (SELF_CALL, "strict", "1:19: error: calling a function exceeded 100"),
+        (SELF_CALL, "need", "1:19: error: calling a function exceeded 100"),
+        (SELF_CALL, "name", "1:19: error: calling a function exceeded 100"),
+        ("f <- function(x = f()) { x }\nf()\n", "need",
+         "1:20: error: calling a function exceeded 100"),
+        ("f <- function(x = f()) { x }\nf()\n", "name",
+         "1:20: error: calling a function exceeded 100"),
+        ("f <- function(x) { x + f(x + 1) }\nf(1)\n", "need",
+         "1:20: error: evaluating an argument exceeded 100"),
+        ("f <- function(x) { x + f(x + 1) }\nf(1)\n", "name",
+         "1:26: error: evaluating an argument exceeded 100"),
+        (NESTED_CALLS, "need", "2:207: error: opening '(' exceeded 100"),
+        (NESTED_CALLS, "name", "2:207: error: opening '(' exceeded 100"),
+        (DEFAULT_CHAIN, "need",
+         f"1:{DEFAULT_CHAIN.index('a232 = a231') + 8}: error: evaluating an argument exceeded 100"),
+        (DEFAULT_CHAIN, "name",
+         f"1:{DEFAULT_CHAIN.index('a232 = a231') + 8}: error: evaluating an argument exceeded 100"),
+        ("x <- " + "(" * 330 + "1" + ")" * 330 + "\n", "strict",
+         "1:106: error: opening '(' exceeded 100"),
+    ], ids=["self-call-strict", "self-call-need", "self-call-name", "default-call-need",
+            "default-call-name", "reread-chain-need", "reread-chain-name",
+            "nested-calls-need", "nested-calls-name", "default-chain-need",
+            "default-chain-name", "parentheses"])
+    def test_deep_recursion_is_a_diagnostic(self, tmp_path, capsys, source, strategy, error):
+        path = tmp_path / "deep.fl"
+        path.write_text(source)
+        assert main(["run", "--lang", "func", "--strategy", strategy, str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"{path}:{error} ")
+
+    def test_recursion_on_stdin_is_a_diagnostic_not_a_traceback(self):
+        proc = subprocess.run([sys.executable, "-m", "lazylab", "run", "--lang", "func", "-"],
+                              input=SELF_CALL, capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("<stdin>:1:19: error: calling a function exceeded 100")
+        assert "Traceback" not in proc.stderr
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"print(1 + 2)\n")))

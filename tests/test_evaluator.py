@@ -8,6 +8,7 @@ from lazylab.environments import _Frame
 from lazylab.errors import (
     ArityError,
     CyclicForceError,
+    DepthExceededError,
     DivisionByZeroError,
     LazyLabError,
     MissingArgError,
@@ -15,6 +16,7 @@ from lazylab.errors import (
     UnboundNameError,
 )
 from lazylab.evaluator import (
+    CALL_DEPTH_LIMIT,
     Closure,
     FunclangRun,
     Num,
@@ -22,9 +24,9 @@ from lazylab.evaluator import (
     Vec,
     run_program,
 )
-from lazylab.lab import metrics_from_events
+from lazylab.lab import metrics_from_events, run_with_metrics, trace_jsonl
 from lazylab.promises import Promise
-from lazylab.syntax import parse_source
+from lazylab.syntax import NESTING_LIMIT, parse_source
 from lazylab.trace import EventKind
 
 
@@ -273,6 +275,75 @@ class TestRunHygiene:
                 tracemalloc.stop()
 
         assert peak(4000) < 2 * peak(1000)
+
+
+def default_chain(first: str, links: int, body: str = "") -> str:
+    """`f` reads `a{links}`, whose default reads the one before, down to `a0 =
+    first`: a0 is evaluated `links + 2` levels deep (the call and each default)."""
+    params = ", ".join([f"a0 = {first}"] + [f"a{i} = a{i - 1}" for i in range(1, links + 1)])
+    return f"f <- function({params}) {{ {body}a{links} }}\nprint(f())\n"
+
+
+class TestDepthBounds:
+    LINKS = CALL_DEPTH_LIMIT - 2  # a0 is evaluated at the deepest level admitted
+
+    @pytest.mark.parametrize("strategy", [Strategy.NEED, Strategy.NAME])
+    def test_deepest_admitted_level_runs_and_one_more_fails(self, strategy):
+        assert run(default_chain("7", self.LINKS), strategy).lines == ["7"]
+        r = FunclangRun(strategy)
+        with pytest.raises(DepthExceededError) as exc:
+            r.run(parse_source(default_chain("7", self.LINKS + 1)))
+        assert exc.value.message == ("evaluating an argument exceeded 100 nested calls "
+                                     "and argument evaluations")
+        read = default_chain("7", self.LINKS + 1).index("a1 = a0") + len("a1 = ") + 1
+        assert (exc.value.line, exc.value.col) == (1, read)
+        assert r.depth == 0
+        assert r.trace.count(EventKind.ENV_CREATED) == r.trace.count(EventKind.ENV_DISCARDED)
+
+    def test_a_cache_hit_is_not_a_level(self):
+        # z is forced at depth 2, then read again at the deepest level: need
+        # hits the cache there, name evaluates it once more
+        source = "z <- 5\n" + default_chain("z", self.LINKS).replace(
+            "function(a0", "function(z = 3, a0").replace("{ a", "{ z + a")
+        assert run(source, Strategy.NEED).lines == ["6"]
+        with pytest.raises(DepthExceededError):
+            run(source, Strategy.NAME)
+
+    def test_calls_count_like_evaluations(self):
+        recursive = "f <- function(n) { n + f(n - 1) }\nf(1)\n"
+        for strategy in Strategy:
+            r = FunclangRun(strategy)
+            with pytest.raises(DepthExceededError) as exc:
+                r.run(parse_source(recursive))
+            assert exc.value.message.startswith(("calling a function exceeded 100",
+                                                 "evaluating an argument exceeded 100"))
+            assert r.depth == 0
+            assert r.trace.count(EventKind.ENV_CREATED) == r.trace.count(EventKind.ENV_DISCARDED)
+
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("deep,value", [
+        # the parameter list is one level, so each default nests NESTING_LIMIT
+        ("(1 + " * (NESTING_LIMIT - 1) + "1" + ")" * (NESTING_LIMIT - 1), str(NESTING_LIMIT)),
+        ("c(1, " * (NESTING_LIMIT - 1) + "1" + ")" * (NESTING_LIMIT - 1),
+         " ".join(["1"] * NESTING_LIMIT)),
+        ("g(" * (NESTING_LIMIT - 1) + "1" + ")" * (NESTING_LIMIT - 1), "1"),
+    ], ids=["parentheses", "vectors", "calls"])
+    def test_both_bounds_together_fit_the_stack(self, strategy, deep, value):
+        """The deepest nesting the parser admits, as a default read at the
+        deepest level the evaluator admits, ends in output or the positioned
+        error, traced or not."""
+        source = "g <- function(x) { x }\n" + default_chain(deep, self.LINKS)
+        deeper = source.replace("a0 = ", "a0 = (", 1).replace(", a1 =", "), a1 =", 1)
+        with pytest.raises(DepthExceededError):
+            parse_source(deeper)
+        try:
+            lines = run(source, strategy).lines
+            traced, metrics, events = run_with_metrics(source, "func", strategy)
+            trace_jsonl(events, metrics)
+        except DepthExceededError as err:
+            assert err.line is not None
+        else:
+            assert lines == traced == [value]
 
 
 class TestPromiseMetricsThroughRuns:
