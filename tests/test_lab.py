@@ -3,6 +3,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from lazylab.lab import (
     trace_jsonl,
 )
 from lazylab.maclang import run_session
-from lazylab.syntax import Ident, parse_source
+from lazylab.syntax import Expr, FunctionDef, Ident, Stmt, parse_source
 from lazylab.trace import EventKind, TraceEvent
 
 
@@ -217,6 +218,36 @@ class TestGenerator:
         reevals = [e for e in name_events if e.kind is EventKind.NAME_REEVAL
                    and "name=p " in e.detail + " "]
         assert len(reevals) == 2
+
+
+def _parameter_names(source: str) -> set[str]:
+    """The parameter names of every FunctionDef in the program."""
+    names, todo = set(), list(parse_source(source).stmts)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):
+            todo.extend(node)
+        elif isinstance(node, (Expr, Stmt)):
+            if isinstance(node, FunctionDef):
+                names.update(p for p, _ in node.params)
+            todo.extend(getattr(node, f.name) for f in fields(node))
+    return names
+
+
+_PROMISE_KINDS = (EventKind.PROMISE_CREATED, EventKind.PROMISE_FORCED,
+                  EventKind.PROMISE_CACHE_HIT, EventKind.NAME_REEVAL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 499).map(generate_program),
+                 st.integers(0, 199).map(generate_divergent)),
+       st.sampled_from([Strategy.NEED, Strategy.NAME]))
+def test_every_promise_event_names_a_parameter(source, strategy):
+    params = _parameter_names(source)
+    _, _, events = run_with_metrics(source, "func", strategy)
+    labels = [ev.param for ev in events if ev.kind in _PROMISE_KINDS]
+    assert labels
+    assert all(label in params for label in labels)
 
 
 # any character, lone surrogates included, with quotes, backslashes, C0

@@ -73,6 +73,23 @@ def named_arguments(n: int) -> Program:
                     PrintStmt(Call(Ident("f"), args))))
 
 
+def parameters(n: int) -> Program:
+    """`f <- function(a0 = 0, ...) { a0 + ... }` then `print(f())`, built as
+    a tree like named_arguments."""
+    params = tuple((f"a{i}", NumberLit(Decimal(i))) for i in range(n))
+    total = Ident("a0")
+    for i in range(1, n):
+        total = Binary("+", total, Ident(f"a{i}"))
+    return Program((Assign("f", FunctionDef(params, (ExprStmt(total),))),
+                    PrintStmt(Call(Ident("f"), ()))))
+
+
+def macro_arguments(n: int) -> str:
+    params = ", ".join(f"p{i}=" for i in range(n))
+    args = ", ".join(f"p{i}={i}" for i in range(n))
+    return f"%macro m({params});\n%put &p0 &p{n - 1};\n%mend;\n%m({args})\n"
+
+
 def nested_evals(n: int) -> str:
     return "%put " + "%eval(" * n + "1" + " + 1)" * n + ";\n"
 
@@ -103,6 +120,8 @@ CASES = {
     "vector-length": (2000, vector, lambda src: run_program(parse_source(src), "need")),
     "print-parse-round-trip": (180, function_body, lambda src: program_source(parse_source(src))),
     "named-arguments": (2500, named_arguments, lambda p: run_program(p, "strict")),
+    "parameters": (3000, parameters, lambda p: run_program(p, "need")),
+    "macro-arguments": (1400, macro_arguments, run_session),
     "nested-evals": (1200, nested_evals, run_session),
     "global-lets": (1600, global_lets, run_session),
     "references-in-put": (5500, references_in_put, run_session),
