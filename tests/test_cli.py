@@ -42,6 +42,8 @@ SELF_CALL = "f <- function(){ f() }\nf()\n"
 NESTED_CALLS = "f <- function(x) { x }\ny <- " + "f(" * 170 + "1" + ")" * 170 + "\nprint(y)\n"
 DEFAULT_CHAIN = ("f <- function(" + ", ".join(["a0 = 1"] + [f"a{i} = a{i - 1}" for i in range(1, 331)])
                  + ") { a330 }\nprint(f())\n")
+# the read of a231 in `a232 = a231` would be the 101st level: the call and 100 defaults
+DEFAULT_CHAIN_READ = DEFAULT_CHAIN.index("a232 = a231") + len("a232 = ") + 1
 
 
 class TestRun:
@@ -125,9 +127,9 @@ class TestRun:
         (NESTED_CALLS, "need", "2:207: error: opening '(' exceeded 100"),
         (NESTED_CALLS, "name", "2:207: error: opening '(' exceeded 100"),
         (DEFAULT_CHAIN, "need",
-         f"1:{DEFAULT_CHAIN.index('a232 = a231') + 8}: error: evaluating an argument exceeded 100"),
+         f"1:{DEFAULT_CHAIN_READ}: error: evaluating an argument exceeded 100"),
         (DEFAULT_CHAIN, "name",
-         f"1:{DEFAULT_CHAIN.index('a232 = a231') + 8}: error: evaluating an argument exceeded 100"),
+         f"1:{DEFAULT_CHAIN_READ}: error: evaluating an argument exceeded 100"),
         ("x <- " + "(" * 330 + "1" + ")" * 330 + "\n", "strict",
          "1:106: error: opening '(' exceeded 100"),
     ], ids=["self-call-strict", "self-call-need", "self-call-name", "default-call-need",

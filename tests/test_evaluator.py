@@ -277,11 +277,11 @@ class TestRunHygiene:
         assert peak(4000) < 2 * peak(1000)
 
 
-def default_chain(first: str, links: int, body: str = "") -> str:
+def default_chain(first: str, links: int) -> str:
     """`f` reads `a{links}`, whose default reads the one before, down to `a0 =
     first`: a0 is evaluated `links + 2` levels deep (the call and each default)."""
     params = ", ".join([f"a0 = {first}"] + [f"a{i} = a{i - 1}" for i in range(1, links + 1)])
-    return f"f <- function({params}) {{ {body}a{links} }}\nprint(f())\n"
+    return f"f <- function({params}) {{ a{links} }}\nprint(f())\n"
 
 
 class TestDepthBounds:
@@ -303,13 +303,13 @@ class TestDepthBounds:
     def test_a_cache_hit_is_not_a_level(self):
         # z is forced at depth 2, then read again at the deepest level: need
         # hits the cache there, name evaluates it once more
-        source = "z <- 5\n" + default_chain("z", self.LINKS).replace(
+        source = default_chain("z", self.LINKS).replace(
             "function(a0", "function(z = 3, a0").replace("{ a", "{ z + a")
         assert run(source, Strategy.NEED).lines == ["6"]
         with pytest.raises(DepthExceededError):
             run(source, Strategy.NAME)
 
-    def test_calls_count_like_evaluations(self):
+    def test_counter_and_frames_unwind_after_the_error(self):
         recursive = "f <- function(n) { n + f(n - 1) }\nf(1)\n"
         for strategy in Strategy:
             r = FunclangRun(strategy)
