@@ -64,7 +64,7 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 #
 # The scanner moves forward over string offsets with compiled patterns and
 # works out (line, col) only for a record or an error.  `\w` is exactly
-# `str.isalnum()` or "_", `\d` is `str.isdecimal()` and `\s` is `str.isspace()`;
+# `str.isalnum()` plus `_`, `\d` is `str.isdecimal()` and `\s` is `str.isspace()`;
 # no pattern class is "a letter or _", so `_is_ident_start` checks the first
 # character of a name.  After the `%let` keyword, one match of `_LET` reads the
 # name, the `=` and the value; only when it fails, or the name does not start
