@@ -80,11 +80,6 @@ def _diagnose(input_name: str, err: LazyLabError, context: str = "") -> None:
     print(text, file=sys.stderr)
 
 
-def _usage(message: str) -> int:
-    print(f"lazylab: error: {message}", file=sys.stderr)
-    return 2
-
-
 def _read_input(path: str) -> str:
     """The text of a file or of stdin ('-'), decoded strictly as UTF-8; CRLF
     and CR line ends are read as LF, as text-mode files read them."""
@@ -103,20 +98,12 @@ def _read_input(path: str) -> str:
                        before.count("\n") + 1, len(before) - before.rfind("\n")) from None
 
 
-def _check_strategy(args) -> Strategy | None:
-    if args.lang == "macro":
-        if args.strategy is not None:
-            raise _UsageError("--strategy is only valid with --lang func")
-        return None
-    return Strategy(args.strategy or "need")
-
-
-class _UsageError(Exception):
-    pass
+def _strategy(args) -> Strategy | None:
+    return Strategy(args.strategy or "need") if args.lang == "func" else None
 
 
 def _cmd_run(args) -> int:
-    strategy = _check_strategy(args)
+    strategy = _strategy(args)
     try:
         source = _read_input(args.input)
         if args.lang == "func":
@@ -140,7 +127,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    strategy = _check_strategy(args)
+    strategy = _strategy(args)
     try:
         _, metrics, events = run_with_metrics(_read_input(args.input), args.lang, strategy)
     except LazyLabError as err:
@@ -216,10 +203,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as ex:
         return int(ex.code or 0)
+    if getattr(args, "lang", None) == "macro" and args.strategy is not None:
+        print("lazylab: error: --strategy is only valid with --lang func", file=sys.stderr)
+        return 2
     try:
         return args.handler(args)
-    except _UsageError as ex:
-        return _usage(str(ex))
     except OSError as ex:
         print(f"lazylab: error: {ex}", file=sys.stderr)
         return 1

@@ -73,27 +73,26 @@ _SINGLE = {
 
 
 def tokenize(source: str) -> list[SrcToken]:
-    """Split funclang source into tokens; `#` starts a comment to end of line."""
+    """Split funclang source into tokens; `#` starts a comment to end of line.
+    A column is the offset from the start of its line, plus one."""
     tokens: list[SrcToken] = []
     append = tokens.append
-    i, line, col, n = 0, 1, 1, len(source)
+    i, line, start, n = 0, 1, 0, len(source)
     while i < n:
         ch = source[i]
         if ch == "\n":
             i += 1
             line += 1
-            col = 1
+            start = i
         elif ch in " \t\r":
             i += 1
-            col += 1
         elif ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
+            i = source.find("\n", i)
+            if i < 0:
+                i = n
         elif ch in _SINGLE:
-            append(SrcToken(_SINGLE[ch], ch, line, col))
+            append(SrcToken(_SINGLE[ch], ch, line, i - start + 1))
             i += 1
-            col += 1
         elif ch.isdecimal():
             j = i + 1
             while j < n and source[j].isdecimal():
@@ -102,24 +101,22 @@ def tokenize(source: str) -> list[SrcToken]:
                 j += 2
                 while j < n and source[j].isdecimal():
                     j += 1
-            append(SrcToken(_NUMBER, source[i:j], line, col))
-            col += j - i
+            append(SrcToken(_NUMBER, source[i:j], line, i - start + 1))
             i = j
         elif ch.isalpha() or ch == "_":
             j = i + 1
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
             text = source[i:j]
-            append(SrcToken(_KW_FUNCTION if text == "function" else _IDENT, text, line, col))
-            col += j - i
+            append(SrcToken(_KW_FUNCTION if text == "function" else _IDENT, text, line,
+                            i - start + 1))
             i = j
         elif ch == "<" and source.startswith("-", i + 1):
-            append(SrcToken(_ASSIGN, "<-", line, col))
+            append(SrcToken(_ASSIGN, "<-", line, i - start + 1))
             i += 2
-            col += 2
         else:
-            raise LexError(f"unexpected character {ch!r}", line, col, char=ch)
-    append(SrcToken(_EOF, "", line, col))
+            raise LexError(f"unexpected character {ch!r}", line, i - start + 1, char=ch)
+    append(SrcToken(_EOF, "", line, n - start + 1))
     return tokens
 
 
@@ -431,7 +428,7 @@ _ATOM_PREC = 9
 
 
 def expr_source(e: Expr) -> str:
-    return _expr_source(e, 0, False, 0)
+    return _expr_source(e, 0, False)
 
 
 # str() of an expression is its canonical source, which is how trace details
@@ -439,7 +436,7 @@ def expr_source(e: Expr) -> str:
 Expr.__str__ = expr_source
 
 
-def _expr_source(e: Expr, parent_prec: int, right_side: bool, indent: int) -> str:
+def _expr_source(e: Expr, parent_prec: int, right_side: bool) -> str:
     if isinstance(e, NumberLit):
         return format_number(e.value)
     if isinstance(e, Ident):
@@ -450,45 +447,44 @@ def _expr_source(e: Expr, parent_prec: int, right_side: bool, indent: int) -> st
         prec = _PREC[e.op]
         node, right = e, []
         while isinstance(node, Binary) and _PREC[node.op] == prec:
-            right.append(f" {node.op} {_expr_source(node.rhs, prec, True, indent)}")
+            right.append(f" {node.op} {_expr_source(node.rhs, prec, True)}")
             node = node.lhs
-        text = _expr_source(node, prec, False, indent) + "".join(reversed(right))
+        text = _expr_source(node, prec, False) + "".join(reversed(right))
         if prec < parent_prec or (prec == parent_prec and right_side):
             return f"({text})"
         return text
     if isinstance(e, Call):
-        callee = _expr_source(e.callee, _ATOM_PREC, False, indent)
+        callee = _expr_source(e.callee, _ATOM_PREC, False)
         if isinstance(e.callee, (Binary, FunctionDef)):
             callee = f"({callee})"
         args = ", ".join(
-            f"{name} = {_expr_source(arg, 0, False, indent)}" if name
-            else _expr_source(arg, 0, False, indent)
+            f"{name} = {_expr_source(arg, 0, False)}" if name
+            else _expr_source(arg, 0, False)
             for name, arg in e.args
         )
         return f"{callee}({args})"
     if isinstance(e, VectorCtor):
-        inner = ", ".join(_expr_source(el, 0, False, indent) for el in e.elements)
+        inner = ", ".join(_expr_source(el, 0, False) for el in e.elements)
         return f"c({inner})"
     if isinstance(e, FunctionDef):
         params = ", ".join(
-            f"{name} = {_expr_source(default, 0, False, indent)}" if default is not None
+            f"{name} = {_expr_source(default, 0, False)}" if default is not None
             else name
             for name, default in e.params
         )
-        pad = "  " * indent
-        body = "\n".join(stmt_source(s, indent + 1) for s in e.body)
-        return f"function({params}) {{\n{body}\n{pad}}}"
+        # the body is one step in, and so is every line of a function in it
+        body = "\n".join(stmt_source(s) for s in e.body).replace("\n", "\n  ")
+        return f"function({params}) {{\n  {body}\n}}"
     raise TypeError(f"not an expression: {e!r}")
 
 
-def stmt_source(s: Stmt, indent: int = 0) -> str:
-    pad = "  " * indent
+def stmt_source(s: Stmt) -> str:
     if isinstance(s, Assign):
-        return f"{pad}{s.name} <- {_expr_source(s.expr, 0, False, indent)}"
+        return f"{s.name} <- {_expr_source(s.expr, 0, False)}"
     if isinstance(s, PrintStmt):
-        return f"{pad}print({_expr_source(s.expr, 0, False, indent)})"
+        return f"print({_expr_source(s.expr, 0, False)})"
     if isinstance(s, ExprStmt):
-        return f"{pad}{_expr_source(s.expr, 0, False, indent)}"
+        return _expr_source(s.expr, 0, False)
     raise TypeError(f"not a statement: {s!r}")
 
 
