@@ -133,8 +133,8 @@ class FunclangRun:
         g = self.envs.global_id
         for stmt in program.stmts:
             value = self.exec_stmt(stmt, g)
-            if isinstance(stmt, ExprStmt):
-                self.output.result = value
+            # the result is the value of a bare expression that ends the program
+            self.output.result = value if isinstance(stmt, ExprStmt) else None
         return self.output
 
     def exec_stmt(self, stmt: Stmt, env: int) -> Value:

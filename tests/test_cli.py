@@ -68,6 +68,11 @@ class TestRun:
         main(["run", "--lang", "func", "--strategy", "name", prog2_func])
         assert capsys.readouterr().out == "20\n100\n100\n"
 
+    def test_bare_expression_before_the_last_statement_is_not_echoed(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"1 + 1\nprint(5)\n")))
+        assert main(["run", "--lang", "func", "-"]) == 0
+        assert capsys.readouterr().out == "5\n"
+
     def test_program_error_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "bad.fl"
         path.write_text("x <- 1\ny <- nosuch\n")

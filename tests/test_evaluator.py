@@ -204,6 +204,8 @@ class TestValuesAndPrinting:
         assert out.result == Num(Decimal(2))
         out = run("x <- 1\n")
         assert out.result is None
+        out = run("1 + 1\nprint(5)\n")
+        assert out.result is None
 
 
 class TestRunHygiene:
