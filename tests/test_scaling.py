@@ -11,6 +11,7 @@ from decimal import Decimal
 import pytest
 
 from lazylab.evaluator import run_program
+from lazylab.lab import trace_jsonl
 from lazylab.maclang import MacroSession, run_session
 from lazylab.syntax import (
     Assign,
@@ -84,6 +85,29 @@ def parameters(n: int) -> Program:
                     PrintStmt(Call(Ident("f"), ()))))
 
 
+def body_statements(n: int) -> Program:
+    """`f <- function() { a0 <- 0; a1 <- a0 + 1; ... }` then `print(f())`,
+    built as a tree like named_arguments."""
+    body = [Assign("a0", NumberLit(Decimal(0)))]
+    body += (Assign(f"a{i}", Binary("+", Ident(f"a{i - 1}"), NumberLit(Decimal(1))))
+             for i in range(1, n))
+    return Program((Assign("f", FunctionDef((), (*body, ExprStmt(Ident(f"a{n - 1}"))))),
+                    PrintStmt(Call(Ident("f"), ()))))
+
+
+def name_rereads(n: int) -> Program:
+    """`f <- function(a = 1, b = a) { b + b + ... }` then `print(f())`, built
+    as a tree: under name each read of `b` evaluates its default again, which
+    reads `a`.  CALL_DEPTH_LIMIT caps a promise chain's depth, so the number
+    of re-reads is what scales."""
+    total = Ident("b")
+    for _ in range(1, n):
+        total = Binary("+", total, Ident("b"))
+    params = (("a", NumberLit(Decimal(1))), ("b", Ident("a")))
+    return Program((Assign("f", FunctionDef(params, (ExprStmt(total),))),
+                    PrintStmt(Call(Ident("f"), ()))))
+
+
 def macro_arguments(n: int) -> str:
     params = ", ".join(f"p{i}=" for i in range(n))
     args = ", ".join(f"p{i}={i}" for i in range(n))
@@ -94,8 +118,27 @@ def nested_evals(n: int) -> str:
     return "%put " + "%eval(" * n + "1" + " + 1)" * n + ";\n"
 
 
+def eval_sum(n: int) -> str:
+    return "%put %eval(" + "+".join(["1"] * n) + ");\n"
+
+
 def global_lets(n: int) -> str:
     return "".join(f"%let v{i}=x{i};\n" for i in range(n))
+
+
+def macro_body(n: int) -> str:
+    return f"%macro m();\n{global_lets(n)}%mend;\n%m()\n"
+
+
+def macro_definitions(n: int) -> str:
+    return "".join(f"%macro m{i}(a=);\n%put &a;\n%mend;\n" for i in range(n))
+
+
+def traced_lets(n: int) -> list:
+    """The events of a traced session of n `%let`s."""
+    sink = TraceSink()
+    run_session(global_lets(n), sink)
+    return sink.events
 
 
 def references_in_put(n: int) -> str:
@@ -126,6 +169,12 @@ CASES = {
     "global-lets": (1600, global_lets, run_session),
     "references-in-put": (5500, references_in_put, run_session),
     "put-user": (17000, globals_table, put_user),
+    "eval-sum": (3000, eval_sum, run_session),
+    "macro-body": (1500, macro_body, run_session),
+    "macro-definitions": (400, macro_definitions, run_session),
+    "body-statements": (1500, body_statements, lambda p: run_program(p, "need")),
+    "name-rereads": (1500, name_rereads, lambda p: run_program(p, "name")),
+    "trace-jsonl": (6000, traced_lets, trace_jsonl),
 }
 
 
