@@ -113,6 +113,16 @@ MACRO_ERRORS = {
     "let-name-starts-with-superscript": "%let \u00b2=1;\n",
     "let-at-end": "%let",
     "let-joined-to-name": "%letx=1;\n",
+    "let-value-over-lines-then-unresolved": "%let x=a\n  b\n  c;\n   %put &nope;\n",
+    "let-in-body-then-unresolved": (
+        "%macro m();\n"
+        "  %let a=1;\n"
+        "  %put &zz;\n"
+        "%mend;\n"
+        "%m()\n"
+    ),
+    "let-joined-to-digit": "%let2=3;\n",
+    "let-name-starts-with-fraction": "%let \u00bd=1;\n",
 }
 
 # Each edge program runs to the end: `%let` and `%put` spellings the scanner
@@ -124,6 +134,11 @@ MACRO_EDGES = {
     "let-empty-value": "%let x=;\n",
     "let-comment-in-value": "%let x=a /* c ; */ b;\n",
     "put-ended-by-let": "%put a\n%let y=2;\n",
+    "let-mixed-case-keyword": "%LeT x=1;\n%put [&x];\n",
+    "let-underscore-name": "%let _x=1; %put &_x;\n",
+    "let-non-ascii-name": "%let \u00e9=1; %put &\u00e9;\n",
+    "let-statements-without-space": "%let x=1;%let y=2;%put &x&y;\n",
+    "let-value-over-crlf": "%let x=a\r\nb;\r\n%put [&x];\n",
 }
 
 BENCH_WORKLOADS = ("call_chain", "macro_invoke", "macro_store")
