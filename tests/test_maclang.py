@@ -560,3 +560,58 @@ def test_scan_records_point_at_their_statements(source, line, col):
             assert source.startswith(b, at)
         else:
             assert source[at] == "%"
+
+
+def _next_non_space(source, i):
+    while i < len(source) and source[i].isspace():
+        i += 1
+    return i
+
+
+def _line_col(source, i):
+    return source.count("\n", 0, i) + 1, i - source.rfind("\n", 0, i)
+
+
+_EARLIER_LINE = st.sampled_from(["", " \t", "/* c */", "%put a;", "x", "%let w=0;"])
+_NAME_CHARS = "aZ_1\u00e9\u00b2\u00bd\u0663"  # a Z _ 1 é ² ½ ٣
+_NAME = st.text(_NAME_CHARS, max_size=4) | st.builds(
+    str.__add__, st.sampled_from("aZ_\u00e9"), st.text(_NAME_CHARS, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EARLIER_LINE, max_size=4), st.text(" \t", max_size=3),
+       st.lists(st.booleans(), min_size=3, max_size=3),
+       st.text(" \t\r\n", min_size=1, max_size=3), _NAME,
+       st.text(" \t\r\n", max_size=3), st.booleans(),
+       st.text(" \t\r\na1\u00e9=%&(),", max_size=8), st.booleans())
+def test_let_gives_its_record_or_a_positioned_error(
+        earlier, indent, upper, space, name, space_after, equals, value, semicolon):
+    """Oracle: after the keyword and whitespace, the name is the longest run
+    of `str.isalnum()` characters and `_`, and it must start with a letter or
+    `_`; then whitespace, `=`, and the value up to `;` or the end.  Anything
+    else raises at the next non-space character."""
+    keyword = "".join(c.upper() if up else c for c, up in zip("let", upper))
+    prefix = "".join(line + "\n" for line in earlier) + indent
+    source = (prefix + "%" + keyword + space + name + space_after
+              + "=" * equals + value + ";" * semicolon)
+    earlier_records = sum(line.strip() not in ("", "/* c */") for line in earlier)
+    start = _next_non_space(source, len(prefix) + 4)
+    end = start
+    while end < len(source) and (source[end].isalnum() or source[end] == "_"):
+        end += 1
+    at = _next_non_space(source, end)
+    if start == end or not (source[start].isalpha() or source[start] == "_"):
+        expected = ("expected a name after %let", *_line_col(source, start))
+    elif not source.startswith("=", at):
+        expected = ("expected '=' in %let", *_line_col(source, at))
+    else:
+        stop = source.find(";", at)
+        raw = source[at + 1:] if stop < 0 else source[at + 1:stop]
+        records = scan(source)
+        assert len(records) == earlier_records + 1
+        assert records[-1] == ("let", *_line_col(source, len(prefix)), source[start:end],
+                               raw.strip())
+        return
+    with pytest.raises(MacroSyntaxError) as exc:
+        scan(source)
+    assert (exc.value.message, exc.value.line, exc.value.col) == expected
