@@ -123,6 +123,7 @@ MACRO_ERRORS = {
     ),
     "let-joined-to-digit": "%let2=3;\n",
     "let-name-starts-with-fraction": "%let \u00bd=1;\n",
+    "indented-let-unresolved-in-value": "%put a;\n  %let x=&nope;\n",
 }
 
 # Each edge program runs to the end: `%let` and `%put` spellings the scanner
