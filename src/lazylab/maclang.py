@@ -4,8 +4,9 @@ The scanner turns source into statement records that the session executes
 in order.  It and the `&` and `%eval(` passes move forward over string
 offsets with compiled patterns; a (line, col) is worked out only for a record
 or an error, and a macro body's records count from where the body starts in
-the source.  A `%let` statement is read by one pattern match.  Digits are
-decimal digits (`str.isdecimal`).  Macro bodies are stored verbatim and
+the source.  One anchored match at the loop's head reads a whole `%let`;
+the step helpers read one only to raise its error.  Digits are decimal
+digits (`str.isdecimal`).  Macro bodies are stored verbatim and
 scanned once, on their first invocation.  Parameter defaults and call
 arguments are stored as raw text, `%let` values as the text left after
 resolving them; every `&name` is re-resolved at every use, from the innermost
@@ -66,10 +67,10 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 # works out (line, col) only for a record or an error.  `\w` is exactly
 # `str.isalnum()` plus `_`, `\d` is `str.isdecimal()` and `\s` is `str.isspace()`;
 # no pattern class is "a letter or _", so `_is_ident_start` checks the first
-# character of a name.  After the `%let` keyword, one match of `_LET` reads the
-# name, the `=` and the value; only when it fails, or the name does not start
-# as a name, do the step helpers read the statement again, to raise the error
-# where they stop.  A syntax error points at the next non-space character.
+# character of a name.  At the loop's head, one anchored match of
+# `_LET_STATEMENT` reads a whole `%let`; only when it fails, or the name does
+# not start as a name, do the step helpers read the statement, to raise the
+# error where they stop.  A syntax error points at the next non-space character.
 
 LET, PUT, CALL, MACRO, TEXT, ERROR = "let", "put", "call", "macro", "text", "error"
 
@@ -78,7 +79,8 @@ _NOT_NEWLINE = re.compile(r"[^\n]")
 _SPACE = re.compile(r"\s*")
 _WORD = re.compile(r"\w+")
 _OPEN_CODE = re.compile(r"\d+|[-+*/()=;,]|[^\s%&+\-*/()=;,]+")
-_LET = re.compile(r"\s*(\w+)\s*=([^;]*);?")  # name, '=' and value to ';'
+# a whole `%let` statement: its '%', name, '=' and value to ';'
+_LET_STATEMENT = re.compile(r"\s*(%)let(?!\w)\s*(\w+)\s*=([^;]*);?", re.I)
 _PUT_END = re.compile(r";|(?=%(?:let|put|macro|mend)(?!\w))", re.I)
 _NESTING = re.compile(r"%(?:(macro)|mend)(?!\w)", re.I)
 _VALUE_END = re.compile(r"[(),]")
@@ -153,7 +155,13 @@ class _Scanner:
 
     def scan(self) -> list[tuple]:
         src = self.src
-        while (start := _SPACE.match(src, self.i).end()) < len(src):
+        while True:
+            if (let := _LET_STATEMENT.match(src, self.i)) and _is_ident_start(let[2][0]):
+                self.stmts.append((LET, *self._pos(let.start(1)), let[2], let[3].strip()))
+                self.i = let.end()
+                continue
+            if (start := _SPACE.match(src, self.i).end()) == len(src):
+                return self.stmts
             line, col = self._pos(start)
             ch = src[start]
             if ch in "%&":
@@ -169,7 +177,6 @@ class _Scanner:
                 word = self._ident_at(start) or _OPEN_CODE.match(src, start).group()
                 self.i = start + len(word)
                 self.stmts.append((TEXT, line, col, word, None))
-        return self.stmts
 
     def _statement(self, name: str, line: int, col: int):
         kw = name.lower()
@@ -177,13 +184,9 @@ class _Scanner:
             self._macro(line, col)
         elif kw == "mend":
             self.stmts.append((ERROR, line, col, MacroSyntaxError, "%mend without %macro"))
-        elif kw == "let":
-            let = _LET.match(self.src, self.i)
-            if let is None or not _is_ident_start(let[1][0]):
-                self._expect_name("expected a name after %let")
-                raise self._error("expected '=' in %let")
-            self.stmts.append((LET, line, col, let[1], let[2].strip()))
-            self.i = let.end()
+        elif kw == "let":  # the loop head read every well-formed %let
+            self._expect_name("expected a name after %let")
+            raise self._error("expected '=' in %let")
         elif kw == "put":
             # raw text to ';'; a following macro statement keyword also ends
             # it, so a missing semicolon does not swallow the next statement
