@@ -605,12 +605,10 @@ def test_let_gives_its_record_or_a_positioned_error(
     elif not source.startswith("=", at):
         expected = ("expected '=' in %let", *_line_col(source, at))
     else:
-        stop = source.find(";", at)
-        raw = source[at + 1:] if stop < 0 else source[at + 1:stop]
+        stored = source[at + 1:].split(";", 1)[0].strip()
         records = scan(source)
         assert len(records) == earlier_records + 1
-        assert records[-1] == ("let", *_line_col(source, len(prefix)), source[start:end],
-                               raw.strip())
+        assert records[-1] == ("let", *_line_col(source, len(prefix)), source[start:end], stored)
         return
     with pytest.raises(MacroSyntaxError) as exc:
         scan(source)
