@@ -83,9 +83,3 @@ class TraceSink:
             return
         events.append(TraceEvent(len(events) + 1, kind, subject, param, env, expr,
                                  str(text), table, origin))
-
-    def of_kind(self, kind: EventKind) -> list[TraceEvent]:
-        return [ev for ev in self.events if ev.kind is kind]
-
-    def count(self, kind: EventKind) -> int:
-        return sum(1 for ev in self.events if ev.kind is kind)

@@ -1,5 +1,16 @@
 import pytest
 
+
+def of_kind(events, kind):
+    """The trace events of one kind, in order."""
+    return [ev for ev in events if ev.kind is kind]
+
+
+def count(events, kind):
+    """How many trace events are of one kind."""
+    return sum(1 for ev in events if ev.kind is kind)
+
+
 # Literal transcriptions used by several test modules.
 
 R_PROG1_LISTING = """\

@@ -27,6 +27,8 @@ from lazylab.lab import (
 from lazylab.syntax import parse_source
 from lazylab.trace import EventKind
 
+from conftest import count, of_kind
+
 CORPUS_SEEDS = range(500)
 DIVERGENT_SEEDS = range(100)
 
@@ -106,8 +108,8 @@ def test_a06_execution_environment_lifecycle(env_lifecycle_program):
         assert bindings["y"] == Num(6)
         assert isinstance(bindings["h"], Closure)
         assert bindings["z"] == Num(3)
-        created = run.trace.of_kind(EventKind.ENV_CREATED)
-        discarded = run.trace.of_kind(EventKind.ENV_DISCARDED)
+        created = of_kind(run.trace.events, EventKind.ENV_CREATED)
+        discarded = of_kind(run.trace.events, EventKind.ENV_DISCARDED)
         assert len(created) == 1 and len(discarded) == 1
         assert created[0].subject == discarded[0].subject
         assert created[0].ord < discarded[0].ord
@@ -218,10 +220,6 @@ _MACRO_ERRORS = (
 )
 
 
-def _count(events, kind):
-    return sum(1 for e in events if e.kind is kind)
-
-
 def test_a11_lifecycle_counts(corpus, sas_prog1_listing, sas_prog2_listing):
     with criterion("A11 created equals discarded/deleted"):
         nested = (
@@ -250,12 +248,12 @@ def test_a11_lifecycle_counts(corpus, sas_prog1_listing, sas_prog2_listing):
                 with pytest.raises(LazyLabError) as exc:
                     run_with_metrics(source, "func", strategy)
                 events = exc.value.partial_trace
-                assert _count(events, EventKind.ENV_CREATED) >= 1, (source, strategy)
-                assert _count(events, EventKind.ENV_CREATED) == \
-                    _count(events, EventKind.ENV_DISCARDED), (source, strategy)
+                assert count(events, EventKind.ENV_CREATED) >= 1, (source, strategy)
+                assert count(events, EventKind.ENV_CREATED) == \
+                    count(events, EventKind.ENV_DISCARDED), (source, strategy)
         for source in _MACRO_ERRORS:
             with pytest.raises(LazyLabError) as exc:
                 run_with_metrics(source, "macro")
             events = exc.value.partial_trace
-            assert _count(events, EventKind.TABLE_CREATED) == \
-                _count(events, EventKind.TABLE_DELETED), source
+            assert count(events, EventKind.TABLE_CREATED) == \
+                count(events, EventKind.TABLE_DELETED), source

@@ -29,6 +29,8 @@ from lazylab.promises import Promise
 from lazylab.syntax import NESTING_LIMIT, parse_source
 from lazylab.trace import EventKind
 
+from conftest import count, of_kind
+
 
 def run(source, strategy=Strategy.NEED):
     return run_program(parse_source(source), strategy)
@@ -73,8 +75,8 @@ class TestGoldenPrograms:
         assert bindings["y"] == Num(Decimal(6))
         assert isinstance(bindings["h"], Closure)
         assert bindings["z"] == Num(Decimal(3))
-        created = r.trace.of_kind(EventKind.ENV_CREATED)
-        discarded = r.trace.of_kind(EventKind.ENV_DISCARDED)
+        created = of_kind(r.trace.events, EventKind.ENV_CREATED)
+        discarded = of_kind(r.trace.events, EventKind.ENV_DISCARDED)
         assert len(created) == len(discarded) == 1
         assert created[0].subject == discarded[0].subject
         assert created[0].ord < discarded[0].ord
@@ -97,15 +99,15 @@ class TestStrategies:
         src = "f <- function(v = 1 + 1){ print(v)\n print(v)\n print(v)\n v }\nf()\n"
         r, out = run_full(src, Strategy.NEED)
         assert out.lines == ["2", "2", "2"]
-        assert r.trace.count(EventKind.PROMISE_FORCED) == 1
-        assert r.trace.count(EventKind.PROMISE_CACHE_HIT) == 3  # 3 prints + return read
+        assert count(r.trace.events, EventKind.PROMISE_FORCED) == 1
+        assert count(r.trace.events, EventKind.PROMISE_CACHE_HIT) == 3  # 3 prints + return read
 
     def test_name_reevaluates_every_read(self):
         src = "f <- function(v = 1 + 1){ print(v)\n print(v)\n print(v)\n v }\nf()\n"
         r, out = run_full(src, Strategy.NAME)
         assert out.lines == ["2", "2", "2"]
-        assert r.trace.count(EventKind.NAME_REEVAL) == 4  # 3 prints + return
-        assert r.trace.count(EventKind.PROMISE_FORCED) == 0
+        assert count(r.trace.events, EventKind.NAME_REEVAL) == 4  # 3 prints + return
+        assert count(r.trace.events, EventKind.PROMISE_FORCED) == 0
         assert metrics_from_events(r.trace.events).forced_value_slots == 0
 
     def test_supplied_arguments_capture_the_caller(self):
@@ -213,14 +215,16 @@ class TestRunHygiene:
         src = "mk <- function(n){ n * 2 }\nouter <- function(a = mk(2)){ a + mk(3) }\nprint(outer())\n"
         r, out = run_full(src, Strategy.NEED)
         assert out.lines == ["10"]
-        assert r.trace.count(EventKind.ENV_CREATED) == r.trace.count(EventKind.ENV_DISCARDED) == 3
+        events = r.trace.events
+        assert count(events, EventKind.ENV_CREATED) == count(events, EventKind.ENV_DISCARDED) == 3
 
     def test_envs_discarded_even_when_the_body_fails(self):
         src = "f <- function(x){ nosuch }\nf(1)\n"
         r = FunclangRun(Strategy.NEED)
         with pytest.raises(UnboundNameError):
             r.run(parse_source(src))
-        assert r.trace.count(EventKind.ENV_CREATED) == r.trace.count(EventKind.ENV_DISCARDED) == 1
+        events = r.trace.events
+        assert count(events, EventKind.ENV_CREATED) == count(events, EventKind.ENV_DISCARDED) == 1
 
     def test_runtime_errors_carry_positions(self):
         with pytest.raises(LazyLabError) as exc:
@@ -255,8 +259,8 @@ class TestRunHygiene:
         calls = "".join(f"x <- f(a = {i})\n" for i in range(200))
         r, _ = run_full("f <- function(a = 1, b = a * 2) { b }\n" + calls, Strategy.NEED)
         assert r.envs.lookup(r.envs.global_id, "x") == Num(Decimal(398))
-        assert r.trace.count(EventKind.ENV_DISCARDED) == 200
-        assert r.trace.count(EventKind.PROMISE_CREATED) == 400
+        assert count(r.trace.events, EventKind.ENV_DISCARDED) == 200
+        assert count(r.trace.events, EventKind.PROMISE_CREATED) == 400
         gc.collect()
         live = gc.get_objects()
         assert sum(isinstance(o, Promise) for o in live) == 0
@@ -300,7 +304,8 @@ class TestDepthBounds:
         read = default_chain("7", self.LINKS + 1).index("a1 = a0") + len("a1 = ") + 1
         assert (exc.value.line, exc.value.col) == (1, read)
         assert r.depth == 0
-        assert r.trace.count(EventKind.ENV_CREATED) == r.trace.count(EventKind.ENV_DISCARDED)
+        events = r.trace.events
+        assert count(events, EventKind.ENV_CREATED) == count(events, EventKind.ENV_DISCARDED)
 
     def test_a_cache_hit_is_not_a_level(self):
         # z is forced at depth 2, then read again at the deepest level: need
@@ -320,7 +325,8 @@ class TestDepthBounds:
             assert exc.value.message.startswith(("calling a function exceeded 100",
                                                  "evaluating an argument exceeded 100"))
             assert r.depth == 0
-            assert r.trace.count(EventKind.ENV_CREATED) == r.trace.count(EventKind.ENV_DISCARDED)
+            events = r.trace.events
+            assert count(events, EventKind.ENV_CREATED) == count(events, EventKind.ENV_DISCARDED)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize("deep,value", [
@@ -351,13 +357,13 @@ class TestDepthBounds:
 class TestPromiseMetricsThroughRuns:
     @staticmethod
     def _promises_named(r, name):
-        return [e.subject for e in r.trace.of_kind(EventKind.PROMISE_CREATED)
+        return [e.subject for e in of_kind(r.trace.events, EventKind.PROMISE_CREATED)
                 if e.detail.startswith(f"name={name} ")]
 
     def test_prog2_need_metrics_for_y(self, r_prog2_listing):
         r, _ = run_full(r_prog2_listing, Strategy.NEED)
         (y,) = self._promises_named(r, "y")
-        forced = [e.subject for e in r.trace.of_kind(EventKind.PROMISE_FORCED)]
+        forced = [e.subject for e in of_kind(r.trace.events, EventKind.PROMISE_FORCED)]
         assert forced == [y]
         m = metrics_from_events(r.trace.events)
         assert (m.arg_accesses["y"], m.arg_evaluations["y"]) == (2, 1)
@@ -369,3 +375,4 @@ class TestPromiseMetricsThroughRuns:
                    if e.kind is not EventKind.PROMISE_CREATED)
         m = metrics_from_events(r.trace.events)
         assert "x" not in m.arg_accesses and "x" not in m.arg_evaluations
+

@@ -28,6 +28,8 @@ from lazylab.maclang import (
 )
 from lazylab.trace import EventKind, TraceSink
 
+from conftest import count, of_kind
+
 
 def _table(entries, label="global", scope="GLOBAL"):
     return SymbolTable(label, scope, dict(entries))
@@ -110,7 +112,8 @@ class TestScanner:
         with pytest.raises(LexError) as exc:
             session.run("%m()")
         assert (exc.value.line, exc.value.col) == (3, 3)
-        assert sink.count(EventKind.TABLE_CREATED) == sink.count(EventKind.TABLE_DELETED) == 1
+        events = sink.events
+        assert count(events, EventKind.TABLE_CREATED) == count(events, EventKind.TABLE_DELETED) == 1
 
 
 class TestEvalArith:
@@ -357,14 +360,16 @@ class TestInvocation:
             caller = f"%macro m{depth - 2}(); "  # line depth - 1 calls m{depth - 1}
             assert (exc.value.line, exc.value.col) == (depth - 1, len(caller) + 1)
             assert f"exceeded {maclang.MACRO_DEPTH_LIMIT} nested" in exc.value.message
-        assert sink.count(EventKind.TABLE_CREATED) == sink.count(EventKind.TABLE_DELETED)
+        events = sink.events
+        assert count(events, EventKind.TABLE_CREATED) == count(events, EventKind.TABLE_DELETED)
 
     def test_table_deleted_even_on_error(self):
         sink = TraceSink()
         session = MacroSession(sink)
         with pytest.raises(UnresolvedRefError):
             session.run("%macro m(); %put &ghost; %mend;\n%m()")
-        assert sink.count(EventKind.TABLE_CREATED) == sink.count(EventKind.TABLE_DELETED) == 1
+        events = sink.events
+        assert count(events, EventKind.TABLE_CREATED) == count(events, EventKind.TABLE_DELETED) == 1
 
     def test_invoke_returns_only_its_own_lines(self):
         session = MacroSession()
@@ -407,7 +412,7 @@ class TestLetAndPut:
         sink = TraceSink()
         out = MacroSession(sink).run("%put %eval(%eval(1+%eval(2*3)) * %EVAL (4)) (x);")
         assert out.log_lines == ["28 (x)"]
-        assert [(ev.subject, ev.text) for ev in sink.of_kind(EventKind.ARITH_EVAL)] == [
+        assert [(ev.subject, ev.text) for ev in of_kind(sink.events, EventKind.ARITH_EVAL)] == [
             ("2*3", "6"), ("1+6", "7"), ("4", "4"), ("7 * 4", "28")]
 
     def test_unterminated_eval_runs_nothing_inside_it(self):
@@ -416,7 +421,7 @@ class TestLetAndPut:
         with pytest.raises(ArithSyntaxError) as exc:
             MacroSession(sink).run("%put %eval(1) %eval(%eval(1/0) + 1;")
         assert exc.value.message == "unterminated %eval(...)"
-        assert [ev.text for ev in sink.of_kind(EventKind.ARITH_EVAL)] == ["1"]
+        assert [ev.text for ev in of_kind(sink.events, EventKind.ARITH_EVAL)] == ["1"]
 
     def test_put_keeps_an_ampersand_before_a_digit(self):
         assert run_session("%put x&1;").log_lines == ["x&1"]
@@ -471,10 +476,10 @@ class TestSessions:
     def test_resolution_counts_for_reassignment_listing(self, sas_prog2_listing):
         sink = TraceSink()
         MacroSession(sink).run(sas_prog2_listing)
-        resolved = [ev.subject for ev in sink.of_kind(EventKind.VAR_RESOLVED)]
+        resolved = [ev.subject for ev in of_kind(sink.events, EventKind.VAR_RESOLVED)]
         assert resolved.count("y") == 2
         assert resolved.count("x") == 2
-        assert sink.count(EventKind.ARITH_EVAL) == 2
+        assert count(sink.events, EventKind.ARITH_EVAL) == 2
 
     def test_empty_session(self):
         assert run_session("").log_lines == []
@@ -492,7 +497,7 @@ class TestSessions:
         session = MacroSession(sink)
         session.run("%let g=1;\n%macro m(); %put &g; %mend;\n%m()")
         assert session.run("%put &g;").log_lines == ["1", "1"]
-        deleted = [ev.subject for ev in sink.of_kind(EventKind.TABLE_DELETED)]
+        deleted = [ev.subject for ev in of_kind(sink.events, EventKind.TABLE_DELETED)]
         assert "global" not in deleted
 
     def test_store_as_text_byte_for_byte(self):
@@ -502,7 +507,7 @@ class TestSessions:
         )
         stored = {
             ev.subject: ev.detail.split("text=", 1)[1]
-            for ev in sink.of_kind(EventKind.VAR_STORED)
+            for ev in of_kind(sink.events, EventKind.VAR_STORED)
         }
         assert stored == {"x": "5", "y": "&x*10", "z": "&a+&b"}
 
@@ -516,8 +521,8 @@ class TestSessions:
         run_session(src)  # smoke: no table errors
         session = MacroSession(sink)
         session.run(src)
-        created = [ev.subject for ev in sink.of_kind(EventKind.TABLE_CREATED)]
-        deleted = [ev.subject for ev in sink.of_kind(EventKind.TABLE_DELETED)]
+        created = [ev.subject for ev in of_kind(sink.events, EventKind.TABLE_CREATED)]
+        deleted = [ev.subject for ev in of_kind(sink.events, EventKind.TABLE_DELETED)]
         assert created == ["outer#1", "inner#1"]
         assert deleted == ["inner#1", "outer#1"]
 
