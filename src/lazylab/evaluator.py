@@ -71,17 +71,19 @@ _NAME = Strategy.NAME
 _OUTPUT_LINE = EventKind.OUTPUT_LINE
 
 
-@dataclass(frozen=True)
+# Values are slotted and never mutated after construction, which keeps their
+# hashes valid (see syntax's docstring).
+@dataclass(slots=True, unsafe_hash=True)
 class Num:
     value: Decimal
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Vec:
     elements: tuple[Decimal, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Closure:
     defn: FunctionDef
     defined_in: int

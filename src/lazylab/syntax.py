@@ -15,6 +15,14 @@ private module-level names (`_EOF = TokKind.EOF`), because on CPython 3.11
 every `TokKind.EOF` read goes through the Enum metaclass and costs about ten
 times a global read.  Tokens are a slotted, non-frozen dataclass, so they are
 unhashable; nothing hashes one.
+
+AST nodes here and the evaluator's values (`Num`, `Vec`, `Closure`) are
+slotted, non-frozen dataclasses, hashable through `unsafe_hash`; nothing
+mutates one after it is built.  A frozen dataclass's `__init__` calls
+`object.__setattr__` once per field and each instance carries a `__dict__`:
+with CPython 3.11.7, `NumberLit(d, pos)` took 647-1,130 ns frozen and 261-346 ns
+slotted, `Num(d)` 526-663 ns against 259-336 ns, and an instance shrank from
+352 bytes with its `__dict__` to 40-64.
 """
 
 from dataclasses import dataclass, field
@@ -124,24 +132,26 @@ def tokenize(source: str) -> list[SrcToken]:
 #
 # Positions are carried for diagnostics but excluded from equality, so that
 # structural comparison (and the print/re-parse round trip) ignores layout.
+# Nodes are never mutated after construction, which keeps their hashes valid.
+# The bases declare empty slots, or every node would inherit a `__dict__`.
 
 class Expr:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NumberLit(Expr):
     value: Decimal
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Ident(Expr):
     name: str
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(slots=True, eq=False, repr=False)
 class Binary(Expr):
     op: str
     lhs: Expr
@@ -173,50 +183,50 @@ class Binary(Expr):
                 + "".join(f", rhs={rhs!r})" for _, rhs in reversed(ops)))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Call(Expr):
     callee: Expr
     args: tuple[tuple[str | None, Expr], ...]
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FunctionDef(Expr):
     params: tuple[tuple[str, Expr | None], ...]
     body: tuple["Stmt", ...]
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class VectorCtor(Expr):
     elements: tuple[Expr, ...]
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
 class Stmt:
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Assign(Stmt):
     name: str
     expr: Expr
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ExprStmt(Stmt):
     expr: Expr
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class PrintStmt(Stmt):
     expr: Expr
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Program:
     stmts: tuple[Stmt, ...]
 

@@ -1,8 +1,10 @@
 import gc
 import tracemalloc
+from dataclasses import fields, is_dataclass
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lazylab.environments import _Frame
 from lazylab.errors import (
@@ -24,9 +26,15 @@ from lazylab.evaluator import (
     Vec,
     run_program,
 )
-from lazylab.lab import metrics_from_events, run_with_metrics, trace_jsonl
+from lazylab.lab import (
+    generate_divergent,
+    generate_program,
+    metrics_from_events,
+    run_with_metrics,
+    trace_jsonl,
+)
 from lazylab.promises import Promise
-from lazylab.syntax import NESTING_LIMIT, parse_source
+from lazylab.syntax import NESTING_LIMIT, parse_source, program_source
 from lazylab.trace import EventKind
 
 from conftest import count, of_kind
@@ -376,3 +384,46 @@ class TestPromiseMetricsThroughRuns:
         m = metrics_from_events(r.trace.events)
         assert "x" not in m.arg_accesses and "x" not in m.arg_evaluations
 
+
+# --- slotted nodes and values
+
+def _nodes(node):
+    """Every AST node reachable from `node`, itself included."""
+    stack, nodes = [node], []
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            stack.extend(item)
+        elif is_dataclass(item):
+            nodes.append(item)
+            stack.extend(getattr(item, f.name) for f in fields(item))
+    return nodes
+
+
+class _RecordingRun(FunclangRun):
+    """A run that keeps every value its expressions evaluate to."""
+
+    def __init__(self, strategy):
+        super().__init__(strategy)
+        self.values = []
+
+    def eval_expr(self, e, env):
+        value = super().eval_expr(e, env)
+        self.values.append(value)
+        return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(0, 499).map(generate_program),
+                 st.integers(0, 199).map(generate_divergent)))
+def test_nodes_and_values_are_slotted_and_hash_by_structure(source):
+    program = parse_source(source)
+    reparsed = parse_source(program_source(program))
+    assert reparsed == program and hash(reparsed) == hash(program)
+    assert [n for n in _nodes(program) if hasattr(n, "__dict__")] == []
+    r = _RecordingRun(Strategy.NEED)
+    r.run(program)
+    assert r.values
+    assert [v for v in r.values if hasattr(v, "__dict__")] == []
+    # equal numbers are one set element whatever their Decimal exponents
+    assert len({Num(Decimal("1")), Num(Decimal("1.0"))}) == 1
