@@ -11,7 +11,7 @@ import os
 import sys
 
 from .errors import LazyLabError, LexError
-from .evaluator import Strategy, format_value, run_program
+from .evaluator import Strategy, run_program
 from .lab import (
     PAIRS,
     DivergenceReport,
@@ -24,7 +24,7 @@ from .lab import (
     trace_jsonl,
 )
 from .maclang import run_session
-from .syntax import parse_source
+from .syntax import format_value, parse_source
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(

@@ -78,6 +78,3 @@ class EnvRegistry:
         self._live(env)
         del self._frames[env]
         self._trace.emit(_ENV_DISCARDED, f"env{env}")
-
-    def bindings_of(self, env: int) -> dict[str, object]:
-        return dict(self._live(env).bindings)

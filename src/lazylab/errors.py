@@ -37,9 +37,7 @@ class DepthExceededError(LazyLabError):
 # --- lexing / parsing
 
 class LexError(LazyLabError):
-    def __init__(self, message: str, line: int, col: int, char: str | None = None):
-        super().__init__(message, line, col)
-        self.char = char
+    pass
 
 
 class ParseError(LazyLabError):
@@ -51,7 +49,6 @@ class ParseError(LazyLabError):
 class UnboundNameError(LazyLabError):
     def __init__(self, name: str):
         super().__init__(f"unbound name '{name}'")
-        self.name = name
 
 
 class DiscardedEnvError(LazyLabError):
@@ -91,7 +88,6 @@ class ArityError(LazyLabError):
 class MissingArgError(LazyLabError):
     def __init__(self, name: str):
         super().__init__(f"argument '{name}' is missing, with no default")
-        self.name = name
 
 
 # --- macro language
@@ -103,31 +99,26 @@ class MacroSyntaxError(LazyLabError):
 class DuplicateParamError(LazyLabError):
     def __init__(self, name: str):
         super().__init__(f"duplicate parameter '{name}'")
-        self.name = name
 
 
 class UnterminatedMacroError(LazyLabError):
     def __init__(self, name: str):
         super().__init__(f"macro '{name}' has no matching %mend")
-        self.name = name
 
 
 class UnknownMacroError(LazyLabError):
     def __init__(self, name: str):
         super().__init__(f"unknown macro '{name}'")
-        self.name = name
 
 
 class UnknownParamError(LazyLabError):
     def __init__(self, macro: str, name: str):
         super().__init__(f"macro '{macro}' has no parameter '{name}'")
-        self.name = name
 
 
 class UnresolvedRefError(LazyLabError):
     def __init__(self, name: str):
         super().__init__(f"unresolved reference '&{name}'")
-        self.name = name
 
 
 class ArithSyntaxError(LazyLabError):

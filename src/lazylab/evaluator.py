@@ -48,7 +48,7 @@ from .syntax import (
     Program,
     Stmt,
     VectorCtor,
-    format_number,
+    format_value,
 )
 from .trace import EventKind, TraceSink
 
@@ -71,25 +71,16 @@ _NAME = Strategy.NAME
 _OUTPUT_LINE = EventKind.OUTPUT_LINE
 
 
-# Values are slotted and never mutated after construction, which keeps their
-# hashes valid (see syntax's docstring).
-@dataclass(slots=True, unsafe_hash=True)
-class Num:
-    value: Decimal
-
-
-@dataclass(slots=True, unsafe_hash=True)
-class Vec:
-    elements: tuple[Decimal, ...]
-
-
+# A value is a Decimal, a tuple of Decimals (a vector) or a Closure.  A closure
+# is slotted and never mutated after construction, which keeps its hash valid
+# (see syntax's docstring).
 @dataclass(slots=True, unsafe_hash=True)
 class Closure:
     defn: FunctionDef
     defined_in: int
 
 
-Value = Num | Vec | Closure
+Value = Decimal | tuple[Decimal, ...] | Closure
 
 
 class _MissingArg:
@@ -104,20 +95,6 @@ MISSING = _MissingArg()
 class Output:
     lines: list[str] = field(default_factory=list)
     result: Value | None = None
-
-
-def format_value(v: Value) -> str:
-    if isinstance(v, Num):
-        return format_number(v.value)
-    if isinstance(v, Vec):
-        return " ".join(format_number(x) for x in v.elements)
-    if isinstance(v, Closure):
-        return "<closure>"
-    raise TypeError(f"not a value: {v!r}")
-
-
-# str() of a value is its printed form, which is how trace details show it.
-Num.__str__ = Vec.__str__ = Closure.__str__ = format_value
 
 
 class FunclangRun:
@@ -152,7 +129,7 @@ class FunclangRun:
     def eval_expr(self, e: Expr, env: int) -> Value:
         try:
             if isinstance(e, NumberLit):
-                return Num(e.value)
+                return e.value
             if isinstance(e, Ident):
                 return self._read(e.name, env)
             if isinstance(e, Binary):
@@ -200,21 +177,20 @@ class FunclangRun:
         for node in reversed(chain):
             rhs = self.eval_expr(node.rhs, env)
             try:
-                if not (isinstance(lhs, Num) and isinstance(rhs, Num)):
-                    bad = rhs if isinstance(lhs, Num) else lhs
+                if not (isinstance(lhs, Decimal) and isinstance(rhs, Decimal)):
+                    bad = rhs if isinstance(lhs, Decimal) else lhs
                     kind = "function" if isinstance(bad, Closure) else "vector"
                     raise TypeMismatchError(f"arithmetic on a {kind}")
-                a, b = lhs.value, rhs.value
                 if node.op == "+":
-                    lhs = Num(a + b)
+                    lhs = lhs + rhs
                 elif node.op == "-":
-                    lhs = Num(a - b)
+                    lhs = lhs - rhs
                 elif node.op == "*":
-                    lhs = Num(a * b)
-                elif b == 0:
+                    lhs = lhs * rhs
+                elif rhs == 0:
                     raise DivisionByZeroError()
                 else:
-                    lhs = Num(a / b)
+                    lhs = lhs / rhs
             except decimal.Overflow:
                 raise NumberTooLargeError(
                     "arithmetic overflow: exponent out of range", *node.pos) from None
@@ -226,13 +202,13 @@ class FunclangRun:
         elements: list[Decimal] = []
         for el in e.elements:
             value = self.eval_expr(el, env)
-            if isinstance(value, Num):
-                elements.append(value.value)
-            elif isinstance(value, Vec):
-                elements.extend(value.elements)
+            if isinstance(value, Decimal):
+                elements.append(value)
+            elif isinstance(value, tuple):
+                elements.extend(value)
             else:
                 raise TypeMismatchError("a function cannot be a vector element")
-        return Vec(tuple(elements))
+        return tuple(elements)
 
     def call_closure(
         self,

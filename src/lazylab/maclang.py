@@ -59,7 +59,7 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 #   PUT    a = raw text
 #   CALL   a = macro name as written, b = {lowercased argument name: raw text}
 #   MACRO  a = the MacroDef
-#   TEXT   a = one open-code word, forwarded to the compiler stream
+#   TEXT   a = one open-code word, which execution ignores
 #   ERROR  a = error class, b = its one argument; raised as a(b) at (line, col)
 #          only when execution reaches the record, so the statements before it run
 #
@@ -108,7 +108,7 @@ class _Scanner:
 
     def _blank(self, comment: re.Match) -> str:
         if not comment.group(1):
-            raise LexError("unterminated comment", *self._pos(comment.start()), char="/*")
+            raise LexError("unterminated comment", *self._pos(comment.start()))
         return _NOT_NEWLINE.sub(" ", comment.group())
 
     def _pos(self, i: int) -> tuple[int, int]:
@@ -167,7 +167,7 @@ class _Scanner:
             if ch in "%&":
                 name = self._ident_at(start + 1)
                 if not name:
-                    raise LexError(f"stray {ch!r}", line, col, char=ch)
+                    raise LexError(f"stray {ch!r}", line, col)
                 self.i = start + 1 + len(name)
                 if ch == "&":
                     self.stmts.append((TEXT, line, col, name, None))
@@ -504,12 +504,7 @@ class MacroSession:
         self._tables = [SymbolTable("global", "GLOBAL")]
         self.macros: dict[str, MacroDef] = {}
         self.log: list[str] = []
-        self.compiler_stream: list[str] = []
         self._invocations: dict[str, int] = {}
-
-    @property
-    def global_table(self) -> SymbolTable:
-        return self._tables[-1]
 
     # execution
 
@@ -520,9 +515,7 @@ class MacroSession:
     def _execute(self, stmts: list[tuple]):
         for kind, line, col, a, b in stmts:
             try:
-                if kind == TEXT:
-                    self.compiler_stream.append(a)
-                elif kind == LET:
+                if kind == LET:
                     self.let(a, b)
                 elif kind == PUT:
                     self.put(a)
@@ -530,7 +523,7 @@ class MacroSession:
                     self.invoke(a, b)
                 elif kind == MACRO:
                     self.macros[a.name] = a
-                else:
+                elif kind == ERROR:
                     raise a(b)
             except LazyLabError as err:
                 raise err.at(line, col)

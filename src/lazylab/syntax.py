@@ -16,13 +16,14 @@ every `TokKind.EOF` read goes through the Enum metaclass and costs about ten
 times a global read.  Tokens are a slotted, non-frozen dataclass, so they are
 unhashable; nothing hashes one.
 
-AST nodes here and the evaluator's values (`Num`, `Vec`, `Closure`) are
-slotted, non-frozen dataclasses, hashable through `unsafe_hash`; nothing
-mutates one after it is built.  A frozen dataclass's `__init__` calls
-`object.__setattr__` once per field and each instance carries a `__dict__`:
-with CPython 3.11.7, `NumberLit(d, pos)` took 647-1,130 ns frozen and 261-346 ns
-slotted, `Num(d)` 526-663 ns against 259-336 ns, and an instance shrank from
-352 bytes with its `__dict__` to 40-64.
+The evaluator's values are a `Decimal`, a `tuple` of them (a vector) and a
+`Closure`; `format_value` gives their printed form.  AST nodes here and
+`Closure` are slotted, non-frozen dataclasses, hashable through
+`unsafe_hash`; nothing mutates one after it is built.  A frozen dataclass's
+`__init__` calls `object.__setattr__` once per field and each instance carries
+a `__dict__`: with CPython 3.11.7, `NumberLit(d, pos)` took 647-1,130 ns frozen
+and 261-346 ns slotted, and an instance shrank from 352 bytes with its
+`__dict__` to 40-64.
 """
 
 from dataclasses import dataclass, field
@@ -123,7 +124,7 @@ def tokenize(source: str) -> list[SrcToken]:
             append(SrcToken(_ASSIGN, "<-", line, i - start + 1))
             i += 2
         else:
-            raise LexError(f"unexpected character {ch!r}", line, i - start + 1, char=ch)
+            raise LexError(f"unexpected character {ch!r}", line, i - start + 1)
     append(SrcToken(_EOF, "", line, n - start + 1))
     return tokens
 
@@ -432,6 +433,15 @@ def format_number(d: Decimal) -> str:
     if s == "-0":
         s = "0"
     return s
+
+
+def format_value(v) -> str:
+    """The printed form of an evaluator value: a Decimal, a tuple of them, or a closure."""
+    if isinstance(v, Decimal):
+        return format_number(v)
+    if isinstance(v, tuple):
+        return " ".join(map(format_number, v))
+    return "<closure>"
 
 
 _ATOM_PREC = 9

@@ -12,7 +12,7 @@ layout.
 from enum import Enum
 from typing import NamedTuple
 
-from .syntax import Expr
+from .syntax import Expr, format_value
 
 
 class EventKind(str, Enum):
@@ -77,9 +77,11 @@ class TraceSink:
     def emit(self, kind: EventKind, subject: str, *, param: str | None = None,
              env: int | None = None, expr: Expr | None = None, text: object = "",
              table: str | None = None, origin: str | None = None) -> None:
-        """Record one event; `text` is converted with str() only if it is kept."""
+        """Record one event.  A `text` that is not a `str` is an evaluator value;
+        it is formatted with `format_value` only when the event is kept."""
         events = self.events
         if events is None:
             return
         events.append(TraceEvent(len(events) + 1, kind, subject, param, env, expr,
-                                 str(text), table, origin))
+                                 text if text.__class__ is str else format_value(text),
+                                 table, origin))

@@ -11,6 +11,17 @@ def count(events, kind):
     return sum(1 for ev in events if ev.kind is kind)
 
 
+def bindings_of(envs, env):
+    """A copy of one live frame's bindings; a discarded handle raises
+    DiscardedEnvError, as every other use of it does."""
+    return dict(envs._live(env).bindings)
+
+
+def global_table(session):
+    """A maclang session's global symbol table."""
+    return session._tables[-1]
+
+
 # Literal transcriptions used by several test modules.
 
 R_PROG1_LISTING = """\

@@ -8,12 +8,13 @@ proxies, A11 the lifecycle counts.
 """
 
 from contextlib import contextmanager
+from decimal import Decimal
 
 import pytest
 
 from lazylab.cli import main as cli_main
 from lazylab.errors import LazyLabError, UnboundNameError
-from lazylab.evaluator import Closure, FunclangRun, Num, Strategy
+from lazylab.evaluator import Closure, FunclangRun, Strategy
 from lazylab.lab import (
     PairName,
     Verdict,
@@ -27,7 +28,7 @@ from lazylab.lab import (
 from lazylab.syntax import parse_source
 from lazylab.trace import EventKind
 
-from conftest import count, of_kind
+from conftest import bindings_of, count, of_kind
 
 CORPUS_SEEDS = range(500)
 DIVERGENT_SEEDS = range(100)
@@ -103,11 +104,11 @@ def test_a06_execution_environment_lifecycle(env_lifecycle_program):
     with criterion("A06 execution environment scenario"):
         run = FunclangRun(Strategy.NEED)
         run.run(parse_source(env_lifecycle_program))
-        bindings = run.envs.bindings_of(run.envs.global_id)
+        bindings = bindings_of(run.envs, run.envs.global_id)
         assert set(bindings) == {"y", "h", "z"}
-        assert bindings["y"] == Num(6)
+        assert bindings["y"] == Decimal(6)
         assert isinstance(bindings["h"], Closure)
-        assert bindings["z"] == Num(3)
+        assert bindings["z"] == Decimal(3)
         created = of_kind(run.trace.events, EventKind.ENV_CREATED)
         discarded = of_kind(run.trace.events, EventKind.ENV_DISCARDED)
         assert len(created) == 1 and len(discarded) == 1

@@ -11,11 +11,13 @@ from lazylab.promises import PromiseStore
 from lazylab.syntax import parse_source
 from lazylab.trace import EventKind, TraceSink
 
+from conftest import bindings_of
+
 
 def test_global_is_root_and_empty():
     envs = EnvRegistry()
     assert envs.is_live(envs.global_id)
-    assert envs.bindings_of(envs.global_id) == {}
+    assert bindings_of(envs, envs.global_id) == {}
     # a lookup from the root has no frame left to try, even with a child around
     envs.define(envs.child(envs.global_id), "anything", 1)
     with pytest.raises(UnboundNameError):
@@ -98,7 +100,7 @@ def test_discard_lifecycle():
     # the frame is dropped: every use of its handle fails, inspection included
     message = f"environment env{child} was discarded"
     for use in (lambda: envs.lookup(child, "x"), lambda: envs.define(child, "y", 2),
-                lambda: envs.discard(child), lambda: envs.bindings_of(child),
+                lambda: envs.discard(child), lambda: bindings_of(envs, child),
                 lambda: envs.child(child)):
         with pytest.raises(DiscardedEnvError, match=message):
             use()
@@ -158,7 +160,7 @@ def test_unbound_in_child_defers_to_parent(chain_defs, probe):
         for name, value in defs:
             envs.define(env, name, value)
     for parent, child in zip(frames, frames[1:]):
-        if probe in envs.bindings_of(child):
+        if probe in bindings_of(envs, child):
             continue
         try:
             expected = envs.lookup(parent, probe)

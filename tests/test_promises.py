@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from lazylab.environments import EnvRegistry
 from lazylab.errors import CyclicForceError, DiscardedEnvError, UnboundNameError
-from lazylab.evaluator import Num
 from lazylab.lab import metrics_from_events
 from lazylab.promises import PromiseState, PromiseStore
 from lazylab.syntax import parse_source
@@ -24,7 +23,7 @@ def store():
     return envs, PromiseStore(envs, sink), sink
 
 
-def _counting_evaluator(result=Num(Decimal(1))):
+def _counting_evaluator(result=Decimal(1)):
     calls = []
 
     def evaluator(expr, env):
@@ -64,10 +63,10 @@ def test_wrapping_never_looks_names_up(store):
 
 def test_force_caches_single_evaluation(store):
     envs, promises, sink = store
-    evaluator, calls = _counting_evaluator(Num(Decimal(20)))
+    evaluator, calls = _counting_evaluator(Decimal(20))
     p = promises.new(_expr("x*10"), envs.global_id, label="y")
-    assert promises.force(p, evaluator) == Num(Decimal(20))
-    assert promises.force(p, evaluator) == Num(Decimal(20))
+    assert promises.force(p, evaluator) == Decimal(20)
+    assert promises.force(p, evaluator) == Decimal(20)
     assert len(calls) == 1
     assert _metrics(sink, p) == (PromiseState.FORCED, 2, 1)
 
@@ -109,8 +108,8 @@ def test_error_leaves_promise_unforced_and_retryable(store):
         promises.force(p, failing)
     assert accesses_and_evaluations() == (PromiseState.UNFORCED, 1, 0)
     # the environment is repaired; forcing now succeeds and counts once
-    ok, calls = _counting_evaluator(Num(Decimal(3)))
-    assert promises.force(p, ok) == Num(Decimal(3))
+    ok, calls = _counting_evaluator(Decimal(3))
+    assert promises.force(p, ok) == Decimal(3)
     assert accesses_and_evaluations() == (PromiseState.FORCED, 2, 1)
 
 
@@ -134,10 +133,10 @@ def test_two_promise_cycle_detected(store):
 
 def test_uncached_evaluation_never_populates_the_slot(store):
     envs, promises, sink = store
-    evaluator, calls = _counting_evaluator(Num(Decimal(7)))
+    evaluator, calls = _counting_evaluator(Decimal(7))
     p = promises.new(_expr("q"), envs.global_id, label="p")
     for _ in range(3):
-        assert promises.evaluate_uncached(p, evaluator) == Num(Decimal(7))
+        assert promises.evaluate_uncached(p, evaluator) == Decimal(7)
     assert _metrics(sink, p) == (PromiseState.UNFORCED, 3, 3)
     assert p.value is None
     assert len(calls) == 3
@@ -165,10 +164,10 @@ def test_at_most_once_and_idempotent(n_forces):
     envs = EnvRegistry()
     sink = TraceSink()
     promises = PromiseStore(envs, sink)
-    evaluator, calls = _counting_evaluator(Num(Decimal(42)))
+    evaluator, calls = _counting_evaluator(Decimal(42))
     p = promises.new(_expr("e"), envs.global_id, label="p")
     results = {promises.force(p, evaluator) for _ in range(n_forces)}
-    assert results == {Num(Decimal(42))}
+    assert results == {Decimal(42)}
     state, requests, evaluations = _metrics(sink, p)
     assert evaluations <= 1
     assert requests == n_forces

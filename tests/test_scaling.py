@@ -28,6 +28,8 @@ from lazylab.syntax import (
 )
 from lazylab.trace import TraceSink
 
+from conftest import global_table
+
 BOUND = 8
 
 
@@ -153,7 +155,7 @@ def put_user(entries: dict[str, str]):
     """`%put _user_` in a fresh session holding the entries as its globals,
     stored directly: storing them by `%let` would cost more than listing them."""
     session = MacroSession(TraceSink(keep=False))
-    session.global_table.entries = entries
+    global_table(session).entries = entries
     session.put("_user_")
 
 

@@ -52,7 +52,7 @@ class TestTokenize:
         with pytest.raises(LexError) as exc:
             tokenize("x <- @")
         assert (exc.value.line, exc.value.col) == (1, 6)
-        assert exc.value.char == "@"
+        assert exc.value.message == "unexpected character '@'"
 
     def test_both_assign_spellings(self):
         toks = tokenize("a = 1 b <- 2")
@@ -114,7 +114,8 @@ class TestTokenize:
     def test_edge_case_lex_errors(self, source, char, position):
         with pytest.raises(LexError) as exc:
             tokenize(source)
-        assert (exc.value.char, (exc.value.line, exc.value.col)) == (char, position)
+        assert ((exc.value.message, (exc.value.line, exc.value.col))
+                == (f"unexpected character {char!r}", position))
 
 
 class TestParse:
