@@ -11,14 +11,15 @@ scanned once, on their first invocation.  Parameter defaults and call
 arguments are stored as raw text, `%let` values as the text left after
 resolving them; every `&name` is re-resolved at every use, from the innermost
 live symbol table, and the substituted text is rescanned until no references
-remain.  Text without `&` skips resolution.  `%eval(...)` performs integer
-arithmetic on resolved text.  One global symbol table lives for the whole
-session; each macro invocation pushes a local table that is deleted at
-`%mend`, and invocations nest at most `MACRO_DEPTH_LIMIT` deep.  A name
-repeated in a parameter list or in a call's argument list is an error.
+remain.  Text without `&` skips resolution, so only an entry that holds `&`
+is rescanned.  `%eval(...)` performs integer arithmetic on resolved text:
+one search finds what its tokens cannot hold, and one pass over the tokens
+keeps a running sum and term per open `(`.  One global symbol table lives
+for the whole session; each macro invocation pushes a local table that is
+deleted at `%mend`, and invocations nest at most `MACRO_DEPTH_LIMIT` deep.  A
+name repeated in a parameter list or in a call's argument list is an error.
 """
 
-import operator
 import re
 from dataclasses import dataclass, field
 
@@ -283,23 +284,11 @@ def scan(source: str, line: int = 1, col: int = 1) -> list[tuple]:
 
 # --- %eval integer arithmetic
 
-_ARITH_TOKEN = re.compile(r"(\d+)|([-+*/()])|[ \t\r\n]+|(.)", re.S)
-
-
-def _arith_tokens(text: str) -> list:
-    toks: list = []
-    for number, op, other in _ARITH_TOKEN.findall(text):
-        if other:
-            raise ArithSyntaxError(f"unexpected {other!r} in integer expression")
-        if number:
-            try:
-                toks.append(int(number))
-            except ValueError:  # CPython's int/str conversion digit limit
-                raise NumberTooLargeError(
-                    f"integer of {len(number)} digits is too long for %eval") from None
-        elif op:
-            toks.append(op)
-    return toks
+_ARITH_TOKEN = re.compile(r"\d+|[-+*/()]")
+# what tokenizing can fail on: a character that is neither a digit, an
+# operator nor a blank, or a digit run too long for any int-string limit
+# CPython accepts (0, or 640 and up), so a run of at most 640 digits converts
+_ARITH_SUSPECT = re.compile(r"[^\d+\-*/() \t\r\n]|\d{641,}")
 
 
 def _divide(dividend: int, divisor: int) -> int:
@@ -310,66 +299,70 @@ def _divide(dividend: int, divisor: int) -> int:
     return quot + 1 if rem != 0 and (dividend < 0) != (divisor < 0) else quot
 
 
-# binary operator: (precedence, function); `*` and `/` bind tightest
-_ARITH_OPS = {"+": (1, operator.add), "-": (1, operator.sub),
-              "*": (2, operator.mul), "/": (2, _divide)}
-
-
-def _apply(ops: list[str], values: list[int]):
-    """Apply the operator on top of ops to the two values on top of values."""
-    rhs = values.pop()
-    values[-1] = _ARITH_OPS[ops.pop()][1](values[-1], rhs)
-
-
 def eval_arith(text: str) -> int:
     """Evaluate `+ - * /` integer arithmetic; division truncates toward zero.
 
-    One pass over the tokens keeps the pending binary operators and open `(`
-    in `ops`, their operands in `values`, and the unary sign before each open
-    `(` in `signs`.  `*` and `/` apply as soon as their right operand is
-    complete, `+` and `-` when the next token binds no tighter, so each error
-    is raised where a left-to-right reading meets it."""
-    toks = _arith_tokens(text)
+    One search for what tokenizing can fail on raises the first such error
+    in text order, before anything is evaluated; only then is the text split
+    into tokens, with one `findall`.  One pass over the tokens keeps a level's
+    sum of closed terms in `total` and its open term in `term`, which starts
+    as the sign of the `+` or `-` before it; each unary `-` negates `term`,
+    and `op` is the `*` or `/` that takes the next factor.  Each open `(`
+    stacks its enclosing level.  A factor is applied as soon as it is
+    complete, so each error is raised where a left-to-right reading meets
+    it; truncating division is odd in its dividend, so the sign carried in
+    `term` gives the same result as applying it last."""
+    suspect = _ARITH_SUSPECT.search(text)
+    while suspect is not None:
+        found = suspect.group()
+        if len(found) == 1:
+            raise ArithSyntaxError(f"unexpected {found!r} in integer expression")
+        try:
+            int(found)
+        except ValueError:  # CPython's int/str conversion digit limit
+            raise NumberTooLargeError(
+                f"integer of {len(found)} digits is too long for %eval") from None
+        suspect = _ARITH_SUSPECT.search(text, suspect.end())
+    toks = _ARITH_TOKEN.findall(text)
     if not toks:
         raise ArithSyntaxError("empty integer expression")
-    toks.append(None)  # the end: every branch returns or raises on it
-    ops: list[str] = []
-    values: list[int] = []
-    signs: list[int] = []
-    sign, want_operand = 1, True
+    stack: list[tuple] = []  # (total, term, op) of each enclosing level
+    total, term, op = 0, 1, "*"
+    want_operand = True
     for tok in toks:
         if want_operand:
             if tok == "-":
-                sign = -sign
+                term = -term
                 continue
             if tok == "(":
-                ops.append(tok)
-                signs.append(sign)
-                sign = 1
+                stack.append((total, term, op))
+                total, term, op = 0, 1, "*"
                 continue
-            if not isinstance(tok, int):
+            if tok in "+*/)":
                 raise ArithSyntaxError(f"expected an integer, found {tok!r}")
-            value, sign = sign * tok, 1
+            value = int(tok)
+        elif tok == ")" and stack:
+            value = total + term
+            total, term, op = stack.pop()
+        elif tok == "*" or tok == "/":
+            op, want_operand = tok, True
+            continue
+        elif tok == "+" or tok == "-":
+            total += term
+            term, op, want_operand = 1 if tok == "+" else -1, "*", True
+            continue
+        elif stack:
+            raise ArithSyntaxError("missing ')' in integer expression")
         else:
-            prec = _ARITH_OPS[tok][0] if tok in _ARITH_OPS else 0
-            if ops and ops[-1] != "(" and _ARITH_OPS[ops[-1]][0] >= prec:
-                _apply(ops, values)  # a pending + or -
-            if prec:
-                ops.append(tok)
-                want_operand = True
-                continue
-            if not ops:
-                if tok is None:
-                    return values[0]
-                raise ArithSyntaxError(f"trailing {tok!r} in integer expression")
-            if tok != ")":
-                raise ArithSyntaxError("missing ')' in integer expression")
-            ops.pop()
-            value = signs.pop() * values.pop()
-        values.append(value)
+            found = tok if tok in "()" else int(tok)
+            raise ArithSyntaxError(f"trailing {found!r} in integer expression")
+        term = term * value if op == "*" else _divide(term, value)
         want_operand = False
-        if ops and ops[-1] != "(" and _ARITH_OPS[ops[-1]][0] == 2:
-            _apply(ops, values)  # the right operand of a * or / is complete
+    if want_operand:
+        raise ArithSyntaxError("expected an integer, found None")
+    if stack:
+        raise ArithSyntaxError("missing ')' in integer expression")
+    return total + term
 
 
 # --- symbol tables and resolution
@@ -399,15 +392,18 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
                  _depth: int = 0) -> str:
     """Substitute every `&name` from the innermost table defining it (tables
     run innermost first), then rescan the substituted text so chained
-    references resolve.  The rescan depth per original reference is capped;
-    nothing is ever cached."""
+    references resolve.  One search loop per level copies the text between
+    references, and only an entry that holds `&` is rescanned.  The rescan
+    depth per original reference is capped; nothing is ever cached."""
     if "&" not in text:
         return text
-
-    def substitute(ref: re.Match) -> str:
+    pieces: list[str] = []
+    i = pos = 0  # text[i:] is not copied yet; the search goes on at pos
+    while (ref := _REF.search(text, pos)) is not None:
+        pos = ref.end()
         name = ref.group(1)
         if not _is_ident_start(name[0]):
-            return ref.group()
+            continue
         key = name.lower()
         owner = _owner(tables, key)
         if owner is None:
@@ -417,9 +413,11 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
                                      "rescans (self-referential value?)")
         entry = owner.entries[key]
         trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
-        return resolve_text(entry, tables, trace, _depth + 1)
-
-    return _REF.sub(substitute, text)
+        pieces.append(text[i:ref.start()])
+        pieces.append(resolve_text(entry, tables, trace, _depth + 1) if "&" in entry else entry)
+        i = pos
+    pieces.append(text[i:])
+    return "".join(pieces)
 
 
 def _apply_evals(text: str, trace: TraceSink) -> str:
@@ -466,7 +464,10 @@ def _evaluate(closed: list[list], trace: TraceSink) -> str:
     their pieces: text, or the index in `closed` of a call nested there."""
     results: list[str] = []
     for pieces in closed:
-        inner = "".join(p if isinstance(p, str) else results[p] for p in pieces)
+        if len(pieces) == 1:  # no call nested in this one
+            inner = pieces[0]
+        else:
+            inner = "".join(p if isinstance(p, str) else results[p] for p in pieces)
         value = eval_arith(inner)
         try:
             result = str(value)

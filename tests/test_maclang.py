@@ -11,6 +11,7 @@ from lazylab.errors import (
     LazyLabError,
     LexError,
     MacroSyntaxError,
+    NumberTooLargeError,
     UnknownMacroError,
     UnknownParamError,
     UnresolvedRefError,
@@ -140,10 +141,37 @@ class TestEvalArith:
             eval_arith(bad)
 
 
+def _reference_tokens(text: str) -> list:
+    """%eval's tokens read one character at a time: ints and operator
+    characters, with blanks dropped.  The first character that is none of
+    these, or the first number too long to convert, raises, in text order."""
+    toks: list = []
+    i = 0
+    while i < len(text):
+        j = i
+        while j < len(text) and text[j].isdecimal():
+            j += 1
+        if j > i:
+            try:
+                toks.append(int(text[i:j]))
+            except ValueError:
+                raise NumberTooLargeError(
+                    f"integer of {j - i} digits is too long for %eval") from None
+            i = j
+            continue
+        if text[i] in "+-*/()":
+            toks.append(text[i])
+        elif text[i] not in " \t\r\n":
+            raise ArithSyntaxError(f"unexpected {text[i]!r} in integer expression")
+        i += 1
+    return toks
+
+
 def _recursive_eval_arith(text: str) -> int:
-    """A recursive-descent %eval, kept as the reference for the one-pass
-    `eval_arith`: the same value, or the same error at the same point."""
-    toks = maclang._arith_tokens(text)
+    """A recursive-descent %eval with its own tokenizer, kept as the reference
+    for the one-pass `eval_arith`: the same value, or the same error at the
+    same point."""
+    toks = _reference_tokens(text)
     if not toks:
         raise ArithSyntaxError("empty integer expression")
     pos = 0
@@ -208,8 +236,11 @@ def _outcome(evaluate, text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789+-*/() ", max_size=24))
+@given(st.text(alphabet="0123456789+-*/() \t\r\nx\f²٣", max_size=24))
 @example("1/0 (2)")
+@example("9" * 5000 + " x")
+@example("x " + "9" * 5000)
+@example("1/0 " + "9" * 5000)
 @example("--(1/(2-2))")
 @example("2*(3+4)/0 +")
 def test_eval_arith_matches_recursive_reference(text):
@@ -241,6 +272,21 @@ class TestResolveText:
     def test_self_reference_exceeds_depth(self):
         with pytest.raises(DepthExceededError):
             resolve_text("&a", [_table({"a": "&a"})], TraceSink())
+
+    @staticmethod
+    def _default_chain(last: int) -> str:
+        """A macro whose defaults chain a0=&a1, ..., a{last}=x, printing &a0."""
+        params = "".join(f"a{i}=&a{i + 1}, " for i in range(last)) + f"a{last}=x"
+        return f"%macro m({params});\n%put &a0;\n%mend;\n%m()\n"
+
+    def test_rescan_bound_at_its_edge(self):
+        # &a{k} is resolved at rescan depth k; &a64's entry holds no `&`
+        assert run_session(self._default_chain(63)).log_lines == ["x"]
+        with pytest.raises(DepthExceededError) as exc:
+            run_session(self._default_chain(64))
+        assert exc.value.message == \
+            "resolving '&a64' exceeded 64 rescans (self-referential value?)"
+        assert (exc.value.line, exc.value.col) == (2, 1)
 
     def test_spacing_preserved(self):
         tables = [_table({"x": "2"})]

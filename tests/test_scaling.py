@@ -124,6 +124,15 @@ def eval_sum(n: int) -> str:
     return "%put %eval(" + "+".join(["1"] * n) + ");\n"
 
 
+def eval_parentheses(n: int) -> str:
+    return "%put %eval(" + "(" * n + "1" + ")" * n + ");\n"
+
+
+def entry_references(n: int) -> str:
+    """A default of n `&y+` terms, resolved and summed by `%eval(&p)`."""
+    return f"%let y=1;\n%macro m(p={'&y+' * n}0);\n%put %eval(&p);\n%mend;\n%m()\n"
+
+
 def global_lets(n: int) -> str:
     return "".join(f"%let v{i}=x{i};\n" for i in range(n))
 
@@ -172,6 +181,8 @@ CASES = {
     "references-in-put": (5500, references_in_put, run_session),
     "put-user": (17000, globals_table, put_user),
     "eval-sum": (3000, eval_sum, run_session),
+    "eval-parentheses": (3000, eval_parentheses, run_session),
+    "entry-references": (3000, entry_references, run_session),
     "macro-body": (1500, macro_body, run_session),
     "macro-definitions": (400, macro_definitions, run_session),
     "body-statements": (1500, body_statements, lambda p: run_program(p, "need")),
