@@ -273,17 +273,15 @@ class TestResolveText:
         with pytest.raises(DepthExceededError):
             resolve_text("&a", [_table({"a": "&a"})], TraceSink())
 
-    @staticmethod
-    def _default_chain(last: int) -> str:
-        """A macro whose defaults chain a0=&a1, ..., a{last}=x, printing &a0."""
-        params = "".join(f"a{i}=&a{i + 1}, " for i in range(last)) + f"a{last}=x"
-        return f"%macro m({params});\n%put &a0;\n%mend;\n%m()\n"
-
     def test_rescan_bound_at_its_edge(self):
-        # &a{k} is resolved at rescan depth k; &a64's entry holds no `&`
-        assert run_session(self._default_chain(63)).log_lines == ["x"]
-        with pytest.raises(DepthExceededError) as exc:
-            run_session(self._default_chain(64))
+        def chain(last: int) -> str:
+            """Defaults a0=&a1, ..., a{last}=x; &a{k} is resolved at rescan depth k."""
+            params = "".join(f"a{i}=&a{i + 1}, " for i in range(last)) + f"a{last}=x"
+            return f"%macro m({params});\n%put &a0;\n%mend;\n%m()\n"
+
+        assert run_session(chain(63)).log_lines == ["x"]
+        with pytest.raises(DepthExceededError) as exc:  # although &a64's entry holds no `&`
+            run_session(chain(64))
         assert exc.value.message == \
             "resolving '&a64' exceeded 64 rescans (self-referential value?)"
         assert (exc.value.line, exc.value.col) == (2, 1)
