@@ -12,6 +12,7 @@ from .trace import EventKind, TraceSink
 # module names for every call (the hot-path rule in syntax's docstring)
 _ENV_CREATED = EventKind.ENV_CREATED
 _ENV_DISCARDED = EventKind.ENV_DISCARDED
+_UNBOUND = object()  # no binding of the name in a frame
 
 
 class _Frame:
@@ -31,8 +32,8 @@ class EnvRegistry:
 
     global_id = 0
 
-    def __init__(self, trace: TraceSink | None = None):
-        self._trace = trace or TraceSink()
+    def __init__(self, trace: TraceSink):
+        self._trace = trace
         self._frames: dict[int, _Frame] = {self.global_id: _Frame(None)}
         self._next_id = self.global_id + 1
 
@@ -51,22 +52,24 @@ class EnvRegistry:
         fid = self._next_id
         self._next_id += 1
         self._frames[fid] = _Frame(parent)
-        self._trace.emit(_ENV_CREATED, f"env{fid}", env=parent)
+        if self._trace.events is not None:
+            self._trace.emit(_ENV_CREATED, f"env{fid}", env=parent)
         return fid
 
     def lookup(self, env: int, name: str) -> object:
         """Find `name` in the nearest frame of the parent chain."""
-        frame = self._live(env)
-        while name not in frame.bindings:
+        frames = self._frames
+        frame = frames.get(env) or self._live(env)  # a frame is always true
+        while (binding := frame.bindings.get(name, _UNBOUND)) is _UNBOUND:
             parent = frame.parent
             if parent is None:
                 raise UnboundNameError(name)
-            frame = self._frames.get(parent)
+            frame = frames.get(parent)
             if frame is None:
                 raise DiscardedEnvError(
                     f"lookup of '{name}' crossed discarded frame env{parent}"
                 )
-        return frame.bindings[name]
+        return binding
 
     def define(self, env: int, name: str, binding: object) -> None:
         """Create or overwrite `name` in exactly this frame, never a parent."""
@@ -77,4 +80,5 @@ class EnvRegistry:
             raise CannotDiscardGlobalError("the global environment cannot be discarded")
         self._live(env)
         del self._frames[env]
-        self._trace.emit(_ENV_DISCARDED, f"env{env}")
+        if self._trace.events is not None:
+            self._trace.emit(_ENV_DISCARDED, f"env{env}")

@@ -102,7 +102,7 @@ class FunclangRun:
 
     def __init__(self, strategy: Strategy | str, trace: TraceSink | None = None):
         self.strategy = Strategy(strategy)
-        self.trace = trace if trace is not None else TraceSink()
+        self.trace = trace if trace is not None else TraceSink(keep=False)
         self.envs = EnvRegistry(self.trace)
         self.promises = PromiseStore(self.envs, self.trace)
         self.output = Output()
@@ -113,36 +113,39 @@ class FunclangRun:
         for stmt in program.stmts:
             value = self.exec_stmt(stmt, g)
             # the result is the value of a bare expression that ends the program
-            self.output.result = value if isinstance(stmt, ExprStmt) else None
+            self.output.result = value if stmt.__class__ is ExprStmt else None
         return self.output
 
     def exec_stmt(self, stmt: Stmt, env: int) -> Value:
         value = self.eval_expr(stmt.expr, env)
-        if isinstance(stmt, Assign):
+        cls = stmt.__class__
+        if cls is Assign:
             self.envs.define(env, stmt.name, value)
-        elif isinstance(stmt, PrintStmt):
+        elif cls is PrintStmt:
             line = format_value(value)
             self.output.lines.append(line)
-            self.trace.emit(_OUTPUT_LINE, "stdout", text=line)
+            if self.trace.events is not None:
+                self.trace.emit(_OUTPUT_LINE, "stdout", text=line)
         return value
 
     def eval_expr(self, e: Expr, env: int) -> Value:
+        cls = e.__class__  # compared by identity (the hot-path rule in syntax's docstring)
+        if cls is NumberLit:
+            return e.value
         try:
-            if isinstance(e, NumberLit):
-                return e.value
-            if isinstance(e, Ident):
+            if cls is Ident:
                 return self._read(e.name, env)
-            if isinstance(e, Binary):
+            if cls is Binary:
                 return self._binary(e, env)
-            if isinstance(e, VectorCtor):
-                return self._vector(e, env)
-            if isinstance(e, FunctionDef):
-                return Closure(e, env)
-            if isinstance(e, Call):
+            if cls is Call:
                 callee = self.eval_expr(e.callee, env)
                 if not isinstance(callee, Closure):
                     raise TypeMismatchError("call of a non-function value")
                 return self.call_closure(callee, e.args, env)
+            if cls is VectorCtor:
+                return self._vector(e, env)
+            if cls is FunctionDef:
+                return Closure(e, env)
         except LazyLabError as err:
             raise err.at(*e.pos)
         raise TypeError(f"not an expression: {e!r}")
@@ -258,6 +261,15 @@ class FunclangRun:
         Named arguments bind by exact name; remaining positional arguments
         fill the still-unfilled parameters left to right.
         """
+        if len(args) <= len(params):
+            for name, _expr in args:
+                if name is not None:
+                    break
+            else:  # positional only: the i-th argument fills the i-th parameter
+                matched = {}
+                for (p, _default), (_name, expr) in zip(params, args):
+                    matched[p] = expr
+                return matched
         names = {p for p, _ in params}
         for name, _expr in args:
             if name is not None and name not in names:
@@ -280,7 +292,6 @@ def run_program(
 ) -> Output:
     """Execute a parsed program in a fresh run under the given strategy.
 
-    Without a sink the run keeps no trace; pass a `TraceSink()` to keep one."""
-    if trace is None:
-        trace = TraceSink(keep=False)
+    Without a sink the run keeps no trace and makes no `emit` call; pass a
+    `TraceSink()` to keep one."""
     return FunclangRun(strategy, trace).run(program)

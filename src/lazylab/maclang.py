@@ -412,7 +412,8 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
             raise DepthExceededError(f"resolving '&{name}'", RESCAN_LIMIT,
                                      "rescans (self-referential value?)")
         entry = owner.entries[key]
-        trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
+        if trace.events is not None:
+            trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
         pieces.append(text[i:ref.start()])
         pieces.append(resolve_text(entry, tables, trace, _depth + 1) if "&" in entry else entry)
         i = pos
@@ -473,7 +474,8 @@ def _evaluate(closed: list[list], trace: TraceSink) -> str:
             result = str(value)
         except ValueError:  # CPython's int/str conversion digit limit
             raise NumberTooLargeError("%eval result has too many digits to print") from None
-        trace.emit(_ARITH_EVAL, inner.strip(), text=result)
+        if trace.events is not None:
+            trace.emit(_ARITH_EVAL, inner.strip(), text=result)
         results.append(result)
     return results[-1]
 
@@ -500,7 +502,7 @@ class MacroSession:
     """One maclang session: global symbol table, macro registry, log."""
 
     def __init__(self, trace: TraceSink | None = None):
-        self.trace = trace if trace is not None else TraceSink()
+        self.trace = trace if trace is not None else TraceSink(keep=False)
         # live tables, innermost first, global last
         self._tables = [SymbolTable("global", "GLOBAL")]
         self.macros: dict[str, MacroDef] = {}
@@ -548,7 +550,8 @@ class MacroSession:
         self._invocations[definition.name] = ordinal
         table = SymbolTable(f"{definition.name}#{ordinal}", definition.name.upper())
         self._tables.insert(0, table)
-        self.trace.emit(_TABLE_CREATED, table.trace_label, text=definition.name)
+        if self.trace.events is not None:
+            self.trace.emit(_TABLE_CREATED, table.trace_label, text=definition.name)
         try:
             for p, default in definition.params.items():
                 self._store(table, p, overrides.get(p, default), origin="param")
@@ -558,7 +561,8 @@ class MacroSession:
             self._execute(definition.body)
         finally:
             del self._tables[0]
-            self.trace.emit(_TABLE_DELETED, table.trace_label)
+            if self.trace.events is not None:
+                self.trace.emit(_TABLE_DELETED, table.trace_label)
 
     def let(self, name: str, raw_text: str):
         """Resolve the value text, then update the innermost table already
@@ -579,18 +583,19 @@ class MacroSession:
     def _store(self, table: SymbolTable, key: str, text: str, origin: str):
         """Store text under an already lowercased key."""
         table.entries[key] = text
-        self.trace.emit(_VAR_STORED, key,
-                        table=table.trace_label, origin=origin, text=text)
+        if self.trace.events is not None:
+            self.trace.emit(_VAR_STORED, key,
+                            table=table.trace_label, origin=origin, text=text)
 
     def _log_line(self, line: str):
         self.log.append(line)
-        self.trace.emit(_OUTPUT_LINE, "log", text=line)
+        if self.trace.events is not None:
+            self.trace.emit(_OUTPUT_LINE, "log", text=line)
 
 
 def run_session(source: str, trace: TraceSink | None = None) -> MacroOutput:
     """Run a whole maclang session over the given source.
 
-    Without a sink the session keeps no trace; pass a `TraceSink()` to keep one."""
-    if trace is None:
-        trace = TraceSink(keep=False)
+    Without a sink the session keeps no trace and makes no `emit` call; pass
+    a `TraceSink()` to keep one."""
     return MacroSession(trace).run(source)

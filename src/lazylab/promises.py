@@ -60,9 +60,9 @@ Evaluator = Callable[[Expr, int], object]
 class PromiseStore:
     """Creates, forces and traces the promises of a single run."""
 
-    def __init__(self, envs: EnvRegistry, trace: TraceSink | None = None):
+    def __init__(self, envs: EnvRegistry, trace: TraceSink):
         self._envs = envs
-        self._trace = trace or TraceSink()
+        self._trace = trace
         self._next_id = 0
 
     def new(self, expr: Expr, env: int, label: str) -> Promise:
@@ -71,14 +71,16 @@ class PromiseStore:
             raise DiscardedEnvError(f"environment env{env} was discarded")
         p = Promise(self._next_id, expr, env, label)
         self._next_id += 1
-        self._trace.emit(_PROMISE_CREATED, f"promise{p.id}",
-                         param=label, env=env, expr=expr)
+        if self._trace.events is not None:
+            self._trace.emit(_PROMISE_CREATED, f"promise{p.id}",
+                             param=label, env=env, expr=expr)
         return p
 
     def force(self, p: Promise, evaluator: Evaluator) -> object:
         """Return the cached value, evaluating once on first use."""
         if p.state is _FORCED:
-            self._trace.emit(_PROMISE_CACHE_HIT, f"promise{p.id}", param=p.label)
+            if self._trace.events is not None:
+                self._trace.emit(_PROMISE_CACHE_HIT, f"promise{p.id}", param=p.label)
             return p.value
         if p.state is _FORCING:
             raise CyclicForceError(p.label)
@@ -90,8 +92,9 @@ class PromiseStore:
             raise
         p.value = value
         p.state = _FORCED
-        self._trace.emit(_PROMISE_FORCED, f"promise{p.id}",
-                         param=p.label, text=value)
+        if self._trace.events is not None:
+            self._trace.emit(_PROMISE_FORCED, f"promise{p.id}",
+                             param=p.label, text=value)
         return value
 
     def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
@@ -103,6 +106,7 @@ class PromiseStore:
             value = evaluator(p.expr, p.env)
         finally:
             p.state = _UNFORCED
-        self._trace.emit(_NAME_REEVAL, f"promise{p.id}",
-                         param=p.label, text=value)
+        if self._trace.events is not None:
+            self._trace.emit(_NAME_REEVAL, f"promise{p.id}",
+                             param=p.label, text=value)
         return value

@@ -13,8 +13,9 @@ deep; the `(` beyond it is a positioned `DepthExceededError`.
 Hot-path rule, here and in the engines: hot code reads Enum members through
 private module-level names (`_EOF = TokKind.EOF`), because on CPython 3.11
 every `TokKind.EOF` read goes through the Enum metaclass and costs about ten
-times a global read.  Tokens are a slotted, non-frozen dataclass, so they are
-unhashable; nothing hashes one.
+times a global read.  No AST class has a subclass, so the evaluator compares
+a node's `__class__` by identity instead of calling `isinstance`.  Tokens are
+a slotted, non-frozen dataclass, so they are unhashable; nothing hashes one.
 
 The evaluator's values are a `Decimal`, a `tuple` of them (a vector) and a
 `Closure`; `format_value` gives their printed form.  AST nodes here and

@@ -1,11 +1,14 @@
 """Ordered instrumentation events shared by both engines.
 
 A traced run owns one sink, and event ordinals are strictly increasing
-within it.  A sink made with `keep=False` keeps nothing and builds no event;
-`run_program` and `run_session` use one when they are given no sink, so a
-plain run's memory does not grow with its trace.  An event carries its facts
-as fields, and `TraceEvent.detail` renders them in the v1 `key=value` layout
-that `lab.trace_jsonl` writes.  This module is the only one that knows that
+within it.  A sink made with `keep=False` keeps nothing: its `events` is None.
+`FunclangRun` and `MacroSession` use one when they are given no sink, so a
+plain run's memory does not grow with its trace.  Every event site of the
+engines tests `events is not None` before it builds a subject or a field, so
+a plain run makes no `emit` call at all; `emit`'s own early return serves
+direct callers.  An event carries its facts as fields, and
+`TraceEvent.detail` renders them in the v1 `key=value` layout that
+`lab.trace_jsonl` writes.  This module is the only one that knows that
 layout.
 """
 

@@ -26,7 +26,7 @@ from lazylab.lab import (
     run_with_metrics,
 )
 from lazylab.syntax import parse_source
-from lazylab.trace import EventKind
+from lazylab.trace import EventKind, TraceSink
 
 from conftest import bindings_of, count, of_kind
 
@@ -102,7 +102,7 @@ def test_a05_by_name_matches_the_macro_engine():
 
 def test_a06_execution_environment_lifecycle(env_lifecycle_program):
     with criterion("A06 execution environment scenario"):
-        run = FunclangRun(Strategy.NEED)
+        run = FunclangRun(Strategy.NEED, TraceSink())
         run.run(parse_source(env_lifecycle_program))
         bindings = bindings_of(run.envs, run.envs.global_id)
         assert set(bindings) == {"y", "h", "z"}

@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from lazylab.errors import LazyLabError
+from lazylab.evaluator import run_program
 from lazylab.lab import (
     generate_divergent,
     generate_program,
@@ -25,6 +26,8 @@ from lazylab.lab import (
     run_with_metrics,
     trace_jsonl,
 )
+from lazylab.maclang import run_session
+from lazylab.syntax import parse_source
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden" / "digests.json"
@@ -222,6 +225,30 @@ def test_digests_match_manifest(name):
     assert expected, f"the manifest has no {name!r} inputs"
     for key in [*expected, *actual]:
         assert actual.get(key) == expected.get(key), f"first differing input: {key}"
+
+
+def _outcome(run):
+    """The lines a run prints, or the type, message and position of its error."""
+    try:
+        return run()
+    except LazyLabError as err:
+        return type(err), err.message, err.line, err.col
+
+
+def _plain(lang: str, strategy: str | None, source: str):
+    if lang == "func":
+        return run_program(parse_source(source), strategy).lines
+    return run_session(source).log_lines
+
+
+@pytest.mark.parametrize("name", SETS)
+def test_plain_runs_match_traced_runs(name):
+    """A run without a sink, which skips every event, prints what a traced
+    run prints and fails where it fails."""
+    for key, lang, strategy, source in SETS[name]():
+        plain = _outcome(lambda: _plain(lang, strategy, source))
+        traced = _outcome(lambda: run_with_metrics(source, lang, strategy)[0])
+        assert plain == traced, f"first differing input: {name}/{key}"
 
 
 def test_error_programs_fail():

@@ -15,7 +15,7 @@ from conftest import bindings_of
 
 
 def test_global_is_root_and_empty():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     assert envs.is_live(envs.global_id)
     assert bindings_of(envs, envs.global_id) == {}
     # a lookup from the root has no frame left to try, even with a child around
@@ -25,20 +25,20 @@ def test_global_is_root_and_empty():
 
 
 def test_define_then_lookup_in_global():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     envs.define(envs.global_id, "y", 6)
     assert envs.lookup(envs.global_id, "y") == 6
 
 
 def test_child_sees_parent_bindings():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     envs.define(envs.global_id, "y", 6)
     child = envs.child(envs.global_id)
     assert envs.lookup(child, "y") == 6
 
 
 def test_child_binding_stays_local():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     child = envs.child(envs.global_id)
     envs.define(child, "x", 1)
     assert envs.lookup(child, "x") == 1
@@ -47,7 +47,7 @@ def test_child_binding_stays_local():
 
 
 def test_sibling_frames_are_independent():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     left = envs.child(envs.global_id)
     right = envs.child(envs.global_id)
     envs.define(left, "a", 1)
@@ -56,7 +56,7 @@ def test_sibling_frames_are_independent():
 
 
 def test_shadowing_innermost_wins():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     envs.define(envs.global_id, "x", 5)
     child = envs.child(envs.global_id)
     envs.define(child, "x", 2)
@@ -65,7 +65,7 @@ def test_shadowing_innermost_wins():
 
 
 def test_define_in_child_never_changes_parent():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     envs.define(envs.global_id, "x", 5)
     child = envs.child(envs.global_id)
     envs.define(child, "x", 2)
@@ -75,7 +75,7 @@ def test_define_in_child_never_changes_parent():
 
 
 def test_redefine_overwrites_same_frame():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     child = envs.child(envs.global_id)
     envs.define(child, "x", 2)
     envs.define(child, "x", 10)
@@ -83,15 +83,15 @@ def test_redefine_overwrites_same_frame():
 
 
 def test_promise_bindings_round_trip():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     (stmt,) = parse_source("7").stmts
-    promise = PromiseStore(envs).new(stmt.expr, envs.global_id, label="p")
+    promise = PromiseStore(envs, TraceSink()).new(stmt.expr, envs.global_id, label="p")
     envs.define(envs.global_id, "p", promise)
     assert envs.lookup(envs.global_id, "p") is promise
 
 
 def test_discard_lifecycle():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     child = envs.child(envs.global_id)
     envs.define(child, "x", 1)
     assert envs.is_live(child)
@@ -107,7 +107,7 @@ def test_discard_lifecycle():
 
 
 def test_lookup_never_traverses_a_discarded_frame():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     middle = envs.child(envs.global_id)
     leaf = envs.child(middle)
     envs.define(envs.global_id, "x", 1)
@@ -117,13 +117,13 @@ def test_lookup_never_traverses_a_discarded_frame():
 
 
 def test_global_cannot_be_discarded():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     with pytest.raises(CannotDiscardGlobalError):
         envs.discard(envs.global_id)
 
 
 def test_child_of_discarded_parent_rejected():
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     child = envs.child(envs.global_id)
     envs.discard(child)
     with pytest.raises(DiscardedEnvError):
@@ -151,7 +151,7 @@ _names = st.sampled_from(["a", "b", "c", "d", "e"])
     probe=_names,
 )
 def test_unbound_in_child_defers_to_parent(chain_defs, probe):
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     env = envs.global_id
     frames = [env]
     for defs in chain_defs:
@@ -176,7 +176,7 @@ def test_unbound_in_child_defers_to_parent(chain_defs, probe):
 @settings(max_examples=40, deadline=None)
 @given(depth=st.integers(1, 30))
 def test_parent_chain_terminates(depth):
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     env = envs.global_id
     envs.define(env, "v0", 0)
     for level in range(1, depth + 1):

@@ -33,7 +33,7 @@ from lazylab.lab import (
 )
 from lazylab.promises import Promise
 from lazylab.syntax import NESTING_LIMIT, parse_source, program_source
-from lazylab.trace import EventKind
+from lazylab.trace import EventKind, TraceSink
 
 from conftest import bindings_of, count, of_kind
 
@@ -43,7 +43,7 @@ def run(source, strategy=Strategy.NEED):
 
 
 def run_full(source, strategy=Strategy.NEED):
-    r = FunclangRun(strategy)
+    r = FunclangRun(strategy, TraceSink())
     out = r.run(parse_source(source))
     return r, out
 
@@ -226,7 +226,7 @@ class TestRunHygiene:
 
     def test_envs_discarded_even_when_the_body_fails(self):
         src = "f <- function(x){ nosuch }\nf(1)\n"
-        r = FunclangRun(Strategy.NEED)
+        r = FunclangRun(Strategy.NEED, TraceSink())
         with pytest.raises(UnboundNameError):
             r.run(parse_source(src))
         events = r.trace.events
@@ -302,7 +302,7 @@ class TestDepthBounds:
     @pytest.mark.parametrize("strategy", [Strategy.NEED, Strategy.NAME])
     def test_deepest_admitted_level_runs_and_one_more_fails(self, strategy):
         assert run(default_chain("7", self.LINKS), strategy).lines == ["7"]
-        r = FunclangRun(strategy)
+        r = FunclangRun(strategy, TraceSink())
         with pytest.raises(DepthExceededError) as exc:
             r.run(parse_source(default_chain("7", self.LINKS + 1)))
         assert exc.value.message == ("evaluating an argument exceeded 100 nested calls "
@@ -325,7 +325,7 @@ class TestDepthBounds:
     def test_counter_and_frames_unwind_after_the_error(self):
         recursive = "f <- function(n) { n + f(n - 1) }\nf(1)\n"
         for strategy in Strategy:
-            r = FunclangRun(strategy)
+            r = FunclangRun(strategy, TraceSink())
             with pytest.raises(DepthExceededError) as exc:
                 r.run(parse_source(recursive))
             assert exc.value.message.startswith(("calling a function exceeded 100",

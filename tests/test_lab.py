@@ -101,6 +101,10 @@ class _EventBuilt(Exception):
     pass
 
 
+class _EmitCalled(Exception):
+    pass
+
+
 class TestPlainRuns:
     def test_plain_runs_build_no_event(self, monkeypatch, tmp_path, capsys):
         def no_event(*fields):
@@ -117,6 +121,45 @@ class TestPlainRuns:
             assert main(["run", "--lang", lang, str(path)]) == 0
             assert capsys.readouterr().out == expected
         with pytest.raises(_EventBuilt):
+            run_with_metrics(load_program("r_prog1.fl"), "func")
+
+    def test_plain_runs_call_no_emit(self, monkeypatch, tmp_path, capsys):
+        """Without a sink, no engine calls `TraceSink.emit`, so no subject or
+        field of an event is built."""
+        sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads  # bench/workloads.py
+
+        def no_emit(self, *args, **kwargs):
+            raise _EmitCalled(args, kwargs)
+
+        monkeypatch.setattr(lazylab.trace.TraceSink, "emit", no_emit)
+        inputs = [("func", strategy, name, load_program(name))
+                  for name in ("r_prog1.fl", "r_prog2.fl")
+                  for strategy in ("strict", "need", "name")]
+        inputs += [("macro", None, name, load_program(name))
+                   for name in ("sas_prog1.ml", "sas_prog2.ml")]
+        for w in workloads.WORKLOADS:
+            case = workloads.build(w, 1)[0]
+            inputs += [(case.lang, strategy, w, case.source) for strategy in case.strategies]
+        for lang, strategy, name, source in inputs:
+            path = tmp_path / "input"
+            path.write_text(source)
+            argv = ["run", "--lang", lang, str(path)]
+            if strategy is not None:
+                argv[3:3] = ["--strategy", strategy]
+            if (name, strategy) == ("r_prog1.fl", "strict"):
+                # the default z = a + b is evaluated before `a` is assigned
+                with pytest.raises(UnboundNameError):
+                    run_program(parse_source(source), strategy)
+                assert main(argv) == 1
+                continue
+            if lang == "func":
+                run_program(parse_source(source), strategy)
+            else:
+                run_session(source)
+            assert main(argv) == 0, (name, strategy)
+        capsys.readouterr()
+        with pytest.raises(_EmitCalled):
             run_with_metrics(load_program("r_prog1.fl"), "func")
 
     def test_runs_leave_no_cyclic_garbage(self):

@@ -146,7 +146,7 @@ def test_uncached_evaluation_never_populates_the_slot(store):
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.booleans(), min_size=0, max_size=12))
 def test_occupancy_matches_forced_count(force_flags):
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     sink = TraceSink()
     promises = PromiseStore(envs, sink)
     evaluator, _ = _counting_evaluator()
@@ -161,7 +161,7 @@ def test_occupancy_matches_forced_count(force_flags):
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 8))
 def test_at_most_once_and_idempotent(n_forces):
-    envs = EnvRegistry()
+    envs = EnvRegistry(TraceSink())
     sink = TraceSink()
     promises = PromiseStore(envs, sink)
     evaluator, calls = _counting_evaluator(Decimal(42))
