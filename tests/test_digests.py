@@ -84,6 +84,9 @@ FUNC_ERRORS = {
     "division-by-zero-mid-chain": "x <- 1 - 2 / 0 * 3\n",
 }
 
+# a macro whose calls the call spellings below read
+_TWO_PARAMS = "%macro m(a=0, b=0); %put &a|&b; %mend;\n"
+
 MACRO_ERRORS = {
     "unresolved": "%let a=1;\n%put &a &ghost;\n",
     "unknown-param": "%macro m(a); %put &a; %mend;\n%m(b=1)\n",
@@ -127,10 +130,14 @@ MACRO_ERRORS = {
     "let-joined-to-digit": "%let2=3;\n",
     "let-name-starts-with-fraction": "%let \u00bd=1;\n",
     "indented-let-unresolved-in-value": "%put a;\n  %let x=&nope;\n",
+    "call-entry-without-value": _TWO_PARAMS + "%m(a)\n",
+    "call-name-starts-with-digit": _TWO_PARAMS + "%m(1a=2)\n",
+    "call-duplicate-in-other-case": _TWO_PARAMS + "%m(A=2, a=3)\n",
+    "call-unterminated": _TWO_PARAMS + "%m(a=1\n",
 }
 
-# Each edge program runs to the end: `%let` and `%put` spellings the scanner
-# reads without an error.
+# Each edge program runs to the end: `%let`, `%put` and macro call spellings
+# the scanner reads without an error.
 MACRO_EDGES = {
     "let-upper-case-spaced": "%LET X = 1 ;\n",
     "let-tab-and-newlines": "%let\tx\n=\n1;\n",
@@ -143,6 +150,14 @@ MACRO_EDGES = {
     "let-non-ascii-name": "%let \u00e9=1; %put &\u00e9;\n",
     "let-statements-without-space": "%let x=1;%let y=2;%put &x&y;\n",
     "let-value-over-crlf": "%let x=a\r\nb;\r\n%put [&x];\n",
+    "call-spaced": _TWO_PARAMS + "%m ( a = 1 , b = 2 )\n",
+    "call-over-lines-mixed-case": _TWO_PARAMS + "%M\n(A=1,\n b = 3)\n",
+    "call-empty-spaced": _TWO_PARAMS + "%m( )\n",
+    "call-trailing-comma": _TWO_PARAMS + "%m(a=1,)\n",
+    "call-value-with-equals": _TWO_PARAMS + "%m(a=x=y)\n",
+    "call-value-with-space": _TWO_PARAMS + "%m(a=1 b=2)\n",
+    "call-value-with-parentheses": _TWO_PARAMS + "%m(a=f(1,2))\n",
+    "put-written-as-call": _TWO_PARAMS + "%put(a=1)\n",  # prints (a=1): a keyword is never a call
 }
 
 BENCH_WORKLOADS = ("call_chain", "macro_invoke", "macro_store")

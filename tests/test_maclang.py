@@ -81,10 +81,17 @@ class TestScanner:
     @pytest.mark.parametrize("source", [
         "%put " + "x " * 40000,
         "%macro m(); " + "x " * 40000,
+        "%m(" + ", ".join(f"a{i}=x" for i in range(20000)),
     ])
     def test_unterminated_statements_scan_in_linear_time(self, source):
         start = time.perf_counter()
-        scan(source)
+        if source.startswith("%m("):  # a call never closed raises where it ends
+            with pytest.raises(MacroSyntaxError) as exc:
+                scan(source)
+            assert (exc.value.message, exc.value.line, exc.value.col) == \
+                ("unterminated parameter list", 1, len(source) + 1)
+        else:
+            scan(source)
         assert time.perf_counter() - start < 1.0
 
     def test_unterminated_comments_fail_in_linear_time(self):
@@ -667,3 +674,110 @@ def test_let_gives_its_record_or_a_positioned_error(
     with pytest.raises(MacroSyntaxError) as exc:
         scan(source)
     assert (exc.value.message, exc.value.line, exc.value.col) == expected
+
+
+_GAP = st.text(" \n", max_size=2)
+_ENTRY = st.tuples(
+    _GAP, st.sampled_from(["a", "A", "b", "_c", "1a", "²"]), _GAP, st.booleans(),
+    st.lists(st.sampled_from(["1", "x", " ", "\n", "=", "&a", "(1)", "f(1, (2))"]),
+             max_size=4).map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "%put a;\n", "  "]), st.sampled_from(["m", "M", "mAc_1"]), _GAP,
+       st.lists(_ENTRY, max_size=3), st.booleans(), _GAP, st.booleans())
+@example("", "m", "", [("", "a", "", True, "f(1, (2))")], False, "", True)
+def test_call_gives_its_record_or_a_positioned_error(
+        prefix, name, gap, entries, trailing_comma, space_before_close, closed):
+    """Oracle: entries are `name = value` separated by ',', with an optional
+    trailing ','; a name starts with a letter or `_`, a value runs to a
+    top-level ',' or ')' and is stripped, and names compare lowercased.  The
+    first repeated name gives an ERROR record, unless a syntax error follows;
+    a syntax error raises at the next non-space character."""
+    source = prefix + "%" + name + gap + "("
+    parsed = []  # (offset of the name, name, offset after it and its space, value or None)
+    for k, (lead, key, space, equals, value) in enumerate(entries):
+        source += lead
+        at = len(source)
+        source += key + space
+        parsed.append((at, key, len(source), value.strip() if equals else None))
+        source += "=" + value if equals else ""
+        if k < len(entries) - 1:
+            source += ","
+    if entries and trailing_comma:
+        source += ","
+    source += space_before_close + ")" * closed
+    args, duplicate, error = {}, None, None
+    for k, (at, key, after, value) in enumerate(parsed):
+        if not (key[0].isalpha() or key[0] == "_"):
+            error = ("expected a name in macro argument list", at)
+            break
+        if key.lower() in args and duplicate is None:
+            duplicate = ("error", *_line_col(source, at), DuplicateParamError, key)
+        if value is None:
+            error = ("macro argument list entries are written name=value",
+                     _next_non_space(source, after))
+            break
+        args[key.lower()] = value
+        last = k == len(parsed) - 1
+        if not closed and last and not trailing_comma:
+            error = ("unterminated parameter list", len(source))
+            break
+    else:
+        if not closed:
+            error = ("expected a name in macro argument list", len(source))
+    if error is not None:
+        with pytest.raises(MacroSyntaxError) as exc:
+            scan(source)
+        assert (exc.value.message, exc.value.line, exc.value.col) == \
+            (error[0], *_line_col(source, error[1]))
+        return
+    records = scan(source)
+    assert len(records) == (prefix.strip() != "") + 1
+    assert records[-1] == duplicate or \
+        (duplicate is None and records[-1] == ("call", *_line_col(source, len(prefix)), name, args))
+
+
+_TABLES = [_table({"a": "&b.", "ab": "1", "a²": "&1"}, "m#1", "M"),
+           _table({"a": "0", "b": "&a1 2", "a1": "x", "_": "&_", "b_": "&ab&ab", "bb": "&a &b"})]
+
+
+def _search_loop_resolve(text, tables, trace, _depth=0):
+    """`resolve_text` as one `_REF.search` loop per level, kept as a reference
+    for the split: text between references is copied as it is found."""
+    if "&" not in text:
+        return text
+    pieces, i, pos = [], 0, 0
+    while (ref := maclang._REF.search(text, pos)) is not None:
+        pos = ref.end()
+        name = ref.group(1)
+        if not (name[0].isalpha() or name[0] == "_"):
+            continue
+        key = name.lower()
+        owner = next((t for t in tables if key in t.entries), None)
+        if owner is None:
+            raise UnresolvedRefError(name)
+        if _depth >= maclang.RESCAN_LIMIT:
+            raise DepthExceededError(f"resolving '&{name}'", maclang.RESCAN_LIMIT,
+                                     "rescans (self-referential value?)")
+        entry = owner.entries[key]
+        trace.emit(EventKind.VAR_RESOLVED, key, table=owner.trace_label, text=entry)
+        pieces.append(text[i:ref.start()])
+        pieces.append(_search_loop_resolve(entry, tables, trace, _depth + 1))
+        i = pos
+    pieces.append(text[i:])
+    return "".join(pieces)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("&ab1_ .²", max_size=20))
+@example("&a&B &ab.&1&²&bb")
+@example("x&_")
+def test_resolve_text_matches_the_search_loop(text):
+    outcomes = []
+    for resolve in (resolve_text, _search_loop_resolve):
+        sink = TraceSink()
+        outcome = _outcome(lambda t: resolve(t, _TABLES, sink), text)
+        outcomes.append((outcome, [(ev.subject, ev.table, ev.text)
+                                   for ev in of_kind(sink.events, EventKind.VAR_RESOLVED)]))
+    assert outcomes[0] == outcomes[1]

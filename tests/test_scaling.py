@@ -116,6 +116,11 @@ def macro_arguments(n: int) -> str:
     return f"%macro m({params});\n%put &p0 &p{n - 1};\n%mend;\n%m({args})\n"
 
 
+def macro_calls(n: int) -> str:
+    calls = "".join(f"%m(a={k})\n" for k in range(n))
+    return f"%macro m(a=0);\n%put &a;\n%mend;\n{calls}"
+
+
 def nested_evals(n: int) -> str:
     return "%put " + "%eval(" * n + "1" + " + 1)" * n + ";\n"
 
@@ -176,6 +181,7 @@ CASES = {
     "named-arguments": (2500, named_arguments, lambda p: run_program(p, "strict")),
     "parameters": (3000, parameters, lambda p: run_program(p, "need")),
     "macro-arguments": (1400, macro_arguments, run_session),
+    "macro-calls": (1500, macro_calls, run_session),
     "nested-evals": (1200, nested_evals, run_session),
     "global-lets": (1600, global_lets, run_session),
     "references-in-put": (5500, references_in_put, run_session),
