@@ -80,6 +80,23 @@ def _diagnose(input_name: str, err: LazyLabError, context: str = "") -> None:
     print(text, file=sys.stderr)
 
 
+def _write(lines) -> None:
+    """Print each line to stdout.  A reader that stops early (`| head -1`) is
+    not an error: stdout is pointed at os.devnull, so that neither the lines
+    still to come nor the flush at exit raise again, and the command ends
+    with the exit code it would have had."""
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
+
+
 def _read_input(path: str) -> str:
     """The text of a file or of stdin ('-'), decoded strictly as UTF-8; CRLF
     and CR line ends are read as LF, as text-mode files read them."""
@@ -118,11 +135,7 @@ def _cmd_run(args) -> int:
     except LazyLabError as err:
         _diagnose(args.input, err)
         return 1
-    if args.output == "json":
-        print(json.dumps({"lines": lines, "result": result}))
-    else:
-        for line in lines:
-            print(line)
+    _write([json.dumps({"lines": lines, "result": result})] if args.output == "json" else lines)
     return 0
 
 
@@ -131,12 +144,10 @@ def _cmd_trace(args) -> int:
     try:
         _, metrics, events = run_with_metrics(_read_input(args.input), args.lang, strategy)
     except LazyLabError as err:
-        for line in trace_jsonl(getattr(err, "partial_trace", [])):
-            print(line)
+        _write(trace_jsonl(getattr(err, "partial_trace", [])))
         _diagnose(args.input, err)
         return 1
-    for line in trace_jsonl(events, metrics):
-        print(line)
+    _write(trace_jsonl(events, metrics))
     return 0
 
 
@@ -163,11 +174,8 @@ def _cmd_diff(args) -> int:
     (left_lines, left_metrics, _), (right_lines, right_metrics, _) = runs
     report = diff_outputs(left_lines, right_lines)
     report.metrics_delta = metrics_delta(left_metrics, right_metrics)
-    if args.output == "json":
-        print(json.dumps(report.to_dict()))
-    else:
-        for line in _format_report(None, report):
-            print(line)
+    _write([json.dumps(report.to_dict())] if args.output == "json"
+           else _format_report(None, report))
     return 0 if report.verdict is Verdict.EQUAL else 3
 
 
@@ -181,19 +189,18 @@ def _cmd_pairs(args) -> int:
             return 1
     ok = all(report.verdict is PAIRS[pair].expected for pair, report in results)
     if args.output == "json":
-        print(json.dumps([
+        lines = [json.dumps([
             {"pair": pair.value, **report.to_dict()} for pair, report in results
-        ]))
+        ])]
     else:
-        for pair, report in results:
-            for line in _format_report(pair.value, report):
-                print(line)
-        print("verdict pattern:", "expected" if ok else "UNEXPECTED")
+        lines = [line for pair, report in results for line in _format_report(pair.value, report)]
+        lines.append(f"verdict pattern: {'expected' if ok else 'UNEXPECTED'}")
+    _write(lines)
     return 0 if ok else 1
 
 
 def _cmd_gen(args) -> int:
-    sys.stdout.write(generate_program(args.seed, args.size))
+    _write(generate_program(args.seed, args.size).splitlines())
     return 0
 
 

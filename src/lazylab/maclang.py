@@ -4,20 +4,24 @@ The scanner turns source into statement records that the session executes
 in order.  It and the `&` and `%eval(` passes move forward over string
 offsets with compiled patterns; a (line, col) is worked out only for a record
 or an error, and a macro body's records count from where the body starts in
-the source.  One anchored match at the loop's head reads a whole `%let`;
-the step helpers read one only to raise its error.  Digits are decimal
-digits (`str.isdecimal`).  Macro bodies are stored verbatim and
-scanned once, on their first invocation.  Parameter defaults and call
-arguments are stored as raw text, `%let` values as the text left after
-resolving them; every `&name` is re-resolved at every use, from the innermost
-live symbol table, and the substituted text is rescanned until no references
-remain.  Text without `&` skips resolution, so only an entry that holds `&`
-is rescanned.  `%eval(...)` performs integer arithmetic on resolved text:
-one search finds what its tokens cannot hold, and one pass over the tokens
-keeps a running sum and term per open `(`.  One global symbol table lives
-for the whole session; each macro invocation pushes a local table that is
-deleted at `%mend`, and invocations nest at most `MACRO_DEPTH_LIMIT` deep.  A
-name repeated in a parameter list or in a call's argument list is an error.
+the source.  One anchored match at the loop's head reads a whole `%let`,
+and another a whole macro call whose values hold no `(`, `)` or `,`; the
+step helpers read any other call, and a malformed `%let` or call to raise
+or record its error.  Digits are decimal digits (`str.isdecimal`).  Macro
+bodies are stored verbatim and scanned once, on their first invocation.
+Parameter defaults and call arguments are stored as raw text, `%let` values
+as the text left after resolving them; every `&name` is re-resolved at every
+use, from the innermost live symbol table, and the substituted text is
+rescanned until no references remain.  One split per level cuts text at its
+references; text without `&` skips resolution, so only an entry that holds
+`&` is rescanned.  `%eval(...)` performs integer arithmetic on resolved
+text: inside a call only `%eval(` and `)` are searched for, and the `(`
+between hits are counted; one search finds what the call's tokens cannot
+hold, and one pass over the tokens keeps a running sum and term per open
+`(`.  One global symbol table lives for the whole session; each macro
+invocation pushes a local table that is deleted at `%mend`, and invocations
+nest at most `MACRO_DEPTH_LIMIT` deep.  A name repeated in a parameter list
+or in a call's argument list is an error.
 """
 
 import re
@@ -69,9 +73,13 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 # `str.isalnum()` plus `_`, `\d` is `str.isdecimal()` and `\s` is `str.isspace()`;
 # no pattern class is "a letter or _", so `_is_ident_start` checks the first
 # character of a name.  At the loop's head, one anchored match of
-# `_LET_STATEMENT` reads a whole `%let`; only when it fails, or the name does
-# not start as a name, do the step helpers read the statement, to raise the
-# error where they stop.  A syntax error points at the next non-space character.
+# `_LET_STATEMENT` reads a whole `%let`, and one of `_CALL_STATEMENT` a whole
+# macro call whose values hold no `(`, `)` or `,`; one `findall` splits its
+# entries.  Everything else goes to the step helpers: `%put`, `%macro`, a call
+# with a parenthesised value or no argument list, and every malformed `%let`
+# or call, including a call whose name is a keyword or does not start as a
+# name, or whose argument names do not or repeat.  They raise or record the
+# error where they stop; a syntax error points at the next non-space character.
 
 LET, PUT, CALL, MACRO, TEXT, ERROR = "let", "put", "call", "macro", "text", "error"
 
@@ -82,6 +90,12 @@ _WORD = re.compile(r"\w+")
 _OPEN_CODE = re.compile(r"\d+|[-+*/()=;,]|[^\s%&+\-*/()=;,]+")
 # a whole `%let` statement: its '%', name, '=' and value to ';'
 _LET_STATEMENT = re.compile(r"\s*(%)let(?!\w)\s*(\w+)\s*=([^;]*);?", re.I)
+# a whole macro call whose values hold no '(', ')' or ',': its '%', name and
+# `name=value` entries, each ended by ',' but the last
+_CALL_STATEMENT = re.compile(
+    r"\s*(%)(\w+)\s*\(((?:\s*\w+\s*=[^(),]*,)*(?:\s*\w+\s*=[^(),]*)?)\s*\)")
+_CALL_ENTRY = re.compile(r"(\w+)\s*=([^,]*)")
+_KEYWORDS = frozenset(("let", "put", "macro", "mend", "eval"))  # never a call
 _PUT_END = re.compile(r";|(?=%(?:let|put|macro|mend)(?!\w))", re.I)
 _NESTING = re.compile(r"%(?:(macro)|mend)(?!\w)", re.I)
 _VALUE_END = re.compile(r"[(),]")
@@ -92,6 +106,17 @@ _VALUE_END = re.compile(r"[(),]")
 
 def _is_ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
+
+
+def _call_args(entries: str) -> dict[str, str] | None:
+    """{lowercased name: stripped value} of the entries `_CALL_STATEMENT`
+    read, or None when a name does not start as a name or repeats."""
+    args: dict[str, str] = {}
+    for name, value in _CALL_ENTRY.findall(entries):
+        if not _is_ident_start(name[0]) or (key := name.lower()) in args:
+            return None
+        args[key] = value.strip()
+    return args
 
 
 class _Scanner:
@@ -160,6 +185,12 @@ class _Scanner:
             if (let := _LET_STATEMENT.match(src, self.i)) and _is_ident_start(let[2][0]):
                 self.stmts.append((LET, *self._pos(let.start(1)), let[2], let[3].strip()))
                 self.i = let.end()
+                continue
+            if ((call := _CALL_STATEMENT.match(src, self.i)) and _is_ident_start(call[2][0])
+                    and call[2].lower() not in _KEYWORDS
+                    and (args := _call_args(call[3])) is not None):
+                self.stmts.append((CALL, *self._pos(call.start(1)), call[2], args))
+                self.i = call.end()
                 continue
             if (start := _SPACE.match(src, self.i).end()) == len(src):
                 return self.stmts
@@ -385,24 +416,26 @@ def _owner(tables: list[SymbolTable], key: str) -> SymbolTable | None:
 
 _REF = re.compile(r"&(\w+)")
 _EVAL = re.compile(r"%eval[ \t]*\(", re.I)
-_EVAL_OR_PAREN = re.compile(f"{_EVAL.pattern}|[()]", re.I)
+_EVAL_OR_CLOSE = re.compile(f"{_EVAL.pattern}|\\)", re.I)
 
 
 def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
                  _depth: int = 0) -> str:
     """Substitute every `&name` from the innermost table defining it (tables
     run innermost first), then rescan the substituted text so chained
-    references resolve.  One search loop per level copies the text between
-    references, and only an entry that holds `&` is rescanned.  The rescan
-    depth per original reference is capped; nothing is ever cached."""
+    references resolve.  One `_REF.split` per level gives the text between
+    references and, at the odd indices, the names; a name that does not
+    start as a name is put back with its `&`.  Each reference is checked,
+    traced and substituted in text order, and only an entry that holds `&`
+    is rescanned.  The rescan depth per original reference is capped;
+    nothing is ever cached."""
     if "&" not in text:
         return text
-    pieces: list[str] = []
-    i = pos = 0  # text[i:] is not copied yet; the search goes on at pos
-    while (ref := _REF.search(text, pos)) is not None:
-        pos = ref.end()
-        name = ref.group(1)
+    parts = _REF.split(text)  # text, name, text, ..., name, text
+    for k in range(1, len(parts), 2):
+        name = parts[k]
         if not _is_ident_start(name[0]):
+            parts[k] = "&" + name
             continue
         key = name.lower()
         owner = _owner(tables, key)
@@ -414,39 +447,37 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
         entry = owner.entries[key]
         if trace.events is not None:
             trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
-        pieces.append(text[i:ref.start()])
-        pieces.append(resolve_text(entry, tables, trace, _depth + 1) if "&" in entry else entry)
-        i = pos
-    pieces.append(text[i:])
-    return "".join(pieces)
+        parts[k] = resolve_text(entry, tables, trace, _depth + 1) if "&" in entry else entry
+    return "".join(parts)
 
 
 def _apply_evals(text: str, trace: TraceSink) -> str:
     """Replace every `%eval(...)` in resolved text with its integer result.
 
     One pass from left to right.  Outside a call only `%eval(` is looked
-    for; inside one, `(` and `)` are counted too.  Each open call is on a
-    stack as its text so far and its count of open `(`.  A call nested in
-    another is evaluated only when the outermost one closes, so an
-    unterminated call is reported before anything inside it runs."""
+    for; inside one, `)` too, and the `(` before each hit are counted with
+    `str.count`.  Each open call is on a stack as its text so far and its
+    count of open `(`.  A call nested in another is evaluated only when the
+    outermost one closes, so an unterminated call is reported before
+    anything inside it runs."""
     out: list[str] = []
     stack: list[list] = []   # [pieces, open '(' count] per open call, innermost last
     closed: list[list] = []  # pieces of the closed calls in the open outermost one
     i = pos = 0              # text[i:] is not copied yet; the search goes on at pos
-    while (tok := (_EVAL_OR_PAREN if stack else _EVAL).search(text, pos)) is not None:
+    while (tok := (_EVAL_OR_CLOSE if stack else _EVAL).search(text, pos)) is not None:
+        hit = tok.start()
+        if stack:
+            stack[-1][1] += text.count("(", pos, hit)
         pos = tok.end()
-        ch = text[tok.start()]
-        if ch == "%":
-            (stack[-1][0] if stack else out).append(text[i:tok.start()])
+        if text[hit] == "%":
+            (stack[-1][0] if stack else out).append(text[i:hit])
             stack.append([[], 0])
             i = pos
-        elif ch == "(":
-            stack[-1][1] += 1
         elif stack[-1][1]:
             stack[-1][1] -= 1
         else:
             pieces = stack.pop()[0]
-            pieces.append(text[i:tok.start()])
+            pieces.append(text[i:hit])
             i = pos
             closed.append(pieces)
             if stack:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -376,6 +377,49 @@ class TestDiagnosticColor:
     def test_color_disabled_by_env(self, tmp_path, capsys, monkeypatch):
         err = self._run_bad(tmp_path, capsys, monkeypatch, "0")
         assert "\x1b[" not in err
+
+
+class _GoneReader:
+    """A stdout whose reader has gone, as after `| head -1`: every write
+    raises BrokenPipeError.  Its file descriptor is a real file's."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv,program,code", [
+    (["trace", "--lang", "macro"], "sas_prog2.ml", 0),
+    (["trace", "--lang", "func", "--strategy", "strict"], "r_prog1.fl", 1),
+    (["run", "--lang", "func"], "r_prog1.fl", 0),
+    (["diff", "need", "name"], "r_prog2.fl", 3),
+    (["pairs"], None, 0),
+    (["gen"], None, 0),
+], ids=["trace", "trace-error", "run", "diff", "pairs", "gen"])
+def test_a_reader_that_stops_early_is_not_an_error(tmp_path, capsys, monkeypatch,
+                                                   argv, program, code):
+    """The command ends with its own exit code, and no further write or the
+    flush at exit can raise: stdout's descriptor now points at os.devnull."""
+    if program is not None:
+        path = tmp_path / program
+        path.write_text(load_program(program))
+        argv = [*argv, str(path)]
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _GoneReader(target.fileno()))
+        assert main(argv) == code
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    err = capsys.readouterr().err
+    assert "Broken pipe" not in err
+    if code == 1:  # the program's own diagnostic still goes to stderr
+        assert err.startswith(f"{path}:1:38: error: unbound name 'a'")
 
 
 def test_module_entry_point(prog1_func):
