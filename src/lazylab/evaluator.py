@@ -16,7 +16,10 @@ earlier in the body.
 
 A closure is its `FunctionDef` and the frame it was made in.  Closure calls
 and promise evaluations in progress (a cache hit is neither) nest at most
-`CALL_DEPTH_LIMIT` deep; one more is a positioned `DepthExceededError`.
+`CALL_DEPTH_LIMIT` levels deep; one more is a positioned `DepthExceededError`.
+A promise evaluation is one level and a call is its `Call.weight`: one more
+than the parentheses, lists and chained calls around it in its function,
+each of which nests Python frames that would otherwise go uncounted.
 """
 
 import decimal
@@ -141,7 +144,7 @@ class FunclangRun:
                 callee = self.eval_expr(e.callee, env)
                 if not isinstance(callee, Closure):
                     raise TypeMismatchError("call of a non-function value")
-                return self.call_closure(callee, e.args, env)
+                return self.call_closure(callee, e, env)
             if cls is VectorCtor:
                 return self._vector(e, env)
             if cls is FunctionDef:
@@ -213,18 +216,15 @@ class FunclangRun:
                 raise TypeMismatchError("a function cannot be a vector element")
         return tuple(elements)
 
-    def call_closure(
-        self,
-        f: Closure,
-        args: tuple[tuple[str | None, Expr], ...],
-        caller_env: int,
-    ) -> Value:
-        if self.depth >= CALL_DEPTH_LIMIT:
+    def call_closure(self, f: Closure, call: Call, caller_env: int) -> Value:
+        """Call `f` with the arguments of `call`, `call.weight` levels deeper."""
+        weight = call.weight
+        if self.depth + weight > CALL_DEPTH_LIMIT:
             raise DepthExceededError("calling a function", CALL_DEPTH_LIMIT, _LEVELS)
         exec_env = self.envs.child(f.defined_in)
-        self.depth += 1
+        self.depth += weight
         try:
-            supplied = self._match_args(f.defn.params, args)
+            supplied = self._match_args(f.defn.params, call.args)
             strict = self.strategy is _STRICT
             if strict:
                 # Supplied args evaluate in the caller, in source order,
@@ -247,7 +247,7 @@ class FunclangRun:
             assert result is not None  # parser rejects empty bodies
             return result
         finally:
-            self.depth -= 1
+            self.depth -= weight
             self.envs.discard(exec_env)
 
     @staticmethod

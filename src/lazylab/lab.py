@@ -15,7 +15,7 @@ from .errors import LazyLabError
 from .evaluator import Strategy, run_program
 from .maclang import run_session
 from .syntax import parse_source
-from .trace import EventKind, TraceEvent, TraceSink
+from .trace import DETAIL, EventKind, TraceEvent, TraceSink
 
 TRACE_FORMAT = "lazylab-trace"
 TRACE_VERSION = 1
@@ -229,13 +229,17 @@ def trace_jsonl(events: list[TraceEvent], metrics: Metrics | None = None) -> lis
     "..."}`: keys in that order, `", "` and `": "` separators, and ASCII
     only, with `\\uXXXX` escapes and surrogate pairs for astral characters;
     byte for byte what `json.dumps` writes for that dict. `tests/golden/`,
-    `tests/golden/digests.json` and a property in `tests/test_lab.py` pin it.
+    `tests/golden/digests.json` and properties in `tests/test_lab.py` pin it.
+    The detail comes from the renderers in `trace.DETAIL`, with one memo per
+    call: each distinct promise `Expr` object is printed once, however many
+    events hold it.
     """
     lines = [_HEADER_LINE]
-    template, escape = _EVENT_LINE, encode_basestring_ascii
+    template, escape, detail, printed = _EVENT_LINE, encode_basestring_ascii, DETAIL, {}
     # extend from a generator: a list comprehension's temporary list raised
     # the traced peak
-    lines.extend(template[ev.kind] % (ev.ord, escape(ev.subject), escape(ev.detail))
+    lines.extend(template[ev.kind] % (ev.ord, escape(ev.subject),
+                                      escape(detail[ev.kind](ev, printed)))
                  for ev in events)
     if metrics is not None:
         lines.append(json.dumps({"metrics": metrics.to_dict()}))

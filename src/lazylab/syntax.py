@@ -190,6 +190,9 @@ class Call(Expr):
     callee: Expr
     args: tuple[tuple[str | None, Expr], ...]
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
+    # the levels the evaluator counts for this call: 1 plus the parentheses,
+    # lists and chained calls open around it within its innermost function
+    weight: int = field(default=1, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -249,6 +252,7 @@ class _Parser:
         self.toks = tokens
         self.i = 0
         self.depth = 0  # open parentheses, lists and chained calls
+        self.base = 0   # self.depth where the innermost function's nesting starts
 
     def peek(self, ahead: int = 0) -> SrcToken:
         # in bounds: advance() stops at the final EOF, and peek(1) is only
@@ -331,7 +335,9 @@ class _Parser:
         depth = self.depth
         while self.opens_args(0):
             tok = self.peek()
-            e = Call(e, tuple(self.comma_list(self.call_arg, set())), (tok.line, tok.col))
+            weight = 1 + self.depth - self.base
+            e = Call(e, tuple(self.comma_list(self.call_arg, set())), (tok.line, tok.col),
+                     weight)
             self.depth += 1  # the next call's tree holds this one
         self.depth = depth
         return e
@@ -402,7 +408,10 @@ class _Parser:
 
     def function_def(self) -> FunctionDef:
         kw = self.expect(_KW_FUNCTION, "'function'")
+        outer = self.base
+        self.base = self.depth + 1  # a default is read inside the parameter list
         params = self.comma_list(self.param, set())
+        self.base = self.depth
         self.expect(_LBRACE, "'{'")
         body: list[Stmt] = []
         while self.peek().kind is not _RBRACE:
@@ -412,6 +421,7 @@ class _Parser:
         if not body:
             self.fail(("a statement (function bodies cannot be empty)",))
         self.expect(_RBRACE, "'}'")
+        self.base = outer
         return FunctionDef(tuple(params), tuple(body), (kw.line, kw.col))
 
 
@@ -427,8 +437,13 @@ def parse_source(source: str) -> Program:
 # --- canonical printer
 
 def format_number(d: Decimal) -> str:
-    """Canonical decimal rendering: no exponent, no trailing zeros."""
-    s = format(d, "f")
+    """Canonical decimal rendering: no exponent, no trailing zeros.
+
+    `str(d)` is `format(d, "f")` whenever it holds no exponent, and takes a
+    third of the time.  The exponent is `e` in a context with `capitals=0`."""
+    s = str(d)
+    if "E" in s or "e" in s:
+        s = format(d, "f")
     if "." in s:
         s = s.rstrip("0").rstrip(".")
     if s == "-0":

@@ -6,10 +6,12 @@ within it.  A sink made with `keep=False` keeps nothing: its `events` is None.
 plain run's memory does not grow with its trace.  Every event site of the
 engines tests `events is not None` before it builds a subject or a field, so
 a plain run makes no `emit` call at all; `emit`'s own early return serves
-direct callers.  An event carries its facts as fields, and
-`TraceEvent.detail` renders them in the v1 `key=value` layout that
-`lab.trace_jsonl` writes.  This module is the only one that knows that
-layout.
+direct callers.  An event carries its facts as fields, and `DETAIL` holds
+one renderer per kind of the v1 `key=value` layout.  `lab.trace_jsonl` calls
+them directly with one memo per call, so it prints a promise's expression
+once per distinct `Expr` object, not once per `PROMISE_CREATED` event;
+`TraceEvent.detail` renders a single event.  This module is the only one that
+knows that layout.
 """
 
 from enum import Enum
@@ -50,22 +52,33 @@ class TraceEvent(NamedTuple):
     @property
     def detail(self) -> str:
         """The v1 detail text of this event."""
-        return _DETAIL[self.kind](self)
+        return DETAIL[self.kind](self, {})
 
 
-_DETAIL = {
-    EventKind.ENV_CREATED: lambda e: f"parent=env{e.env}",
-    EventKind.ENV_DISCARDED: lambda e: "",
-    EventKind.PROMISE_CREATED: lambda e: f"name={e.param} env=env{e.env} expr={e.expr}",
-    EventKind.PROMISE_FORCED: lambda e: f"name={e.param} value={e.text}",
-    EventKind.PROMISE_CACHE_HIT: lambda e: f"name={e.param}",
-    EventKind.NAME_REEVAL: lambda e: f"name={e.param} value={e.text}",
-    EventKind.TABLE_CREATED: lambda e: f"macro={e.text}",
-    EventKind.TABLE_DELETED: lambda e: "",
-    EventKind.VAR_STORED: lambda e: f"{e.table} {e.origin} bytes={len(e.text)} text={e.text}",
-    EventKind.VAR_RESOLVED: lambda e: f"{e.table} text={e.text}",
-    EventKind.ARITH_EVAL: lambda e: e.text,
-    EventKind.OUTPUT_LINE: lambda e: e.text,
+def _created(e: TraceEvent, printed: dict[int, str]) -> str:
+    text = printed.get(id(e.expr))
+    if text is None:
+        text = printed[id(e.expr)] = str(e.expr)
+    return f"name={e.param} env=env{e.env} expr={text}"
+
+
+# The v1 detail renderer of each kind. Each takes the event and `printed`, a
+# memo of the promise expressions printed so far, keyed by `id()`. One memo
+# serves one pass over one list of events: the list keeps each memoized
+# `Expr` object alive, so no id is reused while the memo lives.
+DETAIL = {
+    EventKind.ENV_CREATED: lambda e, _: f"parent=env{e.env}",
+    EventKind.ENV_DISCARDED: lambda e, _: "",
+    EventKind.PROMISE_CREATED: _created,
+    EventKind.PROMISE_FORCED: lambda e, _: f"name={e.param} value={e.text}",
+    EventKind.PROMISE_CACHE_HIT: lambda e, _: f"name={e.param}",
+    EventKind.NAME_REEVAL: lambda e, _: f"name={e.param} value={e.text}",
+    EventKind.TABLE_CREATED: lambda e, _: f"macro={e.text}",
+    EventKind.TABLE_DELETED: lambda e, _: "",
+    EventKind.VAR_STORED: lambda e, _: f"{e.table} {e.origin} bytes={len(e.text)} text={e.text}",
+    EventKind.VAR_RESOLVED: lambda e, _: f"{e.table} text={e.text}",
+    EventKind.ARITH_EVAL: lambda e, _: e.text,
+    EventKind.OUTPUT_LINE: lambda e, _: e.text,
 }
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -147,6 +148,29 @@ class TestRun:
         path.write_text(source)
         assert main(["run", "--lang", "func", "--strategy", strategy, str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:{error} ")
+
+    # Recursion under static nesting: each shape adds Python frames per level
+    # that only a call's weight counts. Without it, the recursive call ended
+    # in a RecursionError traceback from depth 4 and the default chain from
+    # depth 8 (strict) or 14 (need, name); the recursive argument never did.
+    @pytest.mark.parametrize("strategy", ["strict", "need", "name"])
+    @pytest.mark.parametrize("program,inner", [
+        ("f <- function(x) {{ {} }}\nf(1)\n", "f(x)"),
+        ("f <- function(x) {{ f({}) }}\nf(1)\n", "x"),
+        ("h <- function(y) {{ y }}\nf <- function(x = {}) {{ x }}\nf()\n", "h(f())"),
+    ], ids=["recursive-call", "recursive-argument", "default-chain"])
+    def test_recursion_under_nesting_is_a_diagnostic(self, tmp_path, capsys, program, inner,
+                                                     strategy):
+        path = tmp_path / "nested.fl"
+        for opening in ("c(1, ", "(", "1 + (", "g("):
+            for depth in (0, 4, 16):
+                nested = opening * depth + inner + ")" * depth
+                path.write_text("g <- function(y) { y }\n" + program.format(nested))
+                code = main(["run", "--lang", "func", "--strategy", strategy, str(path)])
+                err = capsys.readouterr().err
+                assert code == 1, (opening, depth)
+                assert re.match(rf"{re.escape(str(path))}:\d+:\d+: error: ", err), (opening, depth)
+                assert "Traceback" not in err
 
     def test_recursion_on_stdin_is_a_diagnostic_not_a_traceback(self):
         proc = subprocess.run([sys.executable, "-m", "lazylab", "run", "--lang", "func", "-"],

@@ -29,7 +29,7 @@ from lazylab.lab import (
     trace_jsonl,
 )
 from lazylab.maclang import run_session
-from lazylab.syntax import Expr, FunctionDef, Ident, Stmt, parse_source
+from lazylab.syntax import Expr, FunctionDef, Ident, Stmt, expr_source, parse_source
 from lazylab.trace import EventKind, TraceEvent
 
 
@@ -328,6 +328,23 @@ class TestTraceSerialization:
         ev = TraceEvent(ord_, kind, subject, param, 0, Ident(text), text, table, "let")
         assert trace_jsonl([ev])[1] == json.dumps(
             {"ord": ev.ord, "kind": ev.kind.value, "subject": ev.subject, "detail": ev.detail})
+
+    # trace_jsonl prints each promise expression once per Expr object: events
+    # that share one object, that hold equal but distinct objects, and that
+    # give one parameter different expressions must each still print their own
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), texts=st.lists(_TEXT, min_size=1, max_size=4))
+    def test_shared_expressions_print_as_their_own(self, data, texts):
+        pool = ([Ident(text) for text in texts] + [Ident(text) for text in texts]
+                + [parse_source(f"f(a, b = {i} + a)").stmts[0].expr for i in range(2)])
+        picks = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from("pq"),
+                                             st.integers(0, 2)), min_size=1, max_size=40))
+        events = [TraceEvent(i, EventKind.PROMISE_CREATED, f"promise{i}", param, env, expr)
+                  for i, (expr, param, env) in enumerate(picks, 1)]
+        assert trace_jsonl(events)[1:] == [
+            json.dumps({"ord": ev.ord, "kind": "PROMISE_CREATED", "subject": ev.subject,
+                        "detail": f"name={ev.param} env=env{ev.env} expr={expr_source(ev.expr)}"})
+            for ev in events]
 
 
 class TestParallelRuns:

@@ -1,4 +1,5 @@
-from decimal import Decimal
+from dataclasses import fields
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,12 +9,14 @@ from lazylab.syntax import (
     Assign,
     Binary,
     Call,
+    Expr,
     ExprStmt,
     FunctionDef,
     Ident,
     NumberLit,
     PrintStmt,
     Program,
+    Stmt,
     TokKind,
     VectorCtor,
     format_number,
@@ -229,6 +232,62 @@ class TestFormatNumber:
 
     def test_negative_zero(self):
         assert format_number(Decimal("5") - Decimal("5.0")) == "0"
+
+    # any finite Decimal: its digits, sign and exponent drawn directly, so
+    # that `E+` and `E-` forms, -0 and trailing zeros all come up
+    @settings(max_examples=300, deadline=None)
+    @given(st.decimals(allow_nan=False, allow_infinity=False)
+           | st.builds(lambda sign, digits, exponent: Decimal((sign, digits, exponent)),
+                       st.integers(0, 1), st.lists(st.integers(0, 9), min_size=1,
+                                                   max_size=30).map(tuple),
+                       st.integers(-40, 40)))
+    @example(Decimal("-0"))
+    @example(Decimal("-0E+3"))
+    @example(Decimal("1E+2"))
+    @example(Decimal("1.500"))
+    @example(Decimal("-0.000"))
+    @example(Decimal("1.0E-7"))
+    def test_equals_the_fixed_point_rendering(self, d):
+        fixed = format(d, "f")
+        if "." in fixed:
+            fixed = fixed.rstrip("0").rstrip(".")
+        assert format_number(d) == ("0" if fixed == "-0" else fixed)
+        with localcontext() as context:
+            context.capitals = 0  # str(d) then writes its exponent as `e`
+            assert format_number(d) == ("0" if fixed == "-0" else fixed)
+
+
+class TestCallWeight:
+    def weights(self, source):
+        """The weight of each call in the program, in source order."""
+        found = []
+
+        def walk(node):
+            if isinstance(node, tuple):
+                for item in node:
+                    walk(item)
+            elif isinstance(node, (Expr, Stmt)):
+                if isinstance(node, Call):
+                    found.append((node.pos, node.weight))
+                for f in fields(node):
+                    walk(getattr(node, f.name))
+        walk(parse_source(source).stmts)
+        return [weight for _, weight in sorted(found)]
+
+    @pytest.mark.parametrize("source,weights", [
+        ("f()\n", [1]),
+        ("c(1, (g(1 + (f()))))\n", [3, 5]),
+        # a chained call's callee holds the call before it
+        ("f()()()\n", [1, 2, 3]),
+        # counted from the innermost function: its body, or inside its
+        # parameter list for a default
+        ("g(function(x = h(f())) { c(1, f(x)) })\n", [1, 1, 2, 2]),
+    ])
+    def test_weight_counts_the_nesting_in_its_function(self, source, weights):
+        assert self.weights(source) == weights
+
+    def test_weight_is_not_compared(self):
+        assert Call(Ident("f"), (), weight=3) == Call(Ident("f"), ())
 
 
 # --- round trip: printing any parsed program and re-parsing is identity
