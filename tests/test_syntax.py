@@ -251,10 +251,11 @@ class TestFormatNumber:
         fixed = format(d, "f")
         if "." in fixed:
             fixed = fixed.rstrip("0").rstrip(".")
-        assert format_number(d) == ("0" if fixed == "-0" else fixed)
+        expected = "0" if fixed == "-0" else fixed
+        assert format_number(d) == expected
         with localcontext() as context:
             context.capitals = 0  # str(d) then writes its exponent as `e`
-            assert format_number(d) == ("0" if fixed == "-0" else fixed)
+            assert format_number(d) == expected
 
 
 class TestCallWeight:
