@@ -18,8 +18,9 @@ A closure is its `FunctionDef` and the frame it was made in.  Closure calls
 and promise evaluations in progress (a cache hit is neither) nest at most
 `CALL_DEPTH_LIMIT` levels deep; one more is a positioned `DepthExceededError`.
 A promise evaluation is one level and a call is its `Call.weight`: one more
-than the parentheses, lists and chained calls around it in its function,
-each of which nests Python frames that would otherwise go uncounted.
+than the `c(` lists, parenthesised right operands and enclosing chained calls
+around it, which nest Python frames that no other level counts
+(`syntax._Parser.factor`).
 """
 
 import decimal
@@ -109,7 +110,7 @@ class FunclangRun:
         self.envs = EnvRegistry(self.trace)
         self.promises = PromiseStore(self.envs, self.trace)
         self.output = Output()
-        self.depth = 0  # closure calls and promise evaluations in progress
+        self.depth = 0  # levels in progress: call weights and promise evaluations
 
     def run(self, program: Program) -> Output:
         g = self.envs.global_id

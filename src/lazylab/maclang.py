@@ -554,7 +554,7 @@ class MacroSession:
                 elif kind == PUT:
                     self.put(a)
                 elif kind == CALL:
-                    self.invoke(a, b, lowercased=True)
+                    self.invoke(a, b)
                 elif kind == MACRO:
                     self.macros[a.name] = a
                 elif kind == ERROR:
@@ -564,19 +564,16 @@ class MacroSession:
 
     # statement semantics
 
-    def invoke(self, name: str, overrides: dict[str, str] | None = None, *,
-               lowercased: bool = False):
+    def invoke(self, name: str, overrides: dict[str, str] | None = None):
         """Run a defined macro: push a local table, store parameter text
         verbatim, execute the body, delete the table at %mend.
 
-        Names match in any case. The scanner's CALL records hold argument
-        names lowercased already and pass `lowercased=True`, which skips
-        lowercasing them again."""
+        The macro name matches in any case.  `overrides` maps lowercase
+        parameter names to their text, as the scanner's CALL records do."""
         definition = self.macros.get(name.lower())
         if definition is None:
             raise UnknownMacroError(name)
-        if not lowercased:
-            overrides = {k.lower(): v for k, v in (overrides or {}).items()}
+        overrides = overrides or {}
         for key in overrides:
             if key not in definition.params:
                 raise UnknownParamError(definition.name, key)

@@ -20,11 +20,11 @@ a slotted, non-frozen dataclass, so they are unhashable; nothing hashes one.
 The evaluator's values are a `Decimal`, a `tuple` of them (a vector) and a
 `Closure`; `format_value` gives their printed form.  AST nodes here and
 `Closure` are slotted, non-frozen dataclasses, hashable through
-`unsafe_hash`; nothing mutates one after it is built.  A frozen dataclass's
-`__init__` calls `object.__setattr__` once per field and each instance carries
-a `__dict__`: with CPython 3.11.7, `NumberLit(d, pos)` took 647-1,130 ns frozen
-and 261-346 ns slotted, and an instance shrank from 352 bytes with its
-`__dict__` to 40-64.
+`unsafe_hash`; nothing mutates one after the parser returns it.  A frozen
+dataclass's `__init__` calls `object.__setattr__` once per field and each
+instance carries a `__dict__`: with CPython 3.11.7, `NumberLit(d, pos)` took
+647-1,130 ns frozen and 261-346 ns slotted, and an instance shrank from 352
+bytes with its `__dict__` to 40-64.
 """
 
 from dataclasses import dataclass, field
@@ -190,8 +190,8 @@ class Call(Expr):
     callee: Expr
     args: tuple[tuple[str | None, Expr], ...]
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
-    # the levels the evaluator counts for this call: 1 plus the parentheses,
-    # lists and chained calls open around it within its innermost function
+    # the levels the evaluator counts for this call: 1 plus the evaluator
+    # frames around it that no call or promise counts (see _Parser.factor)
     weight: int = field(default=1, compare=False, repr=False)
 
 
@@ -251,8 +251,9 @@ class _Parser:
     def __init__(self, tokens: list[SrcToken]):
         self.toks = tokens
         self.i = 0
-        self.depth = 0  # open parentheses, lists and chained calls
-        self.base = 0   # self.depth where the innermost function's nesting starts
+        self.depth = 0   # open parentheses, lists and chained calls
+        self.levels = 0  # open `c(` lists and right operands that start with `(`
+        self.base = 0    # self.levels where the innermost function or argument list starts
 
     def peek(self, ahead: int = 0) -> SrcToken:
         # in bounds: advance() stops at the final EOF, and peek(1) is only
@@ -326,20 +327,41 @@ class _Parser:
         left = self.factor()
         while (op := self.peek()).kind is _OP and _PREC[op.text] >= min_prec:
             self.advance()
+            # a right operand in parentheses can hold a chain of its own,
+            # which the evaluator reads in a deeper _binary frame
+            nested = self.peek().kind is _LPAREN
+            self.levels += nested
             right = self.expression(_PREC[op.text] + 1)
+            self.levels -= nested
             left = Binary(op.text, left, right, (op.line, op.col))
         return left
 
     def factor(self) -> Expr:
+        """A primary and the calls chained on it.
+
+        A call's weight is 1 plus the evaluator frames around it that no call
+        or promise counts, from the start of its function or argument list:
+        each open `c(` list, each open right operand that starts with `(`,
+        and each call it is the callee of, as in `f()()`.  Bare parentheses
+        make no frame, a call's arguments are read inside its own level, and
+        the one chain of a `Binary` not in parentheses fits in a level."""
         e = self.primary()
         depth = self.depth
         while self.opens_args(0):
             tok = self.peek()
-            weight = 1 + self.depth - self.base
-            e = Call(e, tuple(self.comma_list(self.call_arg, set())), (tok.line, tok.col),
-                     weight)
+            base = self.base
+            self.base = self.levels
+            args = tuple(self.comma_list(self.call_arg, set()))
+            self.base = base
+            e = Call(e, args, (tok.line, tok.col), 1 + self.levels - base)
             self.depth += 1  # the next call's tree holds this one
+        chained = self.depth - depth
         self.depth = depth
+        # the evaluator reads each callee one frame inside the call around it
+        callee, k = e, 0
+        while callee.__class__ is Call:
+            callee.weight += min(k, chained)
+            callee, k = callee.callee, k + 1
         return e
 
     def primary(self) -> Expr:
@@ -351,7 +373,10 @@ class _Parser:
         if tok.kind is _IDENT:
             self.advance()
             if tok.text == "c" and self.opens_args(0):
-                return VectorCtor(tuple(self.comma_list(self.expression)), pos)
+                self.levels += 1  # the evaluator reads the elements in a _vector frame
+                elements = tuple(self.comma_list(self.expression))
+                self.levels -= 1
+                return VectorCtor(elements, pos)
             return Ident(tok.text, pos)
         if tok.kind is _LPAREN:
             self.open_paren()
@@ -409,9 +434,8 @@ class _Parser:
     def function_def(self) -> FunctionDef:
         kw = self.expect(_KW_FUNCTION, "'function'")
         outer = self.base
-        self.base = self.depth + 1  # a default is read inside the parameter list
+        self.base = self.levels  # a call of it reads its defaults and body
         params = self.comma_list(self.param, set())
-        self.base = self.depth
         self.expect(_LBRACE, "'{'")
         body: list[Stmt] = []
         while self.peek().kind is not _RBRACE:
@@ -437,13 +461,8 @@ def parse_source(source: str) -> Program:
 # --- canonical printer
 
 def format_number(d: Decimal) -> str:
-    """Canonical decimal rendering: no exponent, no trailing zeros.
-
-    `str(d)` is `format(d, "f")` whenever it holds no exponent, and takes a
-    third of the time.  The exponent is `e` in a context with `capitals=0`."""
-    s = str(d)
-    if "E" in s or "e" in s:
-        s = format(d, "f")
+    """Canonical decimal rendering: no exponent, no trailing zeros."""
+    s = format(d, "f")
     if "." in s:
         s = s.rstrip("0").rstrip(".")
     if s == "-0":

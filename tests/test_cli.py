@@ -46,6 +46,8 @@ DEFAULT_CHAIN = ("f <- function(" + ", ".join(["a0 = 1"] + [f"a{i} = a{i - 1}" f
                  + ") { a330 }\nprint(f())\n")
 # the read of a231 in `a232 = a231` would be the 101st level: the call and 100 defaults
 DEFAULT_CHAIN_READ = DEFAULT_CHAIN.index("a232 = a231") + len("a232 = ") + 1
+# the evaluator reads each callee one frame inside the call chained on it
+CHAINED_CALLEE = "f <- function() { f" + "()" * 40 + " }\nf()\n"
 
 
 class TestRun:
@@ -139,20 +141,24 @@ class TestRun:
          f"1:{DEFAULT_CHAIN_READ}: error: evaluating an argument exceeded 100"),
         ("x <- " + "(" * 330 + "1" + ")" * 330 + "\n", "strict",
          "1:106: error: opening '(' exceeded 100"),
+        *((CHAINED_CALLEE, strategy, "1:20: error: calling a function exceeded 100")
+          for strategy in ("strict", "need", "name")),
     ], ids=["self-call-strict", "self-call-need", "self-call-name", "default-call-need",
             "default-call-name", "reread-chain-need", "reread-chain-name",
             "nested-calls-need", "nested-calls-name", "default-chain-need",
-            "default-chain-name", "parentheses"])
+            "default-chain-name", "parentheses", "chained-callee-strict",
+            "chained-callee-need", "chained-callee-name"])
     def test_deep_recursion_is_a_diagnostic(self, tmp_path, capsys, source, strategy, error):
         path = tmp_path / "deep.fl"
         path.write_text(source)
         assert main(["run", "--lang", "func", "--strategy", strategy, str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:{error} ")
 
-    # Recursion under static nesting: each shape adds Python frames per level
-    # that only a call's weight counts. Without it, the recursive call ended
-    # in a RecursionError traceback from depth 4 and the default chain from
-    # depth 8 (strict) or 14 (need, name); the recursive argument never did.
+    # Recursion under static nesting: `c(1, ` and `1 + (` add Python frames per
+    # level that only a call's weight counts; bare `(` and `g(` add none that
+    # no level counts. Without the weight, the recursive call ended in a
+    # RecursionError traceback from depth 4 and the default chain from depth 8
+    # (strict) or 14 (need, name); the recursive argument never did.
     @pytest.mark.parametrize("strategy", ["strict", "need", "name"])
     @pytest.mark.parametrize("program,inner", [
         ("f <- function(x) {{ {} }}\nf(1)\n", "f(x)"),

@@ -313,6 +313,20 @@ class TestDepthBounds:
         events = r.trace.events
         assert count(events, EventKind.ENV_CREATED) == count(events, EventKind.ENV_DISCARDED)
 
+    # Nesting that costs no frame outside a counted level leaves the depth
+    # alone: each program nests 31 to 46 levels and runs.
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    @pytest.mark.parametrize("source,printed", [
+        ("".join(f"f{i} <- function() {{ {'(' * 30}f{i + 1}(){')' * 30} }}\n" for i in range(4))
+         + "f4 <- function() { 7 }\nprint(f0())\n", "7"),
+        ("g <- function(y) { y }\nprint(" + "g(" * 30 + "1" + ")" * 30 + ")\n", "1"),
+        ("g <- function(y) { y }\nprint(" + "c(1, g(" * 12 + "1" + "))" * 12 + ")\n",
+         " ".join(["1"] * 13)),
+        ("g <- function(y) { y }\nprint(" + "1 + (g(" * 15 + "1" + "))" * 15 + ")\n", "16"),
+    ], ids=["bare-parentheses", "nested-arguments", "vectors-and-arguments", "right-operands"])
+    def test_nesting_within_the_bound_runs(self, source, printed, strategy):
+        assert run(source, strategy).lines == [printed]
+
     def test_a_cache_hit_is_not_a_level(self):
         # z is forced at depth 2, then read again at the deepest level: need
         # hits the cache there, name evaluates it once more
