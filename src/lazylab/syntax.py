@@ -251,9 +251,11 @@ class _Parser:
     def __init__(self, tokens: list[SrcToken]):
         self.toks = tokens
         self.i = 0
-        self.depth = 0   # open parentheses, lists and chained calls
-        self.levels = 0  # open `c(` lists and right operands that start with `(`
-        self.base = 0    # self.levels where the innermost function or argument list starts
+        self.depth = 0  # open parentheses, lists and chained calls
+        # open `c(` lists and `(` that open a right operand, in the innermost
+        # function or argument list
+        self.levels = 0
+        self.operand = -1  # index of the token that starts the last right operand
 
     def peek(self, ahead: int = 0) -> SrcToken:
         # in bounds: advance() stops at the final EOF, and peek(1) is only
@@ -327,12 +329,8 @@ class _Parser:
         left = self.factor()
         while (op := self.peek()).kind is _OP and _PREC[op.text] >= min_prec:
             self.advance()
-            # a right operand in parentheses can hold a chain of its own,
-            # which the evaluator reads in a deeper _binary frame
-            nested = self.peek().kind is _LPAREN
-            self.levels += nested
+            self.operand = self.i
             right = self.expression(_PREC[op.text] + 1)
-            self.levels -= nested
             left = Binary(op.text, left, right, (op.line, op.col))
         return left
 
@@ -341,27 +339,28 @@ class _Parser:
 
         A call's weight is 1 plus the evaluator frames around it that no call
         or promise counts, from the start of its function or argument list:
-        each open `c(` list, each open right operand that starts with `(`,
-        and each call it is the callee of, as in `f()()`.  Bare parentheses
-        make no frame, a call's arguments are read inside its own level, and
-        the one chain of a `Binary` not in parentheses fits in a level."""
+        each open `c(` list, each open `(` that opens a right operand, and
+        each call it is the callee of, as in `f()()`.  Bare parentheses make
+        no frame, a call's arguments are read inside its own level, and the
+        chains of `Binary` that precedence alone nests fit in a level."""
         e = self.primary()
         depth = self.depth
         while self.opens_args(0):
             tok = self.peek()
-            base = self.base
-            self.base = self.levels
+            levels = self.levels
+            self.levels = 0
             args = tuple(self.comma_list(self.call_arg, set()))
-            self.base = base
-            e = Call(e, args, (tok.line, tok.col), 1 + self.levels - base)
+            self.levels = levels
+            e = Call(e, args, (tok.line, tok.col), 1 + levels)
             self.depth += 1  # the next call's tree holds this one
         chained = self.depth - depth
-        self.depth = depth
-        # the evaluator reads each callee one frame inside the call around it
-        callee, k = e, 0
-        while callee.__class__ is Call:
-            callee.weight += min(k, chained)
-            callee, k = callee.callee, k + 1
+        if chained:
+            self.depth = depth
+            # the evaluator reads each callee one frame inside each call chained on it
+            callee, k = e.callee, 1
+            while callee.__class__ is Call:
+                callee.weight += min(k, chained)
+                callee, k = callee.callee, k + 1
         return e
 
     def primary(self) -> Expr:
@@ -379,8 +378,13 @@ class _Parser:
                 return VectorCtor(elements, pos)
             return Ident(tok.text, pos)
         if tok.kind is _LPAREN:
+            # a right operand in parentheses can hold a chain of its own,
+            # which the evaluator reads in a deeper _binary frame
+            nested = self.i == self.operand
             self.open_paren()
+            self.levels += nested
             e = self.expression()
+            self.levels -= nested
             self.close_paren()
             return e
         if tok.kind is _KW_FUNCTION:
@@ -433,8 +437,8 @@ class _Parser:
 
     def function_def(self) -> FunctionDef:
         kw = self.expect(_KW_FUNCTION, "'function'")
-        outer = self.base
-        self.base = self.levels  # a call of it reads its defaults and body
+        levels = self.levels
+        self.levels = 0  # a call of it reads its defaults and body
         params = self.comma_list(self.param, set())
         self.expect(_LBRACE, "'{'")
         body: list[Stmt] = []
@@ -445,7 +449,7 @@ class _Parser:
         if not body:
             self.fail(("a statement (function bodies cannot be empty)",))
         self.expect(_RBRACE, "'}'")
-        self.base = outer
+        self.levels = levels
         return FunctionDef(tuple(params), tuple(body), (kw.line, kw.col))
 
 
@@ -461,8 +465,13 @@ def parse_source(source: str) -> Program:
 # --- canonical printer
 
 def format_number(d: Decimal) -> str:
-    """Canonical decimal rendering: no exponent, no trailing zeros."""
-    s = format(d, "f")
+    """Canonical decimal rendering: no exponent, no trailing zeros.
+
+    `str(d)` is `format(d, "f")` whenever it holds no exponent, and takes a
+    third of the time.  The exponent is `e` in a context with `capitals=0`."""
+    s = str(d)
+    if "E" in s or "e" in s:
+        s = format(d, "f")
     if "." in s:
         s = s.rstrip("0").rstrip(".")
     if s == "-0":

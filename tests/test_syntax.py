@@ -1,5 +1,5 @@
 from dataclasses import fields
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -253,6 +253,9 @@ class TestFormatNumber:
             fixed = fixed.rstrip("0").rstrip(".")
         expected = "0" if fixed == "-0" else fixed
         assert format_number(d) == expected
+        with localcontext() as context:
+            context.capitals = 0  # str(d) then writes its exponent as `e`
+            assert format_number(d) == expected
 
 
 class TestCallWeight:
@@ -278,9 +281,10 @@ class TestCallWeight:
         ("((f()))\n", [1]),
         ("x + f(x + 1)\n", [1]),
         ("(f() + 1) * 2\n", [1]),
-        # each right operand that starts with `(` and each `c(` list does
+        # each `(` that opens a right operand and each `c(` list does
         ("1 + (1 + (f()))\n", [3]),
         ("1 + 2 * (f())\n", [2]),
+        ("1 + (2) * f()\n", [1]),
         ("c(1, (g(1 + (f()))))\n", [2, 2]),
         # a callee is read inside each call chained on it
         ("f()()()\n", [3, 2, 1]),
