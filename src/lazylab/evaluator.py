@@ -17,10 +17,13 @@ earlier in the body.
 A closure is its `FunctionDef` and the frame it was made in.  Closure calls
 and promise evaluations in progress (a cache hit is neither) nest at most
 `CALL_DEPTH_LIMIT` levels deep; one more is a positioned `DepthExceededError`.
-A promise evaluation is one level and a call is its `Call.weight`: one more
-than the `c(` lists, parenthesised right operands and enclosing chained calls
-around it, which nest Python frames that no other level counts
-(`syntax._Parser.factor`).
+A call is its `Call.weight`: one more than the `c(` lists, parenthesised
+right operands and enclosing chained calls around it, which nest Python
+frames that no other level counts (`syntax._Parser.factor`).  A promise
+evaluation is its argument's or default's weight (`Call.weights`,
+`FunctionDef.weights`): one more than the `c(` lists and parenthesised right
+operands around the deepest name read in its expression, since a read may
+evaluate another promise.
 """
 
 import decimal
@@ -164,15 +167,15 @@ class FunclangRun:
             raise MissingArgError(name)
         return binding
 
-    def _evaluate(self, e: Expr, env: int) -> Value:
-        """Evaluate a promise's expression, one level deeper."""
-        if self.depth >= CALL_DEPTH_LIMIT:
+    def _evaluate(self, e: Expr, env: int, weight: int) -> Value:
+        """Evaluate a promise's expression, `weight` levels deeper."""
+        if self.depth + weight > CALL_DEPTH_LIMIT:
             raise DepthExceededError("evaluating an argument", CALL_DEPTH_LIMIT, _LEVELS)
-        self.depth += 1
+        self.depth += weight
         try:
             return self.eval_expr(e, env)
         finally:
-            self.depth -= 1
+            self.depth -= weight
 
     def _binary(self, e: Binary, env: int) -> Value:
         # The parser builds `a + b + c` left-deep: walk its left spine in a
@@ -225,25 +228,31 @@ class FunclangRun:
         exec_env = self.envs.child(f.defined_in)
         self.depth += weight
         try:
-            supplied = self._match_args(f.defn.params, call.args)
+            defn, args = f.defn, call.args
+            supplied = self._match_args(defn.params, args)
             strict = self.strategy is _STRICT
             if strict:
                 # Supplied args evaluate in the caller, in source order,
                 # before any default.
-                supplied = {p: self.eval_expr(e, caller_env) for p, e in supplied.items()}
-            for p, default in f.defn.params:
+                values = {p: self.eval_expr(args[j][1], caller_env) for p, j in supplied.items()}
+            for k, (p, default) in enumerate(defn.params):
                 if p in supplied:
-                    value = (supplied[p] if strict
-                             else self.promises.new(supplied[p], caller_env, label=p))
+                    if strict:
+                        value = values[p]
+                    else:
+                        j = supplied[p]
+                        value = self.promises.new(args[j][1], caller_env, p,
+                                                  1 if call.weights is None else call.weights[j])
                 elif default is None:
                     value = MISSING
                 elif strict:
                     value = self.eval_expr(default, exec_env)
                 else:
-                    value = self.promises.new(default, exec_env, label=p)
+                    value = self.promises.new(default, exec_env, p,
+                                              1 if defn.weights is None else defn.weights[k])
                 self.envs.define(exec_env, p, value)
             result: Value | None = None
-            for stmt in f.defn.body:
+            for stmt in defn.body:
                 result = self.exec_stmt(stmt, exec_env)
             assert result is not None  # parser rejects empty bodies
             return result
@@ -255,9 +264,9 @@ class FunclangRun:
     def _match_args(
         params: tuple[tuple[str, Expr | None], ...],
         args: tuple[tuple[str | None, Expr], ...],
-    ) -> dict[str, Expr]:
-        """Map each parameter given an argument to its expression, in source
-        order.
+    ) -> dict[str, int]:
+        """Map each parameter given an argument to the argument's index, in
+        source order.
 
         Named arguments bind by exact name; remaining positional arguments
         fill the still-unfilled parameters left to right.
@@ -266,10 +275,10 @@ class FunclangRun:
             for name, _expr in args:
                 if name is not None:
                     break
-            else:  # positional only: the i-th argument fills the i-th parameter
+            else:  # positional only: the j-th argument fills the j-th parameter
                 matched = {}
-                for (p, _default), (_name, expr) in zip(params, args):
-                    matched[p] = expr
+                for j in range(len(args)):
+                    matched[params[j][0]] = j
                 return matched
         names = {p for p, _ in params}
         for name, _expr in args:
@@ -277,12 +286,12 @@ class FunclangRun:
                 raise ArityError(f"unknown named argument '{name}'")
         named = {name for name, _expr in args}
         unfilled = iter([p for p, _ in params if p not in named])
-        matched: dict[str, Expr] = {}
-        for name, expr in args:
+        matched: dict[str, int] = {}
+        for j, (name, _expr) in enumerate(args):
             name = name or next(unfilled, None)
             if name is None:
                 raise ArityError(f"too many arguments: expected at most {len(params)}")
-            matched[name] = expr
+            matched[name] = j
         return matched
 
 

@@ -401,9 +401,11 @@ def eval_arith(text: str) -> int:
 @dataclass
 class SymbolTable:
     """Name → raw text entries for one scope; insertion order preserved."""
-    trace_label: str    # "global", or "name#k" for the k-th invocation of a macro
-    scope_display: str  # "GLOBAL", or the macro name upper-cased, for %put _user_
+    name: str  # "global", or the name of the macro whose invocation it serves
     entries: dict[str, str] = field(default_factory=dict)
+    # "global", or "name#k" for the k-th invocation of a macro; only a traced
+    # session reads it, so only a traced session formats it
+    trace_label: str | None = None
 
 
 def _owner(tables: list[SymbolTable], key: str) -> SymbolTable | None:
@@ -535,7 +537,7 @@ class MacroSession:
     def __init__(self, trace: TraceSink | None = None):
         self.trace = trace if trace is not None else TraceSink(keep=False)
         # live tables, innermost first, global last
-        self._tables = [SymbolTable("global", "GLOBAL")]
+        self._tables = [SymbolTable("global", trace_label="global")]
         self.macros: dict[str, MacroDef] = {}
         self.log: list[str] = []
         self._invocations: dict[str, int] = {}
@@ -582,9 +584,10 @@ class MacroSession:
                                      "nested invocations (recursive macro?)")
         ordinal = self._invocations.get(definition.name, 0) + 1
         self._invocations[definition.name] = ordinal
-        table = SymbolTable(f"{definition.name}#{ordinal}", definition.name.upper())
+        table = SymbolTable(definition.name)
         self._tables.insert(0, table)
         if self.trace.events is not None:
+            table.trace_label = f"{definition.name}#{ordinal}"
             self.trace.emit(_TABLE_CREATED, table.trace_label, text=definition.name)
         try:
             for p, default in definition.params.items():
@@ -609,7 +612,7 @@ class MacroSession:
         if text.strip().lower() == "_user_":
             for table in self._tables:
                 for key, value in table.entries.items():
-                    self._log_line(f"{table.scope_display} {key.upper()} {value}")
+                    self._log_line(f"{table.name.upper()} {key.upper()} {value}")
             return
         resolved = resolve_text(text, self._tables, self.trace)
         self._log_line(_apply_evals(resolved, self.trace))

@@ -43,18 +43,20 @@ _NAME_REEVAL = EventKind.NAME_REEVAL
 
 
 class Promise:
-    __slots__ = ("id", "expr", "env", "label", "state", "value")
+    __slots__ = ("id", "expr", "env", "label", "weight", "state", "value")
 
-    def __init__(self, pid: int, expr: Expr, env: int, label: str):
+    def __init__(self, pid: int, expr: Expr, env: int, label: str, weight: int):
         self.id = pid
         self.expr = expr
         self.env = env
         self.label = label
+        self.weight = weight  # the levels its evaluation counts (Call.weights)
         self.state = _UNFORCED
         self.value = None
 
 
-Evaluator = Callable[[Expr, int], object]
+# called with the promise's expression, environment and weight
+Evaluator = Callable[[Expr, int, int], object]
 
 
 class PromiseStore:
@@ -65,11 +67,11 @@ class PromiseStore:
         self._trace = trace
         self._next_id = 0
 
-    def new(self, expr: Expr, env: int, label: str) -> Promise:
+    def new(self, expr: Expr, env: int, label: str, weight: int = 1) -> Promise:
         """Wrap an expression for the parameter `label` without evaluating anything."""
         if not self._envs.is_live(env):
             raise DiscardedEnvError(f"environment env{env} was discarded")
-        p = Promise(self._next_id, expr, env, label)
+        p = Promise(self._next_id, expr, env, label, weight)
         self._next_id += 1
         if self._trace.events is not None:
             self._trace.emit(_PROMISE_CREATED, f"promise{p.id}",
@@ -86,7 +88,7 @@ class PromiseStore:
             raise CyclicForceError(p.label)
         p.state = _FORCING
         try:
-            value = evaluator(p.expr, p.env)
+            value = evaluator(p.expr, p.env, p.weight)
         except BaseException:
             p.state = _UNFORCED
             raise
@@ -103,7 +105,7 @@ class PromiseStore:
             raise CyclicForceError(p.label)
         p.state = _FORCING
         try:
-            value = evaluator(p.expr, p.env)
+            value = evaluator(p.expr, p.env, p.weight)
         finally:
             p.state = _UNFORCED
         if self._trace.events is not None:

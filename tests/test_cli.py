@@ -155,16 +155,20 @@ class TestRun:
         assert capsys.readouterr().err.startswith(f"{path}:{error} ")
 
     # Recursion under static nesting: `c(1, ` and `1 + (` add Python frames per
-    # level that only a call's weight counts; bare `(` and `g(` add none that
-    # no level counts. Without the weight, the recursive call ended in a
-    # RecursionError traceback from depth 4 and the default chain from depth 8
-    # (strict) or 14 (need, name); the recursive argument never did.
+    # level that only a call's weight, or an argument's, counts; bare `(` and
+    # `g(` add none that no level counts. Without the call weight, the
+    # recursive call ended in a RecursionError traceback from depth 4 and the
+    # default chain from depth 8 (strict) or 14 (need, name); the recursive
+    # argument never did. Without the argument weight, the re-read chain did
+    # under name from depth 16, since each read re-evaluates a chain of
+    # promises that each nest its shape.
     @pytest.mark.parametrize("strategy", ["strict", "need", "name"])
     @pytest.mark.parametrize("program,inner", [
         ("f <- function(x) {{ {} }}\nf(1)\n", "f(x)"),
         ("f <- function(x) {{ f({}) }}\nf(1)\n", "x"),
         ("h <- function(y) {{ y }}\nf <- function(x = {}) {{ x }}\nf()\n", "h(f())"),
-    ], ids=["recursive-call", "recursive-argument", "default-chain"])
+        ("f <- function(x, n) {{ print(x)\nf({}, n) }}\nf(1, 0)\n", "x"),
+    ], ids=["recursive-call", "recursive-argument", "default-chain", "reread-chain"])
     def test_recursion_under_nesting_is_a_diagnostic(self, tmp_path, capsys, program, inner,
                                                      strategy):
         path = tmp_path / "nested.fl"

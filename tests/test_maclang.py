@@ -32,8 +32,8 @@ from lazylab.trace import EventKind, TraceSink
 from conftest import count, global_table, of_kind
 
 
-def _table(entries, label="global", scope="GLOBAL"):
-    return SymbolTable(label, scope, dict(entries))
+def _table(entries, label="global"):
+    return SymbolTable(label.partition("#")[0], dict(entries), label)
 
 
 class TestScanner:
@@ -256,7 +256,7 @@ def test_eval_arith_matches_recursive_reference(text):
 
 class TestResolveText:
     def test_chained_reference_rescans(self):
-        tables = [_table({"x": "2", "y": "&x*10"}, "lazy#1", "LAZY")]
+        tables = [_table({"x": "2", "y": "&x*10"}, "lazy#1")]
         sink = TraceSink()
         assert resolve_text("&y", tables, sink) == "2*10"
         assert [(ev.subject, ev.table) for ev in sink.events] == \
@@ -266,7 +266,7 @@ class TestResolveText:
         assert resolve_text("plain", [_table({})], TraceSink()) == "plain"
 
     def test_innermost_table_wins(self):
-        inner = _table({"v": "inner"}, "m#1", "M")
+        inner = _table({"v": "inner"}, "m#1")
         outer = _table({"v": "outer"})
         assert resolve_text("&v", [inner, outer], TraceSink()) == "inner"
         assert resolve_text("&v", [outer], TraceSink()) == "outer"
@@ -738,7 +738,7 @@ def test_call_gives_its_record_or_a_positioned_error(
         (duplicate is None and records[-1] == ("call", *_line_col(source, len(prefix)), name, args))
 
 
-_TABLES = [_table({"a": "&b.", "ab": "1", "a²": "&1"}, "m#1", "M"),
+_TABLES = [_table({"a": "&b.", "ab": "1", "a²": "&1"}, "m#1"),
            _table({"a": "0", "b": "&a1 2", "a1": "x", "_": "&_", "b_": "&ab&ab", "bb": "&a &b"})]
 
 

@@ -26,7 +26,7 @@ def store():
 def _counting_evaluator(result=Decimal(1)):
     calls = []
 
-    def evaluator(expr, env):
+    def evaluator(expr, env, weight):
         calls.append((expr, env))
         return result
 
@@ -95,7 +95,7 @@ def test_error_leaves_promise_unforced_and_retryable(store):
     p = promises.new(_expr("x"), envs.global_id, label="p")
     failed = []
 
-    def failing(expr, env):
+    def failing(expr, env, weight):
         failed.append(expr)
         raise UnboundNameError("x")
 
@@ -120,7 +120,7 @@ def test_two_promise_cycle_detected(store):
     px = promises.new(_expr("y"), envs.global_id, label="x")
     py = promises.new(_expr("x"), envs.global_id, label="y")
 
-    def evaluator(expr, env):
+    def evaluator(expr, env, weight):
         target = px if expr == _expr("x") else py
         return promises.force(target, evaluator)
 

@@ -4,8 +4,10 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lazylab.errors import LexError, ParseError
+from lazylab.errors import DepthExceededError, LazyLabError, LexError, ParseError
+from lazylab.lab import generate_program
 from lazylab.syntax import (
+    NESTING_LIMIT,
     Assign,
     Binary,
     Call,
@@ -16,6 +18,7 @@ from lazylab.syntax import (
     NumberLit,
     PrintStmt,
     Program,
+    SrcToken,
     Stmt,
     TokKind,
     VectorCtor,
@@ -298,6 +301,324 @@ class TestCallWeight:
 
     def test_weight_is_not_compared(self):
         assert Call(Ident("f"), (), weight=3) == Call(Ident("f"), ())
+        assert Call(Ident("f"), ((None, Ident("x")),), weights=(2,)) == \
+            Call(Ident("f"), ((None, Ident("x")),))
+
+    @pytest.mark.parametrize("source,weights", [
+        ("f(x, 1 + 2)\n", None),
+        # each `c(` list and each `(` that opens a right operand around a
+        # name read counts, from the start of the argument
+        ("f(c(1, x))\n", (2,)),
+        ("f(y, c(1, c(1, x)), z = 1 + (1 + (x)))\n", (1, 3, 3)),
+        ("f(c(1, g()))\n", (2,)),
+        # no read, bare parentheses, or a read in a nested argument list or
+        # function body count nothing
+        ("f(c(1, 2), 1 + (2))\n", None),
+        ("f(((x)))\n", None),
+        ("f(c(1, function(a) { c(1, a) }), g(c(1, x)))\n", None),
+    ])
+    def test_argument_weight_counts_the_nesting_around_its_reads(self, source, weights):
+        (stmt,) = parse_source(source).stmts
+        assert stmt.expr.weights == weights
+
+    def test_default_weight_counts_the_nesting_around_its_reads(self):
+        (stmt,) = parse_source("function(a = c(1, b), d, e = 1 + (b), f = c(1)) { a }\n").stmts
+        assert stmt.expr.weights == (2, 1, 2, 1)
+        (stmt,) = parse_source("function(a = b, d) { c(1, a) }\n").stmts
+        assert stmt.expr.weights is None
+
+
+# --- the parser against a reference: the earlier parser, kept verbatim, which
+# reads every token through peek/advance/expect/opens_args
+
+_NUMBER, _IDENT, _ASSIGN, _OP = TokKind.NUMBER, TokKind.IDENT, TokKind.ASSIGN, TokKind.OP
+_LPAREN, _RPAREN, _LBRACE, _RBRACE = TokKind.LPAREN, TokKind.RPAREN, TokKind.LBRACE, TokKind.RBRACE
+_COMMA, _KW_FUNCTION, _EOF = TokKind.COMMA, TokKind.KW_FUNCTION, TokKind.EOF
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+class _ReferenceParser:
+    def __init__(self, tokens: list[SrcToken]):
+        self.toks = tokens
+        self.i = 0
+        self.depth = 0  # open parentheses, lists and chained calls
+        # open `c(` lists and `(` that open a right operand, in the innermost
+        # function or argument list
+        self.levels = 0
+        self.operand = -1  # index of the token that starts the last right operand
+
+    def peek(self, ahead: int = 0) -> SrcToken:
+        # in bounds: advance() stops at the final EOF, and peek(1) is only
+        # asked after peek() returned a name
+        return self.toks[self.i + ahead]
+
+    def advance(self) -> SrcToken:
+        tok = self.toks[self.i]
+        if tok.kind is not _EOF:
+            self.i += 1
+        return tok
+
+    def fail(self, expected: tuple[str, ...]):
+        tok = self.peek()
+        shown = tok.text if tok.kind is not _EOF else "end of input"
+        raise ParseError(f"expected {' or '.join(expected)}, found {shown!r}", tok.line, tok.col)
+
+    def opens_args(self, ahead: int) -> bool:
+        """Is peek(ahead) a `(` on the same line as the token just before it?"""
+        tok = self.peek(ahead)
+        return tok.kind is _LPAREN and tok.line == self.toks[self.i + ahead - 1].line
+
+    def expect(self, kind: TokKind, what: str) -> SrcToken:
+        if self.peek().kind is not kind:
+            self.fail((what,))
+        return self.advance()
+
+    def open_paren(self):
+        """Consume a `(`, one level deeper until its close_paren()."""
+        tok = self.expect(_LPAREN, "'('")
+        self.depth += 1
+        if self.depth > NESTING_LIMIT:
+            raise DepthExceededError("opening '('", NESTING_LIMIT,
+                                     "nested parentheses, lists and calls").at(tok.line, tok.col)
+
+    def close_paren(self):
+        self.expect(_RPAREN, "')'")
+        self.depth -= 1
+
+    # statements
+
+    def program(self) -> Program:
+        stmts = []
+        while self.peek().kind is not _EOF:
+            stmts.append(self.statement())
+        return Program(tuple(stmts))
+
+    def statement(self) -> Stmt:
+        tok = self.peek()
+        pos = (tok.line, tok.col)
+        if tok.kind is _IDENT and tok.text == "print" and self.opens_args(1):
+            self.advance()
+            self.advance()
+            e = self.expression()
+            self.expect(_RPAREN, "')'")
+            return PrintStmt(e, pos)
+        if tok.kind is _IDENT and self.peek(1).kind is _ASSIGN:
+            self.advance()
+            self.advance()
+            e = self.expression()
+            return Assign(tok.text, e, pos)
+        e = self.expression()
+        return ExprStmt(e, pos)
+
+    # expressions
+
+    def expression(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over _PREC: an operand, then each operator that
+        binds at least min_prec with its right operand.  A chain of one
+        precedence is read in this loop, and the tree is left-deep."""
+        left = self.factor()
+        while (op := self.peek()).kind is _OP and _PREC[op.text] >= min_prec:
+            self.advance()
+            self.operand = self.i
+            right = self.expression(_PREC[op.text] + 1)
+            left = Binary(op.text, left, right, (op.line, op.col))
+        return left
+
+    def factor(self) -> Expr:
+        """A primary and the calls chained on it.
+
+        A call's weight is 1 plus the evaluator frames around it that no call
+        or promise counts, from the start of its function or argument list:
+        each open `c(` list, each open `(` that opens a right operand, and
+        each call it is the callee of, as in `f()()`.  Bare parentheses make
+        no frame, a call's arguments are read inside its own level, and the
+        chains of `Binary` that precedence alone nests fit in a level."""
+        e = self.primary()
+        depth = self.depth
+        while self.opens_args(0):
+            tok = self.peek()
+            levels = self.levels
+            self.levels = 0
+            args = tuple(self.comma_list(self.call_arg, set()))
+            self.levels = levels
+            e = Call(e, args, (tok.line, tok.col), 1 + levels)
+            self.depth += 1  # the next call's tree holds this one
+        chained = self.depth - depth
+        if chained:
+            self.depth = depth
+            # the evaluator reads each callee one frame inside each call chained on it
+            callee, k = e.callee, 1
+            while callee.__class__ is Call:
+                callee.weight += min(k, chained)
+                callee, k = callee.callee, k + 1
+        return e
+
+    def primary(self) -> Expr:
+        tok = self.peek()
+        pos = (tok.line, tok.col)
+        if tok.kind is _NUMBER:
+            self.advance()
+            return NumberLit(Decimal(tok.text), pos)
+        if tok.kind is _IDENT:
+            self.advance()
+            if tok.text == "c" and self.opens_args(0):
+                self.levels += 1  # the evaluator reads the elements in a _vector frame
+                elements = tuple(self.comma_list(self.expression))
+                self.levels -= 1
+                return VectorCtor(elements, pos)
+            return Ident(tok.text, pos)
+        if tok.kind is _LPAREN:
+            # a right operand in parentheses can hold a chain of its own,
+            # which the evaluator reads in a deeper _binary frame
+            nested = self.i == self.operand
+            self.open_paren()
+            self.levels += nested
+            e = self.expression()
+            self.levels -= nested
+            self.close_paren()
+            return e
+        if tok.kind is _KW_FUNCTION:
+            return self.function_def()
+        self.fail(("a number", "a name", "'('", "'function'"))
+        raise AssertionError("unreachable")
+
+    def comma_list(self, item, *args) -> list:
+        """Read `( item, ... )`, calling item(*args) for each entry."""
+        self.open_paren()
+        items = []
+        if self.peek().kind is not _RPAREN:
+            items.append(item(*args))
+            while self.peek().kind is _COMMA:
+                self.advance()
+                items.append(item(*args))
+        self.close_paren()
+        return items
+
+    @staticmethod
+    def reject_duplicate(tok: SrcToken, seen: set[str], what: str):
+        if tok.text in seen:
+            raise ParseError(f"duplicate {what} '{tok.text}'", tok.line, tok.col)
+        seen.add(tok.text)
+
+    def call_arg(self, seen: set[str]) -> tuple[str | None, Expr]:
+        tok = self.peek()
+        if tok.kind is _IDENT and self.peek(1).kind is _ASSIGN:
+            assign = self.peek(1)
+            if assign.text != "=":
+                raise ParseError(
+                    "assignment is not allowed in an argument list",
+                    assign.line, assign.col,
+                )
+            self.reject_duplicate(tok, seen, "named argument")
+            self.advance()
+            self.advance()
+            return tok.text, self.expression()
+        return None, self.expression()
+
+    def param(self, seen: set[str]) -> tuple[str, Expr | None]:
+        name_tok = self.expect(_IDENT, "a parameter name")
+        self.reject_duplicate(name_tok, seen, "parameter")
+        if self.peek().kind is not _ASSIGN:
+            return name_tok.text, None
+        assign = self.advance()
+        if assign.text != "=":
+            raise ParseError("parameter defaults are written with '='", assign.line, assign.col)
+        return name_tok.text, self.expression()
+
+    def function_def(self) -> FunctionDef:
+        kw = self.expect(_KW_FUNCTION, "'function'")
+        levels = self.levels
+        self.levels = 0  # a call of it reads its defaults and body
+        params = self.comma_list(self.param, set())
+        self.expect(_LBRACE, "'{'")
+        body: list[Stmt] = []
+        while self.peek().kind is not _RBRACE:
+            if self.peek().kind is _EOF:
+                self.fail(("'}'",))
+            body.append(self.statement())
+        if not body:
+            self.fail(("a statement (function bodies cannot be empty)",))
+        self.expect(_RBRACE, "'}'")
+        self.levels = levels
+        return FunctionDef(tuple(params), tuple(body), (kw.line, kw.col))
+
+
+def _outcome(parse, source):
+    """The program parsed from source, or the class, message and position of its error."""
+    try:
+        return parse(source)
+    except LazyLabError as err:
+        return type(err), err.message, err.line, err.col
+
+
+def _positions_and_weights(program):
+    """Each node's class, `pos` and call weights, depth first: equality ignores them."""
+    found, stack = [], [program.stmts]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend(reversed(node))
+        elif isinstance(node, (Expr, Stmt)):
+            found.append((type(node).__name__, node.pos, getattr(node, "weight", None)))
+            stack.extend(getattr(node, f.name) for f in reversed(fields(node))
+                         if f.name not in ("pos", "weight", "weights"))
+    return found
+
+
+# Token soup: every token kind, a newline before a `(`, the names that the
+# parser treats specially, fragments that make calls, lists and right
+# operands nest, and runs that nest past NESTING_LIMIT.
+_TOKENS = [
+    "a", "x", "c", "print", "function", "f", "7", "2.5",
+    "+", "-", "*", "/", "(", ")", "{", "}", ",", "<-", "=", "\n", "\n(",
+    "f(", "c(1, ", "1 + (", "x * (", "f()(", "function(a, b = 1) {", "x <- ", "print(",
+    "(" * 60, "c(" * 60, "f(" * 60, "()" * 60, "1 + (" * 60, "(" * (NESTING_LIMIT + 1),
+]
+_SOUP = st.lists(st.sampled_from(_TOKENS), max_size=40).map(" ".join)
+
+# Mostly well-formed programs with soup tokens dropped in, so that whole trees
+# with calls under lists, right operands and chains get compared too.
+_EXPRS = st.recursive(
+    st.sampled_from(["a", "x", "c", "print", "f", "7", "2.5"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map(" ".join),
+        inner.map("f({})".format), inner.map("c(1, {})".format), inner.map("({})".format),
+        inner.map("1 + ({})".format), inner.map("{}()".format),
+        *(st.tuples(inner, inner).map(lambda t, form=form: form.format(*t))
+          for form in ("{}\n({})", "g({}, y = {})", "function(a, b = {}) {{ {} }}")),
+    ), max_leaves=12)
+_PROGRAMS = st.lists(
+    st.tuples(st.sampled_from(["{}", "x <- {}", "y = {}", "print({})"]), _EXPRS)
+    .map(lambda t: t[0].format(t[1])), min_size=1, max_size=4).map("\n".join)
+
+
+@st.composite
+def _sources(draw):
+    if draw(st.booleans()):
+        return draw(_SOUP)
+    words = draw(_PROGRAMS).split(" ")
+    for at, token in draw(st.lists(st.tuples(st.integers(0, 99), st.sampled_from(_TOKENS)),
+                                   max_size=2)):
+        words.insert(at % (len(words) + 1), token)
+    return " ".join(words)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_sources())
+@example(generate_program(1, 12))
+@example("f <- function(x, y = c(1, (x))) { g(x)(1 + (f(y)))\n(x) }\nprint(c(1, f()()))\n")
+@example("(f()())()\ng(function(x = h(f())) { c(1, f(x)) })\n1 + 2 * (f())\n")
+@example("f(a <- 1)")
+@example("function(a, a) { a }")
+@example("f <- function(a) {\n  a +\n}\n")
+def test_parser_matches_the_reference(source):
+    def reference(text):
+        return _ReferenceParser(tokenize(text)).program()
+
+    got, expected = _outcome(parse_source, source), _outcome(reference, source)
+    assert got == expected
+    if isinstance(got, Program):
+        assert _positions_and_weights(got) == _positions_and_weights(expected)
 
 
 # --- round trip: printing any parsed program and re-parsing is identity
