@@ -4,11 +4,14 @@ The scanner turns source into statement records that the session executes
 in order.  It and the `&` and `%eval(` passes move forward over string
 offsets with compiled patterns; a (line, col) is worked out only for a record
 or an error, and a macro body's records count from where the body starts in
-the source.  One anchored match at the loop's head reads a whole `%let`,
-and another a whole macro call whose values hold no `(`, `)` or `,`; the
-step helpers read any other call, and a malformed `%let` or call to raise
-or record its error.  Digits are decimal digits (`str.isdecimal`).  Macro
-bodies are stored verbatim and scanned once, on their first invocation.
+the source.  Open code, the text between statements, makes no record: at
+the loop's head one match skips it and reads a whole `%let`, and another
+skips it and reads the next `%` or `&` with its word.  One reader reads
+every `(name=value, ...)` list, a call's arguments and a macro header's
+parameters alike, with one match per entry unless a value holds a `(`.  The
+statement keywords are written once.  Digits are decimal digits
+(`str.isdecimal`).  Macro bodies are stored verbatim and scanned once, on
+their first invocation.
 Parameter defaults and call arguments are stored as raw text, `%let` values
 as the text left after resolving them; every `&name` is re-resolved at every
 use, from the innermost live symbol table, and the substituted text is
@@ -64,41 +67,37 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 #   PUT    a = raw text
 #   CALL   a = macro name as written, b = {lowercased argument name: raw text}
 #   MACRO  a = the MacroDef
-#   TEXT   a = one open-code word, which execution ignores
 #   ERROR  a = error class, b = its one argument; raised as a(b) at (line, col)
 #          only when execution reaches the record, so the statements before it run
+# Open code, the text between statements, makes no record; a `%` or `&` in it
+# that does not start a name is an error.
 #
-# The scanner moves forward over string offsets with compiled patterns and
-# works out (line, col) only for a record or an error.  `\w` is exactly
-# `str.isalnum()` plus `_`, `\d` is `str.isdecimal()` and `\s` is `str.isspace()`;
-# no pattern class is "a letter or _", so `_is_ident_start` checks the first
-# character of a name.  At the loop's head, one anchored match of
-# `_LET_STATEMENT` reads a whole `%let`, and one of `_CALL_STATEMENT` a whole
-# macro call whose values hold no `(`, `)` or `,`; one `findall` splits its
-# entries.  Everything else goes to the step helpers: `%put`, `%macro`, a call
-# with a parenthesised value or no argument list, and every malformed `%let`
-# or call, including a call whose name is a keyword or does not start as a
-# name, or whose argument names do not or repeat.  They raise or record the
-# error where they stop; a syntax error points at the next non-space character.
+# `\w` is exactly `str.isalnum()` plus `_`, `\d` is `str.isdecimal()` and `\s`
+# is `str.isspace()`; no pattern class is "a letter or _", so `_is_ident_start`
+# checks the first character of a name.  Each turn of the loop tries
+# `_LET_STATEMENT`, which skips open code and reads a whole `%let`, and then
+# `_HEAD`, which skips open code and reads the next `%` or `&`, its word and,
+# for a call, its `(`.  `_list` reads a call's arguments and a macro header's
+# parameters alike, one `_ENTRY` match per entry and the separator after it;
+# only a value that holds a `(` is read by counting depth.  A syntax error is
+# raised at the next non-space character.
 
-LET, PUT, CALL, MACRO, TEXT, ERROR = "let", "put", "call", "macro", "text", "error"
+# the statement keywords, which never name a call; `%let`, `%put` and `%macro`
+# make records of their keyword's kind
+_KEYWORDS = LET, PUT, MACRO, MEND = "let", "put", "macro", "mend"
+CALL, ERROR = "call", "error"
 
 _COMMENT = re.compile(r"/\*.*?(\*/|\Z)", re.S)  # an unclosed comment runs to the end
 _NOT_NEWLINE = re.compile(r"[^\n]")
 _SPACE = re.compile(r"\s*")
-_WORD = re.compile(r"\w+")
-_OPEN_CODE = re.compile(r"\d+|[-+*/()=;,]|[^\s%&+\-*/()=;,]+")
-# a whole `%let` statement: its '%', name, '=' and value to ';'
-_LET_STATEMENT = re.compile(r"\s*(%)let(?!\w)\s*(\w+)\s*=([^;]*);?", re.I)
-# a whole macro call whose values hold no '(', ')' or ',': its '%', name and
-# `name=value` entries, each ended by ',' but the last
-_CALL_STATEMENT = re.compile(
-    r"\s*(%)(\w+)\s*\(((?:\s*\w+\s*=[^(),]*,)*(?:\s*\w+\s*=[^(),]*)?)\s*\)")
-_CALL_ENTRY = re.compile(r"(\w+)\s*=([^,]*)")
-_KEYWORDS = frozenset(("let", "put", "macro", "mend", "eval"))  # never a call
-_PUT_END = re.compile(r";|(?=%(?:let|put|macro|mend)(?!\w))", re.I)
-_NESTING = re.compile(r"%(?:(macro)|mend)(?!\w)", re.I)
+_LET_STATEMENT = re.compile(rf"[^%&]*(%){LET}(?!\w)\s*(\w+)\s*=([^;]*);?", re.I)
+_HEAD = re.compile(r"[^%&]*([%&])(\w*)(\s*\()?")
+_NAME = re.compile(r"\s*(\w*)(\s*\()?")
+# one `name[=value]` list entry whose value holds no '(', and its separator
+_ENTRY = re.compile(r"\s*(\w*)\s*(?:=([^(),]*))?([,)]?)")
 _VALUE_END = re.compile(r"[(),]")
+_PUT_END = re.compile(rf";|(?=%(?:{'|'.join(_KEYWORDS)})(?!\w))", re.I)
+_NESTING = re.compile(rf"%(?:({MACRO})|{MEND})(?!\w)", re.I)
 # The loops call `pattern.search`, not `finditer`: on CPython 3.11 every
 # `finditer` call leaves a fresh "search" string in the interpreter's method
 # cache, which the benchmark's peak memory counted.
@@ -106,17 +105,6 @@ _VALUE_END = re.compile(r"[(),]")
 
 def _is_ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
-
-
-def _call_args(entries: str) -> dict[str, str] | None:
-    """{lowercased name: stripped value} of the entries `_CALL_STATEMENT`
-    read, or None when a name does not start as a name or repeats."""
-    args: dict[str, str] = {}
-    for name, value in _CALL_ENTRY.findall(entries):
-        if not _is_ident_start(name[0]) or (key := name.lower()) in args:
-            return None
-        args[key] = value.strip()
-    return args
 
 
 class _Scanner:
@@ -148,36 +136,9 @@ class _Scanner:
         self._mark = i
         return self._line, self._col
 
-    def _error(self, message: str) -> MacroSyntaxError:
-        return MacroSyntaxError(message, *self._pos(_SPACE.match(self.src, self.i).end()))
-
-    def _ident_at(self, i: int) -> str:
-        """The identifier starting at offset i, or ''."""
-        if i < len(self.src) and _is_ident_start(self.src[i]):
-            return _WORD.match(self.src, i).group()
-        return ""
-
-    def _skip_space(self):
-        self.i = _SPACE.match(self.src, self.i).end()
-
-    def _peek(self, ch: str) -> bool:
-        """Skip whitespace; whether the next character is ch."""
-        self._skip_space()
-        return self.src.startswith(ch, self.i)
-
-    def _take(self, ch: str) -> bool:
-        if self._peek(ch):
-            self.i += 1
-            return True
-        return False
-
-    def _expect_name(self, message: str) -> str:
-        self._skip_space()
-        name = self._ident_at(self.i)
-        if not name:
-            raise self._error(message)
-        self.i += len(name)
-        return name
+    def _error(self, message: str, i: int) -> MacroSyntaxError:
+        """The error at the first non-space character from offset i."""
+        return MacroSyntaxError(message, *self._pos(_SPACE.match(self.src, i).end()))
 
     def scan(self) -> list[tuple]:
         src = self.src
@@ -186,98 +147,93 @@ class _Scanner:
                 self.stmts.append((LET, *self._pos(let.start(1)), let[2], let[3].strip()))
                 self.i = let.end()
                 continue
-            if ((call := _CALL_STATEMENT.match(src, self.i)) and _is_ident_start(call[2][0])
-                    and call[2].lower() not in _KEYWORDS
-                    and (args := _call_args(call[3])) is not None):
-                self.stmts.append((CALL, *self._pos(call.start(1)), call[2], args))
-                self.i = call.end()
-                continue
-            if (start := _SPACE.match(src, self.i).end()) == len(src):
+            if (head := _HEAD.match(src, self.i)) is None:  # only open code is left
                 return self.stmts
-            line, col = self._pos(start)
-            ch = src[start]
-            if ch in "%&":
-                name = self._ident_at(start + 1)
-                if not name:
-                    raise LexError(f"stray {ch!r}", line, col)
-                self.i = start + 1 + len(name)
-                if ch == "&":
-                    self.stmts.append((TEXT, line, col, name, None))
-                else:
-                    self._statement(name, line, col)
-            else:
-                word = self._ident_at(start) or _OPEN_CODE.match(src, start).group()
-                self.i = start + len(word)
-                self.stmts.append((TEXT, line, col, word, None))
+            name = head[2]
+            if not _is_ident_start(name[:1]):
+                raise LexError(f"stray {head[1]!r}", *self._pos(head.start(1)))
+            self.i = head.end()
+            if head[1] == "&" or (kw := name.lower()) == "eval":
+                continue
+            line, col = self._pos(head.start(1))
+            if kw not in _KEYWORDS:
+                args, duplicate = ({}, None) if head[3] is None else \
+                    self._list("macro argument list", optional=False)
+                self.stmts.append(duplicate or (CALL, line, col, name, args))
+                continue
+            self.i = head.end(2)
+            if kw == MACRO:
+                self._macro(line, col)
+            elif kw == MEND:
+                self.stmts.append((ERROR, line, col, MacroSyntaxError, "%mend without %macro"))
+            elif kw == PUT:
+                # raw text to ';'; a following statement keyword also ends it,
+                # so a missing semicolon does not swallow the next statement
+                end = _PUT_END.search(src, self.i)
+                stop = end.start() if end else len(src)
+                self.stmts.append((PUT, line, col, src[self.i:stop].strip(), None))
+                self.i = end.end() if end else stop
+            else:  # a %let that _LET_STATEMENT could not read
+                let = _NAME.match(src, self.i)
+                if not _is_ident_start(let[1][:1]):
+                    raise self._error("expected a name after %let", self.i)
+                raise self._error("expected '=' in %let", let.end(1))
 
-    def _statement(self, name: str, line: int, col: int):
-        kw = name.lower()
-        if kw == "macro":
-            self._macro(line, col)
-        elif kw == "mend":
-            self.stmts.append((ERROR, line, col, MacroSyntaxError, "%mend without %macro"))
-        elif kw == "let":  # the loop head read every well-formed %let
-            self._expect_name("expected a name after %let")
-            raise self._error("expected '=' in %let")
-        elif kw == "put":
-            # raw text to ';'; a following macro statement keyword also ends
-            # it, so a missing semicolon does not swallow the next statement
-            end = _PUT_END.search(self.src, self.i)
-            stop = end.start() if end else len(self.src)
-            self.stmts.append((PUT, line, col, self.src[self.i:stop].strip(), None))
-            self.i = end.end() if end else stop
-        elif kw == "eval":
-            self.stmts.append((TEXT, line, col, "%" + name, None))
-        else:
-            args, duplicate = {}, None
-            if self._peek("("):
-                args, duplicate = self._param_list("macro argument list", values_optional=False)
-            self.stmts.append(duplicate or (CALL, line, col, name, args))
-
-    def _param_list(self, what: str, values_optional: bool) -> tuple[dict, tuple | None]:
-        """Read `(name[=value], ...)` into {lowercased name: raw value}.  The
-        first repeated name comes back as an ERROR record for the caller."""
-        self.i += 1
-        entries: dict[str, str] = {}
-        duplicate = None
-        while not self._take(")"):
-            name = self._expect_name(f"expected a name in {what}")
+    def _list(self, what: str, optional: bool) -> tuple[dict, tuple | None]:
+        """Read `name[=value], ...)` from just after its `(` into {lowercased
+        name: stripped raw value}.  The first repeated name comes back as an
+        ERROR record for the caller."""
+        src, entries, duplicate = self.src, {}, None
+        while True:
+            entry = _ENTRY.match(src, self.i)
+            name, value, end = entry.groups()
+            if not _is_ident_start(name[:1]):
+                if entry[0].lstrip() == ")":  # the list ends, also after a trailing ','
+                    self.i = entry.end()
+                    return entries, duplicate
+                raise self._error(f"expected a name in {what}", entry.start())
             key = name.lower()
             if key in entries and duplicate is None:
-                duplicate = (ERROR, *self._pos(self.i - len(name)), DuplicateParamError, name)
-            if self._take("="):
-                entries[key] = self._raw_value()
-            elif values_optional:
-                entries[key] = ""
-            else:
-                raise self._error(f"{what} entries are written name=value")
-            if not self._take(",") and not self._peek(")"):
-                raise self._error(f"expected ',' or ')' in {what}")
-        return entries, duplicate
+                duplicate = (ERROR, *self._pos(entry.start(1)), DuplicateParamError, name)
+            self.i = entry.end()
+            if value is None:
+                if not optional:
+                    raise self._error(f"{what} entries are written name=value", entry.start(3))
+                if not end:
+                    raise self._error(f"expected ',' or ')' in {what}", entry.start(3))
+                value = ""
+            elif not end:  # the value holds a '(' or runs to the end of the source
+                stop = self._value_end(entry.start(2))
+                value, end, self.i = src[entry.start(2):stop], src[stop], stop + 1
+            entries[key] = value.strip()
+            if end == ")":
+                return entries, duplicate
 
-    def _raw_value(self) -> str:
-        """Capture a parameter/argument value up to a top-level ',' or ')'."""
-        depth, end = 0, self.i
+    def _value_end(self, start: int) -> int:
+        """The offset of the top-level ',' or ')' that ends the value at start."""
+        depth, end = 0, start
         while (stop := _VALUE_END.search(self.src, end)) is not None:
             end = stop.end()
             if stop.group() == "(":
                 depth += 1
             elif depth == 0:
-                value = self.src[self.i:stop.start()].strip()
-                self.i = stop.start()
-                return value
+                return stop.start()
             elif stop.group() == ")":
                 depth -= 1
-        self.i = len(self.src)
-        raise self._error("unterminated parameter list")
+        raise self._error("unterminated parameter list", len(self.src))
 
     def _macro(self, line: int, col: int):
-        name = self._expect_name("expected a macro name after %macro")
-        params, duplicate = {}, None
-        if self._peek("("):
-            params, duplicate = self._param_list("macro parameter list", values_optional=True)
-        if not self._take(";"):
-            raise self._error("expected ';' after %macro header")
+        header = _NAME.match(self.src, self.i)
+        name = header[1]
+        if not _is_ident_start(name[:1]):
+            raise self._error("expected a macro name after %macro", self.i)
+        self.i = header.end()
+        params, duplicate = ({}, None) if header[2] is None else \
+            self._list("macro parameter list", optional=True)
+        semicolon = _SPACE.match(self.src, self.i).end()
+        if not self.src.startswith(";", semicolon):
+            raise self._error("expected ';' after %macro header", semicolon)
+        self.i = semicolon + 1
         body_line, body_col = self._pos(self.i)
         body = self._body()
         if duplicate is not None:
@@ -289,8 +245,8 @@ class _Scanner:
                 name.lower(), params, body, body_line, body_col), None))
 
     def _body(self) -> str | None:
-        """Capture the body verbatim up to the matching %mend and consume
-        `%mend [name] [;]`; None when the source ends first."""
+        """Capture the body verbatim up to the matching %mend, or None when
+        the source ends first; what follows that %mend is open code."""
         start, depth = self.i, 0
         while (keyword := _NESTING.search(self.src, self.i)) is not None:
             self.i = keyword.end()
@@ -299,9 +255,6 @@ class _Scanner:
             elif depth:
                 depth -= 1
             else:
-                self._skip_space()
-                self.i += len(self._ident_at(self.i))
-                self._take(";")
                 return self.src[start:keyword.start()]
         self.i = len(self.src)
         return None

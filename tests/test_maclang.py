@@ -1,3 +1,4 @@
+import re
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from lazylab.errors import (
 from lazylab import maclang
 from lazylab.lab import run_with_metrics
 from lazylab.maclang import (
+    MacroDef,
     MacroSession,
     SymbolTable,
     eval_arith,
@@ -44,8 +46,8 @@ class TestScanner:
         assert scan("") == []
 
     def test_reference_fragment(self):
-        assert scan("&x*10") == [("text", 1, 1, "x", None), ("text", 1, 3, "*", None),
-                                 ("text", 1, 4, "10", None)]
+        # open code, references in it too, makes no record
+        assert scan("&x*10") == []
 
     def test_put_keeps_eval_text_raw(self):
         assert scan("%put (&x %eval(&y));") == [("put", 1, 1, "(&x %eval(&y))", None)]
@@ -73,6 +75,9 @@ class TestScanner:
             scan("% 5")
         with pytest.raises(LexError):
             scan("& 5")
+        with pytest.raises(LexError) as exc:  # after open code, at its own position
+            scan("%let x=1;\nwords &x %eval(1)\n  %1")
+        assert (exc.value.message, exc.value.line, exc.value.col) == ("stray '%'", 3, 3)
 
     def test_token_positions(self):
         put = scan("%let x=2;\n%put &x;")[1]
@@ -596,10 +601,11 @@ class TestSessions:
         assert (exc.value.line, exc.value.col) == (2, 1)
 
 
-_SOUP = st.sampled_from([
+_SOUP_WORDS = [
     "%let ", "%put ", "%macro ", "%mend", "%eval(", "%m", "%", "&", "&x", "x", "=", ";",
     "(", ")", ",", " ", "\n", "\t", "/*", "*/", "1", "+", "²", "İ", "_user_",
-])
+]
+_SOUP = st.sampled_from(_SOUP_WORDS)
 
 
 @settings(max_examples=300, deadline=None)
@@ -615,9 +621,7 @@ def test_scan_records_point_at_their_statements(source, line, col):
     for kind, rec_line, rec_col, a, b in records:
         k = rec_line - line
         at = line_starts[k] + rec_col - (col if k == 0 else 1)
-        if kind == "text":
-            assert source.startswith(a, at) or source.startswith("&" + a, at)
-        elif kind == "error" and a is DuplicateParamError:
+        if kind == "error" and a is DuplicateParamError:
             assert source.startswith(b, at)
         else:
             assert source[at] == "%"
@@ -655,7 +659,7 @@ def test_let_gives_its_record_or_a_positioned_error(
     prefix = "".join(line + "\n" for line in earlier) + indent
     source = (prefix + "%" + keyword + space + name + space_after
               + "=" * equals + value + ";" * semicolon)
-    earlier_records = sum(line.strip() not in ("", "/* c */") for line in earlier)
+    earlier_records = sum(line in ("%put a;", "%let w=0;") for line in earlier)
     start = _next_non_space(source, len(prefix) + 4)
     end = start
     while end < len(source) and (source[end].isalnum() or source[end] == "_"):
@@ -738,6 +742,85 @@ def test_call_gives_its_record_or_a_positioned_error(
         (duplicate is None and records[-1] == ("call", *_line_col(source, len(prefix)), name, args))
 
 
+_PARAM = st.tuples(
+    _GAP, st.sampled_from(["a", "A", "b", "_c", "1a", "²"]), _GAP, st.booleans(),
+    st.lists(st.sampled_from(["1", "x", " ", "\n", "=", "&a", "(1,2)", "f(1, (2))"]),
+             max_size=4).map("".join))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["", "%put a;\n", "  "]), st.sampled_from(["m", "M", "mAc_1"]), _GAP,
+       st.none() | st.lists(_PARAM, max_size=3), st.booleans(), _GAP, st.booleans(),
+       st.booleans())
+@example("", "m", "", [("", "a", "", True, "(1,2)"), (" ", "b", "", False, "")],
+         True, "", True, True)
+@example("", "m", "", [("", "a", "", True, "1"), ("", "A", "", False, "")], False, "", True, True)
+@example("", "m", "", [("", "a", "", True, "f(1, (2))")], False, "", False, True)
+@example("", "m", "", [("", "a", " ", False, "")], False, "", False, True)
+@example("", "m", "", [("", "²", "", True, "1")], False, "", True, True)
+@example("", "m", " ", [], False, "", True, False)
+def test_macro_header_gives_its_record_or_a_positioned_error(
+        prefix, name, gap, params, trailing_comma, space_before_close, closed, semicolon):
+    """Oracle: `%macro name`, optionally `(` and entries `name[=value]`
+    separated by ',' with an optional trailing ',' and `)`, then `;`.  A name
+    starts with a letter or `_`, a value runs to a top-level ',' or ')' and is
+    stripped, a name without `=` defaults to '', and names compare lowercased.
+    The first repeated name gives an ERROR record, unless a syntax error
+    follows; a syntax error raises at the next non-space character."""
+    source = prefix + "%macro " + name + gap
+    parsed = []  # (offset of the name, name, offset after it and its space, value or None)
+    if params is not None:
+        source += "("
+        for k, (lead, key, space, equals, value) in enumerate(params):
+            source += lead
+            at = len(source)
+            source += key + space
+            parsed.append((at, key, len(source), value.strip() if equals else None))
+            source += "=" + value if equals else ""
+            if k < len(params) - 1:
+                source += ","
+        if params and trailing_comma:
+            source += ","
+        source += space_before_close + ")" * closed
+    header_end = len(source)
+    source += ";" * semicolon
+    body_start = len(source)
+    source += "\n%put &a;\n%mend;"
+    defaults, duplicate, error = {}, None, None
+    for k, (at, key, after, value) in enumerate(parsed):
+        if not (key[0].isalpha() or key[0] == "_"):
+            error = ("expected a name in macro parameter list", at)
+            break
+        if key.lower() in defaults and duplicate is None:
+            duplicate = ("error", *_line_col(source, at), DuplicateParamError, key)
+        defaults[key.lower()] = "" if value is None else value
+        if not closed and k == len(parsed) - 1 and not trailing_comma:
+            error = (("unterminated parameter list", len(source)) if value is not None else
+                     ("expected ',' or ')' in macro parameter list", _next_non_space(source, after)))
+            break
+    else:
+        if params is not None and not closed:
+            error = ("expected a name in macro parameter list", _next_non_space(source, header_end))
+        elif not semicolon:
+            error = ("expected ';' after %macro header", _next_non_space(source, header_end))
+    if error is not None:
+        with pytest.raises(MacroSyntaxError) as exc:
+            scan(source)
+        assert (exc.value.message, exc.value.line, exc.value.col) == \
+            (error[0], *_line_col(source, error[1]))
+        return
+    records = scan(source)
+    assert len(records) == (prefix.strip() != "") + 1
+    if duplicate is not None:
+        assert records[-1] == duplicate
+        return
+    kind, line, col, definition, _ = records[-1]
+    assert (kind, line, col) == ("macro", *_line_col(source, len(prefix)))
+    assert (definition.name, list(definition.params.items()), definition.body_text,
+            definition.body_line, definition.body_col) == \
+        (name.lower(), list(defaults.items()), "\n%put &a;\n", *_line_col(source, body_start))
+
+
 _TABLES = [_table({"a": "&b.", "ab": "1", "a²": "&1"}, "m#1"),
            _table({"a": "0", "b": "&a1 2", "a1": "x", "_": "&_", "b_": "&ab&ab", "bb": "&a &b"})]
 
@@ -781,3 +864,279 @@ def test_resolve_text_matches_the_search_loop(text):
         outcomes.append((outcome, [(ev.subject, ev.table, ev.text)
                                    for ev in of_kind(sink.events, EventKind.VAR_RESOLVED)]))
     assert outcomes[0] == outcomes[1]
+
+
+# --- the scanner against a reference: the earlier scanner, kept verbatim, which
+# made a TEXT record for each open-code word, read a call whose values hold no
+# '(', ')' or ',' with one pattern and every other list through step helpers
+
+LET, PUT, CALL, MACRO, TEXT, ERROR = "let", "put", "call", "macro", "text", "error"
+
+_COMMENT = re.compile(r"/\*.*?(\*/|\Z)", re.S)  # an unclosed comment runs to the end
+_NOT_NEWLINE = re.compile(r"[^\n]")
+_SPACE = re.compile(r"\s*")
+_WORD = re.compile(r"\w+")
+_OPEN_CODE = re.compile(r"\d+|[-+*/()=;,]|[^\s%&+\-*/()=;,]+")
+# a whole `%let` statement: its '%', name, '=' and value to ';'
+_LET_STATEMENT = re.compile(r"\s*(%)let(?!\w)\s*(\w+)\s*=([^;]*);?", re.I)
+# a whole macro call whose values hold no '(', ')' or ',': its '%', name and
+# `name=value` entries, each ended by ',' but the last
+_CALL_STATEMENT = re.compile(
+    r"\s*(%)(\w+)\s*\(((?:\s*\w+\s*=[^(),]*,)*(?:\s*\w+\s*=[^(),]*)?)\s*\)")
+_CALL_ENTRY = re.compile(r"(\w+)\s*=([^,]*)")
+_KEYWORDS = frozenset(("let", "put", "macro", "mend", "eval"))  # never a call
+_PUT_END = re.compile(r";|(?=%(?:let|put|macro|mend)(?!\w))", re.I)
+_NESTING = re.compile(r"%(?:(macro)|mend)(?!\w)", re.I)
+_VALUE_END = re.compile(r"[(),]")
+# The loops call `pattern.search`, not `finditer`: on CPython 3.11 every
+# `finditer` call leaves a fresh "search" string in the interpreter's method
+# cache, which the benchmark's peak memory counted.
+
+
+
+def _is_ident_start(ch: str) -> bool:
+    return ch.isalpha() or ch == "_"
+
+
+def _call_args(entries: str) -> dict[str, str] | None:
+    """{lowercased name: stripped value} of the entries `_CALL_STATEMENT`
+    read, or None when a name does not start as a name or repeats."""
+    args: dict[str, str] = {}
+    for name, value in _CALL_ENTRY.findall(entries):
+        if not _is_ident_start(name[0]) or (key := name.lower()) in args:
+            return None
+        args[key] = value.strip()
+    return args
+
+
+class _ReferenceScanner:
+    """Single pass over offsets; `%let`, `%put`, `%macro`, and macro calls
+    capture raw text so stored values keep their source spelling."""
+
+    def __init__(self, source: str, line: int = 1, col: int = 1):
+        self._mark, self._line, self._col = 0, line, col
+        # _pos reads the source while comments are blanked; blanking moves
+        # no offset and keeps every line break
+        self.src = source
+        self.src = _COMMENT.sub(self._blank, source)
+        self.i = 0
+        self.stmts: list[tuple] = []
+
+    def _blank(self, comment: re.Match) -> str:
+        if not comment.group(1):
+            raise LexError("unterminated comment", *self._pos(comment.start()))
+        return _NOT_NEWLINE.sub(" ", comment.group())
+
+    def _pos(self, i: int) -> tuple[int, int]:
+        """(line, col) of offset i; the offsets asked for never decrease."""
+        newlines = self.src.count("\n", self._mark, i)
+        if newlines:
+            self._line += newlines
+            self._col = i - self.src.rindex("\n", self._mark, i)
+        else:
+            self._col += i - self._mark
+        self._mark = i
+        return self._line, self._col
+
+    def _error(self, message: str) -> MacroSyntaxError:
+        return MacroSyntaxError(message, *self._pos(_SPACE.match(self.src, self.i).end()))
+
+    def _ident_at(self, i: int) -> str:
+        """The identifier starting at offset i, or ''."""
+        if i < len(self.src) and _is_ident_start(self.src[i]):
+            return _WORD.match(self.src, i).group()
+        return ""
+
+    def _skip_space(self):
+        self.i = _SPACE.match(self.src, self.i).end()
+
+    def _peek(self, ch: str) -> bool:
+        """Skip whitespace; whether the next character is ch."""
+        self._skip_space()
+        return self.src.startswith(ch, self.i)
+
+    def _take(self, ch: str) -> bool:
+        if self._peek(ch):
+            self.i += 1
+            return True
+        return False
+
+    def _expect_name(self, message: str) -> str:
+        self._skip_space()
+        name = self._ident_at(self.i)
+        if not name:
+            raise self._error(message)
+        self.i += len(name)
+        return name
+
+    def scan(self) -> list[tuple]:
+        src = self.src
+        while True:
+            if (let := _LET_STATEMENT.match(src, self.i)) and _is_ident_start(let[2][0]):
+                self.stmts.append((LET, *self._pos(let.start(1)), let[2], let[3].strip()))
+                self.i = let.end()
+                continue
+            if ((call := _CALL_STATEMENT.match(src, self.i)) and _is_ident_start(call[2][0])
+                    and call[2].lower() not in _KEYWORDS
+                    and (args := _call_args(call[3])) is not None):
+                self.stmts.append((CALL, *self._pos(call.start(1)), call[2], args))
+                self.i = call.end()
+                continue
+            if (start := _SPACE.match(src, self.i).end()) == len(src):
+                return self.stmts
+            line, col = self._pos(start)
+            ch = src[start]
+            if ch in "%&":
+                name = self._ident_at(start + 1)
+                if not name:
+                    raise LexError(f"stray {ch!r}", line, col)
+                self.i = start + 1 + len(name)
+                if ch == "&":
+                    self.stmts.append((TEXT, line, col, name, None))
+                else:
+                    self._statement(name, line, col)
+            else:
+                word = self._ident_at(start) or _OPEN_CODE.match(src, start).group()
+                self.i = start + len(word)
+                self.stmts.append((TEXT, line, col, word, None))
+
+    def _statement(self, name: str, line: int, col: int):
+        kw = name.lower()
+        if kw == "macro":
+            self._macro(line, col)
+        elif kw == "mend":
+            self.stmts.append((ERROR, line, col, MacroSyntaxError, "%mend without %macro"))
+        elif kw == "let":  # the loop head read every well-formed %let
+            self._expect_name("expected a name after %let")
+            raise self._error("expected '=' in %let")
+        elif kw == "put":
+            # raw text to ';'; a following macro statement keyword also ends
+            # it, so a missing semicolon does not swallow the next statement
+            end = _PUT_END.search(self.src, self.i)
+            stop = end.start() if end else len(self.src)
+            self.stmts.append((PUT, line, col, self.src[self.i:stop].strip(), None))
+            self.i = end.end() if end else stop
+        elif kw == "eval":
+            self.stmts.append((TEXT, line, col, "%" + name, None))
+        else:
+            args, duplicate = {}, None
+            if self._peek("("):
+                args, duplicate = self._param_list("macro argument list", values_optional=False)
+            self.stmts.append(duplicate or (CALL, line, col, name, args))
+
+    def _param_list(self, what: str, values_optional: bool) -> tuple[dict, tuple | None]:
+        """Read `(name[=value], ...)` into {lowercased name: raw value}.  The
+        first repeated name comes back as an ERROR record for the caller."""
+        self.i += 1
+        entries: dict[str, str] = {}
+        duplicate = None
+        while not self._take(")"):
+            name = self._expect_name(f"expected a name in {what}")
+            key = name.lower()
+            if key in entries and duplicate is None:
+                duplicate = (ERROR, *self._pos(self.i - len(name)), DuplicateParamError, name)
+            if self._take("="):
+                entries[key] = self._raw_value()
+            elif values_optional:
+                entries[key] = ""
+            else:
+                raise self._error(f"{what} entries are written name=value")
+            if not self._take(",") and not self._peek(")"):
+                raise self._error(f"expected ',' or ')' in {what}")
+        return entries, duplicate
+
+    def _raw_value(self) -> str:
+        """Capture a parameter/argument value up to a top-level ',' or ')'."""
+        depth, end = 0, self.i
+        while (stop := _VALUE_END.search(self.src, end)) is not None:
+            end = stop.end()
+            if stop.group() == "(":
+                depth += 1
+            elif depth == 0:
+                value = self.src[self.i:stop.start()].strip()
+                self.i = stop.start()
+                return value
+            elif stop.group() == ")":
+                depth -= 1
+        self.i = len(self.src)
+        raise self._error("unterminated parameter list")
+
+    def _macro(self, line: int, col: int):
+        name = self._expect_name("expected a macro name after %macro")
+        params, duplicate = {}, None
+        if self._peek("("):
+            params, duplicate = self._param_list("macro parameter list", values_optional=True)
+        if not self._take(";"):
+            raise self._error("expected ';' after %macro header")
+        body_line, body_col = self._pos(self.i)
+        body = self._body()
+        if duplicate is not None:
+            self.stmts.append(duplicate)
+        elif body is None:
+            self.stmts.append((ERROR, line, col, UnterminatedMacroError, name))
+        else:
+            self.stmts.append((MACRO, line, col, MacroDef(
+                name.lower(), params, body, body_line, body_col), None))
+
+    def _body(self) -> str | None:
+        """Capture the body verbatim up to the matching %mend and consume
+        `%mend [name] [;]`; None when the source ends first."""
+        start, depth = self.i, 0
+        while (keyword := _NESTING.search(self.src, self.i)) is not None:
+            self.i = keyword.end()
+            if keyword.group(1):
+                depth += 1
+            elif depth:
+                depth -= 1
+            else:
+                self._skip_space()
+                self.i += len(self._ident_at(self.i))
+                self._take(";")
+                return self.src[start:keyword.start()]
+        self.i = len(self.src)
+        return None
+
+
+_SCAN_WORDS = st.sampled_from(_SOUP_WORDS + [
+    "%macro m(", "%MACRO m", "%macro m;", "%macro m()", "a", "A", "b=", "=1", " = x", "(1,2)",
+    "f(1, (2))", "1a", "%m(", "%M (", "%m()", "a=1", "a=1,", "a,", ");", ")\n", "%mend;",
+    "%mend m ;", "%put x;", "&a", "%eval(1)", "%LET x=", "%let a b", "%Mend", "&1", "%1",
+])
+
+
+def _records(records):
+    """Records with each dict as its item list and each MacroDef as its
+    fields, so that the order of names is compared too."""
+    def plain(field):
+        if isinstance(field, dict):
+            return list(field.items())
+        if isinstance(field, MacroDef):
+            return (field.name, list(field.params.items()), field.body_text,
+                    field.body_line, field.body_col)
+        return field
+    return [tuple(plain(field) for field in record) for record in records]
+
+
+def _scan_outcome(scanner, source, line, col):
+    try:
+        return _records(scanner(source, line, col))
+    except LazyLabError as err:
+        return type(err), err.message, err.line, err.col
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_SCAN_WORDS, max_size=30).map("".join) | st.text(max_size=30),
+       st.integers(1, 3), st.integers(1, 3))
+@example("%let x=1;\nwords &x (2 20 7) %eval(1) %put [&x];\n", 1, 1)
+@example("%macro m(a, b=(1,2)) ; %put &a|&b; %mend m;\n%m(a=x) %M (A=f(1, (2)),)", 2, 3)
+@example("%m(a=1, A=2) %m(a b) %m(1a=2)", 1, 1)
+@example("%m(\n a )", 1, 1)
+@example("%macro m(a b); %mend;", 1, 1)
+@example("%macro m(a=1,a=2 %mend;", 1, 1)
+def test_scan_matches_the_reference(source, line, col):
+    """The same records, with the reference's TEXT records dropped, or the
+    same error class, message, line and column."""
+    def reference(text, line, col):
+        return [r for r in _ReferenceScanner(text, line, col).scan() if r[0] != TEXT]
+
+    assert _scan_outcome(scan, source, line, col) == _scan_outcome(reference, source, line, col)
