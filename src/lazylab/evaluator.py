@@ -19,7 +19,9 @@ and promise evaluations in progress (a cache hit is neither) nest at most
 `CALL_DEPTH_LIMIT` levels deep; one more is a positioned `DepthExceededError`.
 A call is its `Call.weight`: one more than the `c(` lists, parenthesised
 right operands and enclosing chained calls around it, which nest Python
-frames that no other level counts (`syntax._Parser.factor`).  A promise
+frames that no other level counts (`syntax._Parser.factor`), plus the called
+function's `FunctionDef.reads`, the `c(` lists and parenthesised right
+operands around the deepest name read in its body.  A promise
 evaluation is its argument's or default's weight (`Call.weights`,
 `FunctionDef.weights`): one more than the `c(` lists and parenthesised right
 operands around the deepest name read in its expression, since a read may
@@ -221,14 +223,16 @@ class FunclangRun:
         return tuple(elements)
 
     def call_closure(self, f: Closure, call: Call, caller_env: int) -> Value:
-        """Call `f` with the arguments of `call`, `call.weight` levels deeper."""
-        weight = call.weight
+        """Call `f` with the arguments of `call`, `call.weight` levels deeper
+        plus the levels open around the deepest name read in `f`'s body."""
+        defn = f.defn
+        weight = call.weight + defn.reads
         if self.depth + weight > CALL_DEPTH_LIMIT:
             raise DepthExceededError("calling a function", CALL_DEPTH_LIMIT, _LEVELS)
         exec_env = self.envs.child(f.defined_in)
         self.depth += weight
         try:
-            defn, args = f.defn, call.args
+            args = call.args
             supplied = self._match_args(defn.params, args)
             strict = self.strategy is _STRICT
             if strict:

@@ -212,14 +212,12 @@ def paired_run(pair: PairName | str) -> DivergenceReport:
 #
 # json.dumps writes a dict's keys in order with ", " and ": " separators,
 # and escapes each string with encode_basestring_ascii under its default
-# ensure_ascii. A per-kind template filled by the same escaper gives the
-# same line without building a dict per event.
+# ensure_ascii. One f-string per event, with each kind's `"kind"` text made
+# once below and each string escaped by the same function, gives the same
+# line without building a dict per event.
 
 _HEADER_LINE = json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION})
-_EVENT_LINE = {
-    kind: '{"ord": %d, "kind": ' + json.dumps(kind.value) + ', "subject": %s, "detail": %s}'
-    for kind in EventKind
-}
+_KIND_SUBJECT = {kind: f', "kind": {json.dumps(kind.value)}, "subject": ' for kind in EventKind}
 
 
 def trace_jsonl(events: list[TraceEvent], metrics: Metrics | None = None) -> list[str]:
@@ -230,16 +228,18 @@ def trace_jsonl(events: list[TraceEvent], metrics: Metrics | None = None) -> lis
     only, with `\\uXXXX` escapes and surrogate pairs for astral characters;
     byte for byte what `json.dumps` writes for that dict. `tests/golden/`,
     `tests/golden/digests.json` and properties in `tests/test_lab.py` pin it.
-    The detail comes from the renderers in `trace.DETAIL`, with one memo per
-    call: each distinct promise `Expr` object is printed once, however many
-    events hold it.
+    Each line is one f-string: the ord, the kind's `, "kind": ..., "subject":
+    ` text, then the subject and the detail, each escaped by
+    `encode_basestring_ascii`. The detail comes from the renderers in
+    `trace.DETAIL`, with one memo per call: each distinct promise `Expr`
+    object is printed once, however many events hold it.
     """
     lines = [_HEADER_LINE]
-    template, escape, detail, printed = _EVENT_LINE, encode_basestring_ascii, DETAIL, {}
+    head, escape, detail, printed = _KIND_SUBJECT, encode_basestring_ascii, DETAIL, {}
     # extend from a generator: a list comprehension's temporary list raised
     # the traced peak
-    lines.extend(template[ev.kind] % (ev.ord, escape(ev.subject),
-                                      escape(detail[ev.kind](ev, printed)))
+    lines.extend(f'{{"ord": {ev.ord}{head[ev.kind]}{escape(ev.subject)}, '
+                 f'"detail": {escape(detail[ev.kind](ev, printed))}}}'
                  for ev in events)
     if metrics is not None:
         lines.append(json.dumps({"metrics": metrics.to_dict()}))

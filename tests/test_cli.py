@@ -119,6 +119,14 @@ class TestRun:
         assert main(["run", "--lang", "macro", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:1:13: error: invoking '%m' exceeded")
 
+    def test_macro_named_after_a_keyword_is_a_diagnostic(self, tmp_path, capsys):
+        path = tmp_path / "keyword.ml"
+        path.write_text("%macro eval(); %put in; %mend;\n%eval()\n%put done;\n")
+        assert main(["run", "--lang", "macro", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}:1:8: error: a macro cannot be named 'eval'\n"
+
     # each ended in a RecursionError traceback: the first three recurse for
     # ever, the last three nest deeper than the evaluator's or the parser's bound
     @pytest.mark.parametrize("source,strategy,error", [
@@ -181,6 +189,23 @@ class TestRun:
                 assert code == 1, (opening, depth)
                 assert re.match(rf"{re.escape(str(path))}:\d+:\d+: error: ", err), (opening, depth)
                 assert "Traceback" not in err
+
+    # Recursion through a parameter read nested in the called function's body:
+    # each call of g also counts the levels open around its read of x. Without
+    # that, need and name ended in a RecursionError traceback from depth 16.
+    @pytest.mark.parametrize("strategy", ["strict", "need", "name"])
+    @pytest.mark.parametrize("opening", ["c(1, ", "1 + ("])
+    def test_recursion_through_a_called_body_is_a_diagnostic(self, tmp_path, capsys, opening,
+                                                              strategy):
+        path = tmp_path / "body.fl"
+        for depth in (4, 16, 30):
+            body = opening * depth + "x" + ")" * depth
+            path.write_text(f"g <- function(x) {{ {body} }}\nf <- function(y) {{ g(f(y)) }}\nf(1)\n")
+            code = main(["run", "--lang", "func", "--strategy", strategy, str(path)])
+            err = capsys.readouterr().err
+            assert code == 1, depth
+            assert re.match(rf"{re.escape(str(path))}:\d+:\d+: error: ", err), depth
+            assert "Traceback" not in err
 
     def test_recursion_on_stdin_is_a_diagnostic_not_a_traceback(self):
         proc = subprocess.run([sys.executable, "-m", "lazylab", "run", "--lang", "func", "-"],

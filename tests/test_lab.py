@@ -97,6 +97,31 @@ class TestRunWithMetrics:
         assert spent[0] < run_s
 
 
+class TestTracedRuns:
+    def test_traced_runs_keep_real_events(self):
+        """The sink builds events without the NamedTuple's own `__new__`, and
+        each one still is a full TraceEvent."""
+        runs = [("r_prog1.fl", "func", "need"), ("r_prog1.fl", "func", "name"),
+                ("r_prog2.fl", "func", "need"), ("r_prog2.fl", "func", "name"),
+                ("sas_prog1.ml", "macro", None), ("sas_prog2.ml", "macro", None)]
+        first: dict[EventKind, TraceEvent] = {}
+        for name, engine, strategy in runs:
+            for ev in run_with_metrics(load_program(name), engine, strategy)[2]:
+                first.setdefault(ev.kind, ev)
+        assert set(first) == set(EventKind)
+        for kind, ev in first.items():
+            assert type(ev) is TraceEvent
+            assert ev == TraceEvent(*ev)
+            fields = ev._asdict()
+            assert list(fields) == list(TraceEvent._fields)
+            assert fields["kind"] is kind and fields["subject"] == ev.subject
+            moved = ev._replace(ord=ev.ord + 1)
+            assert type(moved) is TraceEvent
+            assert moved[1:] == ev[1:] and moved.ord == ev.ord + 1
+            assert json.loads(trace_jsonl([ev])[1]) == {
+                "ord": ev.ord, "kind": kind.value, "subject": ev.subject, "detail": ev.detail}
+
+
 class _EventBuilt(Exception):
     pass
 
@@ -110,7 +135,8 @@ class TestPlainRuns:
         def no_event(*fields):
             raise _EventBuilt(fields)
 
-        monkeypatch.setattr(lazylab.trace, "TraceEvent", no_event)
+        # the sink builds each event through tuple.__new__ under this name
+        monkeypatch.setattr(lazylab.trace, "_new_tuple", no_event)
         out = run_program(parse_source(load_program("r_prog1.fl")), "need")
         assert (out.lines, out.result) == (["2 20 7"], None)
         assert run_session(load_program("sas_prog1.ml")).log_lines == ["(2 20 7)"]

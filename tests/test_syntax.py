@@ -327,6 +327,20 @@ class TestCallWeight:
         (stmt,) = parse_source("function(a = b, d) { c(1, a) }\n").stmts
         assert stmt.expr.weights is None
 
+    @pytest.mark.parametrize("source,reads", [
+        ("function(a) { a }\n", 0),
+        # the deepest read of the body counts, from the body's own start
+        ("function(a) { print(c(1, a))\n1 + (1 + (a)) }\n", 2),
+        ("function(a = c(1, c(1, b))) { c(1, a) }\n", 1),
+        # reads in an argument list or a nested function body count nothing
+        ("function(a) { g(c(1, a))\nfunction(b) { c(1, c(1, b)) } }\n", 0),
+        ("function(a) { c(1, 2) }\n", 0),
+    ])
+    def test_body_reads_count_the_nesting_around_its_reads(self, source, reads):
+        (stmt,) = parse_source(source).stmts
+        assert stmt.expr.reads == reads
+        assert stmt.expr == FunctionDef(stmt.expr.params, stmt.expr.body)
+
 
 # --- the parser against a reference: the earlier parser, kept verbatim, which
 # reads every token through peek/advance/expect/opens_args
