@@ -19,12 +19,14 @@ from .lab import (
     diff_outputs,
     generate_program,
     metrics_delta,
+    metrics_from_events,
     paired_run,
     run_with_metrics,
     trace_jsonl,
 )
 from .maclang import run_session
 from .syntax import format_value, parse_source
+from .trace import TraceSink
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -164,14 +166,17 @@ def _format_report(name: str | None, report: DivergenceReport) -> list[str]:
 def _cmd_diff(args) -> int:
     runs, context = [], ""
     try:
-        source = _read_input(args.input)
+        # read and parsed once: an input error is no strategy's
+        program = parse_source(_read_input(args.input))
         for strategy in (args.left, args.right):
             context = f"{strategy} run: "  # which side fails is part of the contrast
-            runs.append(run_with_metrics(source, "func", Strategy(strategy)))
+            sink = TraceSink()
+            lines = run_program(program, strategy, sink).lines
+            runs.append((lines, metrics_from_events(sink.events)))
     except LazyLabError as err:
         _diagnose(args.input, err, context)
         return 1
-    (left_lines, left_metrics, _), (right_lines, right_metrics, _) = runs
+    (left_lines, left_metrics), (right_lines, right_metrics) = runs
     report = diff_outputs(left_lines, right_lines)
     report.metrics_delta = metrics_delta(left_metrics, right_metrics)
     _write([json.dumps(report.to_dict())] if args.output == "json"

@@ -1,7 +1,7 @@
 """Environment frames with parent links, identified by integer handles.
 
 A registry holds only the live frames of one run.  Discarding a frame drops
-it and every binding nothing else references; a keeping trace records it.
+it and every binding nothing else references; a traced run records it.
 Any later use of a discarded handle raises DiscardedEnvError.  The root
 (global) frame is created with the registry and cannot be discarded.
 """
@@ -32,7 +32,7 @@ class EnvRegistry:
 
     global_id = 0
 
-    def __init__(self, trace: TraceSink):
+    def __init__(self, trace: TraceSink | None):
         self._trace = trace
         self._frames: dict[int, _Frame] = {self.global_id: _Frame(None)}
         self._next_id = self.global_id + 1
@@ -52,7 +52,7 @@ class EnvRegistry:
         fid = self._next_id
         self._next_id += 1
         self._frames[fid] = _Frame(parent)
-        if self._trace.events is not None:
+        if self._trace is not None:
             self._trace.emit(_ENV_CREATED, f"env{fid}", env=parent)
         return fid
 
@@ -80,5 +80,5 @@ class EnvRegistry:
             raise CannotDiscardGlobalError("the global environment cannot be discarded")
         self._live(env)
         del self._frames[env]
-        if self._trace.events is not None:
+        if self._trace is not None:
             self._trace.emit(_ENV_DISCARDED, f"env{env}")

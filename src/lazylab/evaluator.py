@@ -111,7 +111,7 @@ class FunclangRun:
 
     def __init__(self, strategy: Strategy | str, trace: TraceSink | None = None):
         self.strategy = Strategy(strategy)
-        self.trace = trace if trace is not None else TraceSink(keep=False)
+        self.trace = trace
         self.envs = EnvRegistry(self.trace)
         self.promises = PromiseStore(self.envs, self.trace)
         self.output = Output()
@@ -133,7 +133,7 @@ class FunclangRun:
         elif cls is PrintStmt:
             line = format_value(value)
             self.output.lines.append(line)
-            if self.trace.events is not None:
+            if self.trace is not None:
                 self.trace.emit(_OUTPUT_LINE, "stdout", text=line)
         return value
 
@@ -306,6 +306,6 @@ def run_program(
 ) -> Output:
     """Execute a parsed program in a fresh run under the given strategy.
 
-    Without a sink the run keeps no trace and makes no `emit` call; pass a
-    `TraceSink()` to keep one."""
+    With `trace=None` the run is not traced: it makes no `emit` call and
+    keeps no event.  Pass a `TraceSink()` to trace it."""
     return FunclangRun(strategy, trace).run(program)

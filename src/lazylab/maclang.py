@@ -378,7 +378,7 @@ _EVAL = re.compile(r"%eval[ \t]*\(", re.I)
 _EVAL_OR_CLOSE = re.compile(f"{_EVAL.pattern}|\\)", re.I)
 
 
-def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
+def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink | None,
                  _depth: int = 0) -> str:
     """Substitute every `&name` from the innermost table defining it (tables
     run innermost first), then rescan the substituted text so chained
@@ -404,13 +404,13 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink,
             raise DepthExceededError(f"resolving '&{name}'", RESCAN_LIMIT,
                                      "rescans (self-referential value?)")
         entry = owner.entries[key]
-        if trace.events is not None:
+        if trace is not None:
             trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
         parts[k] = resolve_text(entry, tables, trace, _depth + 1) if "&" in entry else entry
     return "".join(parts)
 
 
-def _apply_evals(text: str, trace: TraceSink) -> str:
+def _apply_evals(text: str, trace: TraceSink | None) -> str:
     """Replace every `%eval(...)` in resolved text with its integer result.
 
     One pass from left to right.  Outside a call only `%eval(` is looked
@@ -450,7 +450,7 @@ def _apply_evals(text: str, trace: TraceSink) -> str:
     return "".join(out)
 
 
-def _evaluate(closed: list[list], trace: TraceSink) -> str:
+def _evaluate(closed: list[list], trace: TraceSink | None) -> str:
     """Evaluate the calls of one outermost `%eval(`, given inner first as
     their pieces: text, or the index in `closed` of a call nested there."""
     results: list[str] = []
@@ -464,7 +464,7 @@ def _evaluate(closed: list[list], trace: TraceSink) -> str:
             result = str(value)
         except ValueError:  # CPython's int/str conversion digit limit
             raise NumberTooLargeError("%eval result has too many digits to print") from None
-        if trace.events is not None:
+        if trace is not None:
             trace.emit(_ARITH_EVAL, inner.strip(), text=result)
         results.append(result)
     return results[-1]
@@ -492,12 +492,12 @@ class MacroSession:
     """One maclang session: global symbol table, macro registry, log."""
 
     def __init__(self, trace: TraceSink | None = None):
-        self.trace = trace if trace is not None else TraceSink(keep=False)
+        self.trace = trace
         # live tables, innermost first, global last
         self._tables = [SymbolTable("global", trace_label="global")]
         self.macros: dict[str, MacroDef] = {}
         self.log: list[str] = []
-        self._invocations: dict[str, int] = {}
+        self._invocations: dict[str, int] = {}  # per macro, counted when traced
 
     # execution
 
@@ -539,11 +539,11 @@ class MacroSession:
         if len(self._tables) > MACRO_DEPTH_LIMIT:
             raise DepthExceededError(f"invoking '%{definition.name}'", MACRO_DEPTH_LIMIT,
                                      "nested invocations (recursive macro?)")
-        ordinal = self._invocations.get(definition.name, 0) + 1
-        self._invocations[definition.name] = ordinal
         table = SymbolTable(definition.name)
         self._tables.insert(0, table)
-        if self.trace.events is not None:
+        if self.trace is not None:
+            ordinal = self._invocations.get(definition.name, 0) + 1
+            self._invocations[definition.name] = ordinal
             table.trace_label = f"{definition.name}#{ordinal}"
             self.trace.emit(_TABLE_CREATED, table.trace_label, text=definition.name)
         try:
@@ -555,7 +555,7 @@ class MacroSession:
             self._execute(definition.body)
         finally:
             del self._tables[0]
-            if self.trace.events is not None:
+            if self.trace is not None:
                 self.trace.emit(_TABLE_DELETED, table.trace_label)
 
     def let(self, name: str, raw_text: str):
@@ -577,19 +577,19 @@ class MacroSession:
     def _store(self, table: SymbolTable, key: str, text: str, origin: str):
         """Store text under an already lowercased key."""
         table.entries[key] = text
-        if self.trace.events is not None:
+        if self.trace is not None:
             self.trace.emit(_VAR_STORED, key,
                             table=table.trace_label, origin=origin, text=text)
 
     def _log_line(self, line: str):
         self.log.append(line)
-        if self.trace.events is not None:
+        if self.trace is not None:
             self.trace.emit(_OUTPUT_LINE, "log", text=line)
 
 
 def run_session(source: str, trace: TraceSink | None = None) -> MacroOutput:
     """Run a whole maclang session over the given source.
 
-    Without a sink the session keeps no trace and makes no `emit` call; pass
-    a `TraceSink()` to keep one."""
+    With `trace=None` the session is not traced: it makes no `emit` call and
+    keeps no event.  Pass a `TraceSink()` to trace it."""
     return MacroSession(trace).run(source)

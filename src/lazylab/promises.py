@@ -22,7 +22,7 @@ from typing import Callable
 
 from .environments import EnvRegistry
 from .errors import CyclicForceError, DiscardedEnvError
-from .syntax import Expr
+from .syntax import Expr, format_value
 from .trace import EventKind, TraceSink
 
 
@@ -62,7 +62,7 @@ Evaluator = Callable[[Expr, int, int], object]
 class PromiseStore:
     """Creates, forces and traces the promises of a single run."""
 
-    def __init__(self, envs: EnvRegistry, trace: TraceSink):
+    def __init__(self, envs: EnvRegistry, trace: TraceSink | None):
         self._envs = envs
         self._trace = trace
         self._next_id = 0
@@ -73,7 +73,7 @@ class PromiseStore:
             raise DiscardedEnvError(f"environment env{env} was discarded")
         p = Promise(self._next_id, expr, env, label, weight)
         self._next_id += 1
-        if self._trace.events is not None:
+        if self._trace is not None:
             self._trace.emit(_PROMISE_CREATED, f"promise{p.id}",
                              param=label, env=env, expr=expr)
         return p
@@ -81,7 +81,7 @@ class PromiseStore:
     def force(self, p: Promise, evaluator: Evaluator) -> object:
         """Return the cached value, evaluating once on first use."""
         if p.state is _FORCED:
-            if self._trace.events is not None:
+            if self._trace is not None:
                 self._trace.emit(_PROMISE_CACHE_HIT, f"promise{p.id}", param=p.label)
             return p.value
         if p.state is _FORCING:
@@ -94,9 +94,9 @@ class PromiseStore:
             raise
         p.value = value
         p.state = _FORCED
-        if self._trace.events is not None:
+        if self._trace is not None:
             self._trace.emit(_PROMISE_FORCED, f"promise{p.id}",
-                             param=p.label, text=value)
+                             param=p.label, text=format_value(value))
         return value
 
     def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
@@ -108,7 +108,7 @@ class PromiseStore:
             value = evaluator(p.expr, p.env, p.weight)
         finally:
             p.state = _UNFORCED
-        if self._trace.events is not None:
+        if self._trace is not None:
             self._trace.emit(_NAME_REEVAL, f"promise{p.id}",
-                             param=p.label, text=value)
+                             param=p.label, text=format_value(value))
         return value

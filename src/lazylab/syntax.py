@@ -264,7 +264,7 @@ NESTING_LIMIT = 100
 class _Parser:
     # reads its tokens by index (the module docstring); `self.i += 1` only
     # passes a token whose kind was checked, so it never passes the final EOF
-    __slots__ = ("toks", "i", "depth", "levels", "reads", "operand")
+    __slots__ = ("toks", "i", "depth", "levels", "reads")
 
     def __init__(self, tokens: list[SrcToken]):
         self.toks = tokens
@@ -276,7 +276,6 @@ class _Parser:
         # the most levels open around a name read in the innermost argument,
         # default or function body
         self.reads = 0
-        self.operand = -1  # index of the token that starts the last right operand
 
     def fail(self, expected: tuple[str, ...]):
         tok = self.toks[self.i]
@@ -349,7 +348,6 @@ class _Parser:
             left = self.factor()
         while (op := toks[self.i]).kind is _OP and (prec := _PREC[op.text]) >= min_prec:
             self.i += 1
-            self.operand = self.i
             left = Binary(op.text, left, self.expression(prec + 1), (op.line, op.col))
         return left
 
@@ -410,7 +408,7 @@ class _Parser:
         if kind is _LPAREN:
             # a right operand in parentheses can hold a chain of its own,
             # which the evaluator reads in a deeper _binary frame
-            nested = self.i == self.operand
+            nested = toks[self.i - 1].kind is _OP  # funclang has no unary operator
             self.open_paren()
             self.levels += nested
             e = self.expression()

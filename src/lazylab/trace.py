@@ -1,26 +1,25 @@
 """Ordered instrumentation events shared by both engines.
 
 A traced run owns one sink, and event ordinals are strictly increasing
-within it.  A sink made with `keep=False` keeps nothing: its `events` is None.
-`FunclangRun` and `MacroSession` use one when they are given no sink, so a
-plain run's memory does not grow with its trace.  Every event site of the
-engines tests `events is not None` before it builds a subject or a field, so
-a plain run makes no `emit` call at all; `emit`'s own early return serves
-direct callers.  `emit` builds each `TraceEvent` in one C call,
-`tuple.__new__(TraceEvent, fields)` with every field given, instead of the
-NamedTuple's generated `__new__`, a Python function; the event is the same
-NamedTuple.  An event carries its facts as fields, and `DETAIL` holds one
-renderer per kind of the v1 `key=value` layout.  `lab.trace_jsonl` writes
-each line as one f-string and calls the renderers directly with one memo per
-call, so it prints a promise's expression once per distinct `Expr` object,
-not once per `PROMISE_CREATED` event; `TraceEvent.detail` renders a single
-event.  This module is the only one that knows that layout.
+within it.  A run without a sink is not traced: `FunclangRun` and
+`MacroSession` then hold `trace = None`, and every event site of the engines
+tests `trace is not None` before it builds a subject or a field, so a plain
+run makes no `emit` call and keeps no event.  `emit` builds each
+`TraceEvent` in one C call, `tuple.__new__(TraceEvent, fields)` with every
+field given, instead of the NamedTuple's generated `__new__`, a Python
+function; the event is the same NamedTuple.  An event carries its facts as
+fields, and `DETAIL` holds one renderer per kind of the v1 `key=value`
+layout.  `lab.trace_jsonl` writes each line as one f-string and calls the
+renderers directly with one memo per call, so it prints a promise's
+expression once per distinct `Expr` object, not once per `PROMISE_CREATED`
+event; `TraceEvent.detail` renders a single event.  This module is the only
+one that knows that layout.
 """
 
 from enum import Enum
 from typing import NamedTuple
 
-from .syntax import Expr, format_value
+from .syntax import Expr
 
 
 class EventKind(str, Enum):
@@ -93,19 +92,15 @@ _new_tuple = tuple.__new__
 class TraceSink:
     """Collects the trace events of one run, assigning 1-based ordinals.
 
-    With `keep=False`, `events` is None and `emit` returns at once."""
+    A run that is not traced holds None in place of a sink."""
 
-    def __init__(self, keep: bool = True):
-        self.events: list[TraceEvent] | None = [] if keep else None
+    def __init__(self):
+        self.events: list[TraceEvent] = []
 
     def emit(self, kind: EventKind, subject: str, *, param: str | None = None,
-             env: int | None = None, expr: Expr | None = None, text: object = "",
+             env: int | None = None, expr: Expr | None = None, text: str = "",
              table: str | None = None, origin: str | None = None) -> None:
-        """Record one event.  A `text` that is not a `str` is an evaluator value;
-        it is formatted with `format_value` only when the event is kept."""
+        """Record one event."""
         events = self.events
-        if events is None:
-            return
         events.append(_new_tuple(TraceEvent, (
-            len(events) + 1, kind, subject, param, env, expr,
-            text if text.__class__ is str else format_value(text), table, origin)))
+            len(events) + 1, kind, subject, param, env, expr, text, table, origin)))

@@ -374,6 +374,15 @@ class TestDiff:
         assert captured.out == ""
         assert captured.err == f"{prog1_func}:1:38: error: strict run: unbound name 'a'\n"
 
+    def test_parse_error_names_no_strategy(self, tmp_path, capsys):
+        path = tmp_path / "cut.fl"
+        path.write_text("x <- 1 +\n")
+        assert main(["diff", "need", "strict", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"{path}:2:1: error: expected a number or a name or '('"
+                                " or 'function', found 'end of input'\n")
+
     def test_single_strategy_is_usage_error(self, prog2_func):
         assert main(["diff", "need", prog2_func]) == 2
 

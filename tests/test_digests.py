@@ -11,12 +11,17 @@ that means to alter them rewrites the manifest and says why:
 """
 
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lazylab.cli import _read_input
 from lazylab.errors import LazyLabError
 from lazylab.evaluator import run_program
 from lazylab.lab import (
@@ -27,7 +32,7 @@ from lazylab.lab import (
     trace_jsonl,
 )
 from lazylab.maclang import run_session
-from lazylab.syntax import parse_source
+from lazylab.syntax import NESTING_LIMIT, parse_source
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden" / "digests.json"
@@ -264,6 +269,41 @@ def test_plain_runs_match_traced_runs(name):
         plain = _outcome(lambda: _plain(lang, strategy, source))
         traced = _outcome(lambda: run_with_metrics(source, lang, strategy)[0])
         assert plain == traced, f"first differing input: {name}/{key}"
+
+
+# Token soup for both engines: funclang's tokens, maclang's statements and
+# references, characters that are not name characters, and runs that nest
+# past the parser's NESTING_LIMIT.
+_SOUP_WORDS = [
+    "a", "x", "c", "print", "function", "f", "7", "2.5", "+", "-", "*", "/",
+    "(", ")", "{", "}", ",", "<-", "=", "\n", "\n(", "f(", "c(1, ", "1 + (",
+    "f()(", "function(a, b = 1) {", "x <- ", "print(", "%let ", "%put ",
+    "%macro ", "%mend", "%eval(", "%m", "%", "&", "&x", ";", "/*", "*/",
+    "_user_", "\t", "\r", "\u00b2", "\u0130", "(" * (NESTING_LIMIT + 1), "c(" * 60,
+]
+_BYTES = st.one_of(
+    st.lists(st.sampled_from(_SOUP_WORDS), max_size=30).map(" ".join).map(str.encode),
+    st.text(max_size=30).map(lambda text: text.encode("utf-8", "surrogatepass")),
+    st.binary(max_size=30),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_BYTES)
+def test_any_input_prints_or_fails_at_a_position(data):
+    """Any bytes, read as the CLI reads a file, end in output or in a
+    positioned LazyLabError, the same with and without a trace, in both
+    engines and under each strategy."""
+    with mock.patch.object(sys, "stdin", SimpleNamespace(buffer=io.BytesIO(data))):
+        source = _outcome(lambda: _read_input("-"))
+    if not isinstance(source, str):  # not UTF-8: an error at the first bad byte
+        assert None not in source[2:]
+        return
+    for lang, strategy in [("macro", None), *(("func", s) for s in STRATEGIES)]:
+        plain = _outcome(lambda: _plain(lang, strategy, source))
+        traced = _outcome(lambda: run_with_metrics(source, lang, strategy)[0])
+        assert plain == traced, (lang, strategy)
+        assert isinstance(plain, list) or None not in plain[2:], (lang, strategy)
 
 
 def test_error_programs_fail():

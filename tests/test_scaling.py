@@ -168,7 +168,7 @@ def globals_table(n: int) -> dict[str, str]:
 def put_user(entries: dict[str, str]):
     """`%put _user_` in a fresh session holding the entries as its globals,
     stored directly: storing them by `%let` would cost more than listing them."""
-    session = MacroSession(TraceSink(keep=False))
+    session = MacroSession()
     global_table(session).entries = entries
     session.put("_user_")
 
