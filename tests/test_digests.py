@@ -139,6 +139,12 @@ MACRO_ERRORS = {
     "call-name-starts-with-digit": _TWO_PARAMS + "%m(1a=2)\n",
     "call-duplicate-in-other-case": _TWO_PARAMS + "%m(A=2, a=3)\n",
     "call-unterminated": _TWO_PARAMS + "%m(a=1\n",
+    # a statement's position is worked out only when it fails: from a body's
+    # records scanned on an earlier invocation, after a gap of more than 256
+    # characters, and in a body that starts on a header's second CRLF line
+    "body-fails-on-second-invocation": "%macro m(a=x);\n  %put &a;\n%mend;\n%m()\n%m(a=&nope)\n",
+    "put-after-long-let": "%let x=" + "v" * 300 + ";%put &nope;\n",
+    "body-after-header-over-crlf-lines": "%macro m(a=1,\n  b=2); %put &zz;\r\n%mend;\r\n%m()\r\n",
 }
 
 # Each edge program runs to the end: `%let`, `%put` and macro call spellings
