@@ -2,8 +2,10 @@
 
 The scanner turns source into statement records that the session executes
 in order.  It and the `&` and `%eval(` passes move forward over string
-offsets with compiled patterns; a (line, col) is worked out only for a record
-or an error, and a macro body's records count from where the body starts in
+offsets with compiled patterns; a record holds its offset from the record
+before it, and a (line, col) is worked out only for an error or a macro
+body's start.  A statement that fails is positioned from the text it was
+scanned from, and a body's statements count from where the body starts in
 the source.  Open code, the text between statements, makes no record: at
 the loop's head one match skips it and reads a whole `%let`, and another
 skips it and reads the next `%` or `&` with its word.  One reader reads
@@ -61,26 +63,33 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 
 # --- statement scanner
 #
-# `scan` returns statement records, each a tuple (kind, line, col, a, b)
-# positioned at the statement's first character:
+# `scan` returns statement records, each a tuple (kind, delta, a, b), where
+# delta is the offset of the statement's first character minus that of the
+# record before it (the first counts from the start of the text):
 #   LET    a = name, b = raw value text
 #   PUT    a = raw text
 #   CALL   a = macro name as written, b = {lowercased argument name: raw text}
 #   MACRO  a = the MacroDef
-#   ERROR  a = error class, b = its one argument; raised as a(b) at (line, col)
-#          only when execution reaches the record, so the statements before it run
+#   ERROR  a = error class, b = its one argument; raised as a(b) at the record
+#          only when execution reaches it, so the statements before it run
+# `MacroSession._execute` keeps the running offset and works out a (line, col)
+# only for a statement that fails.  A delta, not an offset: CPython caches the
+# ints up to 256 and any larger one is a separate 28-byte object.  Against
+# records positioned as (line, col), absolute offsets raised `macro_invoke`'s
+# plain peak from 31.8 to 35.1 KiB, while deltas kept it and took
+# `macro_store`'s from 126.1 to 115.2 KiB (`bench/run.py --seed 3`, CPython 3.11).
 # Open code, the text between statements, makes no record; a `%` or `&` in it
 # that does not start a name is an error.
 #
 # `\w` is exactly `str.isalnum()` plus `_`, `\d` is `str.isdecimal()` and `\s`
-# is `str.isspace()`; no pattern class is "a letter or _", so `_is_ident_start`
-# checks the first character of a name.  Each turn of the loop tries
-# `_LET_STATEMENT`, which skips open code and reads a whole `%let`, and then
-# `_HEAD`, which skips open code and reads the next `%` or `&`, its word and,
-# for a call, its `(`.  `_list` reads a call's arguments and a macro header's
-# parameters alike, one `_ENTRY` match per entry and the separator after it;
-# only a value that holds a `(` is read by counting depth.  A syntax error is
-# raised at the next non-space character.
+# is `str.isspace()`; no pattern class is "a letter or _", so `_is_ident_start`,
+# written inline on the `%let` path, checks the first character of a name.
+# Each turn of the loop tries `_LET_STATEMENT`, which skips open code and reads
+# a whole `%let`, and then `_HEAD`, which skips open code and reads the next
+# `%` or `&`, its word and, for a call, its `(`.  `_list` reads a call's
+# arguments and a macro header's parameters alike, one `_ENTRY` match per entry
+# and the separator after it; only a value that holds a `(` is read by counting
+# depth.  A syntax error is raised at the next non-space character.
 
 # the statement keywords, which never name a call; `%let`, `%put` and `%macro`
 # make records of their keyword's kind
@@ -114,11 +123,11 @@ class _Scanner:
     def __init__(self, source: str, line: int = 1, col: int = 1):
         self._mark, self._line, self._col = 0, line, col
         # _pos reads the source while comments are blanked; blanking moves
-        # no offset and keeps every line break
+        # no offset and keeps every line break, so a record's offset is also
+        # one in the source
         self.src = source
         self.src = _COMMENT.sub(self._blank, source)
         self.i = 0
-        self.stmts: list[tuple] = []
 
     def _blank(self, comment: re.Match) -> str:
         if not comment.group(1):
@@ -126,7 +135,8 @@ class _Scanner:
         return _NOT_NEWLINE.sub(" ", comment.group())
 
     def _pos(self, i: int) -> tuple[int, int]:
-        """(line, col) of offset i; the offsets asked for never decrease."""
+        """(line, col) of offset i, for a body's start or an error; the
+        offsets asked for never decrease."""
         newlines = self.src.count("\n", self._mark, i)
         if newlines:
             self._line += newlines
@@ -141,48 +151,52 @@ class _Scanner:
         return MacroSyntaxError(message, *self._pos(_SPACE.match(self.src, i).end()))
 
     def scan(self) -> list[tuple]:
-        src = self.src
+        src, stmts, last = self.src, [], 0  # last: the previous record's offset
         while True:
-            if (let := _LET_STATEMENT.match(src, self.i)) and _is_ident_start(let[2][0]):
-                self.stmts.append((LET, *self._pos(let.start(1)), let[2], let[3].strip()))
-                self.i = let.end()
+            if (let := _LET_STATEMENT.match(src, self.i)) and \
+                    ((ch := let[2][0]).isalpha() or ch == "_"):
+                at = let.start(1)
+                stmts.append((LET, at - last, let[2], let[3].strip()))
+                last, self.i = at, let.end()
                 continue
             if (head := _HEAD.match(src, self.i)) is None:  # only open code is left
-                return self.stmts
+                return stmts
             name = head[2]
             if not _is_ident_start(name[:1]):
                 raise LexError(f"stray {head[1]!r}", *self._pos(head.start(1)))
             self.i = head.end()
             if head[1] == "&" or (kw := name.lower()) == "eval":
                 continue
-            line, col = self._pos(head.start(1))
+            at = head.start(1)
             if kw not in _KEYWORDS:
                 args, duplicate = ({}, None) if head[3] is None else \
                     self._list("macro argument list", optional=False)
-                self.stmts.append(duplicate or (CALL, line, col, name, args))
-                continue
-            self.i = head.end(2)
-            if kw == MACRO:
-                self._macro(line, col)
-            elif kw == MEND:
-                self.stmts.append((ERROR, line, col, MacroSyntaxError, "%mend without %macro"))
-            elif kw == PUT:
-                # raw text to ';'; a following statement keyword also ends it,
-                # so a missing semicolon does not swallow the next statement
-                end = _PUT_END.search(src, self.i)
-                stop = end.start() if end else len(src)
-                self.stmts.append((PUT, line, col, src[self.i:stop].strip(), None))
-                self.i = end.end() if end else stop
-            else:  # a %let that _LET_STATEMENT could not read
-                let = _NAME.match(src, self.i)
-                if not _is_ident_start(let[1][:1]):
-                    raise self._error("expected a name after %let", self.i)
-                raise self._error("expected '=' in %let", let.end(1))
+                kind, at, a, b = duplicate or (CALL, at, name, args)
+            else:
+                self.i = head.end(2)
+                if kw == MACRO:
+                    kind, at, a, b = self._macro(at)
+                elif kw == MEND:
+                    kind, a, b = ERROR, MacroSyntaxError, "%mend without %macro"
+                elif kw == PUT:
+                    # raw text to ';'; a following statement keyword also ends
+                    # it, so a missing semicolon does not swallow the next statement
+                    end = _PUT_END.search(src, self.i)
+                    stop = end.start() if end else len(src)
+                    kind, a, b = PUT, src[self.i:stop].strip(), None
+                    self.i = end.end() if end else stop
+                else:  # a %let that _LET_STATEMENT could not read
+                    let = _NAME.match(src, self.i)
+                    if not _is_ident_start(let[1][:1]):
+                        raise self._error("expected a name after %let", self.i)
+                    raise self._error("expected '=' in %let", let.end(1))
+            stmts.append((kind, at - last, a, b))
+            last = at
 
     def _list(self, what: str, optional: bool) -> tuple[dict, tuple | None]:
         """Read `name[=value], ...)` from just after its `(` into {lowercased
-        name: stripped raw value}.  The first repeated name comes back as an
-        ERROR record for the caller."""
+        name: stripped raw value}.  The first repeated name comes back as
+        (ERROR, its offset, a, b) for the caller to record."""
         src, entries, duplicate = self.src, {}, None
         while True:
             entry = _ENTRY.match(src, self.i)
@@ -194,7 +208,7 @@ class _Scanner:
                 raise self._error(f"expected a name in {what}", entry.start())
             key = name.lower()
             if key in entries and duplicate is None:
-                duplicate = (ERROR, *self._pos(entry.start(1)), DuplicateParamError, name)
+                duplicate = (ERROR, entry.start(1), DuplicateParamError, name)
             self.i = entry.end()
             if value is None:
                 if not optional:
@@ -222,7 +236,9 @@ class _Scanner:
                 depth -= 1
         raise self._error("unterminated parameter list", len(self.src))
 
-    def _macro(self, line: int, col: int):
+    def _macro(self, at: int) -> tuple:
+        """Read the `%macro` statement at offset at, up to its `%mend`, into
+        (kind, offset, a, b) for the caller to record."""
         header = _NAME.match(self.src, self.i)
         name = header[1]
         if not _is_ident_start(name[:1]):
@@ -241,12 +257,10 @@ class _Scanner:
         body_line, body_col = self._pos(self.i)
         body = self._body()
         if duplicate is not None:
-            self.stmts.append(duplicate)
-        elif body is None:
-            self.stmts.append((ERROR, line, col, UnterminatedMacroError, name))
-        else:
-            self.stmts.append((MACRO, line, col, MacroDef(
-                name.lower(), params, body, body_line, body_col), None))
+            return duplicate
+        if body is None:
+            return ERROR, at, UnterminatedMacroError, name
+        return MACRO, at, MacroDef(name.lower(), params, body, body_line, body_col), None
 
     def _body(self) -> str | None:
         """Capture the body verbatim up to the matching %mend, or None when
@@ -502,11 +516,14 @@ class MacroSession:
     # execution
 
     def run(self, source: str) -> MacroOutput:
-        self._execute(scan(source))
+        self._execute(scan(source), source, 1, 1)
         return MacroOutput(list(self.log))
 
-    def _execute(self, stmts: list[tuple]):
-        for kind, line, col, a, b in stmts:
+    def _execute(self, stmts: list[tuple], text: str, line: int, col: int):
+        """Run the records scanned from text, which starts at (line, col)."""
+        at = 0
+        for kind, delta, a, b in stmts:
+            at += delta
             try:
                 if kind == LET:
                     self.let(a, b)
@@ -519,7 +536,11 @@ class MacroSession:
                 elif kind == ERROR:
                     raise a(b)
             except LazyLabError as err:
-                raise err.at(line, col)
+                if err.line is None:  # raised by this statement, not inside a body
+                    newlines = text.count("\n", 0, at)
+                    err.at(line + newlines,
+                           at - text.rfind("\n", 0, at) if newlines else col + at)
+                raise
 
     # statement semantics
 
@@ -552,7 +573,8 @@ class MacroSession:
             if definition.body is None:
                 definition.body = scan(definition.body_text,
                                        definition.body_line, definition.body_col)
-            self._execute(definition.body)
+            self._execute(definition.body, definition.body_text,
+                          definition.body_line, definition.body_col)
         finally:
             del self._tables[0]
             if self.trace is not None:

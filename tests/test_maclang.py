@@ -1,5 +1,7 @@
 import re
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,7 +42,7 @@ def _table(entries, label="global"):
 
 class TestScanner:
     def test_let_statement(self):
-        assert scan("%let x=2;") == [("let", 1, 1, "x", "2")]
+        assert _positioned_scan("%let x=2;") == [("let", 1, 1, "x", "2")]
 
     def test_empty_source(self):
         assert scan("") == []
@@ -50,20 +52,22 @@ class TestScanner:
         assert scan("&x*10") == []
 
     def test_put_keeps_eval_text_raw(self):
-        assert scan("%put (&x %eval(&y));") == [("put", 1, 1, "(&x %eval(&y))", None)]
+        assert _positioned_scan("%put (&x %eval(&y));") == [("put", 1, 1, "(&x %eval(&y))", None)]
 
     def test_put_without_semicolon_stops_at_next_statement(self):
-        assert scan("%put _user_\n%let x=2;") == [("put", 1, 1, "_user_", None),
-                                                  ("let", 2, 1, "x", "2")]
+        assert _positioned_scan("%put _user_\n%let x=2;") == [("put", 1, 1, "_user_", None),
+                                                              ("let", 2, 1, "x", "2")]
 
     def test_macro_definition_tokens(self):
-        [(kind, line, col, d, _)] = scan("%macro lazy(x=5,y=&x*10,z=&a+&b);\n%let x=2;\n%mend;")
+        [(kind, line, col, d, _)] = _positioned_scan(
+            "%macro lazy(x=5,y=&x*10,z=&a+&b);\n%let x=2;\n%mend;")
         assert (kind, line, col) == ("macro", 1, 1)
         assert list(d.params.items()) == [("x", "5"), ("y", "&x*10"), ("z", "&a+&b")]
         assert (d.body_text, d.body_line, d.body_col) == ("\n%let x=2;\n", 1, 34)
 
     def test_comments_stripped(self):
-        assert scan("%let x=2; /* a comment ; %let y=3; */") == [("let", 1, 1, "x", "2")]
+        assert _positioned_scan("%let x=2; /* a comment ; %let y=3; */") == \
+            [("let", 1, 1, "x", "2")]
 
     def test_unterminated_comment(self):
         with pytest.raises(LexError) as exc:
@@ -80,7 +84,7 @@ class TestScanner:
         assert (exc.value.message, exc.value.line, exc.value.col) == ("stray '%'", 3, 3)
 
     def test_token_positions(self):
-        put = scan("%let x=2;\n%put &x;")[1]
+        put = _positioned_scan("%let x=2;\n%put &x;")[1]
         assert put[:3] == ("put", 2, 1)
 
     @pytest.mark.parametrize("source", [
@@ -105,6 +109,26 @@ class TestScanner:
             scan("/* " * 40000)
         assert time.perf_counter() - start < 1.0
         assert (exc.value.line, exc.value.col) == (1, 1)
+
+    def test_a_session_that_raises_nothing_positions_no_statement(self, monkeypatch):
+        """Only each `%macro` body's start is worked out as a (line, col):
+        a statement is positioned only when it fails."""
+        sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads  # bench/workloads.py
+
+        positioned = []
+        position = maclang._Scanner._pos
+
+        def counting_pos(scanner, i):
+            positioned.append(i)
+            return position(scanner, i)
+
+        monkeypatch.setattr(maclang._Scanner, "_pos", counting_pos)
+        for w in ("macro_store", "macro_invoke"):
+            for case in workloads.build(w, 1)[:2]:
+                positioned.clear()
+                assert run_session(case.source).log_lines == case.expected
+                assert len(positioned) == case.source.count("%macro "), w
 
     def test_body_scanned_once_across_invocations(self, monkeypatch):
         scanned = []
@@ -636,7 +660,7 @@ _SOUP = st.sampled_from(_SOUP_WORDS)
 @example("²", 1, 1)
 def test_scan_records_point_at_their_statements(source, line, col):
     try:
-        records = scan(source, line, col)
+        records = _positioned_scan(source, line, col)
     except LazyLabError:
         return
     line_starts = [0] + [i + 1 for i, ch in enumerate(source) if ch == "\n"]
@@ -657,6 +681,19 @@ def _next_non_space(source, i):
 
 def _line_col(source, i):
     return source.count("\n", 0, i) + 1, i - source.rfind("\n", 0, i)
+
+
+def _positioned_scan(source, line=1, col=1):
+    """`scan`'s records as (kind, line, col, a, b): each record's delta is
+    summed into its offset in source, which starts at (line, col), and that
+    offset is positioned with `_line_col`."""
+    records, at = [], 0
+    for kind, delta, a, b in scan(source, line, col):
+        at += delta
+        rec_line, rec_col = _line_col(source, at)
+        records.append((kind, line + rec_line - 1,
+                        rec_col + col - 1 if rec_line == 1 else rec_col, a, b))
+    return records
 
 
 _EARLIER_LINE = st.sampled_from(["", " \t", "/* c */", "%put a;", "x", "%let w=0;"])
@@ -693,7 +730,7 @@ def test_let_gives_its_record_or_a_positioned_error(
         expected = ("expected '=' in %let", *_line_col(source, at))
     else:
         stored = source[at + 1:].split(";", 1)[0].strip()
-        records = scan(source)
+        records = _positioned_scan(source)
         assert len(records) == earlier_records + 1
         assert records[-1] == ("let", *_line_col(source, len(prefix)), source[start:end], stored)
         return
@@ -758,7 +795,7 @@ def test_call_gives_its_record_or_a_positioned_error(
         assert (exc.value.message, exc.value.line, exc.value.col) == \
             (error[0], *_line_col(source, error[1]))
         return
-    records = scan(source)
+    records = _positioned_scan(source)
     assert len(records) == (prefix.strip() != "") + 1
     assert records[-1] == duplicate or \
         (duplicate is None and records[-1] == ("call", *_line_col(source, len(prefix)), name, args))
@@ -831,7 +868,7 @@ def test_macro_header_gives_its_record_or_a_positioned_error(
         assert (exc.value.message, exc.value.line, exc.value.col) == \
             (error[0], *_line_col(source, error[1]))
         return
-    records = scan(source)
+    records = _positioned_scan(source)
     assert len(records) == (prefix.strip() != "") + 1
     if duplicate is not None:
         assert records[-1] == duplicate
@@ -1163,4 +1200,5 @@ def test_scan_matches_the_reference(source, line, col):
     def reference(text, line, col):
         return [r for r in _ReferenceScanner(text, line, col).scan() if r[0] != TEXT]
 
-    assert _scan_outcome(scan, source, line, col) == _scan_outcome(reference, source, line, col)
+    assert _scan_outcome(_positioned_scan, source, line, col) == \
+        _scan_outcome(reference, source, line, col)
