@@ -10,23 +10,26 @@ the source.  Open code, the text between statements, makes no record: at
 the loop's head one match skips it and reads a whole `%let`, and another
 skips it and reads the next `%` or `&` with its word.  One reader reads
 every `(name=value, ...)` list, a call's arguments and a macro header's
-parameters alike, with one match per entry unless a value holds a `(`.  The
-statement keywords are written once.  Digits are decimal digits
-(`str.isdecimal`).  Macro bodies are stored verbatim and scanned once, on
-their first invocation.
+parameters alike, with one match per entry unless a value holds a `(`; a
+call's `()` is read with its name and makes no list.  The statement
+keywords are written once.  Digits are decimal digits (`str.isdecimal`).
+Macro bodies are stored verbatim and scanned once, on their first
+invocation.
 Parameter defaults and call arguments are stored as raw text, `%let` values
 as the text left after resolving them; every `&name` is re-resolved at every
 use, from the innermost live symbol table, and the substituted text is
 rescanned until no references remain.  One split per level cuts text at its
 references; text without `&` skips resolution, so only an entry that holds
 `&` is rescanned.  `%eval(...)` performs integer arithmetic on resolved
-text: inside a call only `%eval(` and `)` are searched for, and the `(`
-between hits are counted; one search finds what the call's tokens cannot
-hold, and one pass over the tokens keeps a running sum and term per open
-`(`.  One global symbol table lives for the whole session; each macro
-invocation pushes a local table that is deleted at `%mend`, and invocations
-nest at most `MACRO_DEPTH_LIMIT` deep.  A name repeated in a parameter list
-or in a call's argument list is an error.
+text.  A call that holds no `%eval(` is walked from `)` to `)`, counting
+the `(` before each, and evaluated where it closes; only a call with a
+nested `%eval(` takes a stack of open calls, where `%eval(` and `)` are
+searched for together.  In the arithmetic one search finds what the call's
+tokens cannot hold, and one pass over the tokens keeps a running sum and
+term per open `(`.  One global symbol table lives for the whole session;
+each macro invocation pushes a local table that is deleted at `%mend`, and
+invocations nest at most `MACRO_DEPTH_LIMIT` deep.  A name repeated in a
+parameter list or in a call's argument list is an error.
 """
 
 import re
@@ -86,7 +89,8 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 # written inline on the `%let` path, checks the first character of a name.
 # Each turn of the loop tries `_LET_STATEMENT`, which skips open code and reads
 # a whole `%let`, and then `_HEAD`, which skips open code and reads the next
-# `%` or `&`, its word and, for a call, its `(`.  `_list` reads a call's
+# `%` or `&`, its word and, for a call, its `(` and a `)` that closes the list
+# at once, so `%m()` makes its record without `_list`.  `_list` reads a call's
 # arguments and a macro header's parameters alike, one `_ENTRY` match per entry
 # and the separator after it; only a value that holds a `(` is read by counting
 # depth.  A syntax error is raised at the next non-space character.
@@ -100,7 +104,7 @@ _COMMENT = re.compile(r"/\*.*?(\*/|\Z)", re.S)  # an unclosed comment runs to th
 _NOT_NEWLINE = re.compile(r"[^\n]")
 _SPACE = re.compile(r"\s*")
 _LET_STATEMENT = re.compile(rf"[^%&]*(%){LET}(?!\w)\s*(\w+)\s*=([^;]*);?", re.I)
-_HEAD = re.compile(r"[^%&]*([%&])(\w*)(\s*\()?")
+_HEAD = re.compile(r"[^%&]*([%&])(\w*)(\s*\((\s*\))?)?")
 _NAME = re.compile(r"\s*(\w*)(\s*\()?")
 # one `name[=value]` list entry whose value holds no '(', and its separator
 _ENTRY = re.compile(r"\s*(\w*)\s*(?:=([^(),]*))?([,)]?)")
@@ -169,7 +173,7 @@ class _Scanner:
                 continue
             at = head.start(1)
             if kw not in _KEYWORDS:
-                args, duplicate = ({}, None) if head[3] is None else \
+                args, duplicate = ({}, None) if head[3] is None or head[4] else \
                     self._list("macro argument list", optional=False)
                 kind, at, a, b = duplicate or (CALL, at, name, args)
             else:
@@ -407,17 +411,18 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink | None,
     parts = _REF.split(text)  # text, name, text, ..., name, text
     for k in range(1, len(parts), 2):
         name = parts[k]
-        if not _is_ident_start(name[0]):
+        if not ((ch := name[0]).isalpha() or ch == "_"):
             parts[k] = "&" + name
             continue
         key = name.lower()
-        owner = _owner(tables, key)
-        if owner is None:
+        for owner in tables:
+            if (entry := owner.entries.get(key)) is not None:
+                break
+        else:
             raise UnresolvedRefError(name)
         if _depth >= RESCAN_LIMIT:
             raise DepthExceededError(f"resolving '&{name}'", RESCAN_LIMIT,
                                      "rescans (self-referential value?)")
-        entry = owner.entries[key]
         if trace is not None:
             trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
         parts[k] = resolve_text(entry, tables, trace, _depth + 1) if "&" in entry else entry
@@ -427,16 +432,51 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink | None,
 def _apply_evals(text: str, trace: TraceSink | None) -> str:
     """Replace every `%eval(...)` in resolved text with its integer result.
 
-    One pass from left to right.  Outside a call only `%eval(` is looked
-    for; inside one, `)` too, and the `(` before each hit are counted with
-    `str.count`.  Each open call is on a stack as its text so far and its
-    count of open `(`.  A call nested in another is evaluated only when the
-    outermost one closes, so an unterminated call is reported before
-    anything inside it runs."""
+    One pass from left to right over the outermost calls.  From each
+    `%eval(` the walk goes from `)` to `)` with `str.find`, counting the `(`
+    before each with `str.count`, to the `)` that closes the call.  A call
+    that holds no `%eval(`, which one search for the next `%eval(` tells, is
+    evaluated there, and that search's hit is the next call.  A call that
+    holds one hands the rest of the text to `_nested_evals`."""
     out: list[str] = []
+    i = 0  # text[i:] is not copied yet
+    call = _EVAL.search(text)
+    while call is not None:
+        out.append(text[i:call.start()])
+        pos = start = call.end()
+        following = _EVAL.search(text, start)
+        nested_at = len(text) if following is None else following.start()
+        depth = 0  # of the '(' open in the call
+        while True:
+            close = text.find(")", pos)
+            if close < 0:
+                raise ArithSyntaxError("unterminated %eval(...)")
+            if close > nested_at:  # the next `%eval(` is inside this call
+                return _nested_evals(text, call.start(), out, trace)
+            depth += text.count("(", pos, close)
+            pos = close + 1
+            if not depth:
+                break
+            depth -= 1
+        out.append(_result(text[start:close], trace))
+        i = pos
+        call = following
+    out.append(text[i:])
+    return "".join(out)
+
+
+def _nested_evals(text: str, i: int, out: list[str], trace: TraceSink | None) -> str:
+    """`_apply_evals` from offset i on, where an outermost call that holds a
+    nested `%eval(` starts; out holds the text already replaced.
+
+    Outside a call only `%eval(` is looked for; inside one, `)` too, and the
+    `(` before each hit are counted with `str.count`.  Each open call is on
+    a stack as its text so far and its count of open `(`.  A call nested in
+    another is evaluated only when the outermost one closes, so an
+    unterminated call is reported before anything inside it runs."""
     stack: list[list] = []   # [pieces, open '(' count] per open call, innermost last
     closed: list[list] = []  # pieces of the closed calls in the open outermost one
-    i = pos = 0              # text[i:] is not copied yet; the search goes on at pos
+    pos = i                  # text[i:] is not copied yet; the search goes on at pos
     while (tok := (_EVAL_OR_CLOSE if stack else _EVAL).search(text, pos)) is not None:
         hit = tok.start()
         if stack:
@@ -473,15 +513,20 @@ def _evaluate(closed: list[list], trace: TraceSink | None) -> str:
             inner = pieces[0]
         else:
             inner = "".join(p if isinstance(p, str) else results[p] for p in pieces)
-        value = eval_arith(inner)
-        try:
-            result = str(value)
-        except ValueError:  # CPython's int/str conversion digit limit
-            raise NumberTooLargeError("%eval result has too many digits to print") from None
-        if trace is not None:
-            trace.emit(_ARITH_EVAL, inner.strip(), text=result)
-        results.append(result)
+        results.append(_result(inner, trace))
     return results[-1]
+
+
+def _result(inner: str, trace: TraceSink | None) -> str:
+    """The printed value of one call's text."""
+    value = eval_arith(inner)
+    try:
+        result = str(value)
+    except ValueError:  # CPython's int/str conversion digit limit
+        raise NumberTooLargeError("%eval result has too many digits to print") from None
+    if trace is not None:
+        trace.emit(_ARITH_EVAL, inner.strip(), text=result)
+    return result
 
 
 # --- macro definitions and session

@@ -130,6 +130,29 @@ class TestScanner:
                 assert run_session(case.source).log_lines == case.expected
                 assert len(positioned) == case.source.count("%macro "), w
 
+    def test_only_a_call_that_passes_arguments_reads_a_list(self, monkeypatch):
+        """The head match reads an argument list that closes at once, so only
+        a header's parameters and a call's arguments reach `_list`."""
+        sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+        import workloads  # bench/workloads.py
+
+        lists = []
+        read_list = maclang._Scanner._list
+
+        def counting_list(scanner, what, optional):
+            lists.append(what)
+            return read_list(scanner, what, optional)
+
+        monkeypatch.setattr(maclang._Scanner, "_list", counting_list)
+        for case in workloads.build("macro_invoke", 1)[:2]:
+            lists.clear()
+            assert run_session(case.source).log_lines == case.expected
+            calls = re.findall(r"^%\w+\((.*)\)$", case.source, re.M)
+            with_arguments = sum(map(bool, calls))
+            assert 0 < with_arguments < len(calls)
+            assert lists.count("macro argument list") == with_arguments
+            assert len(lists) == with_arguments + case.source.count("%macro ")
+
     def test_body_scanned_once_across_invocations(self, monkeypatch):
         scanned = []
 
@@ -925,6 +948,71 @@ def test_resolve_text_matches_the_search_loop(text):
     assert outcomes[0] == outcomes[1]
 
 
+def _stack_loop_apply_evals(text, trace):
+    """`_apply_evals` as one stack loop over every call, kept as a reference
+    for the walk that evaluates an un-nested call where it closes."""
+    out, stack, closed = [], [], []
+    i = pos = 0
+    while (tok := (maclang._EVAL_OR_CLOSE if stack else maclang._EVAL).search(text, pos)) \
+            is not None:
+        hit = tok.start()
+        if stack:
+            stack[-1][1] += text.count("(", pos, hit)
+        pos = tok.end()
+        if text[hit] == "%":
+            (stack[-1][0] if stack else out).append(text[i:hit])
+            stack.append([[], 0])
+            i = pos
+        elif stack[-1][1]:
+            stack[-1][1] -= 1
+        else:
+            pieces = stack.pop()[0]
+            pieces.append(text[i:hit])
+            i = pos
+            closed.append(pieces)
+            if stack:
+                stack[-1][0].append(len(closed) - 1)
+                continue
+            results = []
+            for call in closed:
+                inner = "".join(p if isinstance(p, str) else results[p] for p in call)
+                results.append(str(eval_arith(inner)))
+                trace.emit(EventKind.ARITH_EVAL, inner.strip(), text=results[-1])
+            out.append(results[-1])
+            closed.clear()
+    if stack:
+        raise ArithSyntaxError("unterminated %eval(...)")
+    out.append(text[i:])
+    return "".join(out)
+
+
+_EVAL_OPEN = st.sampled_from(["%eval(", "%EVAL (", "%eval\t(", "%Eval \t("])
+_EVAL_OPERAND = st.sampled_from(["1", "2", "0", "3+4", "2*(3)", "((1)", "1/0", "-5", "(", ")", " ", "x"])
+_EVAL_CALLS = st.recursive(
+    _EVAL_OPERAND,
+    lambda inner: st.builds(lambda open_, parts, close: open_ + "".join(parts) + close,
+                            _EVAL_OPEN, st.lists(inner, max_size=3), st.sampled_from([")", ")", ""])),
+    max_leaves=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_EVAL_CALLS | st.sampled_from(["(", ")", " w ", "%eval("]), max_size=5).map("".join))
+@example("%eval(1) %eval(")
+@example("%eval(1/0) %eval(")
+@example("%eval(1 %eval(2)")
+@example("%eval(2*(3)) )")
+@example("%eval(((1)) + 2) w")
+@example("x %eval(%eval(1)+%eval(2)) %eval(4)")
+def test_apply_evals_matches_the_stack_loop(text):
+    outcomes = []
+    for apply in (maclang._apply_evals, _stack_loop_apply_evals):
+        sink = TraceSink()
+        outcome = _outcome(lambda t: apply(t, sink), text)
+        outcomes.append((outcome, [(ev.subject, ev.text)
+                                   for ev in of_kind(sink.events, EventKind.ARITH_EVAL)]))
+    assert outcomes[0] == outcomes[1]
+
+
 # --- the scanner against a reference: the earlier scanner, kept verbatim, which
 # made a TEXT record for each open-code word, read a call whose values hold no
 # '(', ')' or ',' with one pattern and every other list through step helpers
@@ -1192,6 +1280,7 @@ def _scan_outcome(scanner, source, line, col):
 @example("%macro m(a, b=(1,2)) ; %put &a|&b; %mend m;\n%m(a=x) %M (A=f(1, (2)),)", 2, 3)
 @example("%m(a=1, A=2) %m(a b) %m(1a=2)", 1, 1)
 @example("%m(\n a )", 1, 1)
+@example("%put a;\n  %m() %M ( ) %m(\n) %m(\t \r\n ) %put b;", 1, 1)
 @example("%macro m(a b); %mend;", 1, 1)
 @example("%macro m(a=1,a=2 %mend;", 1, 1)
 def test_scan_matches_the_reference(source, line, col):
