@@ -18,18 +18,20 @@ invocation.
 Parameter defaults and call arguments are stored as raw text, `%let` values
 as the text left after resolving them; every `&name` is re-resolved at every
 use, from the innermost live symbol table, and the substituted text is
-rescanned until no references remain.  One split per level cuts text at its
-references; text without `&` skips resolution, so only an entry that holds
-`&` is rescanned.  `%eval(...)` performs integer arithmetic on resolved
-text.  A call that holds no `%eval(` is walked from `)` to `)`, counting
-the `(` before each, and evaluated where it closes; only a call with a
-nested `%eval(` takes a stack of open calls, where `%eval(` and `)` are
-searched for together.  In the arithmetic one search finds what the call's
-tokens cannot hold, and one pass over the tokens keeps a running sum and
-term per open `(`.  One global symbol table lives for the whole session;
-each macro invocation pushes a local table that is deleted at `%mend`, and
-invocations nest at most `MACRO_DEPTH_LIMIT` deep.  A name repeated in a
-parameter list or in a call's argument list is an error.
+rescanned until no references remain.  A body's and its defaults' texts are
+split at their references once per session, at the body's first scan; any
+other text is split where it is resolved, and no value is cached.  Text
+without `&` skips resolution, so only an entry that holds `&` is rescanned.
+`%eval(...)` performs integer arithmetic on resolved text.  A call that
+holds no `%eval(` is walked from `)` to `)`, counting the `(` before each,
+and evaluated where it closes; only a call with a nested `%eval(` takes a
+stack of open calls, where `%eval(` and `)` are searched for together.
+In the arithmetic one search finds what the call's tokens cannot hold, and
+one pass over the tokens keeps a running sum and term per open `(`.  One
+global symbol table lives for the whole session; each macro invocation
+pushes a local table that is deleted at `%mend`, and invocations nest at
+most `MACRO_DEPTH_LIMIT` deep.  A name repeated in a parameter list or in a
+call's argument list is an error.
 """
 
 import re
@@ -156,6 +158,9 @@ class _Scanner:
 
     def scan(self) -> list[tuple]:
         src, stmts, last = self.src, [], 0  # last: the previous record's offset
+        # one string per spelling of a called name, shared by its records;
+        # not `sys.intern`, whose strings CPython 3.12 never frees
+        names: dict[str, str] = {}
         while True:
             if (let := _LET_STATEMENT.match(src, self.i)) and \
                     ((ch := let[2][0]).isalpha() or ch == "_"):
@@ -175,7 +180,7 @@ class _Scanner:
             if kw not in _KEYWORDS:
                 args, duplicate = ({}, None) if head[3] is None or head[4] else \
                     self._list("macro argument list", optional=False)
-                kind, at, a, b = duplicate or (CALL, at, name, args)
+                kind, at, a, b = duplicate or (CALL, at, names.setdefault(name, name), args)
             else:
                 self.i = head.end(2)
                 if kw == MACRO:
@@ -396,36 +401,53 @@ _EVAL = re.compile(r"%eval[ \t]*\(", re.I)
 _EVAL_OR_CLOSE = re.compile(f"{_EVAL.pattern}|\\)", re.I)
 
 
-def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink | None,
-                 _depth: int = 0) -> str:
-    """Substitute every `&name` from the innermost table defining it (tables
-    run innermost first), then rescan the substituted text so chained
-    references resolve.  One `_REF.split` per level gives the text between
-    references and, at the odd indices, the names; a name that does not
-    start as a name is put back with its `&`.  Each reference is checked,
-    traced and substituted in text order, and only an entry that holds `&`
-    is rescanned.  The rescan depth per original reference is capped;
-    nothing is ever cached."""
-    if "&" not in text:
-        return text
+def _template(text: str) -> tuple:
+    """The text's `&` split: literal, name as written, lowercased key,
+    literal, ..., literal.  A `&` whose word does not start as a name stays
+    in the literal around it."""
     parts = _REF.split(text)  # text, name, text, ..., name, text
+    template, literal = [], parts[0]
     for k in range(1, len(parts), 2):
         name = parts[k]
-        if not ((ch := name[0]).isalpha() or ch == "_"):
-            parts[k] = "&" + name
-            continue
-        key = name.lower()
+        if (ch := name[0]).isalpha() or ch == "_":
+            template += literal, name, name.lower()
+            literal = parts[k + 1]
+        else:
+            literal += "&" + name + parts[k + 1]
+    template.append(literal)
+    return tuple(template)
+
+
+def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink | None,
+                 templates: dict[str, tuple] | None = None, _depth: int = 0) -> str:
+    """Substitute every `&name` from the innermost table defining it (tables
+    run innermost first), then rescan the substituted text so chained
+    references resolve.  The text's `_template` is read from templates, a
+    session's split texts, or made on the spot when it is not there.  Each
+    reference is looked up, checked, traced and substituted in text order,
+    at every call, and only an entry that holds `&` is rescanned.  The
+    rescan depth per original reference is capped.  A body's and its
+    defaults' texts are split once per session; no value is cached."""
+    if "&" not in text:
+        return text
+    if templates is None or (template := templates.get(text)) is None:
+        template = _template(text)
+    parts = [template[0]]
+    for k in range(1, len(template), 3):
+        key = template[k + 1]
         for owner in tables:
             if (entry := owner.entries.get(key)) is not None:
                 break
         else:
-            raise UnresolvedRefError(name)
+            raise UnresolvedRefError(template[k])
         if _depth >= RESCAN_LIMIT:
-            raise DepthExceededError(f"resolving '&{name}'", RESCAN_LIMIT,
+            raise DepthExceededError(f"resolving '&{template[k]}'", RESCAN_LIMIT,
                                      "rescans (self-referential value?)")
         if trace is not None:
             trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
-        parts[k] = resolve_text(entry, tables, trace, _depth + 1) if "&" in entry else entry
+        parts.append(resolve_text(entry, tables, trace, templates, _depth + 1)
+                     if "&" in entry else entry)
+        parts.append(template[k + 2])
     return "".join(parts)
 
 
@@ -557,6 +579,9 @@ class MacroSession:
         self.macros: dict[str, MacroDef] = {}
         self.log: list[str] = []
         self._invocations: dict[str, int] = {}  # per macro, counted when traced
+        # `_template` of each `&` text in the defaults and body statements of
+        # the macros invoked so far, made at a body's first scan
+        self._templates: dict[str, tuple] = {}
 
     # execution
 
@@ -605,19 +630,21 @@ class MacroSession:
         if len(self._tables) > MACRO_DEPTH_LIMIT:
             raise DepthExceededError(f"invoking '%{definition.name}'", MACRO_DEPTH_LIMIT,
                                      "nested invocations (recursive macro?)")
-        table = SymbolTable(definition.name)
+        table = SymbolTable(definition.name, {**definition.params, **overrides})
         self._tables.insert(0, table)
         if self.trace is not None:
             ordinal = self._invocations.get(definition.name, 0) + 1
             self._invocations[definition.name] = ordinal
             table.trace_label = f"{definition.name}#{ordinal}"
             self.trace.emit(_TABLE_CREATED, table.trace_label, text=definition.name)
+            for key, text in table.entries.items():
+                self.trace.emit(_VAR_STORED, key, table=table.trace_label,
+                                origin="param", text=text)
         try:
-            for p, default in definition.params.items():
-                self._store(table, p, overrides.get(p, default), origin="param")
             if definition.body is None:
                 definition.body = scan(definition.body_text,
                                        definition.body_line, definition.body_col)
+                self._split_texts(definition)
             self._execute(definition.body, definition.body_text,
                           definition.body_line, definition.body_col)
         finally:
@@ -625,12 +652,30 @@ class MacroSession:
             if self.trace is not None:
                 self.trace.emit(_TABLE_DELETED, table.trace_label)
 
+    def _split_texts(self, definition: MacroDef):
+        """Add the `_template` of each `&` text among the macro's defaults and
+        its body's `%let` values, `%put` texts and call arguments."""
+        texts = list(definition.params.values())
+        for kind, _, a, b in definition.body:
+            if kind == LET:
+                texts.append(b)
+            elif kind == PUT:
+                texts.append(a)
+            elif kind == CALL:
+                texts += b.values()
+        for text in texts:
+            if "&" in text and text not in self._templates:
+                self._templates[text] = _template(text)
+
     def let(self, name: str, raw_text: str):
         """Resolve the value text, then update the innermost table already
         defining the name, or create the entry in the innermost live table."""
-        value = resolve_text(raw_text, self._tables, self.trace)
+        value = resolve_text(raw_text, self._tables, self.trace, self._templates)
         key = name.lower()
-        self._store(_owner(self._tables, key) or self._tables[0], key, value, origin="let")
+        table = _owner(self._tables, key) or self._tables[0]
+        table.entries[key] = value
+        if self.trace is not None:
+            self.trace.emit(_VAR_STORED, key, table=table.trace_label, origin="let", text=value)
 
     def put(self, text: str):
         if text.strip().lower() == "_user_":
@@ -638,15 +683,8 @@ class MacroSession:
                 for key, value in table.entries.items():
                     self._log_line(f"{table.name.upper()} {key.upper()} {value}")
             return
-        resolved = resolve_text(text, self._tables, self.trace)
+        resolved = resolve_text(text, self._tables, self.trace, self._templates)
         self._log_line(_apply_evals(resolved, self.trace))
-
-    def _store(self, table: SymbolTable, key: str, text: str, origin: str):
-        """Store text under an already lowercased key."""
-        table.entries[key] = text
-        if self.trace is not None:
-            self.trace.emit(_VAR_STORED, key,
-                            table=table.trace_label, origin=origin, text=text)
 
     def _log_line(self, line: str):
         self.log.append(line)

@@ -670,6 +670,72 @@ class TestSessions:
         assert (exc.value.line, exc.value.col) == (2, 1)
 
 
+class TestSplitTexts:
+    """A macro's `&` texts are split once per session, at its body's first
+    scan; every reference is still resolved at every use."""
+
+    @pytest.mark.parametrize("source,lines", [
+        # a default read again after its global changed, and an override
+        ("%let g=1; %macro m(a=&g); %put &a; %mend; %m() %let g=2; %m() %m(a=&g&g)",
+         ["1", "2", "22"]),
+        # a default that reads a global the body keeps rewriting
+        ("%let x=1; %macro m(p=&x); %let x=&p+1; %put &x; %mend; %m() %m() %m()",
+         ["1+1", "1+1+1", "1+1+1+1"]),
+        # a `&` that does not start a name stays in the text
+        ("%macro m(a=&1x &g); %put &a; %mend; %let g=5; %m() %m()", ["&1x 5", "&1x 5"]),
+        # a reference made only at run time
+        ("%let a=&; %let b=y; %let y=7; %let c=&a&b; %macro m(); %put &c; %mend; %m()",
+         ["7"]),
+    ])
+    def test_values_are_not_cached(self, source, lines):
+        assert run_session(source).log_lines == lines
+
+    @pytest.mark.parametrize("source,error,col,message", [
+        ("%macro m(a=&Nope); %put [&a]; %mend; %m()",
+         UnresolvedRefError, 20, "unresolved reference '&Nope'"),
+        ("%macro m(a=&A); %put &a; %mend; %m()",
+         DepthExceededError, 17, "resolving '&A' exceeded 64 rescans (self-referential value?)"),
+    ])
+    def test_errors_name_the_reference_as_written(self, source, error, col, message):
+        with pytest.raises(error) as exc:
+            run_session(source)
+        assert (exc.value.line, exc.value.col, exc.value.message) == (1, col, message)
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """The texts passed to `maclang._template`, in order."""
+        texts = []
+
+        def counted(text):
+            texts.append(text)
+            return template(text)
+
+        template = maclang._template
+        monkeypatch.setattr(maclang, "_template", counted)
+        return texts
+
+    def test_each_text_is_split_once(self, splits):
+        session = MacroSession()
+        out = session.run("%let g=1;\n%macro m(a=&g, b=&a+&g, c=&b*2);\n"
+                          "%let t=&c-1;\n%put &t &a;\n%mend;\n" + "%m()\n" * 40)
+        assert out.log_lines == ["1+1*2-1 1"] * 40
+        texts = ["&g", "&a+&g", "&b*2", "&c-1", "&t &a"]
+        assert splits == texts
+        assert list(session._templates) == texts
+
+    def test_top_level_statements_store_no_split(self, splits):
+        session = MacroSession()
+        assert session.run("%let a=1; %let b=&a; %put &b &a;").log_lines == ["1 1"]
+        assert splits == ["&a", "&b &a"]
+        assert session._templates == {}
+
+    def test_a_growing_value_is_not_kept(self):
+        session = MacroSession()
+        session.run("%let x=; %macro m(); %let x=&1 &x; %mend;\n" + "%m()\n" * 20)
+        assert global_table(session).entries["x"] == "&1 " * 20
+        assert list(session._templates) == ["&1 &x"]
+
+
 _SOUP_WORDS = [
     "%let ", "%put ", "%macro ", "%mend", "%eval(", "%m", "%", "&", "&x", "x", "=", ";",
     "(", ")", ",", " ", "\n", "\t", "/*", "*/", "1", "+", "²", "İ", "_user_",
@@ -939,13 +1005,24 @@ def _search_loop_resolve(text, tables, trace, _depth=0):
 @example("&a&B &ab.&1&²&bb")
 @example("x&_")
 def test_resolve_text_matches_the_search_loop(text):
-    outcomes = []
-    for resolve in (resolve_text, _search_loop_resolve):
+    def resolved(resolve):
         sink = TraceSink()
         outcome = _outcome(lambda t: resolve(t, _TABLES, sink), text)
-        outcomes.append((outcome, [(ev.subject, ev.table, ev.text)
-                                   for ev in of_kind(sink.events, EventKind.VAR_RESOLVED)]))
-    assert outcomes[0] == outcomes[1]
+        return outcome, [(ev.subject, ev.table, ev.text)
+                         for ev in of_kind(sink.events, EventKind.VAR_RESOLVED)]
+
+    texts = [text] + [entry for table in _TABLES for entry in table.entries.values()]
+    templates = {t: maclang._template(t) for t in texts if "&" in t}
+    split = dict(templates)
+
+    def templated(t, tables, sink):
+        return resolve_text(t, tables, sink, templates)
+
+    expected = resolved(_search_loop_resolve)
+    assert resolved(resolve_text) == expected
+    assert resolved(templated) == expected
+    assert resolved(templated) == expected
+    assert templates == split
 
 
 def _stack_loop_apply_evals(text, trace):
