@@ -704,13 +704,12 @@ class TestSplitTexts:
     @pytest.fixture
     def splits(self, monkeypatch):
         """The texts passed to `maclang._template`, in order."""
-        texts = []
+        texts, template = [], maclang._template
 
         def counted(text):
             texts.append(text)
             return template(text)
 
-        template = maclang._template
         monkeypatch.setattr(maclang, "_template", counted)
         return texts
 
