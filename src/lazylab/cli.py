@@ -6,6 +6,7 @@ error, 2 usage error, 3 diff divergence.  Diagnostics go to stderr as
 """
 
 import argparse
+import codecs
 import json
 import os
 import sys
@@ -100,14 +101,15 @@ def _write(lines) -> None:
 
 
 def _read_input(path: str) -> str:
-    """The text of a file or of stdin ('-'), decoded strictly as UTF-8; CRLF
-    and CR line ends are read as LF, as text-mode files read them."""
+    """The text of a file or of stdin ('-'), decoded strictly as UTF-8 after
+    one leading byte-order mark is dropped; CRLF and CR line ends are read as
+    LF, as text-mode files read them."""
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    data = data.removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as err:

@@ -14,15 +14,22 @@ Hot-path rule, here and in the engines: hot code reads Enum members through
 private module-level names (`_EOF = TokKind.EOF`), because on CPython 3.11
 every `TokKind.EOF` read goes through the Enum metaclass and costs about ten
 times a global read.  No AST class has a subclass, so the evaluator compares
-a node's `__class__` by identity instead of calling `isinstance`.  Tokens are
-a slotted, non-frozen dataclass, so they are unhashable; nothing hashes one.
-The parser reads its token list by index: the current token is
-`self.toks[self.i]` and it moves on with `self.i += 1`, with no helper call
-per token.  A name or a number that no argument list follows is an operand
-built in `expression` itself, without `factor` or `primary`.  An error that
-names what was expected goes through one helper, `fail`.  With CPython 3.11.7
-this took one parse of a 74-token `corpus` program from about 380 calls of
-parser methods to about 66, and from about 47 to about 32 µs.
+a node's `__class__` by identity instead of calling `isinstance`.
+
+`tokenize` makes no object per token: it appends each token's kind, text,
+line and column to four parallel lists, which `Tokens` holds, and the parser
+reads them by index: the current token is `kinds[self.i]`, `texts[self.i]`,
+`lines[self.i]` and `cols[self.i]`, and it moves on with `self.i += 1`, with
+no helper call per token.  A `SrcToken` is only a view that indexing or
+iterating `Tokens` builds when asked.  With CPython 3.11.7 building a
+slotted `SrcToken` took 240-340 ns against 60-90 ns for a tuple (`timeit`,
+both in a lambda), and tokenizing a 74-token `corpus` program went from
+about 45 to about 29 µs.  A name or a number that no argument list follows
+is an operand built in `expression` itself, without `factor` or `primary`.
+An error that names what was expected goes through one helper, `fail`.
+Reading the token list by index took one parse of a 74-token `corpus`
+program from about 380 calls of parser methods to about 66, and from about
+47 to about 32 µs.
 
 The evaluator's values are a `Decimal`, a `tuple` of them (a vector) and a
 `Closure`; `format_value` gives their printed form.  AST nodes here and
@@ -34,6 +41,7 @@ instance carries a `__dict__`: with CPython 3.11.7, `NumberLit(d, pos)` took
 bytes with its `__dict__` to 40-64.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -62,10 +70,30 @@ class TokKind(str, Enum):
 
 @dataclass(slots=True)
 class SrcToken:
+    """One token as a value: what indexing or iterating `Tokens` gives."""
     kind: TokKind
     text: str
     line: int
     col: int
+
+
+class Tokens(Sequence):
+    """`tokenize`'s result: one entry per token in each of four parallel
+    lists, the last token the EOF.  The parser reads the lists by index;
+    an index, a slice or iteration builds `SrcToken` views on demand."""
+    __slots__ = ("kinds", "texts", "lines", "cols")
+
+    def __init__(self, kinds: list[TokKind], texts: list[str], lines: list[int],
+                 cols: list[int]):
+        self.kinds, self.texts, self.lines, self.cols = kinds, texts, lines, cols
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self.kinds)))]
+        return SrcToken(self.kinds[i], self.texts[i], self.lines[i], self.cols[i])
 
 
 # the token kinds under module names (see the hot-path rule above)
@@ -89,27 +117,43 @@ _SINGLE = {
 }
 
 
-def tokenize(source: str) -> list[SrcToken]:
+def tokenize(source: str) -> Tokens:
     """Split funclang source into tokens; `#` starts a comment to end of line.
-    A column is the offset from the start of its line, plus one."""
-    tokens: list[SrcToken] = []
-    append = tokens.append
+    A column is the offset from the start of its line, plus one.
+
+    No character passes more than one branch's test, so the branches are
+    tested in the order of how often generated programs hit them: a space,
+    a one-character token, a name, a line end, a number."""
+    kinds: list[TokKind] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    kind, text, at, col = kinds.append, texts.append, lines.append, cols.append
     i, line, start, n = 0, 1, 0, len(source)
     while i < n:
         ch = source[i]
-        if ch == "\n":
+        if ch == " ":
+            i += 1
+        elif ch in _SINGLE:
+            kind(_SINGLE[ch])
+            text(ch)
+            at(line)
+            col(i - start + 1)
+            i += 1
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            word = source[i:j]
+            kind(_KW_FUNCTION if word == "function" else _IDENT)
+            text(word)
+            at(line)
+            col(i - start + 1)
+            i = j
+        elif ch == "\n":
             i += 1
             line += 1
             start = i
-        elif ch in " \t\r":
-            i += 1
-        elif ch == "#":
-            i = source.find("\n", i)
-            if i < 0:
-                i = n
-        elif ch in _SINGLE:
-            append(SrcToken(_SINGLE[ch], ch, line, i - start + 1))
-            i += 1
         elif ch.isdecimal():
             j = i + 1
             while j < n and source[j].isdecimal():
@@ -118,23 +162,30 @@ def tokenize(source: str) -> list[SrcToken]:
                 j += 2
                 while j < n and source[j].isdecimal():
                     j += 1
-            append(SrcToken(_NUMBER, source[i:j], line, i - start + 1))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            append(SrcToken(_KW_FUNCTION if text == "function" else _IDENT, text, line,
-                            i - start + 1))
+            kind(_NUMBER)
+            text(source[i:j])
+            at(line)
+            col(i - start + 1)
             i = j
         elif ch == "<" and source.startswith("-", i + 1):
-            append(SrcToken(_ASSIGN, "<-", line, i - start + 1))
+            kind(_ASSIGN)
+            text("<-")
+            at(line)
+            col(i - start + 1)
             i += 2
+        elif ch == "\t" or ch == "\r":
+            i += 1
+        elif ch == "#":
+            i = source.find("\n", i)
+            if i < 0:
+                i = n
         else:
             raise LexError(f"unexpected character {ch!r}", line, i - start + 1)
-    append(SrcToken(_EOF, "", line, n - start + 1))
-    return tokens
+    kind(_EOF)
+    text("")
+    at(line)
+    col(n - start + 1)
+    return Tokens(kinds, texts, lines, cols)
 
 
 # --- AST
@@ -262,12 +313,14 @@ NESTING_LIMIT = 100
 
 
 class _Parser:
-    # reads its tokens by index (the module docstring); `self.i += 1` only
-    # passes a token whose kind was checked, so it never passes the final EOF
-    __slots__ = ("toks", "i", "depth", "levels", "reads")
+    # reads the token lists by index (the module docstring); `self.i += 1`
+    # only passes a token whose kind was checked, so it never passes the
+    # final EOF
+    __slots__ = ("kinds", "texts", "lines", "cols", "i", "depth", "levels", "reads")
 
-    def __init__(self, tokens: list[SrcToken]):
-        self.toks = tokens
+    def __init__(self, tokens: Tokens):
+        self.kinds, self.texts = tokens.kinds, tokens.texts
+        self.lines, self.cols = tokens.lines, tokens.cols
         self.i = 0
         self.depth = 0  # open parentheses, lists and chained calls
         # open `c(` lists and `(` that open a right operand, in the innermost
@@ -278,21 +331,23 @@ class _Parser:
         self.reads = 0
 
     def fail(self, expected: tuple[str, ...]):
-        tok = self.toks[self.i]
-        shown = tok.text if tok.kind is not _EOF else "end of input"
-        raise ParseError(f"expected {' or '.join(expected)}, found {shown!r}", tok.line, tok.col)
+        i = self.i
+        shown = self.texts[i] if self.kinds[i] is not _EOF else "end of input"
+        raise ParseError(f"expected {' or '.join(expected)}, found {shown!r}",
+                         self.lines[i], self.cols[i])
 
     def open_paren(self):
         """Consume the `(` at hand, one level deeper until its close_paren()."""
-        tok = self.toks[self.i]
-        self.i += 1
+        i = self.i
+        self.i = i + 1
         self.depth += 1
         if self.depth > NESTING_LIMIT:
             raise DepthExceededError("opening '('", NESTING_LIMIT,
-                                     "nested parentheses, lists and calls").at(tok.line, tok.col)
+                                     "nested parentheses, lists and calls").at(
+                                         self.lines[i], self.cols[i])
 
     def close_paren(self):
-        if self.toks[self.i].kind is not _RPAREN:
+        if self.kinds[self.i] is not _RPAREN:
             self.fail(("')'",))
         self.i += 1
         self.depth -= 1
@@ -300,26 +355,25 @@ class _Parser:
     # statements
 
     def program(self) -> Program:
-        toks = self.toks
+        kinds = self.kinds
         stmts = []
-        while toks[self.i].kind is not _EOF:
+        while kinds[self.i] is not _EOF:
             stmts.append(self.statement())
         return Program(tuple(stmts))
 
     def statement(self) -> Stmt:
-        toks = self.toks
+        kinds = self.kinds
         i = self.i
-        tok = toks[i]
-        pos = (tok.line, tok.col)
-        if tok.kind is _IDENT:
-            nxt = toks[i + 1]
-            if nxt.kind is _ASSIGN:
+        pos = (line := self.lines[i], self.cols[i])
+        if kinds[i] is _IDENT:
+            nxt = kinds[i + 1]
+            if nxt is _ASSIGN:
                 self.i = i + 2
-                return Assign(tok.text, self.expression(), pos)
-            if tok.text == "print" and nxt.kind is _LPAREN and nxt.line == tok.line:
+                return Assign(self.texts[i], self.expression(), pos)
+            if nxt is _LPAREN and self.texts[i] == "print" and self.lines[i + 1] == line:
                 self.i = i + 2
                 e = self.expression()
-                if toks[self.i].kind is not _RPAREN:
+                if kinds[self.i] is not _RPAREN:
                     self.fail(("')'",))
                 self.i += 1
                 return PrintStmt(e, pos)
@@ -332,23 +386,23 @@ class _Parser:
         binds at least min_prec with its right operand.  A chain of one
         precedence is read in this loop, and the tree is left-deep.  A name or
         a number with no argument list is the operand itself."""
-        toks = self.toks
-        tok = toks[self.i]
-        kind = tok.kind
+        kinds, texts, lines = self.kinds, self.texts, self.lines
+        i = self.i
+        kind = kinds[i]
         if ((kind is _IDENT or kind is _NUMBER)
-                and ((nxt := toks[self.i + 1]).kind is not _LPAREN or nxt.line != tok.line)):
-            self.i += 1
+                and (kinds[i + 1] is not _LPAREN or lines[i + 1] != lines[i])):
+            self.i = i + 1
             if kind is _NUMBER:
-                left = NumberLit(Decimal(tok.text), (tok.line, tok.col))
+                left = NumberLit(Decimal(texts[i]), (lines[i], self.cols[i]))
             else:
-                left = Ident(tok.text, (tok.line, tok.col))
+                left = Ident(texts[i], (lines[i], self.cols[i]))
                 if self.levels > self.reads:
                     self.reads = self.levels
         else:
             left = self.factor()
-        while (op := toks[self.i]).kind is _OP and (prec := _PREC[op.text]) >= min_prec:
-            self.i += 1
-            left = Binary(op.text, left, self.expression(prec + 1), (op.line, op.col))
+        while kinds[i := self.i] is _OP and (prec := _PREC[op := texts[i]]) >= min_prec:
+            self.i = i + 1
+            left = Binary(op, left, self.expression(prec + 1), (lines[i], self.cols[i]))
         return left
 
     def factor(self) -> Expr:
@@ -363,19 +417,19 @@ class _Parser:
         argument, like a default, weighs 1 plus the levels open around its
         deepest name read, counted from its own start (see weighed)."""
         e = self.primary()
-        toks = self.toks
-        tok = toks[self.i]
-        if tok.kind is not _LPAREN or tok.line != toks[self.i - 1].line:
+        kinds, lines = self.kinds, self.lines
+        i = self.i
+        if kinds[i] is not _LPAREN or lines[i] != lines[i - 1]:
             return e
         depth, levels, reads = self.depth, self.levels, self.reads
         self.levels = 0
         while True:
             extra: list[int] = []
             args = tuple(self.comma_list(self.call_arg, set(), extra))
-            e = Call(e, args, (tok.line, tok.col), 1 + levels, _weights(extra))
+            e = Call(e, args, (lines[i], self.cols[i]), 1 + levels, _weights(extra))
             self.depth += 1  # the next call's tree holds this one
-            tok = toks[self.i]
-            if tok.kind is not _LPAREN or tok.line != toks[self.i - 1].line:
+            i = self.i
+            if kinds[i] is not _LPAREN or lines[i] != lines[i - 1]:
                 break
         chained = self.depth - depth
         self.depth, self.levels, self.reads = depth, levels, reads
@@ -387,28 +441,28 @@ class _Parser:
         return e
 
     def primary(self) -> Expr:
-        toks = self.toks
-        tok = toks[self.i]
-        kind = tok.kind
-        pos = (tok.line, tok.col)
+        kinds = self.kinds
+        i = self.i
+        kind = kinds[i]
+        pos = (line := self.lines[i], self.cols[i])
         if kind is _NUMBER:
-            self.i += 1
-            return NumberLit(Decimal(tok.text), pos)
+            self.i = i + 1
+            return NumberLit(Decimal(self.texts[i]), pos)
         if kind is _IDENT:
-            self.i += 1
-            nxt = toks[self.i]
-            if tok.text == "c" and nxt.kind is _LPAREN and nxt.line == tok.line:
+            self.i = i + 1
+            name = self.texts[i]
+            if name == "c" and kinds[i + 1] is _LPAREN and self.lines[i + 1] == line:
                 self.levels += 1  # the evaluator reads the elements in a _vector frame
                 elements = tuple(self.comma_list(self.expression))
                 self.levels -= 1
                 return VectorCtor(elements, pos)
             if self.levels > self.reads:
                 self.reads = self.levels
-            return Ident(tok.text, pos)
+            return Ident(name, pos)
         if kind is _LPAREN:
             # a right operand in parentheses can hold a chain of its own,
             # which the evaluator reads in a deeper _binary frame
-            nested = toks[self.i - 1].kind is _OP  # funclang has no unary operator
+            nested = kinds[i - 1] is _OP  # funclang has no unary operator
             self.open_paren()
             self.levels += nested
             e = self.expression()
@@ -423,21 +477,22 @@ class _Parser:
     def comma_list(self, item, *args) -> list:
         """Read the `( item, ... )` at hand, calling item(*args) for each entry."""
         self.open_paren()
-        toks = self.toks
+        kinds = self.kinds
         items = []
-        if toks[self.i].kind is not _RPAREN:
+        if kinds[self.i] is not _RPAREN:
             items.append(item(*args))
-            while toks[self.i].kind is _COMMA:
+            while kinds[self.i] is _COMMA:
                 self.i += 1
                 items.append(item(*args))
         self.close_paren()
         return items
 
-    @staticmethod
-    def reject_duplicate(tok: SrcToken, seen: set[str], what: str):
-        if tok.text in seen:
-            raise ParseError(f"duplicate {what} '{tok.text}'", tok.line, tok.col)
-        seen.add(tok.text)
+    def reject_duplicate(self, i: int, seen: set[str], what: str):
+        """Fail at token i if its name is in seen, else add it."""
+        name = self.texts[i]
+        if name in seen:
+            raise ParseError(f"duplicate {what} '{name}'", self.lines[i], self.cols[i])
+        seen.add(name)
 
     def weighed(self, extra: list[int]) -> Expr:
         """An argument or a default, with the levels around its deepest read appended to extra."""
@@ -447,51 +502,51 @@ class _Parser:
         return e
 
     def call_arg(self, seen: set[str], extra: list[int]) -> tuple[str | None, Expr]:
-        toks = self.toks
-        tok = toks[self.i]
-        if tok.kind is _IDENT and (assign := toks[self.i + 1]).kind is _ASSIGN:
-            if assign.text != "=":
+        kinds = self.kinds
+        i = self.i
+        if kinds[i] is _IDENT and kinds[i + 1] is _ASSIGN:
+            if self.texts[i + 1] != "=":
                 raise ParseError(
                     "assignment is not allowed in an argument list",
-                    assign.line, assign.col,
+                    self.lines[i + 1], self.cols[i + 1],
                 )
-            self.reject_duplicate(tok, seen, "named argument")
-            self.i += 2
-            return tok.text, self.weighed(extra)
+            self.reject_duplicate(i, seen, "named argument")
+            self.i = i + 2
+            return self.texts[i], self.weighed(extra)
         return None, self.weighed(extra)
 
     def param(self, seen: set[str], extra: list[int]) -> tuple[str, Expr | None]:
-        toks = self.toks
-        name_tok = toks[self.i]
-        if name_tok.kind is not _IDENT:
+        kinds = self.kinds
+        i = self.i
+        if kinds[i] is not _IDENT:
             self.fail(("a parameter name",))
-        self.reject_duplicate(name_tok, seen, "parameter")
-        assign = toks[self.i + 1]
-        if assign.kind is not _ASSIGN:
-            self.i += 1
+        self.reject_duplicate(i, seen, "parameter")
+        if kinds[i + 1] is not _ASSIGN:
+            self.i = i + 1
             extra.append(0)
-            return name_tok.text, None
-        if assign.text != "=":
-            raise ParseError("parameter defaults are written with '='", assign.line, assign.col)
-        self.i += 2
-        return name_tok.text, self.weighed(extra)
+            return self.texts[i], None
+        if self.texts[i + 1] != "=":
+            raise ParseError("parameter defaults are written with '='",
+                             self.lines[i + 1], self.cols[i + 1])
+        self.i = i + 2
+        return self.texts[i], self.weighed(extra)
 
     def function_def(self) -> FunctionDef:
-        toks = self.toks
-        kw = toks[self.i]
-        self.i += 1
-        if toks[self.i].kind is not _LPAREN:
+        kinds = self.kinds
+        kw = self.i
+        self.i = kw + 1
+        if kinds[kw + 1] is not _LPAREN:
             self.fail(("'('",))
         levels, reads = self.levels, self.reads
         self.levels = 0  # a call of it reads its defaults and body
         extra: list[int] = []
         params = self.comma_list(self.param, set(), extra)
-        if toks[self.i].kind is not _LBRACE:
+        if kinds[self.i] is not _LBRACE:
             self.fail(("'{'",))
         self.i += 1
         self.reads = 0
         body: list[Stmt] = []
-        while (kind := toks[self.i].kind) is not _RBRACE:
+        while (kind := kinds[self.i]) is not _RBRACE:
             if kind is _EOF:
                 self.fail(("'}'",))
             body.append(self.statement())
@@ -499,8 +554,8 @@ class _Parser:
             self.fail(("a statement (function bodies cannot be empty)",))
         self.i += 1
         body_reads, self.levels, self.reads = self.reads, levels, reads
-        return FunctionDef(tuple(params), tuple(body), (kw.line, kw.col), _weights(extra),
-                           body_reads)
+        return FunctionDef(tuple(params), tuple(body), (self.lines[kw], self.cols[kw]),
+                           _weights(extra), body_reads)
 
 
 def _weights(extra: list[int]) -> tuple[int, ...] | None:
@@ -508,7 +563,7 @@ def _weights(extra: list[int]) -> tuple[int, ...] | None:
     return tuple([1 + n for n in extra]) if any(extra) else None
 
 
-def parse_program(tokens: list[SrcToken]) -> Program:
+def parse_program(tokens: Tokens) -> Program:
     """Parse a full token stream (ending in EOF) into a Program."""
     return _Parser(tokens).program()
 

@@ -234,6 +234,25 @@ class TestRun:
         assert main(["run", "--lang", "func", "-"]) == 1
         assert capsys.readouterr().err == "<stdin>:1:3: error: invalid UTF-8 byte 0xc3\n"
 
+    @pytest.mark.parametrize("lang,source,out", [
+        ("func", b"x <- 1\nprint(x)\n", "1\n"),
+        ("macro", b"%put hi;\n", "hi\n"),
+    ])
+    def test_leading_byte_order_mark_is_dropped(self, capsys, monkeypatch, lang, source, out):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xef\xbb\xbf" + source)))
+        assert main(["run", "--lang", lang, "-"]) == 0
+        assert capsys.readouterr() == (out, "")
+
+    @pytest.mark.parametrize("data,err", [
+        (b"\xef\xbb\xbf\xef\xbb\xbfx <- 1\n", "<stdin>:1:1: error: unexpected character '\\ufeff'\n"),
+        # the column counts from after the dropped mark
+        (b"\xef\xbb\xbfx\xff", "<stdin>:1:2: error: invalid UTF-8 byte 0xff\n"),
+    ], ids=["second-mark", "invalid-utf8"])
+    def test_only_one_leading_byte_order_mark_is_dropped(self, capsys, monkeypatch, data, err):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert main(["run", "--lang", "func", "-"]) == 1
+        assert capsys.readouterr().err == err
+
     def test_carriage_returns_end_lines(self, tmp_path, capsys):
         path = tmp_path / "cr.fl"
         path.write_bytes(b"x <- 1\r\nprint(x)\rprint(y)\r")

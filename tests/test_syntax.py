@@ -4,6 +4,7 @@ from decimal import Decimal, localcontext
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from lazylab import syntax
 from lazylab.errors import DepthExceededError, LazyLabError, LexError, ParseError
 from lazylab.lab import generate_program
 from lazylab.syntax import (
@@ -122,6 +123,32 @@ class TestTokenize:
             tokenize(source)
         assert ((exc.value.message, (exc.value.line, exc.value.col))
                 == (f"unexpected character {char!r}", position))
+
+    def test_tokens_are_a_sequence_of_views(self):
+        toks = tokenize("f(x) <- 2.5")
+        assert len(toks) == 7
+        assert toks[-1] == SrcToken(TokKind.EOF, "", 1, 12)
+        assert toks[1:5:2] == [SrcToken(TokKind.LPAREN, "(", 1, 2),
+                               SrcToken(TokKind.RPAREN, ")", 1, 4)]
+        assert toks[-2:] == [SrcToken(TokKind.NUMBER, "2.5", 1, 9), toks[6]]
+        assert list(toks) == [toks[i] for i in range(-7, 0)]
+        with pytest.raises(IndexError):
+            toks[7]
+
+    def test_a_parse_builds_no_token_object(self, monkeypatch):
+        """The parser reads the token lists; only a read of `Tokens` makes a `SrcToken`."""
+        made = []
+
+        def counted(*fields):
+            made.append(fields)
+            return SrcToken(*fields)
+
+        monkeypatch.setattr(syntax, "SrcToken", counted)
+        for seed in range(50):
+            parse_source(generate_program(seed, 12))
+        assert made == []
+        assert tokenize("x")[0] == SrcToken(TokKind.IDENT, "x", 1, 1)
+        assert made == [(TokKind.IDENT, "x", 1, 1)]
 
 
 class TestParse:
@@ -633,6 +660,100 @@ def test_parser_matches_the_reference(source):
     assert got == expected
     if isinstance(got, Program):
         assert _positions_and_weights(got) == _positions_and_weights(expected)
+
+
+# --- the tokenizer against a reference: the earlier tokenizer, kept verbatim,
+# which builds a SrcToken per token
+
+_REFERENCE_SINGLE = {
+    "=": _ASSIGN,
+    "+": _OP, "-": _OP, "*": _OP, "/": _OP,
+    "(": _LPAREN, ")": _RPAREN, "{": _LBRACE, "}": _RBRACE, ",": _COMMA,
+}
+
+
+def _reference_tokenize(source: str) -> list[SrcToken]:
+    tokens: list[SrcToken] = []
+    append = tokens.append
+    i, line, start, n = 0, 1, 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch == "\n":
+            i += 1
+            line += 1
+            start = i
+        elif ch in " \t\r":
+            i += 1
+        elif ch == "#":
+            i = source.find("\n", i)
+            if i < 0:
+                i = n
+        elif ch in _REFERENCE_SINGLE:
+            append(SrcToken(_REFERENCE_SINGLE[ch], ch, line, i - start + 1))
+            i += 1
+        elif ch.isdecimal():
+            j = i + 1
+            while j < n and source[j].isdecimal():
+                j += 1
+            if j < n - 1 and source[j] == "." and source[j + 1].isdecimal():
+                j += 2
+                while j < n and source[j].isdecimal():
+                    j += 1
+            append(SrcToken(_NUMBER, source[i:j], line, i - start + 1))
+            i = j
+        elif ch.isalpha() or ch == "_":
+            j = i + 1
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            text = source[i:j]
+            append(SrcToken(_KW_FUNCTION if text == "function" else _IDENT, text, line,
+                            i - start + 1))
+            i = j
+        elif ch == "<" and source.startswith("-", i + 1):
+            append(SrcToken(_ASSIGN, "<-", line, i - start + 1))
+            i += 2
+        else:
+            raise LexError(f"unexpected character {ch!r}", line, i - start + 1)
+    append(SrcToken(_EOF, "", line, n - start + 1))
+    return tokens
+
+
+# name, keyword and digit characters, every separator and token character, and
+# characters that a name may hold (`²`, `½`), that start one (`é`) or that
+# start a number (`٣`), but that are neither ASCII letters nor ASCII digits
+_LEX_PIECES = [
+    "a", "b", "c", "_", "function", "0", "1", "2", "9", ".", " ", "\t", "\r", "\n", "#",
+    "<", "-", "=", "+", "*", "/", "(", ")", "{", "}", ",", "\u00b2", "\u00bd", "\u00e9",
+    "\u0663",
+]
+
+
+def _reference_lexed(source):
+    """Each reference token as (kind, text, line, col), or the LexError's message and position."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in _reference_tokenize(source)]
+    except LexError as err:
+        return err.message, err.line, err.col
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_LEX_PIECES), max_size=40).map("".join))
+@example("x <- 1 # note\r\ny <- a\u00b2 + \u00b2\n")
+@example("function_ functiona a\u00e9\u00bd\u00b2 _1 \u0663.\u0663\t# c\r\n<-")
+@example("1.2.3")
+@example("a <\r-")
+@example(generate_program(1, 12))
+def test_tokenizer_matches_the_reference(source):
+    try:
+        toks = tokenize(source)
+    except LexError as err:
+        assert (err.message, err.line, err.col) == _reference_lexed(source)
+        return
+    expected = _reference_lexed(source)
+    # the lists the parser reads, and the views that an index builds
+    assert list(zip(toks.kinds, toks.texts, toks.lines, toks.cols)) == expected
+    assert [(toks[i].kind, toks[i].text, toks[i].line, toks[i].col)
+            for i in range(len(toks))] == expected
 
 
 # --- round trip: printing any parsed program and re-parsing is identity
