@@ -22,11 +22,13 @@ from .lab import (
     metrics_delta,
     metrics_from_events,
     paired_run,
+    run,
     run_with_metrics,
     trace_jsonl,
 )
-from .maclang import run_session
-from .syntax import format_value, parse_source
+# bench/run.py reads run_session and format_value off this module
+from .maclang import run_session  # noqa: F401
+from .syntax import format_value, parse_source  # noqa: F401
 from .trace import TraceSink
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -35,10 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run and compare call-by-need and call-by-name evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    strategies = [s.value for s in Strategy]
 
     def add_common(p):
         p.add_argument("--lang", choices=["func", "macro"], required=True)
-        p.add_argument("--strategy", choices=[s.value for s in Strategy],
+        p.add_argument("--strategy", choices=strategies,
                        help="argument-passing strategy (func only; default: need)")
         p.add_argument("input", help="program file, or '-' for stdin")
 
@@ -51,8 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace.set_defaults(handler=_cmd_trace)
 
     diff = sub.add_parser("diff", help="run one funclang program under two strategies")
-    diff.add_argument("left", choices=[s.value for s in Strategy])
-    diff.add_argument("right", choices=[s.value for s in Strategy])
+    diff.add_argument("left", choices=strategies)
+    diff.add_argument("right", choices=strategies)
     diff.add_argument("--output", choices=["text", "json"], default="text")
     diff.add_argument("input", help="program file, or '-' for stdin")
     diff.set_defaults(handler=_cmd_diff)
@@ -119,34 +122,20 @@ def _read_input(path: str) -> str:
                        before.count("\n") + 1, len(before) - before.rfind("\n")) from None
 
 
-def _strategy(args) -> Strategy | None:
-    return Strategy(args.strategy or "need") if args.lang == "func" else None
-
-
 def _cmd_run(args) -> int:
-    strategy = _strategy(args)
     try:
-        source = _read_input(args.input)
-        if args.lang == "func":
-            out = run_program(parse_source(source), strategy)
-            lines = list(out.lines)
-            result = format_value(out.result) if out.result is not None else None
-            if result is not None:
-                lines.append(result)
-        else:
-            lines = run_session(source).log_lines
-            result = None
+        lines, result = run(_read_input(args.input), args.lang, args.strategy)
     except LazyLabError as err:
         _diagnose(args.input, err)
         return 1
+    lines = lines if result is None else [*lines, result]
     _write([json.dumps({"lines": lines, "result": result})] if args.output == "json" else lines)
     return 0
 
 
 def _cmd_trace(args) -> int:
-    strategy = _strategy(args)
     try:
-        _, metrics, events = run_with_metrics(_read_input(args.input), args.lang, strategy)
+        _, metrics, events = run_with_metrics(_read_input(args.input), args.lang, args.strategy)
     except LazyLabError as err:
         _write(trace_jsonl(getattr(err, "partial_trace", [])))
         _diagnose(args.input, err)

@@ -1,6 +1,10 @@
-"""Differential harness: instrumented runs, metrics, the v1 JSON-lines trace,
-output diffing, paired program comparisons, and deterministic program
-generation for property tests.
+"""Differential harness: runs, metrics, the v1 JSON-lines trace, output
+diffing, paired program comparisons, and deterministic program generation
+for property tests.
+
+`run` is the one holder of how an input runs in a cell of the (engine,
+strategy) grid and of what `lazylab run` prints; `run_with_metrics` is a
+sink, `run` and the fold of the sink's events into `Metrics`.
 """
 
 import json
@@ -14,7 +18,7 @@ from typing import NamedTuple
 from .errors import LazyLabError
 from .evaluator import Strategy, run_program
 from .maclang import run_session
-from .syntax import parse_source
+from .syntax import format_value, parse_source
 from .trace import DETAIL, EventKind, TraceEvent, TraceSink
 
 TRACE_FORMAT = "lazylab-trace"
@@ -99,29 +103,34 @@ def metrics_from_events(events: list[TraceEvent]) -> Metrics:
                    stored_text_bytes=peak, output_lines=output_lines)
 
 
+def run(source: str, lang: str, strategy: Strategy | str | None = None,
+        trace: TraceSink | None = None) -> tuple[list[str], str | None]:
+    """Run `source` in one cell of the (engine, strategy) grid: `lang` "func"
+    under `strategy`, by default NEED, or "macro", which takes no strategy;
+    any other cell is a ValueError. Returns the printed lines and the
+    `format_value` of a funclang program's final bare expression, or None;
+    `lazylab run` prints the lines, then that result unless it is None.
+    `trace` is the sink to record into, or None for an untraced run."""
+    if lang == "func":
+        out = run_program(parse_source(source), strategy or Strategy.NEED, trace)
+        return out.lines, None if out.result is None else format_value(out.result)
+    if lang != "macro":
+        raise ValueError(f"unknown engine {lang!r}")
+    if strategy is not None:
+        raise ValueError("strategy applies to the func engine only")
+    return run_session(source, trace).log_lines, None
+
+
 def run_with_metrics(
     source: str,
     engine: str,
     strategy: Strategy | str | None = None,
 ) -> tuple[list[str], Metrics, list[TraceEvent]]:
-    """Run `source` under the chosen engine with a fresh trace sink.
-
-    `engine` is "func" (funclang, with a strategy, default NEED) or "macro".
-    Engine errors propagate with the partial trace attached as
-    `err.partial_trace`.
-    """
+    """`run` into a fresh sink, then the metrics folded from its events.
+    Engine errors propagate with the partial trace as `err.partial_trace`."""
     sink = TraceSink()
     try:
-        if engine == "func":
-            program = parse_source(source)
-            out = run_program(program, strategy or Strategy.NEED, sink)
-            lines = out.lines
-        elif engine == "macro":
-            if strategy is not None:
-                raise ValueError("strategy applies to the func engine only")
-            lines = run_session(source, sink).log_lines
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
+        lines = run(source, engine, strategy, sink)[0]
     except LazyLabError as err:
         err.partial_trace = list(sink.events)
         raise

@@ -122,6 +122,14 @@ def _is_ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
 
 
+def _line_col(text: str, start: int, end: int, line: int, col: int) -> tuple[int, int]:
+    """(line, col) of offset end in text, where offset start is at (line, col)."""
+    newlines = text.count("\n", start, end)
+    if newlines:
+        return line + newlines, end - text.rfind("\n", start, end)
+    return line, col + end - start
+
+
 class _Scanner:
     """Single pass over offsets; `%let`, `%put`, `%macro`, and macro calls
     capture raw text so stored values keep their source spelling."""
@@ -143,12 +151,7 @@ class _Scanner:
     def _pos(self, i: int) -> tuple[int, int]:
         """(line, col) of offset i, for a body's start or an error; the
         offsets asked for never decrease."""
-        newlines = self.src.count("\n", self._mark, i)
-        if newlines:
-            self._line += newlines
-            self._col = i - self.src.rindex("\n", self._mark, i)
-        else:
-            self._col += i - self._mark
+        self._line, self._col = _line_col(self.src, self._mark, i, self._line, self._col)
         self._mark = i
         return self._line, self._col
 
@@ -607,9 +610,7 @@ class MacroSession:
                     raise a(b)
             except LazyLabError as err:
                 if err.line is None:  # raised by this statement, not inside a body
-                    newlines = text.count("\n", 0, at)
-                    err.at(line + newlines,
-                           at - text.rfind("\n", 0, at) if newlines else col + at)
+                    err.at(*_line_col(text, 0, at, line, col))
                 raise
 
     # statement semantics

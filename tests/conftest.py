@@ -24,7 +24,9 @@ def global_table(session):
 
 # Literal transcriptions used by several test modules.
 
-R_PROG1_LISTING = """\
+@pytest.fixture
+def r_prog1_listing():
+    return """\
 lazy_eval<-function(x=5,y=x*10,z=a+b){
   x=2
   a=3
@@ -35,7 +37,10 @@ lazy_eval<-function(x=5,y=x*10,z=a+b){
 lazy_eval()
 """
 
-R_PROG2_LISTING = """\
+
+@pytest.fixture
+def r_prog2_listing():
+    return """\
 lazy1<-function(x=5,y=x*10){
 x=2
 print(y)
@@ -45,7 +50,10 @@ print(y)
 lazy1()
 """
 
-SAS_PROG1_LISTING = """\
+
+@pytest.fixture
+def sas_prog1_listing():
+    return """\
 %macro lazy(x=5,y=&x*10,z=&a+&b);
 %put _user_
 %let x=2;
@@ -57,7 +65,10 @@ SAS_PROG1_LISTING = """\
 %lazy()
 """
 
-SAS_PROG2_LISTING = """\
+
+@pytest.fixture
+def sas_prog2_listing():
+    return """\
 %macro lazy1(x=5,y=&x*10);
 %let x=2;
 %put %eval(&y);
@@ -69,7 +80,10 @@ SAS_PROG2_LISTING = """\
 %lazy1()
 """
 
-ENV_LIFECYCLE_PROGRAM = """\
+
+@pytest.fixture
+def env_lifecycle_program():
+    return """\
 y <- 6
 h <- function(x=1){
   a <- 2
@@ -77,28 +91,3 @@ h <- function(x=1){
 }
 z <- h(1)
 """
-
-
-@pytest.fixture
-def r_prog1_listing():
-    return R_PROG1_LISTING
-
-
-@pytest.fixture
-def r_prog2_listing():
-    return R_PROG2_LISTING
-
-
-@pytest.fixture
-def sas_prog1_listing():
-    return SAS_PROG1_LISTING
-
-
-@pytest.fixture
-def sas_prog2_listing():
-    return SAS_PROG2_LISTING
-
-
-@pytest.fixture
-def env_lifecycle_program():
-    return ENV_LIFECYCLE_PROGRAM

@@ -12,32 +12,20 @@ from lazylab.cli import main
 from lazylab.lab import load_program
 
 
-@pytest.fixture
-def prog1_func(tmp_path):
-    path = tmp_path / "r_prog1.fl"
-    path.write_text(load_program("r_prog1.fl"))
+def _file(tmp_path, name: str, source: str) -> str:
+    """The path of a new file `name` in tmp_path that holds source."""
+    path = tmp_path / name
+    path.write_text(source, encoding="utf-8")
     return str(path)
 
 
-@pytest.fixture
-def prog2_func(tmp_path):
-    path = tmp_path / "r_prog2.fl"
-    path.write_text(load_program("r_prog2.fl"))
-    return str(path)
+def _bundled(name: str):
+    """A fixture: the path of a copy of the bundled program `name`."""
+    return pytest.fixture(lambda tmp_path: _file(tmp_path, name, load_program(name)))
 
 
-@pytest.fixture
-def prog1_macro(tmp_path):
-    path = tmp_path / "sas_prog1.ml"
-    path.write_text(load_program("sas_prog1.ml"))
-    return str(path)
-
-
-@pytest.fixture
-def prog2_macro(tmp_path):
-    path = tmp_path / "sas_prog2.ml"
-    path.write_text(load_program("sas_prog2.ml"))
-    return str(path)
+prog1_func, prog2_func = _bundled("r_prog1.fl"), _bundled("r_prog2.fl")
+prog1_macro, prog2_macro = _bundled("sas_prog1.ml"), _bundled("sas_prog2.ml")
 
 
 SELF_CALL = "f <- function(){ f() }\nf()\n"
@@ -78,16 +66,14 @@ class TestRun:
         assert capsys.readouterr().out == "5\n"
 
     def test_program_error_diagnostic(self, tmp_path, capsys):
-        path = tmp_path / "bad.fl"
-        path.write_text("x <- 1\ny <- nosuch\n")
-        assert main(["run", "--lang", "func", str(path)]) == 1
+        path = _file(tmp_path, "bad.fl", "x <- 1\ny <- nosuch\n")
+        assert main(["run", "--lang", "func", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"{path}:2:6: error: unbound name 'nosuch'")
 
     def test_lex_error_diagnostic_names_position(self, tmp_path, capsys):
-        path = tmp_path / "bad.fl"
-        path.write_text("x <- @\n")
-        assert main(["run", "--lang", "func", str(path)]) == 1
+        path = _file(tmp_path, "bad.fl", "x <- @\n")
+        assert main(["run", "--lang", "func", path]) == 1
         assert ":1:6: error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lang,source,position", [
@@ -96,9 +82,8 @@ class TestRun:
         ("macro", "%put %eval(²+1);\n", "1:1"),
     ])
     def test_non_decimal_digit_is_a_diagnostic(self, tmp_path, capsys, lang, source, position):
-        path = tmp_path / "bad.txt"
-        path.write_text(source)
-        assert main(["run", "--lang", lang, str(path)]) == 1
+        path = _file(tmp_path, "bad.txt", source)
+        assert main(["run", "--lang", lang, path]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:{position}: error:")
 
     @pytest.mark.parametrize("lang,source,position", [
@@ -108,21 +93,19 @@ class TestRun:
          "21:12"),
     ], ids=["eval-literal", "eval-result", "decimal-overflow"])
     def test_oversized_number_is_a_diagnostic(self, tmp_path, capsys, lang, source, position):
-        path = tmp_path / "big.txt"
-        path.write_text(source)
-        assert main(["run", "--lang", lang, str(path)]) == 1
+        path = _file(tmp_path, "big.txt", source)
+        assert main(["run", "--lang", lang, path]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:{position}: error:")
 
     def test_recursive_macro_is_a_diagnostic(self, tmp_path, capsys):
-        path = tmp_path / "recursive.ml"
-        path.write_text("%macro m(); %m() %mend;\n%m()\n")
-        assert main(["run", "--lang", "macro", str(path)]) == 1
+        path = _file(tmp_path, "recursive.ml", "%macro m(); %m() %mend;\n%m()\n")
+        assert main(["run", "--lang", "macro", path]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:1:13: error: invoking '%m' exceeded")
 
     def test_macro_named_after_a_keyword_is_a_diagnostic(self, tmp_path, capsys):
-        path = tmp_path / "keyword.ml"
-        path.write_text("%macro eval(); %put in; %mend;\n%eval()\n%put done;\n")
-        assert main(["run", "--lang", "macro", str(path)]) == 1
+        path = _file(tmp_path, "keyword.ml",
+                     "%macro eval(); %put in; %mend;\n%eval()\n%put done;\n")
+        assert main(["run", "--lang", "macro", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"{path}:1:8: error: a macro cannot be named 'eval'\n"
@@ -157,9 +140,8 @@ class TestRun:
             "default-chain-name", "parentheses", "chained-callee-strict",
             "chained-callee-need", "chained-callee-name"])
     def test_deep_recursion_is_a_diagnostic(self, tmp_path, capsys, source, strategy, error):
-        path = tmp_path / "deep.fl"
-        path.write_text(source)
-        assert main(["run", "--lang", "func", "--strategy", strategy, str(path)]) == 1
+        path = _file(tmp_path, "deep.fl", source)
+        assert main(["run", "--lang", "func", "--strategy", strategy, path]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:{error} ")
 
     # Recursion under static nesting: `c(1, ` and `1 + (` add Python frames per
@@ -265,27 +247,24 @@ class TestRun:
         (" * ", ["2", "0.5"] * 1500, "1"),
     ], ids=["sum", "product"])
     def test_long_operator_chain(self, tmp_path, capsys, strategy, op, terms, value):
-        path = tmp_path / "chain.fl"
-        path.write_text(f"x <- {op.join(terms)}\nprint(x)\n")
-        assert main(["run", "--lang", "func", "--strategy", strategy, str(path)]) == 0
+        path = _file(tmp_path, "chain.fl", f"x <- {op.join(terms)}\nprint(x)\n")
+        assert main(["run", "--lang", "func", "--strategy", strategy, path]) == 0
         assert capsys.readouterr().out == f"{value}\n"
 
     def test_long_unary_minus_chain_in_eval(self, tmp_path, capsys):
-        path = tmp_path / "minus.ml"
-        path.write_text("%put %eval(" + "-" * 3000 + "1);\n%put %eval(" + "-" * 3001 + "1);\n")
-        assert main(["run", "--lang", "macro", str(path)]) == 0
+        path = _file(tmp_path, "minus.ml",
+                     "%put %eval(" + "-" * 3000 + "1);\n%put %eval(" + "-" * 3001 + "1);\n")
+        assert main(["run", "--lang", "macro", path]) == 0
         assert capsys.readouterr().out == "1\n-1\n"
 
     def test_deeply_nested_parentheses_in_eval(self, tmp_path, capsys):
-        path = tmp_path / "parens.ml"
-        path.write_text("%put %eval(" + "(" * 3000 + "1" + ")" * 3000 + ");\n")
-        assert main(["run", "--lang", "macro", str(path)]) == 0
+        path = _file(tmp_path, "parens.ml", "%put %eval(" + "(" * 3000 + "1" + ")" * 3000 + ");\n")
+        assert main(["run", "--lang", "macro", path]) == 0
         assert capsys.readouterr().out == "1\n"
 
     def test_deeply_nested_evals(self, tmp_path, capsys):
-        path = tmp_path / "evals.ml"
-        path.write_text("%put " + "%eval(" * 3000 + "1" + ")" * 3000 + ";\n")
-        assert main(["run", "--lang", "macro", str(path)]) == 0
+        path = _file(tmp_path, "evals.ml", "%put " + "%eval(" * 3000 + "1" + ")" * 3000 + ";\n")
+        assert main(["run", "--lang", "macro", path]) == 0
         assert capsys.readouterr().out == "1\n"
 
     def test_json_output(self, prog1_func, capsys):
@@ -320,9 +299,8 @@ class TestTrace:
         assert reevals == ["name=y value=20", "name=y value=100"]
 
     def test_empty_program_trace_is_header_and_metrics(self, tmp_path, capsys):
-        path = tmp_path / "empty.fl"
-        path.write_text("")
-        assert main(["trace", "--lang", "func", str(path)]) == 0
+        path = _file(tmp_path, "empty.fl", "")
+        assert main(["trace", "--lang", "func", path]) == 0
         records = self._records(capsys)
         assert len(records) == 2
         assert records[0]["format"] == "lazylab-trace"
@@ -338,9 +316,8 @@ class TestTrace:
 
     def test_long_operator_chain_argument(self, tmp_path, capsys):
         chain = " + ".join(["1"] * 3000)
-        path = tmp_path / "arg.fl"
-        path.write_text(f"f <- function(x) {{ x }}\nf({chain})\n")
-        assert main(["trace", "--lang", "func", "--strategy", "need", str(path)]) == 0
+        path = _file(tmp_path, "arg.fl", f"f <- function(x) {{ x }}\nf({chain})\n")
+        assert main(["trace", "--lang", "func", "--strategy", "need", path]) == 0
         records = self._records(capsys)
         created = [r["detail"] for r in records if r.get("kind") == "PROMISE_CREATED"]
         forced = [r["detail"] for r in records if r.get("kind") == "PROMISE_FORCED"]
@@ -348,9 +325,8 @@ class TestTrace:
         assert forced == ["name=x value=3000"]
 
     def test_non_ascii_text_is_escaped(self, tmp_path, capsys):
-        path = tmp_path / "esc.ml"
-        path.write_text('%let q=say "hi" \\ café 😀\ttab;\n%put &q;\n', encoding="utf-8")
-        assert main(["trace", "--lang", "macro", str(path)]) == 0
+        path = _file(tmp_path, "esc.ml", '%let q=say "hi" \\ café 😀\ttab;\n%put &q;\n')
+        assert main(["trace", "--lang", "macro", path]) == 0
         # bytes= counts characters: the value is 21 characters, 25 bytes in UTF-8
         # the output is ASCII: é and the astral 😀 (a surrogate pair) are \u escapes
         text = r'say \"hi\" \\ caf\u00e9 \ud83d\ude00\ttab'
@@ -381,9 +357,8 @@ class TestDiff:
         assert "DIVERGED at line 2" in out and "'20'" in out and "'100'" in out
 
     def test_agreeing_strategies(self, tmp_path, capsys):
-        path = tmp_path / "line.fl"
-        path.write_text("x <- 2\nprint(x * 3)\n")
-        assert main(["diff", "need", "strict", str(path)]) == 0
+        path = _file(tmp_path, "line.fl", "x <- 2\nprint(x * 3)\n")
+        assert main(["diff", "need", "strict", path]) == 0
         assert capsys.readouterr().out.strip() == "EQUAL"
 
     @pytest.mark.parametrize("left,right", [("strict", "need"), ("need", "strict")])
@@ -394,9 +369,8 @@ class TestDiff:
         assert captured.err == f"{prog1_func}:1:38: error: strict run: unbound name 'a'\n"
 
     def test_parse_error_names_no_strategy(self, tmp_path, capsys):
-        path = tmp_path / "cut.fl"
-        path.write_text("x <- 1 +\n")
-        assert main(["diff", "need", "strict", str(path)]) == 1
+        path = _file(tmp_path, "cut.fl", "x <- 1 +\n")
+        assert main(["diff", "need", "strict", path]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"{path}:2:1: error: expected a number or a name or '('"
@@ -447,14 +421,13 @@ class TestGen:
 
 class TestDiagnosticColor:
     def _run_bad(self, tmp_path, capsys, monkeypatch, env_value):
-        path = tmp_path / "bad.fl"
-        path.write_text("x <- @\n")
+        path = _file(tmp_path, "bad.fl", "x <- @\n")
         monkeypatch.setattr(sys.stderr, "isatty", lambda: True, raising=False)
         if env_value is None:
             monkeypatch.delenv("LAZYLAB_COLOR", raising=False)
         else:
             monkeypatch.setenv("LAZYLAB_COLOR", env_value)
-        assert main(["run", "--lang", "func", str(path)]) == 1
+        assert main(["run", "--lang", "func", path]) == 1
         return capsys.readouterr().err
 
     def test_tty_diagnostics_are_colored(self, tmp_path, capsys, monkeypatch):
@@ -496,9 +469,8 @@ def test_a_reader_that_stops_early_is_not_an_error(tmp_path, capsys, monkeypatch
     """The command ends with its own exit code, and no further write or the
     flush at exit can raise: stdout's descriptor now points at os.devnull."""
     if program is not None:
-        path = tmp_path / program
-        path.write_text(load_program(program))
-        argv = [*argv, str(path)]
+        path = _file(tmp_path, program, load_program(program))
+        argv = [*argv, path]
     with open(tmp_path / "stdout", "w") as target:
         monkeypatch.setattr(sys, "stdout", _GoneReader(target.fileno()))
         assert main(argv) == code

@@ -23,16 +23,15 @@ from hypothesis import given, settings, strategies as st
 
 from lazylab.cli import _read_input
 from lazylab.errors import LazyLabError
-from lazylab.evaluator import run_program
 from lazylab.lab import (
     generate_divergent,
     generate_program,
     load_program,
+    run,
     run_with_metrics,
     trace_jsonl,
 )
-from lazylab.maclang import run_session
-from lazylab.syntax import NESTING_LIMIT, parse_source
+from lazylab.syntax import NESTING_LIMIT
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden" / "digests.json"
@@ -253,18 +252,12 @@ def test_digests_match_manifest(name):
         assert actual.get(key) == expected.get(key), f"first differing input: {key}"
 
 
-def _outcome(run):
+def _outcome(attempt):
     """The lines a run prints, or the type, message and position of its error."""
     try:
-        return run()
+        return attempt()
     except LazyLabError as err:
         return type(err), err.message, err.line, err.col
-
-
-def _plain(lang: str, strategy: str | None, source: str):
-    if lang == "func":
-        return run_program(parse_source(source), strategy).lines
-    return run_session(source).log_lines
 
 
 @pytest.mark.parametrize("name", SETS)
@@ -272,7 +265,7 @@ def test_plain_runs_match_traced_runs(name):
     """A run without a sink, which skips every event, prints what a traced
     run prints and fails where it fails."""
     for key, lang, strategy, source in SETS[name]():
-        plain = _outcome(lambda: _plain(lang, strategy, source))
+        plain = _outcome(lambda: run(source, lang, strategy)[0])
         traced = _outcome(lambda: run_with_metrics(source, lang, strategy)[0])
         assert plain == traced, f"first differing input: {name}/{key}"
 
@@ -306,7 +299,7 @@ def test_any_input_prints_or_fails_at_a_position(data):
         assert None not in source[2:]
         return
     for lang, strategy in [("macro", None), *(("func", s) for s in STRATEGIES)]:
-        plain = _outcome(lambda: _plain(lang, strategy, source))
+        plain = _outcome(lambda: run(source, lang, strategy)[0])
         traced = _outcome(lambda: run_with_metrics(source, lang, strategy)[0])
         assert plain == traced, (lang, strategy)
         assert isinstance(plain, list) or None not in plain[2:], (lang, strategy)

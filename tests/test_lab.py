@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import sys
 import time
@@ -9,11 +10,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lazylab.errors import UnboundNameError
+from lazylab.errors import LazyLabError, UnboundNameError
 import lazylab.lab
 import lazylab.trace
 from lazylab.cli import main
-from lazylab.evaluator import Strategy, run_program
+from lazylab.evaluator import Strategy
 from lazylab.lab import (
     PAIRS,
     DivergenceReport,
@@ -25,12 +26,15 @@ from lazylab.lab import (
     load_program,
     metrics_from_events,
     paired_run,
+    run,
     run_with_metrics,
     trace_jsonl,
 )
-from lazylab.maclang import run_session
 from lazylab.syntax import Expr, FunctionDef, Ident, Stmt, expr_source, parse_source
 from lazylab.trace import EventKind, TraceEvent
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py)
 
 
 class TestRunWithMetrics:
@@ -97,6 +101,49 @@ class TestRunWithMetrics:
         assert spent[0] < run_s
 
 
+class TestRun:
+    def test_run_prints_what_the_cli_prints(self, tmp_path, capsys):
+        """In each cell of the grid, and func with no strategy, `run`'s lines
+        and then its result unless None are `lazylab run`'s stdout, in text
+        and in JSON; an input that `run` fails on exits 1."""
+        cells = [("func", "strict"), ("func", "need"), ("func", "name"), ("func", None),
+                 ("macro", None)]
+        inputs = {name: load_program(name)
+                  for name in ("r_prog1.fl", "r_prog2.fl", "sas_prog1.ml", "sas_prog2.ml")}
+        inputs["sum"], path, failed = "1 + 2\n", tmp_path / "input", set()
+        for (lang, strategy), (name, source) in itertools.product(cells, inputs.items()):
+            path.write_text(source)
+            argv = ["run", "--lang", lang, str(path)]
+            argv += ["--strategy", strategy] if strategy else []
+            try:
+                lines, result = run(source, lang, strategy)
+            except LazyLabError:
+                failed.add((strategy, name))
+                assert main(argv) == 1 and capsys.readouterr().out == ""
+                continue
+            printed = lines if result is None else [*lines, result]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == "".join(f"{line}\n" for line in printed)
+            assert main([*argv, "--output", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == {"lines": printed, "result": result}
+        # strict evaluates r_prog1's default z = a + b before `a` is assigned,
+        # and no funclang cell reads a maclang program
+        assert failed == {("strict", "r_prog1.fl"), *itertools.product(
+            ("strict", "need", "name", None), ("sas_prog1.ml", "sas_prog2.ml"))}
+        assert run(inputs["sum"], "func") == ([], "3")
+
+    def test_func_defaults_to_need(self):
+        source = load_program("r_prog2.fl")
+        assert run(source, "func") == run(source, "func", "need") == (["20", "20"], "20")
+        assert run(source, "func", "name") == (["20", "100"], "100")
+
+    def test_strategy_on_macro_and_unknown_engine_are_value_errors(self):
+        with pytest.raises(ValueError, match="func engine only"):
+            run(load_program("sas_prog2.ml"), "macro", "need")
+        with pytest.raises(ValueError, match="unknown engine 'cobol'"):
+            run("1 + 2\n", "cobol")
+
+
 class TestTracedRuns:
     def test_traced_runs_keep_real_events(self):
         """The sink builds events without the NamedTuple's own `__new__`, and
@@ -137,9 +184,8 @@ class TestPlainRuns:
 
         # the sink builds each event through tuple.__new__ under this name
         monkeypatch.setattr(lazylab.trace, "_new_tuple", no_event)
-        out = run_program(parse_source(load_program("r_prog1.fl")), "need")
-        assert (out.lines, out.result) == (["2 20 7"], None)
-        assert run_session(load_program("sas_prog1.ml")).log_lines == ["(2 20 7)"]
+        assert run(load_program("r_prog1.fl"), "func") == (["2 20 7"], None)
+        assert run(load_program("sas_prog1.ml"), "macro") == (["(2 20 7)"], None)
         for lang, name, expected in (("func", "r_prog1.fl", "2 20 7\n"),
                                      ("macro", "sas_prog1.ml", "(2 20 7)\n")):
             path = tmp_path / name
@@ -152,9 +198,6 @@ class TestPlainRuns:
     def test_plain_runs_call_no_emit(self, monkeypatch, tmp_path, capsys):
         """Without a sink, no engine calls `TraceSink.emit`, so no subject or
         field of an event is built."""
-        sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
-        import workloads  # bench/workloads.py
-
         def no_emit(self, *args, **kwargs):
             raise _EmitCalled(args, kwargs)
 
@@ -176,13 +219,10 @@ class TestPlainRuns:
             if (name, strategy) == ("r_prog1.fl", "strict"):
                 # the default z = a + b is evaluated before `a` is assigned
                 with pytest.raises(UnboundNameError):
-                    run_program(parse_source(source), strategy)
+                    run(source, lang, strategy)
                 assert main(argv) == 1
                 continue
-            if lang == "func":
-                run_program(parse_source(source), strategy)
-            else:
-                run_session(source)
+            run(source, lang, strategy)
             assert main(argv) == 0, (name, strategy)
         capsys.readouterr()
         with pytest.raises(_EmitCalled):
@@ -191,9 +231,6 @@ class TestPlainRuns:
     def test_runs_leave_no_cyclic_garbage(self):
         """What a run keeps is freed by reference counting alone, so a peak
         measured by tracemalloc does not depend on when the collector runs."""
-        sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
-        import workloads  # bench/workloads.py
-
         inputs = [(lang, strategy, load_program(name))
                   for pair in PAIRS.values()
                   for lang, strategy, name in (("func", pair.strategy, pair.func_program),
@@ -205,10 +242,7 @@ class TestPlainRuns:
         gc.disable()
         try:
             for lang, strategy, source in inputs:
-                if lang == "func":
-                    run_program(parse_source(source), strategy)
-                else:
-                    run_session(source)
+                run(source, lang, strategy)
                 run_with_metrics(source, lang, strategy)
             assert gc.collect() == 0
         finally:

@@ -35,6 +35,9 @@ from lazylab.trace import EventKind, TraceSink
 
 from conftest import count, global_table, of_kind
 
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import workloads  # noqa: E402  (bench/workloads.py)
+
 
 def _table(entries, label="global"):
     return SymbolTable(label.partition("#")[0], dict(entries), label)
@@ -113,9 +116,6 @@ class TestScanner:
     def test_a_session_that_raises_nothing_positions_no_statement(self, monkeypatch):
         """Only each `%macro` body's start is worked out as a (line, col):
         a statement is positioned only when it fails."""
-        sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
-        import workloads  # bench/workloads.py
-
         positioned = []
         position = maclang._Scanner._pos
 
@@ -133,9 +133,6 @@ class TestScanner:
     def test_only_a_call_that_passes_arguments_reads_a_list(self, monkeypatch):
         """The head match reads an argument list that closes at once, so only
         a header's parameters and a call's arguments reach `_list`."""
-        sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
-        import workloads  # bench/workloads.py
-
         lists = []
         read_list = maclang._Scanner._list
 

@@ -1,15 +1,18 @@
 """The package's own names are the README's library sketch plus
-`LazyLabError`, and the sketch runs as written."""
+`LazyLabError`, the sketch runs as written, and `lazylab.cli` holds every
+name that bench/run.py reads off it."""
 
 import re
 import types
 from pathlib import Path
 
 import lazylab
+import lazylab.cli
 from lazylab.evaluator import Output
 from lazylab.lab import Verdict
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+BENCH_RUN = README.parent / "bench" / "run.py"
 
 
 def library_sketch() -> str:
@@ -34,3 +37,12 @@ def test_package_exports_the_sketch_and_the_error():
     public = {name for name, value in vars(lazylab).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == {*re.findall(r"\w+", imported), "LazyLabError"}
+
+
+def test_cli_holds_every_name_the_benchmark_reads():
+    """bench/run.py reads the library off `lazylab.cli`; a name it reads only
+    for a program that ends in a bare expression, as `format_value`, is one
+    that no workload would miss."""
+    names = set(re.findall(r"\bcli\.(\w+)", BENCH_RUN.read_text(encoding="utf-8")))
+    assert "format_value" in names
+    assert sorted(name for name in names if not hasattr(lazylab.cli, name)) == []
