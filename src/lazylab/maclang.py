@@ -22,10 +22,11 @@ rescanned until no references remain.  A body's and its defaults' texts are
 split at their references once per session, at the body's first scan; any
 other text is split where it is resolved, and no value is cached.  Text
 without `&` skips resolution, so only an entry that holds `&` is rescanned.
-`%eval(...)` performs integer arithmetic on resolved text.  A call that
-holds no `%eval(` is walked from `)` to `)`, counting the `(` before each,
-and evaluated where it closes; only a call with a nested `%eval(` takes a
-stack of open calls, where `%eval(` and `)` are searched for together.
+`%eval(...)` performs integer arithmetic on resolved text.  One walk goes
+from `)` to `)`, counting the `(` before each, and searches once per call
+for the next `%eval(`; an outermost call that holds none is evaluated where
+it closes, and only a call that opens in another puts the enclosing one on
+a stack.
 In the arithmetic one search finds what the call's tokens cannot hold, and
 one pass over the tokens keeps a running sum and term per open `(`.  One
 global symbol table lives for the whole session; each macro invocation
@@ -401,7 +402,6 @@ def _owner(tables: list[SymbolTable], key: str) -> SymbolTable | None:
 
 _REF = re.compile(r"&(\w+)")
 _EVAL = re.compile(r"%eval[ \t]*\(", re.I)
-_EVAL_OR_CLOSE = re.compile(f"{_EVAL.pattern}|\\)", re.I)
 
 
 def _template(text: str) -> tuple:
@@ -457,87 +457,76 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink | None,
 def _apply_evals(text: str, trace: TraceSink | None) -> str:
     """Replace every `%eval(...)` in resolved text with its integer result.
 
-    One pass from left to right over the outermost calls.  From each
-    `%eval(` the walk goes from `)` to `)` with `str.find`, counting the `(`
-    before each with `str.count`, to the `)` that closes the call.  A call
-    that holds no `%eval(`, which one search for the next `%eval(` tells, is
-    evaluated there, and that search's hit is the next call.  A call that
-    holds one hands the rest of the text to `_nested_evals`."""
+    One pass from left to right.  From each `%eval(` the walk goes from `)`
+    to `)` with `str.find`, counting the `(` before each with `str.count`;
+    one search for the next `%eval(`, made as a call opens, tells whether
+    that call opens before the next `)`.  An outermost call that holds none
+    is evaluated where it closes.  Where a call opens in another, the
+    enclosing call goes on a stack with its count of open `(` and its
+    pieces: its text so far and the index in `closed` of each call closed in
+    it.  A call with none nested in it is held as its text and makes no
+    list.  The calls in an outermost one are evaluated, inner first, only
+    when it closes, so an unterminated call is reported before anything
+    inside it runs."""
     out: list[str] = []
     i = 0  # text[i:] is not copied yet
     call = _EVAL.search(text)
     while call is not None:
         out.append(text[i:call.start()])
-        pos = start = call.end()
-        following = _EVAL.search(text, start)
-        nested_at = len(text) if following is None else following.start()
-        depth = 0  # of the '(' open in the call
+        # the open call's pieces, once a call opens in it, and open '('; the
+        # calls enclosing it, once a call opens in this outermost one
+        pieces, depth, stack = None, 0, None
+        pos = start = call.end()  # text[start:] of the open call is not in its pieces
+        call = _EVAL.search(text, pos)
+        nested_at = len(text) if call is None else call.start()
         while True:
             close = text.find(")", pos)
             if close < 0:
                 raise ArithSyntaxError("unterminated %eval(...)")
-            if close > nested_at:  # the next `%eval(` is inside this call
-                return _nested_evals(text, call.start(), out, trace)
+            while close > nested_at:  # the next call opens in the open one
+                if stack is None:
+                    stack, closed = [], []
+                if pieces is None:
+                    pieces = []
+                pieces.append(text[start:nested_at])
+                stack.append((pieces, depth + text.count("(", pos, nested_at)))
+                pieces, depth = None, 0
+                pos = start = call.end()
+                call = _EVAL.search(text, pos)
+                nested_at = len(text) if call is None else call.start()
             depth += text.count("(", pos, close)
             pos = close + 1
-            if not depth:
+            if depth:
+                depth -= 1
+                continue
+            inner = text[start:close]  # the open call closes
+            if pieces is not None:
+                pieces.append(inner)
+                inner = pieces
+            if not stack:
                 break
-            depth -= 1
-        out.append(_result(text[start:close], trace))
+            closed.append(inner)
+            pieces, depth = stack.pop()
+            pieces.append(len(closed) - 1)
+            start = pos
+        if pieces is None:
+            out.append(_result(inner, trace))
+        else:
+            closed.append(inner)
+            out.append(_evaluate(closed, trace))
         i = pos
-        call = following
     out.append(text[i:])
     return "".join(out)
 
 
-def _nested_evals(text: str, i: int, out: list[str], trace: TraceSink | None) -> str:
-    """`_apply_evals` from offset i on, where an outermost call that holds a
-    nested `%eval(` starts; out holds the text already replaced.
-
-    Outside a call only `%eval(` is looked for; inside one, `)` too, and the
-    `(` before each hit are counted with `str.count`.  Each open call is on
-    a stack as its text so far and its count of open `(`.  A call nested in
-    another is evaluated only when the outermost one closes, so an
-    unterminated call is reported before anything inside it runs."""
-    stack: list[list] = []   # [pieces, open '(' count] per open call, innermost last
-    closed: list[list] = []  # pieces of the closed calls in the open outermost one
-    pos = i                  # text[i:] is not copied yet; the search goes on at pos
-    while (tok := (_EVAL_OR_CLOSE if stack else _EVAL).search(text, pos)) is not None:
-        hit = tok.start()
-        if stack:
-            stack[-1][1] += text.count("(", pos, hit)
-        pos = tok.end()
-        if text[hit] == "%":
-            (stack[-1][0] if stack else out).append(text[i:hit])
-            stack.append([[], 0])
-            i = pos
-        elif stack[-1][1]:
-            stack[-1][1] -= 1
-        else:
-            pieces = stack.pop()[0]
-            pieces.append(text[i:hit])
-            i = pos
-            closed.append(pieces)
-            if stack:
-                stack[-1][0].append(len(closed) - 1)
-            else:
-                out.append(_evaluate(closed, trace))
-                closed.clear()
-    if stack:
-        raise ArithSyntaxError("unterminated %eval(...)")
-    out.append(text[i:])
-    return "".join(out)
-
-
-def _evaluate(closed: list[list], trace: TraceSink | None) -> str:
-    """Evaluate the calls of one outermost `%eval(`, given inner first as
-    their pieces: text, or the index in `closed` of a call nested there."""
+def _evaluate(closed: list, trace: TraceSink | None) -> str:
+    """Evaluate the calls of one outermost `%eval(`, given inner first, each
+    as its text or, when a call is nested in it, as its pieces: text, or
+    the index in `closed` of a call nested there."""
     results: list[str] = []
-    for pieces in closed:
-        if len(pieces) == 1:  # no call nested in this one
-            inner = pieces[0]
-        else:
-            inner = "".join(p if isinstance(p, str) else results[p] for p in pieces)
+    for inner in closed:
+        if not isinstance(inner, str):
+            inner = "".join(p if isinstance(p, str) else results[p] for p in inner)
         results.append(_result(inner, trace))
     return results[-1]
 

@@ -1021,12 +1021,15 @@ def test_resolve_text_matches_the_search_loop(text):
     assert templates == split
 
 
+_EVAL_OR_CLOSE = re.compile(r"%eval[ \t]*\(|\)", re.I)
+
+
 def _stack_loop_apply_evals(text, trace):
     """`_apply_evals` as one stack loop over every call, kept as a reference
     for the walk that evaluates an un-nested call where it closes."""
     out, stack, closed = [], [], []
     i = pos = 0
-    while (tok := (maclang._EVAL_OR_CLOSE if stack else maclang._EVAL).search(text, pos)) \
+    while (tok := (_EVAL_OR_CLOSE if stack else maclang._EVAL).search(text, pos)) \
             is not None:
         hit = tok.start()
         if stack:
@@ -1076,6 +1079,10 @@ _EVAL_CALLS = st.recursive(
 @example("%eval(2*(3)) )")
 @example("%eval(((1)) + 2) w")
 @example("x %eval(%eval(1)+%eval(2)) %eval(4)")
+@example("%eval(%eval(1)+%eval(2)*%eval(3))")
+@example("%eval((%eval((1))+2)*(3))")
+@example("%eval(%eval(%eval(1)) %eval(2)")
+@example("w %eval(1) %eval(%eval(2)+%eval(3)) %eval(4)")
 def test_apply_evals_matches_the_stack_loop(text):
     outcomes = []
     for apply in (maclang._apply_evals, _stack_loop_apply_evals):

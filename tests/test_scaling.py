@@ -133,6 +133,10 @@ def eval_calls(n: int) -> str:
     return "%put " + " ".join(f"w %eval({k})" for k in range(n)) + ";\n"
 
 
+def nested_eval_calls(n: int) -> str:
+    return "%put %eval(" + "+".join(["%eval(1)"] * n) + ");\n"
+
+
 def eval_parentheses(n: int) -> str:
     return "%put %eval(" + "(" * n + "1" + ")" * n + ");\n"
 
@@ -193,6 +197,7 @@ CASES = {
     "eval-sum": (3000, eval_sum, run_session),
     "eval-parentheses": (3000, eval_parentheses, run_session),
     "eval-calls": (3000, eval_calls, run_session),
+    "nested-eval-calls": (3000, nested_eval_calls, run_session),
     "entry-references": (3000, entry_references, run_session),
     "macro-body": (1500, macro_body, run_session),
     "macro-definitions": (400, macro_definitions, run_session),
