@@ -79,7 +79,9 @@ def metrics_from_events(events: list[TraceEvent]) -> Metrics:
         if kind is _RESOLVED:
             resolutions[ev.subject] = resolutions.get(ev.subject, 0) + 1
         elif kind is _STORED:
-            entries = table_bytes.setdefault(ev.table, {})
+            # not `setdefault(ev.table, {})`, which builds a dict per store
+            if (entries := table_bytes.get(ev.table)) is None:
+                entries = table_bytes[ev.table] = {}
             nbytes = len(ev.text)
             running += nbytes - entries.get(ev.subject, 0)
             entries[ev.subject] = nbytes

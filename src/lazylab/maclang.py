@@ -15,6 +15,12 @@ call's `()` is read with its name and makes no list.  The statement
 keywords are written once.  Digits are decimal digits (`str.isdecimal`).
 Macro bodies are stored verbatim and scanned once, on their first
 invocation.
+A session keeps its symbol tables, its macros with each body's records, the
+`&` templates and the log, and nothing more: it drops each record of its
+source once that record has run, while a body's records stay for the next
+invocation.  A `%let` record holds its name lowercased once, at scan time,
+and the table keeps that string as its key; every call written without
+arguments holds the one empty read-only mapping.
 Parameter defaults and call arguments are stored as raw text, `%let` values
 as the text left after resolving them; every `&name` is re-resolved at every
 use, from the innermost live symbol table, and the substituted text is
@@ -36,7 +42,9 @@ call's argument list is an error.
 """
 
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .errors import (
     ArithSyntaxError,
@@ -72,9 +80,10 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 # `scan` returns statement records, each a tuple (kind, delta, a, b), where
 # delta is the offset of the statement's first character minus that of the
 # record before it (the first counts from the start of the text):
-#   LET    a = name, b = raw value text
+#   LET    a = lowercased name, the key its table keeps, b = raw value text
 #   PUT    a = raw text
-#   CALL   a = macro name as written, b = {lowercased argument name: raw text}
+#   CALL   a = macro name as written, b = {lowercased argument name: raw text},
+#          or `_NO_ARGS`, the one empty read-only mapping, for `%m` and `%m()`
 #   MACRO  a = the MacroDef
 #   ERROR  a = error class, b = its one argument; raised as a(b) at the record
 #          only when execution reaches it, so the statements before it run
@@ -102,6 +111,8 @@ _OUTPUT_LINE = EventKind.OUTPUT_LINE
 # make records of their keyword's kind
 _KEYWORDS = LET, PUT, MACRO, MEND = "let", "put", "macro", "mend"
 CALL, ERROR = "call", "error"
+# the arguments of every call written without any; `invoke` only reads them
+_NO_ARGS: Mapping[str, str] = MappingProxyType({})
 
 _COMMENT = re.compile(r"/\*.*?(\*/|\Z)", re.S)  # an unclosed comment runs to the end
 _NOT_NEWLINE = re.compile(r"[^\n]")
@@ -169,7 +180,7 @@ class _Scanner:
             if (let := _LET_STATEMENT.match(src, self.i)) and \
                     ((ch := let[2][0]).isalpha() or ch == "_"):
                 at = let.start(1)
-                stmts.append((LET, at - last, let[2], let[3].strip()))
+                stmts.append((LET, at - last, let[2].lower(), let[3].strip()))
                 last, self.i = at, let.end()
                 continue
             if (head := _HEAD.match(src, self.i)) is None:  # only open code is left
@@ -182,7 +193,7 @@ class _Scanner:
                 continue
             at = head.start(1)
             if kw not in _KEYWORDS:
-                args, duplicate = ({}, None) if head[3] is None or head[4] else \
+                args, duplicate = (_NO_ARGS, None) if head[3] is None or head[4] else \
                     self._list("macro argument list", optional=False)
                 kind, at, a, b = duplicate or (CALL, at, names.setdefault(name, name), args)
             else:
@@ -392,14 +403,6 @@ class SymbolTable:
     trace_label: str | None = None
 
 
-def _owner(tables: list[SymbolTable], key: str) -> SymbolTable | None:
-    """The innermost table defining key, or None."""
-    for table in tables:
-        if key in table.entries:
-            return table
-    return None
-
-
 _REF = re.compile(r"&(\w+)")
 _EVAL = re.compile(r"%eval[ \t]*\(", re.I)
 
@@ -578,10 +581,19 @@ class MacroSession:
     # execution
 
     def run(self, source: str) -> MacroOutput:
-        self._execute(scan(source), source, 1, 1)
+        """Run the source's records in order, releasing each once it has run,
+        so the session keeps its tables, its macros with their bodies'
+        records, the `&` templates and the log.  The list is reversed over an
+        empty tuple and drained by `list.pop`, which stays in C; no record
+        equals `()`, and tuples of different lengths compare unequal before
+        any item is read, where a `None` sentinel took two failed compares."""
+        stmts = scan(source)
+        stmts.append(())
+        stmts.reverse()
+        self._execute(iter(stmts.pop, ()), source, 1, 1)
         return MacroOutput(list(self.log))
 
-    def _execute(self, stmts: list[tuple], text: str, line: int, col: int):
+    def _execute(self, stmts: Iterable[tuple], text: str, line: int, col: int):
         """Run the records scanned from text, which starts at (line, col)."""
         at = 0
         for kind, delta, a, b in stmts:
@@ -604,7 +616,7 @@ class MacroSession:
 
     # statement semantics
 
-    def invoke(self, name: str, overrides: dict[str, str] | None = None):
+    def invoke(self, name: str, overrides: Mapping[str, str] = _NO_ARGS):
         """Run a defined macro: push a local table, store parameter text
         verbatim, execute the body, delete the table at %mend.
 
@@ -613,14 +625,16 @@ class MacroSession:
         definition = self.macros.get(name.lower())
         if definition is None:
             raise UnknownMacroError(name)
-        overrides = overrides or {}
         for key in overrides:
             if key not in definition.params:
                 raise UnknownParamError(definition.name, key)
         if len(self._tables) > MACRO_DEPTH_LIMIT:
             raise DepthExceededError(f"invoking '%{definition.name}'", MACRO_DEPTH_LIMIT,
                                      "nested invocations (recursive macro?)")
-        table = SymbolTable(definition.name, {**definition.params, **overrides})
+        # `**` merges a dict in C but reads a `MappingProxyType` through its
+        # `keys()`, three times the time of this copy
+        table = SymbolTable(definition.name, {**definition.params, **overrides}
+                            if overrides else definition.params.copy())
         self._tables.insert(0, table)
         if self.trace is not None:
             ordinal = self._invocations.get(definition.name, 0) + 1
@@ -659,13 +673,20 @@ class MacroSession:
 
     def let(self, name: str, raw_text: str):
         """Resolve the value text, then update the innermost table already
-        defining the name, or create the entry in the innermost live table."""
+        defining the name, or create the entry in the innermost live table.
+
+        `name` is lowercase, as the scanner's LET records hold it, and the
+        table keeps that string as its key; lowering it here again cost a
+        C call per store."""
         value = resolve_text(raw_text, self._tables, self.trace, self._templates)
-        key = name.lower()
-        table = _owner(self._tables, key) or self._tables[0]
-        table.entries[key] = value
+        for table in self._tables:  # innermost first; inline, one call less per store
+            if name in table.entries:
+                break
+        else:
+            table = self._tables[0]
+        table.entries[name] = value
         if self.trace is not None:
-            self.trace.emit(_VAR_STORED, key, table=table.trace_label, origin="let", text=value)
+            self.trace.emit(_VAR_STORED, name, table=table.trace_label, origin="let", text=value)
 
     def put(self, text: str):
         if text.strip().lower() == "_user_":

@@ -1,7 +1,10 @@
 import re
 import sys
 import time
+import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -732,6 +735,70 @@ class TestSplitTexts:
         assert list(session._templates) == ["&1 &x"]
 
 
+class TestWhatASessionKeeps:
+    """A session keeps its tables, its macros with their bodies' records,
+    the `&` templates and the log; its source's records go as they run."""
+
+    @pytest.fixture
+    def scanned(self, monkeypatch):
+        """Each list `maclang.scan` returned, and a copy of it as returned."""
+        lists, scan = [], maclang.scan
+
+        def kept(*args):
+            records = scan(*args)
+            lists.append((records, list(records)))
+            return records
+
+        monkeypatch.setattr(maclang, "scan", kept)
+        return lists
+
+    def test_the_source_records_are_dropped(self, scanned):
+        session = MacroSession()
+        out = session.run("%macro m(); %put in; %mend;\n%m() %m()")
+        assert out.log_lines == ["in", "in"]
+        (source, _), (body, body_records) = scanned
+        assert source == []
+        assert body is session.macros["m"].body
+        assert body == body_records == [("put", 1, "in", None)]
+
+    def test_the_key_is_the_record_string(self, scanned):
+        session = MacroSession()
+        session.run("%let Ab=1;")
+        [(_, [record])] = scanned
+        [key] = global_table(session).entries
+        assert record[2] == "ab"
+        assert key is record[2]
+
+    def test_calls_without_arguments_share_one_empty_mapping(self):
+        records = scan("%m %m() %M ( )")
+        assert [kind for kind, *_ in records] == ["call"] * 3
+        empty = records[0][3]
+        assert isinstance(empty, MappingProxyType) and len(empty) == 0
+        assert all(record[3] is empty for record in records)
+        with pytest.raises(TypeError):
+            empty["a"] = "1"
+
+    def test_peak_stays_near_the_global_table(self):
+        """The peak of a session of 2,000 stores is within 1.25 times what
+        its global table holds at the end: keys, values and the dict."""
+        source = "".join(f"%let v_{i}=x_{i};\n" for i in range(2000))
+        run_session(source)  # warm up
+        session = MacroSession()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            session.run(source)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        entries = global_table(session).entries
+        assert len(entries) == 2000
+        held = sys.getsizeof(entries) + sum(
+            sys.getsizeof(key) + sys.getsizeof(value) for key, value in entries.items())
+        assert peak <= 1.25 * held, f"peak {peak} is {peak / held:.2f} times {held}"
+
+
 _SOUP_WORDS = [
     "%let ", "%put ", "%macro ", "%mend", "%eval(", "%m", "%", "&", "&x", "x", "=", ";",
     "(", ")", ",", " ", "\n", "\t", "/*", "*/", "1", "+", "²", "İ", "_user_",
@@ -817,7 +884,8 @@ def test_let_gives_its_record_or_a_positioned_error(
         stored = source[at + 1:].split(";", 1)[0].strip()
         records = _positioned_scan(source)
         assert len(records) == earlier_records + 1
-        assert records[-1] == ("let", *_line_col(source, len(prefix)), source[start:end], stored)
+        assert records[-1] == ("let", *_line_col(source, len(prefix)),
+                               source[start:end].lower(), stored)
         return
     with pytest.raises(MacroSyntaxError) as exc:
         scan(source)
@@ -1200,7 +1268,8 @@ class _ReferenceScanner:
         src = self.src
         while True:
             if (let := _LET_STATEMENT.match(src, self.i)) and _is_ident_start(let[2][0]):
-                self.stmts.append((LET, *self._pos(let.start(1)), let[2], let[3].strip()))
+                self.stmts.append((LET, *self._pos(let.start(1)), let[2].lower(),
+                                   let[3].strip()))
                 self.i = let.end()
                 continue
             if ((call := _CALL_STATEMENT.match(src, self.i)) and _is_ident_start(call[2][0])
@@ -1334,10 +1403,10 @@ _SCAN_WORDS = st.sampled_from(_SOUP_WORDS + [
 
 
 def _records(records):
-    """Records with each dict as its item list and each MacroDef as its
+    """Records with each mapping as its item list and each MacroDef as its
     fields, so that the order of names is compared too."""
     def plain(field):
-        if isinstance(field, dict):
+        if isinstance(field, Mapping):
             return list(field.items())
         if isinstance(field, MacroDef):
             return (field.name, list(field.params.items()), field.body_text,
