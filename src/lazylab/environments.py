@@ -2,8 +2,9 @@
 
 A registry holds only the live frames of one run.  Discarding a frame drops
 it and every binding nothing else references; a traced run records it.
-Any later use of a discarded handle raises DiscardedEnvError.  The root
-(global) frame is created with the registry and cannot be discarded.
+Any later use of a discarded handle raises DiscardedEnvError, a promise's
+first lookup in it too.  The root (global) frame is created with the
+registry and cannot be discarded.
 """
 
 from .errors import CannotDiscardGlobalError, DiscardedEnvError, UnboundNameError
@@ -42,9 +43,6 @@ class EnvRegistry:
         if frame is None:
             raise DiscardedEnvError(f"environment env{env} was discarded")
         return frame
-
-    def is_live(self, env: int) -> bool:
-        return env in self._frames
 
     def child(self, parent: int) -> int:
         """Create an empty frame under `parent`."""

@@ -113,7 +113,7 @@ class FunclangRun:
         self.strategy = Strategy(strategy)
         self.trace = trace
         self.envs = EnvRegistry(self.trace)
-        self.promises = PromiseStore(self.envs, self.trace)
+        self.promises = PromiseStore(self.trace)
         self.output = Output()
         self.depth = 0  # levels in progress: call weights and promise evaluations
 

@@ -97,7 +97,8 @@ def metrics_from_events(events: list[TraceEvent]) -> Metrics:
             name = ev.param
             accesses[name] = accesses.get(name, 0) + 1
         elif kind is _DELETED:
-            running -= sum(table_bytes.pop(ev.subject, {}).values())
+            if (stored := table_bytes.pop(ev.subject, None)) is not None:
+                running -= sum(stored.values())
         elif kind is _OUTPUT:
             output_lines += 1
     return Metrics(arg_evaluations=evaluations, arg_accesses=accesses,

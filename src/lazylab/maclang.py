@@ -154,6 +154,9 @@ class _Scanner:
         self.src = source
         self.src = _COMMENT.sub(self._blank, source)
         self.i = 0
+        # one string per called name's spelling and per lowercased entry name,
+        # shared by their records; not `sys.intern`, which 3.12 never frees
+        self.names: dict[str, str] = {}
 
     def _blank(self, comment: re.Match) -> str:
         if not comment.group(1):
@@ -173,9 +176,7 @@ class _Scanner:
 
     def scan(self) -> list[tuple]:
         src, stmts, last = self.src, [], 0  # last: the previous record's offset
-        # one string per spelling of a called name, shared by its records;
-        # not `sys.intern`, whose strings CPython 3.12 never frees
-        names: dict[str, str] = {}
+        names = self.names
         while True:
             if (let := _LET_STATEMENT.match(src, self.i)) and \
                     ((ch := let[2][0]).isalpha() or ch == "_"):
@@ -231,6 +232,7 @@ class _Scanner:
                     return entries, duplicate
                 raise self._error(f"expected a name in {what}", entry.start())
             key = name.lower()
+            key = self.names.setdefault(key, key)
             if key in entries and duplicate is None:
                 duplicate = (ERROR, entry.start(1), DuplicateParamError, name)
             self.i = entry.end()

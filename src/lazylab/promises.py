@@ -14,14 +14,14 @@ ever populated.
 A promise is its expression, environment and value slot, and nothing more:
 accesses and evaluations are counted from the trace (PROMISE_FORCED,
 PROMISE_CACHE_HIT, NAME_REEVAL), not on the promise.  The store keeps no
-promise; each lives as long as the frame that binds it.
+promise; each lives as long as the frame that binds it.  It makes promises
+over frames it does not check: a lookup finds a discarded one.
 """
 
 from enum import Enum
 from typing import Callable
 
-from .environments import EnvRegistry
-from .errors import CyclicForceError, DiscardedEnvError
+from .errors import CyclicForceError
 from .syntax import Expr, format_value
 from .trace import EventKind, TraceSink
 
@@ -62,15 +62,12 @@ Evaluator = Callable[[Expr, int, int], object]
 class PromiseStore:
     """Creates, forces and traces the promises of a single run."""
 
-    def __init__(self, envs: EnvRegistry, trace: TraceSink | None):
-        self._envs = envs
+    def __init__(self, trace: TraceSink | None):
         self._trace = trace
         self._next_id = 0
 
     def new(self, expr: Expr, env: int, label: str, weight: int = 1) -> Promise:
         """Wrap an expression for the parameter `label` without evaluating anything."""
-        if not self._envs.is_live(env):
-            raise DiscardedEnvError(f"environment env{env} was discarded")
         p = Promise(self._next_id, expr, env, label, weight)
         self._next_id += 1
         if self._trace is not None:

@@ -20,16 +20,13 @@ a node's `__class__` by identity instead of calling `isinstance`.
 line and column to four parallel lists, which `Tokens` holds, and the parser
 reads them by index: the current token is `kinds[self.i]`, `texts[self.i]`,
 `lines[self.i]` and `cols[self.i]`, and it moves on with `self.i += 1`, with
-no helper call per token.  A `SrcToken` is only a view that indexing or
-iterating `Tokens` builds when asked.  With CPython 3.11.7 building a
-slotted `SrcToken` took 240-340 ns against 60-90 ns for a tuple (`timeit`,
-both in a lambda), and tokenizing a 74-token `corpus` program went from
-about 45 to about 29 µs.  A name or a number that no argument list follows
-is an operand built in `expression` itself, without `factor` or `primary`.
-An error that names what was expected goes through one helper, `fail`.
-Reading the token list by index took one parse of a 74-token `corpus`
-program from about 380 calls of parser methods to about 66, and from about
-47 to about 32 µs.
+no helper call per token; one tokenizing of a 74-token `corpus` program
+went from about 45 to about 29 µs (CPython 3.11.7).  A name or a number
+that no argument list follows is an operand built in `expression` itself,
+without `factor` or `primary`.  An error that names what was expected goes
+through one helper, `fail`.  Reading the token list by index took one
+parse of a 74-token `corpus` program from about 380 calls of parser methods
+to about 66, and from about 47 to about 32 µs.
 
 The evaluator's values are a `Decimal`, a `tuple` of them (a vector) and a
 `Closure`; `format_value` gives their printed form.  AST nodes here and
@@ -41,7 +38,6 @@ instance carries a `__dict__`: with CPython 3.11.7, `NumberLit(d, pos)` took
 bytes with its `__dict__` to 40-64.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
@@ -68,19 +64,9 @@ class TokKind(str, Enum):
     EOF = "EOF"
 
 
-@dataclass(slots=True)
-class SrcToken:
-    """One token as a value: what indexing or iterating `Tokens` gives."""
-    kind: TokKind
-    text: str
-    line: int
-    col: int
-
-
-class Tokens(Sequence):
+class Tokens:
     """`tokenize`'s result: one entry per token in each of four parallel
-    lists, the last token the EOF.  The parser reads the lists by index;
-    an index, a slice or iteration builds `SrcToken` views on demand."""
+    lists, the last token the EOF.  The parser reads the lists by index."""
     __slots__ = ("kinds", "texts", "lines", "cols")
 
     def __init__(self, kinds: list[TokKind], texts: list[str], lines: list[int],
@@ -89,11 +75,6 @@ class Tokens(Sequence):
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self.kinds)))]
-        return SrcToken(self.kinds[i], self.texts[i], self.lines[i], self.cols[i])
 
 
 # the token kinds under module names (see the hot-path rule above)

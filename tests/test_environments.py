@@ -16,7 +16,6 @@ from conftest import bindings_of
 
 def test_global_is_root_and_empty():
     envs = EnvRegistry(TraceSink())
-    assert envs.is_live(envs.global_id)
     assert bindings_of(envs, envs.global_id) == {}
     # a lookup from the root has no frame left to try, even with a child around
     envs.define(envs.child(envs.global_id), "anything", 1)
@@ -85,7 +84,7 @@ def test_redefine_overwrites_same_frame():
 def test_promise_bindings_round_trip():
     envs = EnvRegistry(TraceSink())
     (stmt,) = parse_source("7").stmts
-    promise = PromiseStore(envs, TraceSink()).new(stmt.expr, envs.global_id, label="p")
+    promise = PromiseStore(TraceSink()).new(stmt.expr, envs.global_id, label="p")
     envs.define(envs.global_id, "p", promise)
     assert envs.lookup(envs.global_id, "p") is promise
 
@@ -94,9 +93,8 @@ def test_discard_lifecycle():
     envs = EnvRegistry(TraceSink())
     child = envs.child(envs.global_id)
     envs.define(child, "x", 1)
-    assert envs.is_live(child)
+    assert bindings_of(envs, child) == {"x": 1}
     envs.discard(child)
-    assert not envs.is_live(child)
     # the frame is dropped: every use of its handle fails, inspection included
     message = f"environment env{child} was discarded"
     for use in (lambda: envs.lookup(child, "x"), lambda: envs.define(child, "y", 2),

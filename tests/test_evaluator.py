@@ -27,6 +27,7 @@ from lazylab.evaluator import (
 from lazylab.lab import (
     generate_divergent,
     generate_program,
+    load_program,
     metrics_from_events,
     run_with_metrics,
     trace_jsonl,
@@ -451,3 +452,41 @@ def test_nodes_and_values_are_slotted_and_hash_by_structure(source):
     assert [v for v in r.values if hasattr(v, "__dict__")] == []
     # equal numbers are one set element whatever their Decimal exponents
     assert len({Decimal("1"), Decimal("1.0")}) == 1
+
+
+# --- promises are made over live frames
+
+# the two escaping-closure programs: a factory, and a factory reached
+# through a second call; both fail under need and name
+_ESCAPING_CLOSURES = (
+    "mk <- function(a) { function(b) { a + b } }\nh <- mk(1)\nh(2)\n",
+    "mk <- function(n) { function(m) { n + m } }\nouter <- function(z) { mk(z) }\n"
+    "add <- outer(1)\nprint(add(1))\n",
+)
+
+
+def test_every_promise_is_made_over_a_live_frame():
+    """`PromiseStore.new` does not check its frame: the evaluator only hands
+    it one that is live, which each trace shows."""
+    sources = ([generate_program(seed) for seed in range(500)]
+               + [generate_divergent(seed) for seed in range(200)]
+               + [load_program("r_prog1.fl"), load_program("r_prog2.fl")]
+               + list(_ESCAPING_CLOSURES))
+    promises = failures = 0
+    for source in sources:
+        for strategy in Strategy:
+            try:
+                events = run_with_metrics(source, "func", strategy)[2]
+            except LazyLabError as err:
+                events = err.partial_trace
+                failures += 1
+            live = {0}
+            for ev in events:
+                if ev.kind is EventKind.ENV_CREATED:
+                    live.add(int(ev.subject[3:]))
+                elif ev.kind is EventKind.ENV_DISCARDED:
+                    live.remove(int(ev.subject[3:]))
+                elif ev.kind is EventKind.PROMISE_CREATED:
+                    assert ev.env in live, (source, strategy, ev)
+                    promises += 1
+    assert promises > 0 and failures > 0

@@ -778,6 +778,19 @@ class TestWhatASessionKeeps:
         with pytest.raises(TypeError):
             empty["a"] = "1"
 
+    @pytest.mark.parametrize("name", ["a", "ab"])
+    def test_argument_keys_share_one_string_per_spelling(self, name):
+        """Every record keys a name on one lowercased string, whatever the
+        spelling: the calls' arguments and the macro's parameter."""
+        upper = name.upper()
+        source = (f"%macro m({name}=0); %put &{name}; %mend;\n"
+                  f"%m({upper}=1) %m({name}=2) %M({upper}=3)")
+        macro, *calls = scan(source)
+        keys = [*macro[2].params] + [key for *_, args in calls for key in args]
+        assert keys == [name] * 4
+        assert all(key is keys[0] for key in keys)
+        assert run_session(source).log_lines == ["1", "2", "3"]
+
     def test_peak_stays_near_the_global_table(self):
         """The peak of a session of 2,000 stores is within 1.25 times what
         its global table holds at the end: keys, values and the dict."""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lazylab.environments import EnvRegistry
-from lazylab.errors import CyclicForceError, DiscardedEnvError, UnboundNameError
+from lazylab.errors import CyclicForceError, UnboundNameError
 from lazylab.lab import metrics_from_events
 from lazylab.promises import PromiseState, PromiseStore
 from lazylab.syntax import parse_source
@@ -20,7 +20,7 @@ def _expr(text):
 def store():
     sink = TraceSink()
     envs = EnvRegistry(sink)
-    return envs, PromiseStore(envs, sink), sink
+    return envs, PromiseStore(sink), sink
 
 
 def _counting_evaluator(result=Decimal(1)):
@@ -82,14 +82,6 @@ def test_force_events(store):
                      EventKind.PROMISE_CACHE_HIT]
 
 
-def test_new_over_discarded_env_rejected(store):
-    envs, promises, _ = store
-    child = envs.child(envs.global_id)
-    envs.discard(child)
-    with pytest.raises(DiscardedEnvError):
-        promises.new(_expr("1"), child, label="p")
-
-
 def test_error_leaves_promise_unforced_and_retryable(store):
     envs, promises, sink = store
     p = promises.new(_expr("x"), envs.global_id, label="p")
@@ -148,7 +140,7 @@ def test_uncached_evaluation_never_populates_the_slot(store):
 def test_occupancy_matches_forced_count(force_flags):
     envs = EnvRegistry(TraceSink())
     sink = TraceSink()
-    promises = PromiseStore(envs, sink)
+    promises = PromiseStore(sink)
     evaluator, _ = _counting_evaluator()
     ps = [promises.new(_expr("1"), envs.global_id, label="p") for _ in force_flags]
     for p, do_force in zip(ps, force_flags):
@@ -163,7 +155,7 @@ def test_occupancy_matches_forced_count(force_flags):
 def test_at_most_once_and_idempotent(n_forces):
     envs = EnvRegistry(TraceSink())
     sink = TraceSink()
-    promises = PromiseStore(envs, sink)
+    promises = PromiseStore(sink)
     evaluator, calls = _counting_evaluator(Decimal(42))
     p = promises.new(_expr("e"), envs.global_id, label="p")
     results = {promises.force(p, evaluator) for _ in range(n_forces)}

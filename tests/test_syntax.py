@@ -1,10 +1,10 @@
 from dataclasses import fields
 from decimal import Decimal, localcontext
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lazylab import syntax
 from lazylab.errors import DepthExceededError, LazyLabError, LexError, ParseError
 from lazylab.lab import generate_program
 from lazylab.syntax import (
@@ -19,7 +19,6 @@ from lazylab.syntax import (
     NumberLit,
     PrintStmt,
     Program,
-    SrcToken,
     Stmt,
     TokKind,
     VectorCtor,
@@ -31,11 +30,11 @@ from lazylab.syntax import (
 
 
 def kinds(tokens):
-    return [t.kind for t in tokens]
+    return tokens.kinds
 
 
 def texts(tokens):
-    return [t.text for t in tokens]
+    return tokens.texts
 
 
 class TestTokenize:
@@ -53,7 +52,7 @@ class TestTokenize:
         assert texts(toks)[:6] == ["function", "(", "x", "=", "5", ","]
         # 18 tokens ahead of the trailing EOF
         assert len(toks) - 1 == 18
-        assert toks[-1].kind is TokKind.EOF
+        assert toks.kinds[-1] is TokKind.EOF
 
     def test_illegal_character_position(self):
         with pytest.raises(LexError) as exc:
@@ -63,13 +62,13 @@ class TestTokenize:
 
     def test_both_assign_spellings(self):
         toks = tokenize("a = 1 b <- 2")
-        assert [t.text for t in toks if t.kind is TokKind.ASSIGN] == ["=", "<-"]
+        assert [t for k, t in zip(toks.kinds, toks.texts) if k is TokKind.ASSIGN] == ["=", "<-"]
 
     def test_comments_and_newlines(self):
         toks = tokenize("x <- 1  # trailing note\ny <- 2")
-        assert [t.text for t in toks if t.kind is TokKind.IDENT] == ["x", "y"]
-        y = [t for t in toks if t.text == "y"][0]
-        assert (y.line, y.col) == (2, 1)
+        assert [t for k, t in zip(toks.kinds, toks.texts) if k is TokKind.IDENT] == ["x", "y"]
+        y = toks.texts.index("y")
+        assert (toks.lines[y], toks.cols[y]) == (2, 1)
 
     def test_decimal_literals(self):
         toks = tokenize("2.5 + 10")
@@ -77,7 +76,7 @@ class TestTokenize:
 
     def test_positions_non_decreasing(self):
         toks = tokenize("a <- 1\nbb <- a * 2\nprint(bb)")
-        positions = [(t.line, t.col) for t in toks]
+        positions = list(zip(toks.lines, toks.cols))
         assert positions == sorted(positions)
 
     # A tab and a `\r` are one column each; only `\n` starts a line.
@@ -108,7 +107,9 @@ class TestTokenize:
         ]),
     ], ids=["crlf", "tabs", "comment-at-end", "decimal", "arrow", "arabic-digit", "letter"])
     def test_edge_case_tokens(self, source, expected):
-        assert [(t.kind.name, t.text, t.line, t.col) for t in tokenize(source)] == expected
+        toks = tokenize(source)
+        assert [(k.name, t, line, col) for k, t, line, col
+                in zip(toks.kinds, toks.texts, toks.lines, toks.cols)] == expected
 
     @pytest.mark.parametrize("source,char,position", [
         ("1.", ".", (1, 2)),       # a number needs a digit after its '.'
@@ -124,31 +125,14 @@ class TestTokenize:
         assert ((exc.value.message, (exc.value.line, exc.value.col))
                 == (f"unexpected character {char!r}", position))
 
-    def test_tokens_are_a_sequence_of_views(self):
+    def test_tokens_are_four_parallel_lists(self):
         toks = tokenize("f(x) <- 2.5")
         assert len(toks) == 7
-        assert toks[-1] == SrcToken(TokKind.EOF, "", 1, 12)
-        assert toks[1:5:2] == [SrcToken(TokKind.LPAREN, "(", 1, 2),
-                               SrcToken(TokKind.RPAREN, ")", 1, 4)]
-        assert toks[-2:] == [SrcToken(TokKind.NUMBER, "2.5", 1, 9), toks[6]]
-        assert list(toks) == [toks[i] for i in range(-7, 0)]
-        with pytest.raises(IndexError):
-            toks[7]
-
-    def test_a_parse_builds_no_token_object(self, monkeypatch):
-        """The parser reads the token lists; only a read of `Tokens` makes a `SrcToken`."""
-        made = []
-
-        def counted(*fields):
-            made.append(fields)
-            return SrcToken(*fields)
-
-        monkeypatch.setattr(syntax, "SrcToken", counted)
-        for seed in range(50):
-            parse_source(generate_program(seed, 12))
-        assert made == []
-        assert tokenize("x")[0] == SrcToken(TokKind.IDENT, "x", 1, 1)
-        assert made == [(TokKind.IDENT, "x", 1, 1)]
+        assert toks.kinds == [TokKind.IDENT, TokKind.LPAREN, TokKind.IDENT, TokKind.RPAREN,
+                              TokKind.ASSIGN, TokKind.NUMBER, TokKind.EOF]
+        assert toks.texts == ["f", "(", "x", ")", "<-", "2.5", ""]
+        assert toks.lines == [1] * 7
+        assert toks.cols == [1, 2, 3, 4, 6, 9, 12]
 
 
 class TestParse:
@@ -376,6 +360,14 @@ _NUMBER, _IDENT, _ASSIGN, _OP = TokKind.NUMBER, TokKind.IDENT, TokKind.ASSIGN, T
 _LPAREN, _RPAREN, _LBRACE, _RBRACE = TokKind.LPAREN, TokKind.RPAREN, TokKind.LBRACE, TokKind.RBRACE
 _COMMA, _KW_FUNCTION, _EOF = TokKind.COMMA, TokKind.KW_FUNCTION, TokKind.EOF
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+class SrcToken(NamedTuple):
+    """One token as a value, as the reference parser and tokenizer read it."""
+    kind: TokKind
+    text: str
+    line: int
+    col: int
 
 
 class _ReferenceParser:
@@ -654,7 +646,9 @@ def _sources(draw):
 @example("f <- function(a) {\n  a +\n}\n")
 def test_parser_matches_the_reference(source):
     def reference(text):
-        return _ReferenceParser(tokenize(text)).program()
+        toks = tokenize(text)
+        tokens = [SrcToken(*t) for t in zip(toks.kinds, toks.texts, toks.lines, toks.cols)]
+        return _ReferenceParser(tokens).program()
 
     got, expected = _outcome(parse_source, source), _outcome(reference, source)
     assert got == expected
@@ -750,10 +744,7 @@ def test_tokenizer_matches_the_reference(source):
         assert (err.message, err.line, err.col) == _reference_lexed(source)
         return
     expected = _reference_lexed(source)
-    # the lists the parser reads, and the views that an index builds
     assert list(zip(toks.kinds, toks.texts, toks.lines, toks.cols)) == expected
-    assert [(toks[i].kind, toks[i].text, toks[i].line, toks[i].col)
-            for i in range(len(toks))] == expected
 
 
 # --- round trip: printing any parsed program and re-parsing is identity
