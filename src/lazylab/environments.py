@@ -1,7 +1,9 @@
 """Environment frames with parent links, identified by integer handles.
 
 A registry holds only the live frames of one run.  Discarding a frame drops
-it and every binding nothing else references; a traced run records it.
+it and every binding nothing else references; a traced run records it.  A
+traced run's frame keeps its name, `env<N>`, made once at `child`: its
+ENV_CREATED and ENV_DISCARDED events hold that one string.
 Any later use of a discarded handle raises DiscardedEnvError, a promise's
 first lookup in it too.  The root (global) frame is created with the
 registry and cannot be discarded.
@@ -17,11 +19,12 @@ _UNBOUND = object()  # no binding of the name in a frame
 
 
 class _Frame:
-    __slots__ = ("parent", "bindings")
+    __slots__ = ("parent", "bindings", "name")
 
-    def __init__(self, parent: int | None):
+    def __init__(self, parent: int | None, name: str | None = None):
         self.parent = parent  # a handle, so frames form no reference cycles
         self.bindings: dict[str, object] = {}  # to a value or a promises.Promise
+        self.name = name  # a traced run's "env<N>", the subject of its events
 
 
 class EnvRegistry:
@@ -49,9 +52,12 @@ class EnvRegistry:
         self._live(parent)
         fid = self._next_id
         self._next_id += 1
-        self._frames[fid] = _Frame(parent)
-        if self._trace is not None:
-            self._trace.emit(_ENV_CREATED, f"env{fid}", env=parent)
+        if self._trace is None:
+            self._frames[fid] = _Frame(parent)
+        else:
+            name = f"env{fid}"
+            self._frames[fid] = _Frame(parent, name)
+            self._trace.emit(_ENV_CREATED, name, "", None, None, None, parent)
         return fid
 
     def lookup(self, env: int, name: str) -> object:
@@ -76,7 +82,7 @@ class EnvRegistry:
     def discard(self, env: int) -> None:
         if env == self.global_id:
             raise CannotDiscardGlobalError("the global environment cannot be discarded")
-        self._live(env)
+        frame = self._live(env)
         del self._frames[env]
         if self._trace is not None:
-            self._trace.emit(_ENV_DISCARDED, f"env{env}")
+            self._trace.emit(_ENV_DISCARDED, frame.name)

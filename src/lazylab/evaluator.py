@@ -134,7 +134,7 @@ class FunclangRun:
             line = format_value(value)
             self.output.lines.append(line)
             if self.trace is not None:
-                self.trace.emit(_OUTPUT_LINE, "stdout", text=line)
+                self.trace.emit(_OUTPUT_LINE, "stdout", line)
         return value
 
     def eval_expr(self, e: Expr, env: int) -> Value:

@@ -135,7 +135,7 @@ def run_with_metrics(
     try:
         lines = run(source, engine, strategy, sink)[0]
     except LazyLabError as err:
-        err.partial_trace = list(sink.events)
+        err.partial_trace = sink.events  # nothing else holds the sink
         raise
     return lines, metrics_from_events(sink.events), sink.events
 

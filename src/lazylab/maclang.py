@@ -452,7 +452,7 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink | None,
             raise DepthExceededError(f"resolving '&{template[k]}'", RESCAN_LIMIT,
                                      "rescans (self-referential value?)")
         if trace is not None:
-            trace.emit(_VAR_RESOLVED, key, table=owner.trace_label, text=entry)
+            trace.emit(_VAR_RESOLVED, key, entry, owner.trace_label)
         parts.append(resolve_text(entry, tables, trace, templates, _depth + 1)
                      if "&" in entry else entry)
         parts.append(template[k + 2])
@@ -544,7 +544,7 @@ def _result(inner: str, trace: TraceSink | None) -> str:
     except ValueError:  # CPython's int/str conversion digit limit
         raise NumberTooLargeError("%eval result has too many digits to print") from None
     if trace is not None:
-        trace.emit(_ARITH_EVAL, inner.strip(), text=result)
+        trace.emit(_ARITH_EVAL, inner.strip(), result)
     return result
 
 
@@ -642,10 +642,9 @@ class MacroSession:
             ordinal = self._invocations.get(definition.name, 0) + 1
             self._invocations[definition.name] = ordinal
             table.trace_label = f"{definition.name}#{ordinal}"
-            self.trace.emit(_TABLE_CREATED, table.trace_label, text=definition.name)
+            self.trace.emit(_TABLE_CREATED, table.trace_label, definition.name)
             for key, text in table.entries.items():
-                self.trace.emit(_VAR_STORED, key, table=table.trace_label,
-                                origin="param", text=text)
+                self.trace.emit(_VAR_STORED, key, text, table.trace_label, "param")
         try:
             if definition.body is None:
                 definition.body = scan(definition.body_text,
@@ -688,7 +687,7 @@ class MacroSession:
             table = self._tables[0]
         table.entries[name] = value
         if self.trace is not None:
-            self.trace.emit(_VAR_STORED, name, table=table.trace_label, origin="let", text=value)
+            self.trace.emit(_VAR_STORED, name, value, table.trace_label, "let")
 
     def put(self, text: str):
         if text.strip().lower() == "_user_":
@@ -702,7 +701,7 @@ class MacroSession:
     def _log_line(self, line: str):
         self.log.append(line)
         if self.trace is not None:
-            self.trace.emit(_OUTPUT_LINE, "log", text=line)
+            self.trace.emit(_OUTPUT_LINE, "log", line)
 
 
 def run_session(source: str, trace: TraceSink | None = None) -> MacroOutput:

@@ -16,8 +16,15 @@ accesses and evaluations are counted from the trace (PROMISE_FORCED,
 PROMISE_CACHE_HIT, NAME_REEVAL), not on the promise.  The store keeps no
 promise; each lives as long as the frame that binds it.  It makes promises
 over frames it does not check: a lookup finds a discarded one.
+
+A traced store formats each promise's name, `promise<N>`, once, at `new`,
+and the promise keeps it as the subject of all its events; a plain store
+names no promise.  A traced store also keeps one printed text per distinct
+Decimal value it has printed, so equal values, which print alike, share one
+`text` however often call-by-name re-evaluates them.
 """
 
+from decimal import Decimal
 from enum import Enum
 from typing import Callable
 
@@ -43,10 +50,10 @@ _NAME_REEVAL = EventKind.NAME_REEVAL
 
 
 class Promise:
-    __slots__ = ("id", "expr", "env", "label", "weight", "state", "value")
+    __slots__ = ("name", "expr", "env", "label", "weight", "state", "value")
 
-    def __init__(self, pid: int, expr: Expr, env: int, label: str, weight: int):
-        self.id = pid
+    def __init__(self, name: str | None, expr: Expr, env: int, label: str, weight: int):
+        self.name = name  # a traced run's "promise<N>", the subject of its events
         self.expr = expr
         self.env = env
         self.label = label
@@ -64,22 +71,34 @@ class PromiseStore:
 
     def __init__(self, trace: TraceSink | None):
         self._trace = trace
-        self._next_id = 0
+        self._named = 0  # promises made so far in a traced run
+        # a traced run's printed text of each Decimal value it has printed
+        self._printed: dict[Decimal, str] | None = None if trace is None else {}
 
     def new(self, expr: Expr, env: int, label: str, weight: int = 1) -> Promise:
         """Wrap an expression for the parameter `label` without evaluating anything."""
-        p = Promise(self._next_id, expr, env, label, weight)
-        self._next_id += 1
-        if self._trace is not None:
-            self._trace.emit(_PROMISE_CREATED, f"promise{p.id}",
-                             param=label, env=env, expr=expr)
-        return p
+        if self._trace is None:
+            return Promise(None, expr, env, label, weight)
+        name = f"promise{self._named}"
+        self._named += 1
+        self._trace.emit(_PROMISE_CREATED, name, "", None, None, label, env, expr)
+        return Promise(name, expr, env, label, weight)
+
+    def _text(self, value: object) -> str:
+        """The printed form of `value`.  Equal Decimals print alike, so each
+        distinct one is printed once and its text shared."""
+        if value.__class__ is not Decimal:
+            return format_value(value)
+        text = self._printed.get(value)
+        if text is None:
+            text = self._printed[value] = format_value(value)
+        return text
 
     def force(self, p: Promise, evaluator: Evaluator) -> object:
         """Return the cached value, evaluating once on first use."""
         if p.state is _FORCED:
             if self._trace is not None:
-                self._trace.emit(_PROMISE_CACHE_HIT, f"promise{p.id}", param=p.label)
+                self._trace.emit(_PROMISE_CACHE_HIT, p.name, "", None, None, p.label)
             return p.value
         if p.state is _FORCING:
             raise CyclicForceError(p.label)
@@ -92,8 +111,7 @@ class PromiseStore:
         p.value = value
         p.state = _FORCED
         if self._trace is not None:
-            self._trace.emit(_PROMISE_FORCED, f"promise{p.id}",
-                             param=p.label, text=format_value(value))
+            self._trace.emit(_PROMISE_FORCED, p.name, self._text(value), None, None, p.label)
         return value
 
     def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
@@ -106,6 +124,5 @@ class PromiseStore:
         finally:
             p.state = _UNFORCED
         if self._trace is not None:
-            self._trace.emit(_NAME_REEVAL, f"promise{p.id}",
-                             param=p.label, text=format_value(value))
+            self._trace.emit(_NAME_REEVAL, p.name, self._text(value), None, None, p.label)
         return value

@@ -4,10 +4,14 @@ A traced run owns one sink, and event ordinals are strictly increasing
 within it.  A run without a sink is not traced: `FunclangRun` and
 `MacroSession` then hold `trace = None`, and every event site of the engines
 tests `trace is not None` before it builds a subject or a field, so a plain
-run makes no `emit` call and keeps no event.  `emit` builds each
-`TraceEvent` in one C call, `tuple.__new__(TraceEvent, fields)` with every
-field given, instead of the NamedTuple's generated `__new__`, a Python
-function; the event is the same NamedTuple.  An event carries its facts as
+run makes no `emit` call and keeps no event.  `emit` takes its fields by
+position after `kind` and `subject`, and builds each `TraceEvent` in one C
+call, `tuple.__new__(TraceEvent, fields)` with every field given, instead of
+the NamedTuple's generated `__new__`, a Python function; the event is the
+same NamedTuple.  A traced run makes each promise's and frame's name once,
+when it makes the promise or frame, and every event about it holds that one
+string; the promise store prints each distinct Decimal value once (see
+`promises`).  An event carries its facts as
 fields, and `DETAIL` holds one renderer per kind of the v1 `key=value`
 layout.  `lab.trace_jsonl` writes each line as one f-string and calls the
 renderers directly with one memo per call, so it prints a promise's
@@ -97,10 +101,12 @@ class TraceSink:
     def __init__(self):
         self.events: list[TraceEvent] = []
 
-    def emit(self, kind: EventKind, subject: str, *, param: str | None = None,
-             env: int | None = None, expr: Expr | None = None, text: str = "",
-             table: str | None = None, origin: str | None = None) -> None:
-        """Record one event."""
+    def emit(self, kind: EventKind, subject: str, text: str = "",
+             table: str | None = None, origin: str | None = None,
+             param: str | None = None, env: int | None = None,
+             expr: Expr | None = None) -> None:
+        """Record one event.  Every event site passes its fields by position,
+        in this order: maclang's most frequent events give the first three."""
         events = self.events
         events.append(_new_tuple(TraceEvent, (
             len(events) + 1, kind, subject, param, env, expr, text, table, origin)))

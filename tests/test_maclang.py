@@ -1069,7 +1069,7 @@ def _search_loop_resolve(text, tables, trace, _depth=0):
             raise DepthExceededError(f"resolving '&{name}'", maclang.RESCAN_LIMIT,
                                      "rescans (self-referential value?)")
         entry = owner.entries[key]
-        trace.emit(EventKind.VAR_RESOLVED, key, table=owner.trace_label, text=entry)
+        trace.emit(EventKind.VAR_RESOLVED, key, entry, owner.trace_label)
         pieces.append(text[i:ref.start()])
         pieces.append(_search_loop_resolve(entry, tables, trace, _depth + 1))
         i = pos
@@ -1134,7 +1134,7 @@ def _stack_loop_apply_evals(text, trace):
             for call in closed:
                 inner = "".join(p if isinstance(p, str) else results[p] for p in call)
                 results.append(str(eval_arith(inner)))
-                trace.emit(EventKind.ARITH_EVAL, inner.strip(), text=results[-1])
+                trace.emit(EventKind.ARITH_EVAL, inner.strip(), results[-1])
             out.append(results[-1])
             closed.clear()
     if stack:

@@ -1,18 +1,23 @@
 """The package's own names are the README's library sketch plus
-`LazyLabError`, the sketch runs as written, and `lazylab.cli` holds every
-name that bench/run.py reads off it."""
+`LazyLabError`, the sketch runs as written, `lazylab.cli` holds every name
+that bench/run.py reads off it, and every trace event passes through the
+`TraceSink.emit` that bench/spans.py counts."""
 
+import importlib
 import re
 import types
+from collections import Counter
 from pathlib import Path
 
 import lazylab
 import lazylab.cli
 from lazylab.evaluator import Output
-from lazylab.lab import Verdict
+from lazylab.lab import Verdict, run_with_metrics
+from lazylab.trace import EventKind as K
 
 README = Path(__file__).resolve().parents[1] / "README.md"
-BENCH_RUN = README.parent / "bench" / "run.py"
+BENCH = README.parent / "bench"
+BENCH_RUN = BENCH / "run.py"
 
 
 def library_sketch() -> str:
@@ -46,3 +51,32 @@ def test_cli_holds_every_name_the_benchmark_reads():
     names = set(re.findall(r"\bcli\.(\w+)", BENCH_RUN.read_text(encoding="utf-8")))
     assert "format_value" in names
     assert sorted(name for name in names if not hasattr(lazylab.cli, name)) == []
+
+
+def test_spans_count_every_event_of_the_sinks(monkeypatch):
+    """bench/spans.py counts events at `TraceSink.emit`. Around the traced
+    runs of each workload at bench/test_bench.py's tiny size, its counts equal
+    those of the sinks' own events, so an event site that bypasses `emit`
+    fails here."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    for workload in workloads.WORKLOADS:
+        cases = workloads.build(workload, 5, 0.05)
+        kinds = Counter()
+        with spans.Recorder().installed() as recorder:
+            for case in cases:
+                for strategy in case.strategies:
+                    kinds.update(ev.kind for ev in run_with_metrics(
+                        case.source, case.lang, strategy)[2])
+                    recorder.end_run(strategy, 1.0)
+        metrics = recorder.metrics()
+        assert kinds, workload
+        assert {name: metrics[name] for name in (
+            "trace.events", "promises.evaluations", "maclang.refs_resolved",
+            "maclang.stores")} == {
+            "trace.events": sum(kinds.values()),
+            "promises.evaluations": kinds[K.PROMISE_FORCED] + kinds[K.NAME_REEVAL],
+            "maclang.refs_resolved": kinds[K.VAR_RESOLVED],
+            "maclang.stores": kinds[K.VAR_STORED],
+        }, workload

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from lazylab.environments import EnvRegistry
 from lazylab.errors import CyclicForceError, UnboundNameError
+from lazylab.evaluator import run_program
 from lazylab.lab import metrics_from_events
 from lazylab.promises import PromiseState, PromiseStore
 from lazylab.syntax import parse_source
@@ -35,7 +36,7 @@ def _counting_evaluator(result=Decimal(1)):
 
 def _metrics(sink, promise):
     """(state, accesses, evaluations) of a promise, counted from the trace."""
-    kinds = [ev.kind for ev in sink.events if ev.subject == f"promise{promise.id}"]
+    kinds = [ev.kind for ev in sink.events if ev.subject == promise.name]
     evaluations = kinds.count(EventKind.PROMISE_FORCED) + kinds.count(EventKind.NAME_REEVAL)
     return promise.state, evaluations + kinds.count(EventKind.PROMISE_CACHE_HIT), evaluations
 
@@ -133,6 +134,36 @@ def test_uncached_evaluation_never_populates_the_slot(store):
     assert p.value is None
     assert len(calls) == 3
     assert metrics_from_events(sink.events).forced_value_slots == 0
+
+
+def test_equal_values_share_one_printed_text(store):
+    """A traced store prints each distinct value once: re-evaluations that
+    give equal values, however written, hold one `text` object."""
+    envs, promises, sink = store
+    values = iter([Decimal("12.50"), Decimal("12.5"), Decimal("1.25E+1")])
+    p = promises.new(_expr("q"), envs.global_id, label="p")
+    for _ in range(3):
+        promises.evaluate_uncached(p, lambda expr, env, weight: next(values))
+    first, second, third = [ev.text for ev in sink.events if ev.kind is EventKind.NAME_REEVAL]
+    assert first == "12.5"
+    assert first is second is third
+
+
+@pytest.mark.parametrize("strategy", ["need", "name"])
+def test_every_event_about_a_promise_holds_one_subject(strategy):
+    """A promise's name is made once, at `new`, and each of its events holds
+    that string."""
+    sink = TraceSink()
+    run_program(parse_source("f <- function(x, u = x) { x * x + x }\nprint(f(2 + 3))\n"),
+                strategy, sink)
+    subjects: dict[str, set[int]] = {}
+    for ev in sink.events:
+        if ev.subject.startswith("promise"):
+            subjects.setdefault(ev.subject, set()).add(id(ev.subject))
+    assert sorted(subjects) == ["promise0", "promise1"]
+    # x: created, then read three times; u is never read
+    assert [ev.subject for ev in sink.events].count("promise0") == 4
+    assert all(len(ids) == 1 for ids in subjects.values())
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,5 +1,5 @@
 from dataclasses import fields
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from typing import NamedTuple
 
 import pytest
@@ -23,6 +23,7 @@ from lazylab.syntax import (
     TokKind,
     VectorCtor,
     format_number,
+    format_value,
     parse_source,
     program_source,
     tokenize,
@@ -249,12 +250,14 @@ class TestFormatNumber:
 
     # any finite Decimal: its digits, sign and exponent drawn directly, so
     # that `E+` and `E-` forms, -0 and trailing zeros all come up
+    FINITE = (st.decimals(allow_nan=False, allow_infinity=False)
+              | st.builds(lambda sign, digits, exponent: Decimal((sign, digits, exponent)),
+                          st.integers(0, 1), st.lists(st.integers(0, 9), min_size=1,
+                                                      max_size=30).map(tuple),
+                          st.integers(-40, 40)))
+
     @settings(max_examples=300, deadline=None)
-    @given(st.decimals(allow_nan=False, allow_infinity=False)
-           | st.builds(lambda sign, digits, exponent: Decimal((sign, digits, exponent)),
-                       st.integers(0, 1), st.lists(st.integers(0, 9), min_size=1,
-                                                   max_size=30).map(tuple),
-                       st.integers(-40, 40)))
+    @given(FINITE)
     @example(Decimal("-0"))
     @example(Decimal("-0E+3"))
     @example(Decimal("1E+2"))
@@ -270,6 +273,27 @@ class TestFormatNumber:
         with localcontext() as context:
             context.capitals = 0  # str(d) then writes its exponent as `e`
             assert format_number(d) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(FINITE, st.integers(1, 5))
+    @example(Decimal("0"), 1)
+    @example(Decimal("1E+30"), 2)
+    @example(Decimal("2.5"), 3)
+    def test_equal_values_print_the_same_text(self, d, zeros):
+        """The premise of a traced `PromiseStore`'s one text per distinct
+        value: equal Decimals print the same text, so sharing it can never
+        change a trace."""
+        _, digits, exponent = d.as_tuple()
+        exact = Context(prec=len(digits) + zeros, Emax=MAX_EMAX, Emin=MIN_EMIN)  # no rounding
+        twins = [
+            d.normalize(exact),
+            d.quantize(Decimal((0, (1,), exponent - zeros)), context=exact),  # trailing zeros
+            Decimal(format(d, "f")),  # its digits, as 1E+30 and 1000...0
+            d.copy_negate() if d.is_zero() else d,  # 0 and -0
+        ]
+        for twin in twins:
+            assert twin == d
+            assert format_value(twin) == format_value(d)
 
 
 class TestCallWeight:
