@@ -243,15 +243,15 @@ def trace_jsonl(events: list[TraceEvent], metrics: Metrics | None = None) -> lis
     Each line is one f-string: the ord, the kind's `, "kind": ..., "subject":
     ` text, then the subject and the detail, each escaped by
     `encode_basestring_ascii`. The detail comes from the renderers in
-    `trace.DETAIL`, with one memo per call: each distinct promise `Expr`
-    object is printed once, however many events hold it.
+    `trace.DETAIL`; every field it shows is already text, printed once when
+    the run made it, so a line needs nothing from the lines before it.
     """
     lines = [_HEADER_LINE]
-    head, escape, detail, printed = _KIND_SUBJECT, encode_basestring_ascii, DETAIL, {}
+    head, escape, detail = _KIND_SUBJECT, encode_basestring_ascii, DETAIL
     # extend from a generator: a list comprehension's temporary list raised
     # the traced peak
     lines.extend(f'{{"ord": {ev.ord}{head[ev.kind]}{escape(ev.subject)}, '
-                 f'"detail": {escape(detail[ev.kind](ev, printed))}}}'
+                 f'"detail": {escape(detail[ev.kind](ev))}}}'
                  for ev in events)
     if metrics is not None:
         lines.append(json.dumps({"metrics": metrics.to_dict()}))

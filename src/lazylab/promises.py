@@ -19,9 +19,10 @@ over frames it does not check: a lookup finds a discarded one.
 
 A traced store formats each promise's name, `promise<N>`, once, at `new`,
 and the promise keeps it as the subject of all its events; a plain store
-names no promise.  A traced store also keeps one printed text per distinct
-Decimal value it has printed, so equal values, which print alike, share one
-`text` however often call-by-name re-evaluates them.
+names no promise.  A traced store also prints each promise expression once
+per expression object, at `new`, and each distinct Decimal value once, so
+the promises of one expression share one `text`, and so do equal values,
+which print alike, however often call-by-name re-evaluates them.
 """
 
 from decimal import Decimal
@@ -29,7 +30,7 @@ from enum import Enum
 from typing import Callable
 
 from .errors import CyclicForceError
-from .syntax import Expr, format_value
+from .syntax import Expr, expr_source, format_value
 from .trace import EventKind, TraceSink
 
 
@@ -74,6 +75,10 @@ class PromiseStore:
         self._named = 0  # promises made so far in a traced run
         # a traced run's printed text of each Decimal value it has printed
         self._printed: dict[Decimal, str] | None = None if trace is None else {}
+        # a traced run's printed text of each expression it has made a promise
+        # of, keyed by id(); each entry holds its expression, so no id is
+        # reused while the store lives
+        self._exprs: dict[int, tuple[Expr, str]] | None = None if trace is None else {}
 
     def new(self, expr: Expr, env: int, label: str, weight: int = 1) -> Promise:
         """Wrap an expression for the parameter `label` without evaluating anything."""
@@ -81,7 +86,10 @@ class PromiseStore:
             return Promise(None, expr, env, label, weight)
         name = f"promise{self._named}"
         self._named += 1
-        self._trace.emit(_PROMISE_CREATED, name, "", None, None, label, env, expr)
+        printed = self._exprs.get(id(expr))
+        if printed is None:
+            printed = self._exprs[id(expr)] = (expr, expr_source(expr))
+        self._trace.emit(_PROMISE_CREATED, name, printed[1], None, None, label, env)
         return Promise(name, expr, env, label, weight)
 
     def _text(self, value: object) -> str:

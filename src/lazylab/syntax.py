@@ -586,11 +586,6 @@ def expr_source(e: Expr) -> str:
     return _expr_source(e, 0, False)
 
 
-# str() of an expression is its canonical source, which is how trace details
-# show a promise's expression.
-Expr.__str__ = expr_source
-
-
 def _expr_source(e: Expr, parent_prec: int, right_side: bool) -> str:
     if isinstance(e, NumberLit):
         return format_number(e.value)

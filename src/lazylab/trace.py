@@ -8,22 +8,19 @@ run makes no `emit` call and keeps no event.  `emit` takes its fields by
 position after `kind` and `subject`, and builds each `TraceEvent` in one C
 call, `tuple.__new__(TraceEvent, fields)` with every field given, instead of
 the NamedTuple's generated `__new__`, a Python function; the event is the
-same NamedTuple.  A traced run makes each promise's and frame's name once,
-when it makes the promise or frame, and every event about it holds that one
-string; the promise store prints each distinct Decimal value once (see
-`promises`).  An event carries its facts as
-fields, and `DETAIL` holds one renderer per kind of the v1 `key=value`
-layout.  `lab.trace_jsonl` writes each line as one f-string and calls the
-renderers directly with one memo per call, so it prints a promise's
-expression once per distinct `Expr` object, not once per `PROMISE_CREATED`
-event; `TraceEvent.detail` renders a single event.  This module is the only
-one that knows that layout.
+same NamedTuple.  An event holds only strings and ints: a traced run makes
+each promise's and frame's name once, when it makes the promise or frame,
+and every event about it holds that one string; the promise store prints
+each promise expression and each distinct Decimal value once (see
+`promises`).  An event carries its facts as fields, and `DETAIL` holds one
+renderer per kind of the v1 `key=value` layout; `lab.trace_jsonl` calls the
+renderers directly and `TraceEvent.detail` renders a single event.  This
+module is the only one that knows that layout, and it imports nothing from
+either engine.
 """
 
 from enum import Enum
 from typing import NamedTuple
-
-from .syntax import Expr
 
 
 class EventKind(str, Enum):
@@ -47,10 +44,9 @@ class TraceEvent(NamedTuple):
     subject: str
     param: str | None = None  # PROMISE_*, NAME_REEVAL: the parameter label
     env: int | None = None    # ENV_CREATED: the parent; PROMISE_CREATED: the captured env
-    expr: Expr | None = None  # PROMISE_CREATED: the unevaluated expression
-    # PROMISE_FORCED, NAME_REEVAL: the printed value; VAR_STORED, VAR_RESOLVED:
-    # the entry's text; ARITH_EVAL: the result; OUTPUT_LINE: the line;
-    # TABLE_CREATED: the macro name
+    # PROMISE_CREATED: the printed expression; PROMISE_FORCED, NAME_REEVAL:
+    # the printed value; VAR_STORED, VAR_RESOLVED: the entry's text;
+    # ARITH_EVAL: the result; OUTPUT_LINE: the line; TABLE_CREATED: the macro name
     text: str = ""
     table: str | None = None   # VAR_STORED, VAR_RESOLVED: the table's label
     origin: str | None = None  # VAR_STORED: "param" or "let"
@@ -58,33 +54,23 @@ class TraceEvent(NamedTuple):
     @property
     def detail(self) -> str:
         """The v1 detail text of this event."""
-        return DETAIL[self.kind](self, {})
+        return DETAIL[self.kind](self)
 
 
-def _created(e: TraceEvent, printed: dict[int, str]) -> str:
-    text = printed.get(id(e.expr))
-    if text is None:
-        text = printed[id(e.expr)] = str(e.expr)
-    return f"name={e.param} env=env{e.env} expr={text}"
-
-
-# The v1 detail renderer of each kind. Each takes the event and `printed`, a
-# memo of the promise expressions printed so far, keyed by `id()`. One memo
-# serves one pass over one list of events: the list keeps each memoized
-# `Expr` object alive, so no id is reused while the memo lives.
+# the v1 detail renderer of each kind
 DETAIL = {
-    EventKind.ENV_CREATED: lambda e, _: f"parent=env{e.env}",
-    EventKind.ENV_DISCARDED: lambda e, _: "",
-    EventKind.PROMISE_CREATED: _created,
-    EventKind.PROMISE_FORCED: lambda e, _: f"name={e.param} value={e.text}",
-    EventKind.PROMISE_CACHE_HIT: lambda e, _: f"name={e.param}",
-    EventKind.NAME_REEVAL: lambda e, _: f"name={e.param} value={e.text}",
-    EventKind.TABLE_CREATED: lambda e, _: f"macro={e.text}",
-    EventKind.TABLE_DELETED: lambda e, _: "",
-    EventKind.VAR_STORED: lambda e, _: f"{e.table} {e.origin} bytes={len(e.text)} text={e.text}",
-    EventKind.VAR_RESOLVED: lambda e, _: f"{e.table} text={e.text}",
-    EventKind.ARITH_EVAL: lambda e, _: e.text,
-    EventKind.OUTPUT_LINE: lambda e, _: e.text,
+    EventKind.ENV_CREATED: lambda e: f"parent=env{e.env}",
+    EventKind.ENV_DISCARDED: lambda e: "",
+    EventKind.PROMISE_CREATED: lambda e: f"name={e.param} env=env{e.env} expr={e.text}",
+    EventKind.PROMISE_FORCED: lambda e: f"name={e.param} value={e.text}",
+    EventKind.PROMISE_CACHE_HIT: lambda e: f"name={e.param}",
+    EventKind.NAME_REEVAL: lambda e: f"name={e.param} value={e.text}",
+    EventKind.TABLE_CREATED: lambda e: f"macro={e.text}",
+    EventKind.TABLE_DELETED: lambda e: "",
+    EventKind.VAR_STORED: lambda e: f"{e.table} {e.origin} bytes={len(e.text)} text={e.text}",
+    EventKind.VAR_RESOLVED: lambda e: f"{e.table} text={e.text}",
+    EventKind.ARITH_EVAL: lambda e: e.text,
+    EventKind.OUTPUT_LINE: lambda e: e.text,
 }
 
 
@@ -103,10 +89,9 @@ class TraceSink:
 
     def emit(self, kind: EventKind, subject: str, text: str = "",
              table: str | None = None, origin: str | None = None,
-             param: str | None = None, env: int | None = None,
-             expr: Expr | None = None) -> None:
+             param: str | None = None, env: int | None = None) -> None:
         """Record one event.  Every event site passes its fields by position,
         in this order: maclang's most frequent events give the first three."""
         events = self.events
         events.append(_new_tuple(TraceEvent, (
-            len(events) + 1, kind, subject, param, env, expr, text, table, origin)))
+            len(events) + 1, kind, subject, param, env, text, table, origin)))

@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 import json
@@ -30,8 +31,9 @@ from lazylab.lab import (
     run_with_metrics,
     trace_jsonl,
 )
+from lazylab.promises import PromiseStore
 from lazylab.syntax import Expr, FunctionDef, Ident, Stmt, expr_source, parse_source
-from lazylab.trace import EventKind, TraceEvent
+from lazylab.trace import EventKind, TraceEvent, TraceSink
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py)
@@ -384,14 +386,14 @@ class TestTraceSerialization:
            text=_TEXT)
     def test_event_line_is_json_dumps_of_the_record(self, kind, ord_, subject, param,
                                                     table, text):
-        # expr prints as its name, so it carries arbitrary text too
-        ev = TraceEvent(ord_, kind, subject, param, 0, Ident(text), text, table, "let")
+        ev = TraceEvent(ord_, kind, subject, param, 0, text, table, "let")
         assert trace_jsonl([ev])[1] == json.dumps(
             {"ord": ev.ord, "kind": ev.kind.value, "subject": ev.subject, "detail": ev.detail})
 
-    # trace_jsonl prints each promise expression once per Expr object: events
-    # that share one object, that hold equal but distinct objects, and that
-    # give one parameter different expressions must each still print their own
+    # a traced store prints each promise expression once per Expr object:
+    # promises that share one object, that hold equal but distinct objects,
+    # and that give one parameter different expressions must each still
+    # print their own
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), texts=st.lists(_TEXT, min_size=1, max_size=4))
     def test_shared_expressions_print_as_their_own(self, data, texts):
@@ -399,12 +401,50 @@ class TestTraceSerialization:
                 + [parse_source(f"f(a, b = {i} + a)").stmts[0].expr for i in range(2)])
         picks = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from("pq"),
                                              st.integers(0, 2)), min_size=1, max_size=40))
-        events = [TraceEvent(i, EventKind.PROMISE_CREATED, f"promise{i}", param, env, expr)
-                  for i, (expr, param, env) in enumerate(picks, 1)]
-        assert trace_jsonl(events)[1:] == [
-            json.dumps({"ord": ev.ord, "kind": "PROMISE_CREATED", "subject": ev.subject,
-                        "detail": f"name={ev.param} env=env{ev.env} expr={expr_source(ev.expr)}"})
-            for ev in events]
+        sink = TraceSink()
+        store = PromiseStore(sink)
+        for expr, param, env in picks:
+            store.new(expr, env, param)
+        assert trace_jsonl(sink.events)[1:] == [
+            json.dumps({"ord": i, "kind": "PROMISE_CREATED", "subject": f"promise{i - 1}",
+                        "detail": f"name={param} env=env{env} expr={expr_source(expr)}"})
+            for i, (expr, param, env) in enumerate(picks, 1)]
+
+
+class TestTraceIsText:
+    """An event holds only strings and ints: the promise store prints each
+    expression once, where it makes the promise, and the trace depends on
+    neither engine."""
+
+    def test_trace_imports_nothing_from_the_package(self):
+        tree = ast.parse(Path(lazylab.trace.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0 and not node.module.startswith("lazylab")
+            elif isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("lazylab") for alias in node.names)
+
+    @pytest.mark.parametrize("name,engine,strategy", [
+        ("r_prog1.fl", "func", "strict"), ("r_prog1.fl", "func", "need"),
+        ("r_prog2.fl", "func", "name"), ("sas_prog2.ml", "macro", None)])
+    def test_every_event_is_json(self, name, engine, strategy):
+        try:
+            events = run_with_metrics(load_program(name), engine, strategy)[2]
+        except LazyLabError as exc:  # r_prog1 fails under strict
+            events = exc.partial_trace
+        assert events
+        for ev in events:
+            assert json.loads(json.dumps(list(ev))) == [ev.ord, ev.kind.value, *ev[2:]]
+
+    @pytest.mark.parametrize("strategy", ["need", "name"])
+    def test_each_expression_prints_once(self, strategy):
+        events = run_with_metrics(workloads.chain_source(1, [1, 2]), "func", strategy)[2]
+        texts = [ev.text for ev in events if ev.kind is EventKind.PROMISE_CREATED]
+        assert sorted(set(texts)) == ["1", "2", "x * 0", "x * 1", "x + x"]
+        # f1 is called twice, so each default and f1's `x + x` make two promises
+        for text in ("x * 0", "x * 1", "x + x"):
+            first, second = (t for t in texts if t == text)
+            assert first is second
 
 
 class TestParallelRuns:
