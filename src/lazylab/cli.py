@@ -12,8 +12,10 @@ import os
 import sys
 
 from .errors import LazyLabError, LexError
-from .evaluator import Strategy, run_program
+# bench/run.py reads Strategy and run_program off this module
+from .evaluator import Strategy, run_program  # noqa: F401
 from .lab import (
+    CELLS,
     PAIRS,
     DivergenceReport,
     Verdict,
@@ -37,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run and compare call-by-need and call-by-name evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    strategies = [s.value for s in Strategy]
+    strategies = [strategy for engine, strategy in CELLS if engine == "func"]
 
     def add_common(p):
         p.add_argument("--lang", choices=["func", "macro"], required=True)

@@ -4,7 +4,9 @@ for property tests.
 
 `run` is the one holder of how an input runs in a cell of the (engine,
 strategy) grid and of what `lazylab run` prints; `run_with_metrics` is a
-sink, `run` and the fold of the sink's events into `Metrics`.
+sink, `run` and the fold of the sink's events into `Metrics`. `CELLS` lists
+the grid, whose func cells are the CLI's strategy choices, and `CORPORA` the
+corpora that the tests loop over.
 """
 
 import json
@@ -104,6 +106,11 @@ def metrics_from_events(events: list[TraceEvent]) -> Metrics:
     return Metrics(arg_evaluations=evaluations, arg_accesses=accesses,
                    var_resolutions=resolutions, forced_value_slots=forced,
                    stored_text_bytes=peak, output_lines=output_lines)
+
+
+# The (engine, strategy) grid. Its strategies are plain str: from Python 3.11
+# an f-string formats a (str, Enum) member as `Strategy.NEED`, not `need`.
+CELLS = (*(("func", s.value) for s in Strategy), ("macro", None))
 
 
 def run(source: str, lang: str, strategy: Strategy | str | None = None,
@@ -350,3 +357,12 @@ def generate_divergent(seed: int) -> str:
         f"}}\n"
         f"f()\n"
     )
+
+
+# corpus name -> (its default seeds, seed -> (engine, source))
+CORPORA = {
+    "program": (range(500), lambda seed: ("func", generate_program(seed, 12))),
+    "divergent": (range(200), lambda seed: ("func", generate_divergent(seed))),
+    "bundled": (("r_prog1.fl", "r_prog2.fl", "sas_prog1.ml", "sas_prog2.ml"),
+                lambda name: ({"fl": "func", "ml": "macro"}[name[-2:]], load_program(name))),
+}

@@ -1,4 +1,25 @@
 import pytest
+from hypothesis import strategies as st
+
+from lazylab.lab import CELLS, CORPORA
+
+# funclang's strategies, in the grid's order
+STRATEGIES = [strategy for engine, strategy in CELLS if engine == "func"]
+
+
+def cell_runs(corpus):
+    """(seed, engine, strategy, source) for each seed of `lab.CORPORA[corpus]`
+    in turn, in each cell of `lab.CELLS` on its engine."""
+    seeds, make = CORPORA[corpus]
+    for seed in seeds:
+        engine, source = make(seed)
+        yield from ((seed, engine, strategy, source) for cell, strategy in CELLS if cell == engine)
+
+
+def sources_of(*corpora):
+    """A Hypothesis strategy: the source of any default seed of the corpora."""
+    return st.one_of(*(st.sampled_from(CORPORA[c][0]).map(lambda seed, c=c: CORPORA[c][1](seed)[1])
+                       for c in corpora))
 
 
 def of_kind(events, kind):

@@ -16,11 +16,10 @@ from lazylab.cli import main as cli_main
 from lazylab.errors import LazyLabError, UnboundNameError
 from lazylab.evaluator import Closure, FunclangRun, Strategy
 from lazylab.lab import (
+    CORPORA,
     PairName,
     Verdict,
     diff_outputs,
-    generate_divergent,
-    generate_program,
     load_program,
     paired_run,
     run_with_metrics,
@@ -28,10 +27,7 @@ from lazylab.lab import (
 from lazylab.syntax import parse_source
 from lazylab.trace import EventKind, TraceSink
 
-from conftest import bindings_of, count, of_kind
-
-CORPUS_SEEDS = range(500)
-DIVERGENT_SEEDS = range(100)
+from conftest import bindings_of, cell_runs, count, of_kind
 
 
 @contextmanager
@@ -47,15 +43,11 @@ def criterion(label):
 @pytest.fixture(scope="module")
 def corpus():
     """(seed, source, {strategy: (lines, metrics, events)}) for 500 programs."""
-    rows = []
-    for seed in CORPUS_SEEDS:
-        source = generate_program(seed, 12)
-        runs = {
-            strategy: run_with_metrics(source, "func", strategy)
-            for strategy in (Strategy.STRICT, Strategy.NEED, Strategy.NAME)
-        }
-        rows.append((seed, source, runs))
-    return rows
+    rows = {}
+    for seed, lang, strategy, source in cell_runs("program"):
+        rows.setdefault(seed, (seed, source, {}))[2][strategy] = \
+            run_with_metrics(source, lang, strategy)
+    return list(rows.values())
 
 
 def test_a01_need_run_prints_the_defaulted_vector():
@@ -165,8 +157,9 @@ def test_a09_strategy_agreement_and_forced_divergence(corpus):
             assert runs[Strategy.NAME][0] == strict_lines, f"seed {seed}"
         # reassignment between two reads must separate the lazy strategies
         diverged_by_block = {}
-        for seed in DIVERGENT_SEEDS:
-            src = generate_divergent(seed)
+        seeds, make = CORPORA["divergent"]
+        for seed in seeds:
+            _, src = make(seed)
             need_lines, need_metrics, _ = run_with_metrics(src, "func", Strategy.NEED)
             name_lines, name_metrics, name_events = run_with_metrics(src, "func", Strategy.NAME)
             report = diff_outputs(need_lines, name_lines)
@@ -179,7 +172,7 @@ def test_a09_strategy_agreement_and_forced_divergence(corpus):
                 reevals = [e for e in name_events if e.kind is EventKind.NAME_REEVAL]
                 values = [e.detail.split("value=", 1)[1] for e in reevals]
                 assert len(set(values)) > 1, f"seed {seed}"
-        for block in {seed // 50 for seed in DIVERGENT_SEEDS}:
+        for block in {seed // 50 for seed in seeds}:
             assert diverged_by_block.get(block, 0) >= 1, f"block {block}"
 
 

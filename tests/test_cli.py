@@ -8,8 +8,11 @@ import sys
 import pytest
 
 import lazylab.lab
-from lazylab.cli import main
-from lazylab.lab import load_program
+from lazylab.cli import _build_parser, main
+from lazylab.evaluator import Strategy
+from lazylab.lab import CELLS, load_program
+
+from conftest import STRATEGIES
 
 
 def _file(tmp_path, name: str, source: str) -> str:
@@ -133,7 +136,7 @@ class TestRun:
         ("x <- " + "(" * 330 + "1" + ")" * 330 + "\n", "strict",
          "1:106: error: opening '(' exceeded 100"),
         *((CHAINED_CALLEE, strategy, "1:20: error: calling a function exceeded 100")
-          for strategy in ("strict", "need", "name")),
+          for strategy in STRATEGIES),
     ], ids=["self-call-strict", "self-call-need", "self-call-name", "default-call-need",
             "default-call-name", "reread-chain-need", "reread-chain-name",
             "nested-calls-need", "nested-calls-name", "default-chain-need",
@@ -152,7 +155,7 @@ class TestRun:
     # argument never did. Without the argument weight, the re-read chain did
     # under name from depth 16, since each read re-evaluates a chain of
     # promises that each nest its shape.
-    @pytest.mark.parametrize("strategy", ["strict", "need", "name"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("program,inner", [
         ("f <- function(x) {{ {} }}\nf(1)\n", "f(x)"),
         ("f <- function(x) {{ f({}) }}\nf(1)\n", "x"),
@@ -175,7 +178,7 @@ class TestRun:
     # Recursion through a parameter read nested in the called function's body:
     # each call of g also counts the levels open around its read of x. Without
     # that, need and name ended in a RecursionError traceback from depth 16.
-    @pytest.mark.parametrize("strategy", ["strict", "need", "name"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("opening", ["c(1, ", "1 + ("])
     def test_recursion_through_a_called_body_is_a_diagnostic(self, tmp_path, capsys, opening,
                                                               strategy):
@@ -241,7 +244,7 @@ class TestRun:
         assert main(["run", "--lang", "func", str(path)]) == 1
         assert ":3:7: error: unbound name 'y'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("strategy", ["strict", "need", "name"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("op,terms,value", [
         (" + ", ["1"] * 3000, "3000"),
         (" * ", ["2", "0.5"] * 1500, "1"),
@@ -437,6 +440,21 @@ class TestDiagnosticColor:
     def test_color_disabled_by_env(self, tmp_path, capsys, monkeypatch):
         err = self._run_bad(tmp_path, capsys, monkeypatch, "0")
         assert "\x1b[" not in err
+
+
+def test_strategy_choices_are_the_func_cells():
+    """`--strategy` and `diff`'s two strategies offer the func cells of
+    `lab.CELLS`, in order. Each cell's strategy is a plain str or None: from
+    Python 3.11 an f-string formats a Strategy member as `Strategy.NEED`, so
+    a member would change digest keys, test ids and these choices."""
+    assert all(type(strategy) is str or strategy is None for _, strategy in CELLS)
+    func = [strategy for engine, strategy in CELLS if engine == "func"]
+    assert func == [s.value for s in Strategy]
+    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    choices = {(name, a.dest): a.choices for name in ("run", "trace", "diff")
+               for a in commands[name]._actions if a.dest in ("strategy", "left", "right")}
+    assert choices == {("run", "strategy"): func, ("trace", "strategy"): func,
+                       ("diff", "left"): func, ("diff", "right"): func}
 
 
 class _GoneReader:

@@ -23,23 +23,16 @@ from hypothesis import given, settings, strategies as st
 
 from lazylab.cli import _read_input
 from lazylab.errors import LazyLabError
-from lazylab.lab import (
-    generate_divergent,
-    generate_program,
-    load_program,
-    run,
-    run_with_metrics,
-    trace_jsonl,
-)
+from lazylab.lab import CELLS, run, run_with_metrics, trace_jsonl
 from lazylab.syntax import NESTING_LIMIT
+
+from conftest import STRATEGIES, cell_runs
 
 ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = ROOT / "tests" / "golden" / "digests.json"
 sys.path.append(str(ROOT / "bench"))
 
 import workloads  # noqa: E402  (bench/workloads.py)
-
-STRATEGIES = ("strict", "need", "name")
 
 # Each error program raises a LazyLabError; funclang ones run under every
 # strategy.  The "-chain" ones fail inside a chain of binary operators.
@@ -173,18 +166,13 @@ MACRO_EDGES = {
 BENCH_WORKLOADS = ("call_chain", "macro_invoke", "macro_store")
 
 
-def _programs():
-    for seed in range(500):
-        source = generate_program(seed)
-        for strategy in STRATEGIES:
-            yield f"{seed}/{strategy}", "func", strategy, source
-
-
-def _divergent():
-    for seed in range(200):
-        source = generate_divergent(seed)
-        for strategy in ("need", "name"):
-            yield f"{seed}/{strategy}", "func", strategy, source
+def _corpus(name, strategies=(*STRATEGIES, None)):
+    def inputs():
+        for seed, lang, strategy, source in cell_runs(name):
+            if strategy in strategies:
+                # a bundled program's key is its file name without the suffix
+                yield f"{str(seed).partition('.')[0]}/{strategy or '-'}", lang, strategy, source
+    return inputs
 
 
 def _workload(workload):
@@ -193,14 +181,6 @@ def _workload(workload):
             for strategy in case.strategies:
                 yield f"{i}/{strategy}", case.lang, strategy, case.source
     return inputs
-
-
-def _bundled():
-    for program in ("r_prog1", "r_prog2"):
-        for strategy in STRATEGIES:
-            yield f"{program}/{strategy}", "func", strategy, load_program(program + ".fl")
-    for program in ("sas_prog1", "sas_prog2"):
-        yield f"{program}/-", "macro", None, load_program(program + ".ml")
 
 
 def _edges():
@@ -218,10 +198,11 @@ def _errors():
 
 # input set -> its (key, lang, strategy, source) inputs, in manifest order
 SETS = {
-    "program": _programs,
-    "divergent": _divergent,
+    "program": _corpus("program"),
+    # the contrast that generate_divergent makes
+    "divergent": _corpus("divergent", ("need", "name")),
     **{w: _workload(w) for w in BENCH_WORKLOADS},
-    "bundled": _bundled,
+    "bundled": _corpus("bundled"),
     "edge": _edges,
     "error": _errors,
 }
@@ -298,7 +279,7 @@ def test_any_input_prints_or_fails_at_a_position(data):
     if not isinstance(source, str):  # not UTF-8: an error at the first bad byte
         assert None not in source[2:]
         return
-    for lang, strategy in [("macro", None), *(("func", s) for s in STRATEGIES)]:
+    for lang, strategy in CELLS:
         plain = _outcome(lambda: run(source, lang, strategy)[0])
         traced = _outcome(lambda: run_with_metrics(source, lang, strategy)[0])
         assert plain == traced, (lang, strategy)

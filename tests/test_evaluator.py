@@ -4,7 +4,7 @@ from dataclasses import fields, is_dataclass
 from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from lazylab.environments import _Frame
 from lazylab.errors import (
@@ -24,19 +24,12 @@ from lazylab.evaluator import (
     Strategy,
     run_program,
 )
-from lazylab.lab import (
-    generate_divergent,
-    generate_program,
-    load_program,
-    metrics_from_events,
-    run_with_metrics,
-    trace_jsonl,
-)
+from lazylab.lab import metrics_from_events, run_with_metrics, trace_jsonl
 from lazylab.promises import Promise
 from lazylab.syntax import NESTING_LIMIT, parse_source, program_source
 from lazylab.trace import EventKind, TraceSink
 
-from conftest import bindings_of, count, of_kind
+from conftest import STRATEGIES, bindings_of, cell_runs, count, of_kind, sources_of
 
 
 def run(source, strategy=Strategy.NEED):
@@ -439,8 +432,7 @@ class _RecordingRun(FunclangRun):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(st.integers(0, 499).map(generate_program),
-                 st.integers(0, 199).map(generate_divergent)))
+@given(sources_of("program", "divergent"))
 def test_nodes_and_values_are_slotted_and_hash_by_structure(source):
     program = parse_source(source)
     reparsed = parse_source(program_source(program))
@@ -468,25 +460,22 @@ _ESCAPING_CLOSURES = (
 def test_every_promise_is_made_over_a_live_frame():
     """`PromiseStore.new` does not check its frame: the evaluator only hands
     it one that is live, which each trace shows."""
-    sources = ([generate_program(seed) for seed in range(500)]
-               + [generate_divergent(seed) for seed in range(200)]
-               + [load_program("r_prog1.fl"), load_program("r_prog2.fl")]
-               + list(_ESCAPING_CLOSURES))
+    runs = [*cell_runs("program"), *cell_runs("divergent"), *cell_runs("bundled"),
+            *((None, "func", s, source) for source in _ESCAPING_CLOSURES for s in STRATEGIES)]
     promises = failures = 0
-    for source in sources:
-        for strategy in Strategy:
-            try:
-                events = run_with_metrics(source, "func", strategy)[2]
-            except LazyLabError as err:
-                events = err.partial_trace
-                failures += 1
-            live = {0}
-            for ev in events:
-                if ev.kind is EventKind.ENV_CREATED:
-                    live.add(int(ev.subject[3:]))
-                elif ev.kind is EventKind.ENV_DISCARDED:
-                    live.remove(int(ev.subject[3:]))
-                elif ev.kind is EventKind.PROMISE_CREATED:
-                    assert ev.env in live, (source, strategy, ev)
-                    promises += 1
+    for _, lang, strategy, source in runs:
+        try:
+            events = run_with_metrics(source, lang, strategy)[2]
+        except LazyLabError as err:
+            events = err.partial_trace
+            failures += 1
+        live = {0}
+        for ev in events:
+            if ev.kind is EventKind.ENV_CREATED:
+                live.add(int(ev.subject[3:]))
+            elif ev.kind is EventKind.ENV_DISCARDED:
+                live.remove(int(ev.subject[3:]))
+            elif ev.kind is EventKind.PROMISE_CREATED:
+                assert ev.env in live, (source, strategy, ev)
+                promises += 1
     assert promises > 0 and failures > 0

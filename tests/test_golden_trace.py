@@ -13,15 +13,15 @@ import pytest
 from lazylab.cli import main
 from lazylab.lab import load_program
 
+from conftest import cell_runs
+
 GOLDEN = Path(__file__).parent / "golden"
 
+# (golden file, program, options): a file per program and cell on its engine
 CASES = [
-    (f"{program}.{strategy}", program + ".fl", ["--lang", "func", "--strategy", strategy])
-    for program in ("r_prog1", "r_prog2")
-    for strategy in ("strict", "need", "name")
-] + [
-    (program, program + ".ml", ["--lang", "macro"])
-    for program in ("sas_prog1", "sas_prog2")
+    (program.partition(".")[0] + (f".{strategy}" if strategy else ""), program,
+     ["--lang", lang, *(["--strategy", strategy] if strategy else [])])
+    for program, lang, strategy, _ in cell_runs("bundled")
 ]
 
 

@@ -17,6 +17,8 @@ import lazylab.trace
 from lazylab.cli import main
 from lazylab.evaluator import Strategy
 from lazylab.lab import (
+    CELLS,
+    CORPORA,
     PAIRS,
     DivergenceReport,
     PairName,
@@ -34,6 +36,8 @@ from lazylab.lab import (
 from lazylab.promises import PromiseStore
 from lazylab.syntax import Expr, FunctionDef, Ident, Stmt, expr_source, parse_source
 from lazylab.trace import EventKind, TraceEvent, TraceSink
+
+from conftest import STRATEGIES, cell_runs, sources_of
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py)
@@ -108,12 +112,11 @@ class TestRun:
         """In each cell of the grid, and func with no strategy, `run`'s lines
         and then its result unless None are `lazylab run`'s stdout, in text
         and in JSON; an input that `run` fails on exits 1."""
-        cells = [("func", "strict"), ("func", "need"), ("func", "name"), ("func", None),
-                 ("macro", None)]
-        inputs = {name: load_program(name)
-                  for name in ("r_prog1.fl", "r_prog2.fl", "sas_prog1.ml", "sas_prog2.ml")}
-        inputs["sum"], path, failed = "1 + 2\n", tmp_path / "input", set()
-        for (lang, strategy), (name, source) in itertools.product(cells, inputs.items()):
+        seeds, make = CORPORA["bundled"]
+        inputs = {name: make(name) for name in seeds}
+        inputs["sum"], path, failed = ("func", "1 + 2\n"), tmp_path / "input", set()
+        cells = [*CELLS, ("func", None)]
+        for (lang, strategy), (name, (_, source)) in itertools.product(cells, inputs.items()):
             path.write_text(source)
             argv = ["run", "--lang", lang, str(path)]
             argv += ["--strategy", strategy] if strategy else []
@@ -130,9 +133,10 @@ class TestRun:
             assert json.loads(capsys.readouterr().out) == {"lines": printed, "result": result}
         # strict evaluates r_prog1's default z = a + b before `a` is assigned,
         # and no funclang cell reads a maclang program
-        assert failed == {("strict", "r_prog1.fl"), *itertools.product(
-            ("strict", "need", "name", None), ("sas_prog1.ml", "sas_prog2.ml"))}
-        assert run(inputs["sum"], "func") == ([], "3")
+        assert failed == {("strict", "r_prog1.fl"), *(
+            (strategy, name) for lang, strategy in cells for name, (engine, _) in inputs.items()
+            if lang == "func" and engine == "macro")}
+        assert run("1 + 2\n", "func") == ([], "3")
 
     def test_func_defaults_to_need(self):
         source = load_program("r_prog2.fl")
@@ -204,15 +208,11 @@ class TestPlainRuns:
             raise _EmitCalled(args, kwargs)
 
         monkeypatch.setattr(lazylab.trace.TraceSink, "emit", no_emit)
-        inputs = [("func", strategy, name, load_program(name))
-                  for name in ("r_prog1.fl", "r_prog2.fl")
-                  for strategy in ("strict", "need", "name")]
-        inputs += [("macro", None, name, load_program(name))
-                   for name in ("sas_prog1.ml", "sas_prog2.ml")]
+        inputs = list(cell_runs("bundled"))
         for w in workloads.WORKLOADS:
             case = workloads.build(w, 1)[0]
-            inputs += [(case.lang, strategy, w, case.source) for strategy in case.strategies]
-        for lang, strategy, name, source in inputs:
+            inputs += [(w, case.lang, strategy, case.source) for strategy in case.strategies]
+        for name, lang, strategy, source in inputs:
             path = tmp_path / "input"
             path.write_text(source)
             argv = ["run", "--lang", lang, str(path)]
@@ -303,12 +303,8 @@ class TestGenerator:
     @pytest.mark.parametrize("seed", range(0, 40))
     def test_strategies_agree_on_the_fragment(self, seed):
         src = generate_program(seed, 14)
-        outputs = {
-            s: run_with_metrics(src, "func", s)[0]
-            for s in (Strategy.STRICT, Strategy.NEED, Strategy.NAME)
-        }
-        assert outputs[Strategy.NEED] == outputs[Strategy.STRICT]
-        assert outputs[Strategy.NAME] == outputs[Strategy.STRICT]
+        outputs = [run_with_metrics(src, "func", s)[0] for s in STRATEGIES]
+        assert outputs == [outputs[0]] * len(outputs)
 
     @pytest.mark.parametrize("seed", range(0, 20))
     def test_divergent_mode_separates_need_from_name(self, seed):
@@ -344,8 +340,7 @@ _PROMISE_KINDS = (EventKind.PROMISE_CREATED, EventKind.PROMISE_FORCED,
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(st.integers(0, 499).map(generate_program),
-                 st.integers(0, 199).map(generate_divergent)),
+@given(sources_of("program", "divergent"),
        st.sampled_from([Strategy.NEED, Strategy.NAME]))
 def test_every_promise_event_names_a_parameter(source, strategy):
     params = _parameter_names(source)
