@@ -44,11 +44,11 @@ CHAINED_CALLEE = "f <- function() { f" + "()" * 40 + " }\nf()\n"
 class TestRun:
     def test_func_need(self, prog1_func, capsys):
         assert main(["run", "--lang", "func", "--strategy", "need", prog1_func]) == 0
-        assert capsys.readouterr().out == "2 20 7\n"
+        assert capsys.readouterr() == ("2 20 7\n", "")
 
     def test_macro(self, prog2_macro, capsys):
         assert main(["run", "--lang", "macro", prog2_macro]) == 0
-        assert capsys.readouterr().out == "20\n100\n"
+        assert capsys.readouterr() == ("20\n100\n", "")
 
     def test_strategy_with_macro_is_usage_error(self, prog2_macro, capsys):
         assert main(["run", "--lang", "macro", "--strategy", "need", prog2_macro]) == 2
@@ -356,8 +356,7 @@ class TestTrace:
 class TestDiff:
     def test_need_vs_name_diverges(self, prog2_func, capsys):
         assert main(["diff", "need", "name", prog2_func]) == 3
-        out = capsys.readouterr().out
-        assert "DIVERGED at line 2" in out and "'20'" in out and "'100'" in out
+        assert capsys.readouterr() == ("DIVERGED at line 2: '20' vs '100'\n", "")
 
     def test_agreeing_strategies(self, tmp_path, capsys):
         path = _file(tmp_path, "line.fl", "x <- 2\nprint(x * 3)\n")
@@ -393,11 +392,12 @@ class TestDiff:
 class TestPairs:
     def test_expected_pattern(self, capsys):
         assert main(["pairs"]) == 0
-        assert capsys.readouterr().out == (
+        assert capsys.readouterr() == (
             "PROGRAM1      EQUAL\n"
             "PROGRAM2      DIVERGED at line 2: '20' vs '100'\n"
             "PROGRAM2_NAME EQUAL\n"
-            "verdict pattern: expected\n"
+            "verdict pattern: expected\n",
+            "",
         )
 
     def test_json_verdicts(self, capsys):
@@ -420,6 +420,14 @@ class TestGen:
         assert main(["gen", "--seed", "5", "--size", "10"]) == 0
         assert capsys.readouterr().out == first
         assert "function" in first
+
+    def test_output_runs(self, capsys, monkeypatch):
+        # lazylab gen --seed 7 --size 14 | lazylab run --lang func -
+        assert main(["gen", "--seed", "7", "--size", "14"]) == 0
+        program = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(program.encode())))
+        assert main(["run", "--lang", "func", "-"]) == 0
+        assert capsys.readouterr() == ("18\n18\n", "")
 
 
 class TestDiagnosticColor:
@@ -518,3 +526,147 @@ def test_repeated_invocations_are_byte_identical(prog2_macro):
         for _ in range(2)
     ]
     assert runs[0] == runs[1] == b"20\n100\n"
+
+
+# The CLI's cases as one table: each row is argv, stdin, the exit code, and
+# the exact stdout and stderr. The rows run from the repo root, so a
+# diagnostic names a bundled program by the path the README's examples give
+# it.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PROGRAMS = "src/lazylab/programs/"
+NESTED = "c(1, " * 16 + "x" + ")" * 16
+ESCAPING = b"mk <- function(a) { function(b) { a + b } }\nh <- mk(1)\nh(2)\n"
+STRATEGY_WITH_MACRO = "lazylab: error: --strategy is only valid with --lang func\n"
+STRICT_FAILS = f"{PROGRAMS}r_prog1.fl:1:38: error: unbound name 'a'\n"
+CLI_CASES = {
+    # funclang; need prints y's first value twice, then echoes the final call's
+    "run-need-echoes-result": (["run", "--lang", "func", "--strategy", "need",
+                                PROGRAMS + "r_prog2.fl"], b"", 0, "20\n20\n20\n", ""),
+    # an argument re-read through nested `c(1, ` under name, each read
+    # re-evaluating a chain of promises, is a positioned diagnostic
+    "reread-chain-name": (["run", "--lang", "func", "--strategy", "name", "-"],
+                          f"g <- function(y) {{ y }}\nf <- function(x, n) {{ print(x)\n"
+                          f"f({NESTED}, n) }}\nf(1, 0)\n".encode(), 1, "",
+                          "<stdin>:3:83: error: evaluating an argument exceeded 100 nested calls"
+                          " and argument evaluations\n"),
+    # so is a recursion through a parameter read under nested `c(1, ` in the
+    # called function's body
+    "called-body-need": (["run", "--lang", "func", "--strategy", "need", "-"],
+                         f"g <- function(x) {{ {NESTED} }}\nf <- function(y) {{ g(f(y)) }}\n"
+                         "f(1)\n".encode(), 1, "",
+                         "<stdin>:2:21: error: calling a function exceeded 100 nested calls"
+                         " and argument evaluations\n"),
+    # a closure that escapes its call meets its discarded frame at its first
+    # lookup there
+    "escaping-closure-need": (["run", "--lang", "func", "--strategy", "need", "-"], ESCAPING, 1,
+                              "", "<stdin>:3:2: error: environment env1 was discarded\n"),
+    "escaping-closure-strict": (["run", "--lang", "func", "--strategy", "strict", "-"], ESCAPING,
+                                1, "", "<stdin>:3:2: error: environment env1 was discarded\n"),
+    "parse-error": (["run", "--lang", "func", "-"], b"f <- function(a) {\n  a +\n}\n", 1, "",
+                    "<stdin>:3:1: error: expected a number or a name or '(' or 'function',"
+                    " found '}'\n"),
+    # diff parses once, before either run, so its parse error names no strategy
+    "diff-parse-error": (["diff", "need", "strict", "-"], b"x <- 1 +\n", 1, "",
+                         "<stdin>:2:1: error: expected a number or a name or '(' or 'function',"
+                         " found 'end of input'\n"),
+    "strategy-with-macro": (["run", "--lang", "macro", "--strategy", "need",
+                             PROGRAMS + "sas_prog2.ml"], b"", 2, "", STRATEGY_WITH_MACRO),
+    # also on stdin, before any input is read
+    "strategy-with-macro-stdin": (["run", "--lang", "macro", "--strategy", "need", "-"], b"", 2,
+                                  "", STRATEGY_WITH_MACRO),
+    # the printed lines, the final bare expression's value among them, and
+    # that value as the result
+    "json-output": (["run", "--lang", "func", "--output", "json", "-"], b"1 + 2\n", 0,
+                    '{"lines": ["3"], "result": "3"}\n', ""),
+    # without trailing zeros, one space between a vector's elements
+    "value-format": (["run", "--lang", "func", "-"], b"print(c(1.50, 2.0 * 3))\n", 0,
+                     "1.5 6\n", ""),
+    # a CRLF ends a line, and a `²` may go on a name but starts no token
+    "crlf-superscript": (["run", "--lang", "func", "-"],
+                         b"x <- 1 # note\r\ny <- a\xc2\xb2 + \xc2\xb2\n", 1, "",
+                         "<stdin>:2:11: error: unexpected character '²'\n"),
+    # under strict both fail at the same position
+    "strict-run-fails": (["run", "--lang", "func", "--strategy", "strict",
+                          PROGRAMS + "r_prog1.fl"], b"", 1, "", STRICT_FAILS),
+    "strict-trace-fails": (["trace", "--lang", "func", "--strategy", "strict",
+                            PROGRAMS + "r_prog1.fl"], b"", 1,
+                           '{"format": "lazylab-trace", "version": 1}\n'
+                           '{"ord": 1, "kind": "ENV_CREATED", "subject": "env1",'
+                           ' "detail": "parent=env0"}\n'
+                           '{"ord": 2, "kind": "ENV_DISCARDED", "subject": "env1", "detail": ""}\n',
+                           STRICT_FAILS),
+    # maclang: %let in any keyword case, spaced, ended by CRLF or followed at
+    # once by the next statement
+    "let-forms": (["run", "--lang", "macro", "-"], b"%LeT X = 1 ;\r\n%let y=&x&x;%put [&y];\n",
+                  0, "[11]\n", ""),
+    "let-name-not-a-letter": (["run", "--lang", "macro", "-"], b"%let x=1;\n%let \xc2\xb2=1;\n",
+                              1, "", "<stdin>:2:6: error: expected a name after %let\n"),
+    # a non-ASCII name is lowercased once, at scan time, and read back in any case
+    "let-non-ascii-name": (["run", "--lang", "macro", "-"],
+                           b"%let \xc3\x89a=1;\n%put &\xc3\xa9A &\xc3\x89A;\n", 0, "1 1\n", ""),
+    # calls without arguments share one empty mapping, which no call writes
+    "calls-without-arguments": (["run", "--lang", "macro", "-"],
+                                b"%macro m(a=1); %put &a; %mend;\n%m(a=2) %m() %m\n", 0,
+                                "2\n1\n1\n", ""),
+    # argument keys in any case share one lowercased string per spelling
+    "argument-key-case": (["run", "--lang", "macro", "-"],
+                          b"%macro m(a=0); %put &a; %mend;\n%m(A=1) %m(a=2) %M(A=3)\n", 0,
+                          "1\n2\n3\n", ""),
+    # %eval divides truncating toward zero, with * binding tighter than +
+    "eval-arithmetic": (["run", "--lang", "macro", "-"], b"%put %eval(-7/2) %eval(2*(3+4));\n",
+                        0, "-3 14\n", ""),
+    "eval-division-by-zero": (["run", "--lang", "macro", "-"], b"%put %eval(1/0);\n", 1, "",
+                              "<stdin>:1:1: error: division by zero in %eval\n"),
+    # a nested call is evaluated inner first, and an un-nested one, in any
+    # case and spaced before its '(', where it closes
+    "eval-nested": (["run", "--lang", "macro", "-"], b"%put %eval(1+%eval(2*3)) %EVAL (4);\n",
+                    0, "7 4\n", ""),
+    # calls side by side in one call, and a call inside parentheses, in one walk
+    "eval-side-by-side": (["run", "--lang", "macro", "-"],
+                          b"%put %eval(%eval(1)+%eval(2)*%eval(3)) %eval((%eval(4)));\n", 0,
+                          "7 4\n", ""),
+    # an unterminated call is reported before the division inside it runs
+    "eval-unterminated": (["run", "--lang", "macro", "-"], b"%put %eval(%eval(1/0) + 1;\n", 1,
+                          "", "<stdin>:1:1: error: unterminated %eval(...)\n"),
+    "eval-left-open": (["run", "--lang", "macro", "-"], b"%put %eval(1) %eval(2;\n", 1, "",
+                       "<stdin>:1:1: error: unterminated %eval(...)\n"),
+    # a default's `&` text is split once per session, and its reference is
+    # resolved again at each invocation, after the global it reads changed
+    "default-reresolved": (["run", "--lang", "macro", "-"],
+                           b"%let g=1; %macro m(a=&g); %put &a; %mend; %m() %let g=2; %m()"
+                           b" %m(a=&g&g)\n", 0, "1\n2\n22\n", ""),
+    # a statement is positioned only when it fails: in a body on its second
+    # invocation, from the records scanned on the first, and after a
+    # 300-character %let value, more than 256 characters on
+    "body-second-invocation": (["run", "--lang", "macro", "-"],
+                               b"%macro m(a=x);\n  %put &a;\n%mend;\n%m()\n%m(a=&nope)\n", 1,
+                               "", "<stdin>:2:3: error: unresolved reference '&nope'\n"),
+    "after-long-let": (["run", "--lang", "macro", "-"],
+                       b"%let x=" + b"v" * 300 + b";%put &nope;\n", 1, "",
+                       "<stdin>:1:309: error: unresolved reference '&nope'\n"),
+    # a call's name in any case, its argument list over lines, and a value
+    # holding parentheses and a comma
+    "call-over-lines": (["run", "--lang", "macro", "-"],
+                        b"%macro m(a=0, b=0); %put &a|&b; %mend;\n%M\n(A=1,\n b = f(2, 3))\n",
+                        0, "1|f(2, 3)\n", ""),
+    # open code, with its references and %eval, is skipped up to the next statement
+    "open-code-skipped": (["run", "--lang", "macro", "-"],
+                          b"%let x=1;\nwords &x (2 20 7) %eval(1) %put [&x];\n", 0, "[1]\n", ""),
+    # a name without default, and a parenthesised default holding a comma
+    "header-defaults": (["run", "--lang", "macro", "-"],
+                        b"%macro m(a, b=(1,2)) ; %put &a|&b; %mend;\n%m(a=x)\n", 0,
+                        "x|(1,2)\n", ""),
+    "stray-ampersand": (["run", "--lang", "macro", "-"], b"%let x=1;\nwords &x\n& 5\n", 1, "",
+                        "<stdin>:3:1: error: stray '&'\n"),
+}
+
+
+@pytest.mark.parametrize("argv,stdin,code,out,err", CLI_CASES.values(), ids=CLI_CASES.keys())
+def test_cli_case(capsys, monkeypatch, argv, stdin, code, out, err):
+    """One row of CLI_CASES through `cli.main`, in-process. `main` returns
+    the exit code rather than raising: the in-process form of "stderr holds
+    no Traceback"."""
+    monkeypatch.chdir(REPO_ROOT)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
+    assert main(argv) == code
+    assert capsys.readouterr() == (out, err)

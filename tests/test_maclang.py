@@ -498,10 +498,12 @@ class TestInvocation:
         assert count(events, EventKind.TABLE_CREATED) == count(events, EventKind.TABLE_DELETED) == 1
 
     def test_invoke_returns_only_its_own_lines(self):
+        """`invoke` appends the body's lines to `session.log`, after the lines
+        already there, and returns nothing."""
         session = MacroSession()
         session.run("%macro m(); %put inner; %mend;")
         session.put("before")
-        session.invoke("m")
+        assert session.invoke("m") is None
         assert session.log == ["before", "inner"]
 
 
