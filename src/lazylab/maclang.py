@@ -387,7 +387,7 @@ def eval_arith(text: str) -> int:
         term = term * value if op == "*" else _divide(term, value)
         want_operand = False
     if want_operand:
-        raise ArithSyntaxError("expected an integer, found None")
+        raise ArithSyntaxError("expected an integer, found end of expression")
     if stack:
         raise ArithSyntaxError("missing ')' in integer expression")
     return total + term

@@ -617,6 +617,10 @@ CLI_CASES = {
                         0, "-3 14\n", ""),
     "eval-division-by-zero": (["run", "--lang", "macro", "-"], b"%put %eval(1/0);\n", 1, "",
                               "<stdin>:1:1: error: division by zero in %eval\n"),
+    # an expression that ends where an operand is due names the end in words
+    "eval-ends-before-operand": (["run", "--lang", "macro", "-"], b"%put %eval(1+);\n", 1, "",
+                                 "<stdin>:1:1: error: expected an integer, found end of"
+                                 " expression\n"),
     # a nested call is evaluated inner first, and an un-nested one, in any
     # case and spaced before its '(', where it closes
     "eval-nested": (["run", "--lang", "macro", "-"], b"%put %eval(1+%eval(2*3)) %EVAL (4);\n",

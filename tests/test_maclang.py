@@ -279,7 +279,8 @@ def _recursive_eval_arith(text: str) -> int:
                 raise ArithSyntaxError("missing ')' in integer expression")
             take()
             return value
-        raise ArithSyntaxError(f"expected an integer, found {tok!r}")
+        found = "end of expression" if tok is None else repr(tok)
+        raise ArithSyntaxError(f"expected an integer, found {found}")
 
     value = expr()
     if pos != len(toks):
