@@ -39,10 +39,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Run and compare call-by-need and call-by-name evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    engines = list(dict.fromkeys(engine for engine, _ in CELLS))
     strategies = [strategy for engine, strategy in CELLS if engine == "func"]
 
     def add_common(p):
-        p.add_argument("--lang", choices=["func", "macro"], required=True)
+        p.add_argument("--lang", choices=engines, required=True)
         p.add_argument("--strategy", choices=strategies,
                        help="argument-passing strategy (func only; default: need)")
         p.add_argument("input", help="program file, or '-' for stdin")

@@ -10,11 +10,8 @@ registry and cannot be discarded.
 """
 
 from .errors import CannotDiscardGlobalError, DiscardedEnvError, UnboundNameError
-from .trace import EventKind, TraceSink
+from .trace import ENV_CREATED, ENV_DISCARDED, TraceSink
 
-# module names for every call (the hot-path rule in syntax's docstring)
-_ENV_CREATED = EventKind.ENV_CREATED
-_ENV_DISCARDED = EventKind.ENV_DISCARDED
 _UNBOUND = object()  # no binding of the name in a frame
 
 
@@ -57,7 +54,7 @@ class EnvRegistry:
         else:
             name = f"env{fid}"
             self._frames[fid] = _Frame(parent, name)
-            self._trace.emit(_ENV_CREATED, name, "", None, None, None, parent)
+            self._trace.emit(ENV_CREATED, name, "", None, None, None, parent)
         return fid
 
     def lookup(self, env: int, name: str) -> object:
@@ -85,4 +82,4 @@ class EnvRegistry:
         frame = self._live(env)
         del self._frames[env]
         if self._trace is not None:
-            self._trace.emit(_ENV_DISCARDED, frame.name)
+            self._trace.emit(ENV_DISCARDED, frame.name)

@@ -10,6 +10,11 @@ Three strategies share one AST and one runtime:
 * NAME — call-by-name: arguments are wrapped the same way but re-evaluated
   on every read; nothing is cached.
 
+A run makes the strategy's two decisions once, when it is made: whether a
+call binds its arguments' values or promises, and which `PromiseStore` method
+reads a promise, `force` or `evaluate_uncached`.  No call or read tests the
+strategy again.
+
 Supplied-argument promises capture the caller's environment; default
 promises capture the execution environment, so defaults see assignments made
 earlier in the body.
@@ -59,7 +64,7 @@ from .syntax import (
     VectorCtor,
     format_value,
 )
-from .trace import EventKind, TraceSink
+from .trace import OUTPUT_LINE, TraceSink
 
 
 class Strategy(str, Enum):
@@ -73,11 +78,6 @@ class Strategy(str, Enum):
 # most 615 of Python's default 1,000 frames; the rest is the callers'.
 CALL_DEPTH_LIMIT = 100
 _LEVELS = "nested calls and argument evaluations"
-
-# module names for every read and call (the hot-path rule in syntax's docstring)
-_STRICT = Strategy.STRICT
-_NAME = Strategy.NAME
-_OUTPUT_LINE = EventKind.OUTPUT_LINE
 
 
 # A value is a Decimal, a tuple of Decimals (a vector) or a Closure.  A closure
@@ -114,6 +114,11 @@ class FunclangRun:
         self.trace = trace
         self.envs = EnvRegistry(self.trace)
         self.promises = PromiseStore(self.trace)
+        # the strategy's two decisions (the module docstring); a bound method
+        # in place of the function would add about 64 bytes to a run (CPython 3.11.7)
+        self._strict = self.strategy is Strategy.STRICT
+        self._read_promise = (PromiseStore.evaluate_uncached
+                              if self.strategy is Strategy.NAME else PromiseStore.force)
         self.output = Output()
         self.depth = 0  # levels in progress: call weights and promise evaluations
 
@@ -134,7 +139,7 @@ class FunclangRun:
             line = format_value(value)
             self.output.lines.append(line)
             if self.trace is not None:
-                self.trace.emit(_OUTPUT_LINE, "stdout", line)
+                self.trace.emit(OUTPUT_LINE, "stdout", line)
         return value
 
     def eval_expr(self, e: Expr, env: int) -> Value:
@@ -162,9 +167,7 @@ class FunclangRun:
     def _read(self, name: str, env: int) -> Value:
         binding = self.envs.lookup(env, name)
         if isinstance(binding, Promise):
-            if self.strategy is _NAME:
-                return self.promises.evaluate_uncached(binding, self._evaluate)
-            return self.promises.force(binding, self._evaluate)
+            return self._read_promise(self.promises, binding, self._evaluate)
         if binding is MISSING:
             raise MissingArgError(name)
         return binding
@@ -234,7 +237,7 @@ class FunclangRun:
         try:
             args = call.args
             supplied = self._match_args(defn.params, args)
-            strict = self.strategy is _STRICT
+            strict = self._strict
             if strict:
                 # Supplied args evaluate in the caller, in source order,
                 # before any default.

@@ -21,7 +21,8 @@ from .errors import LazyLabError
 from .evaluator import Strategy, run_program
 from .maclang import run_session
 from .syntax import format_value, parse_source
-from .trace import DETAIL, EventKind, TraceEvent, TraceSink
+from .trace import (DETAIL, NAME_REEVAL, OUTPUT_LINE, PROMISE_CACHE_HIT, PROMISE_FORCED,
+                    TABLE_DELETED, VAR_RESOLVED, VAR_STORED, EventKind, TraceEvent, TraceSink)
 
 TRACE_FORMAT = "lazylab-trace"
 TRACE_VERSION = 1
@@ -58,15 +59,6 @@ class Metrics:
         return dict(vars(self))
 
 
-# module names: on Python 3.11 reading EventKind.VAR_RESOLVED goes through
-# the enum metaclass's __getattr__ hook, which made the fold below five
-# times slower
-_RESOLVED, _STORED = EventKind.VAR_RESOLVED, EventKind.VAR_STORED
-_FORCED, _REEVAL, _CACHE_HIT = (EventKind.PROMISE_FORCED, EventKind.NAME_REEVAL,
-                                EventKind.PROMISE_CACHE_HIT)
-_DELETED, _OUTPUT = EventKind.TABLE_DELETED, EventKind.OUTPUT_LINE
-
-
 def metrics_from_events(events: list[TraceEvent]) -> Metrics:
     """Aggregate counters from a trace; a pure function of the event list."""
     evaluations: dict[str, int] = {}
@@ -78,9 +70,9 @@ def metrics_from_events(events: list[TraceEvent]) -> Metrics:
     # and stores
     for ev in events:
         kind = ev.kind
-        if kind is _RESOLVED:
+        if kind is VAR_RESOLVED:
             resolutions[ev.subject] = resolutions.get(ev.subject, 0) + 1
-        elif kind is _STORED:
+        elif kind is VAR_STORED:
             # not `setdefault(ev.table, {})`, which builds a dict per store
             if (entries := table_bytes.get(ev.table)) is None:
                 entries = table_bytes[ev.table] = {}
@@ -89,19 +81,19 @@ def metrics_from_events(events: list[TraceEvent]) -> Metrics:
             entries[ev.subject] = nbytes
             if running > peak:
                 peak = running
-        elif kind is _FORCED or kind is _REEVAL:
+        elif kind is PROMISE_FORCED or kind is NAME_REEVAL:
             name = ev.param
             accesses[name] = accesses.get(name, 0) + 1
             evaluations[name] = evaluations.get(name, 0) + 1
-            if kind is _FORCED:
+            if kind is PROMISE_FORCED:
                 forced += 1
-        elif kind is _CACHE_HIT:
+        elif kind is PROMISE_CACHE_HIT:
             name = ev.param
             accesses[name] = accesses.get(name, 0) + 1
-        elif kind is _DELETED:
+        elif kind is TABLE_DELETED:
             if (stored := table_bytes.pop(ev.subject, None)) is not None:
                 running -= sum(stored.values())
-        elif kind is _OUTPUT:
+        elif kind is OUTPUT_LINE:
             output_lines += 1
     return Metrics(arg_evaluations=evaluations, arg_accesses=accesses,
                    var_resolutions=resolutions, forced_value_slots=forced,
@@ -122,7 +114,8 @@ def run(source: str, lang: str, strategy: Strategy | str | None = None,
     `lazylab run` prints the lines, then that result unless it is None.
     `trace` is the sink to record into, or None for an untraced run."""
     if lang == "func":
-        out = run_program(parse_source(source), strategy or Strategy.NEED, trace)
+        strategy = Strategy.NEED if strategy is None else strategy
+        out = run_program(parse_source(source), strategy, trace)
         return out.lines, None if out.result is None else format_value(out.result)
     if lang != "macro":
         raise ValueError(f"unknown engine {lang!r}")

@@ -60,19 +60,11 @@ from .errors import (
     UnresolvedRefError,
     UnterminatedMacroError,
 )
-from .trace import EventKind, TraceSink
+from .trace import (ARITH_EVAL, OUTPUT_LINE, TABLE_CREATED, TABLE_DELETED, VAR_RESOLVED,
+                    VAR_STORED, TraceSink)
 
 RESCAN_LIMIT = 64
 MACRO_DEPTH_LIMIT = 100  # nested invocations; each nests two Python frames
-
-# module names for every reference, store and call (the hot-path rule in
-# syntax's docstring)
-_TABLE_CREATED = EventKind.TABLE_CREATED
-_TABLE_DELETED = EventKind.TABLE_DELETED
-_VAR_STORED = EventKind.VAR_STORED
-_VAR_RESOLVED = EventKind.VAR_RESOLVED
-_ARITH_EVAL = EventKind.ARITH_EVAL
-_OUTPUT_LINE = EventKind.OUTPUT_LINE
 
 
 # --- statement scanner
@@ -452,7 +444,7 @@ def resolve_text(text: str, tables: list[SymbolTable], trace: TraceSink | None,
             raise DepthExceededError(f"resolving '&{template[k]}'", RESCAN_LIMIT,
                                      "rescans (self-referential value?)")
         if trace is not None:
-            trace.emit(_VAR_RESOLVED, key, entry, owner.trace_label)
+            trace.emit(VAR_RESOLVED, key, entry, owner.trace_label)
         parts.append(resolve_text(entry, tables, trace, templates, _depth + 1)
                      if "&" in entry else entry)
         parts.append(template[k + 2])
@@ -544,7 +536,7 @@ def _result(inner: str, trace: TraceSink | None) -> str:
     except ValueError:  # CPython's int/str conversion digit limit
         raise NumberTooLargeError("%eval result has too many digits to print") from None
     if trace is not None:
-        trace.emit(_ARITH_EVAL, inner.strip(), result)
+        trace.emit(ARITH_EVAL, inner.strip(), result)
     return result
 
 
@@ -642,9 +634,9 @@ class MacroSession:
             ordinal = self._invocations.get(definition.name, 0) + 1
             self._invocations[definition.name] = ordinal
             table.trace_label = f"{definition.name}#{ordinal}"
-            self.trace.emit(_TABLE_CREATED, table.trace_label, definition.name)
+            self.trace.emit(TABLE_CREATED, table.trace_label, definition.name)
             for key, text in table.entries.items():
-                self.trace.emit(_VAR_STORED, key, text, table.trace_label, "param")
+                self.trace.emit(VAR_STORED, key, text, table.trace_label, "param")
         try:
             if definition.body is None:
                 definition.body = scan(definition.body_text,
@@ -655,7 +647,7 @@ class MacroSession:
         finally:
             del self._tables[0]
             if self.trace is not None:
-                self.trace.emit(_TABLE_DELETED, table.trace_label)
+                self.trace.emit(TABLE_DELETED, table.trace_label)
 
     def _split_texts(self, definition: MacroDef):
         """Add the `_template` of each `&` text among the macro's defaults and
@@ -687,7 +679,7 @@ class MacroSession:
             table = self._tables[0]
         table.entries[name] = value
         if self.trace is not None:
-            self.trace.emit(_VAR_STORED, name, value, table.trace_label, "let")
+            self.trace.emit(VAR_STORED, name, value, table.trace_label, "let")
 
     def put(self, text: str):
         if text.strip().lower() == "_user_":
@@ -701,7 +693,7 @@ class MacroSession:
     def _log_line(self, line: str):
         self.log.append(line)
         if self.trace is not None:
-            self.trace.emit(_OUTPUT_LINE, "log", line)
+            self.trace.emit(OUTPUT_LINE, "log", line)
 
 
 def run_session(source: str, trace: TraceSink | None = None) -> MacroOutput:

@@ -31,7 +31,7 @@ from typing import Callable
 
 from .errors import CyclicForceError
 from .syntax import Expr, expr_source, format_value
-from .trace import EventKind, TraceSink
+from .trace import NAME_REEVAL, PROMISE_CACHE_HIT, PROMISE_CREATED, PROMISE_FORCED, TraceSink
 
 
 class PromiseState(str, Enum):
@@ -44,10 +44,6 @@ class PromiseState(str, Enum):
 _UNFORCED = PromiseState.UNFORCED
 _FORCING = PromiseState.FORCING
 _FORCED = PromiseState.FORCED
-_PROMISE_CREATED = EventKind.PROMISE_CREATED
-_PROMISE_FORCED = EventKind.PROMISE_FORCED
-_PROMISE_CACHE_HIT = EventKind.PROMISE_CACHE_HIT
-_NAME_REEVAL = EventKind.NAME_REEVAL
 
 
 class Promise:
@@ -89,7 +85,7 @@ class PromiseStore:
         printed = self._exprs.get(id(expr))
         if printed is None:
             printed = self._exprs[id(expr)] = (expr, expr_source(expr))
-        self._trace.emit(_PROMISE_CREATED, name, printed[1], None, None, label, env)
+        self._trace.emit(PROMISE_CREATED, name, printed[1], None, None, label, env)
         return Promise(name, expr, env, label, weight)
 
     def _text(self, value: object) -> str:
@@ -106,7 +102,7 @@ class PromiseStore:
         """Return the cached value, evaluating once on first use."""
         if p.state is _FORCED:
             if self._trace is not None:
-                self._trace.emit(_PROMISE_CACHE_HIT, p.name, "", None, None, p.label)
+                self._trace.emit(PROMISE_CACHE_HIT, p.name, "", None, None, p.label)
             return p.value
         if p.state is _FORCING:
             raise CyclicForceError(p.label)
@@ -119,7 +115,7 @@ class PromiseStore:
         p.value = value
         p.state = _FORCED
         if self._trace is not None:
-            self._trace.emit(_PROMISE_FORCED, p.name, self._text(value), None, None, p.label)
+            self._trace.emit(PROMISE_FORCED, p.name, self._text(value), None, None, p.label)
         return value
 
     def evaluate_uncached(self, p: Promise, evaluator: Evaluator) -> object:
@@ -132,5 +128,5 @@ class PromiseStore:
         finally:
             p.state = _UNFORCED
         if self._trace is not None:
-            self._trace.emit(_NAME_REEVAL, p.name, self._text(value), None, None, p.label)
+            self._trace.emit(NAME_REEVAL, p.name, self._text(value), None, None, p.label)
         return value

@@ -11,10 +11,12 @@ ends, so a statement may start with a parenthesised expression.  Parentheses,
 deep; the `(` beyond it is a positioned `DepthExceededError`.
 
 Hot-path rule, here and in the engines: hot code reads Enum members through
-private module-level names (`_EOF = TokKind.EOF`), because on CPython 3.11
-every `TokKind.EOF` read goes through the Enum metaclass and costs about ten
-times a global read.  No AST class has a subclass, so the evaluator compares
-a node's `__class__` by identity instead of calling `isinstance`.
+module-level names, never as `TokKind.EOF`, for the cost measured under
+`trace.EventKind`.  This module binds its token kinds to private names
+(`_EOF = TokKind.EOF`), `promises` its promise states, and `trace` the event
+kinds, once, for every module that emits or folds them.  No AST class has a
+subclass, so the evaluator compares a node's `__class__` by identity instead
+of calling `isinstance`.
 
 `tokenize` makes no object per token: it appends each token's kind, text,
 line and column to four parallel lists, which `Tokens` holds, and the parser

@@ -148,6 +148,9 @@ class TestRun:
             run(load_program("sas_prog2.ml"), "macro", "need")
         with pytest.raises(ValueError, match="unknown engine 'cobol'"):
             run("1 + 2\n", "cobol")
+        # only None means the default, need; an empty strategy is unknown
+        with pytest.raises(ValueError, match="'' is not a valid Strategy"):
+            run("1 + 2\n", "func", "")
 
 
 class TestTracedRuns:

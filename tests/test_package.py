@@ -1,8 +1,10 @@
 """The package's own names are the README's library sketch plus
 `LazyLabError`, the sketch runs as written, `lazylab.cli` holds every name
-that bench/run.py reads off it, and every trace event passes through the
-`TraceSink.emit` that bench/spans.py counts."""
+that bench/run.py reads off it, every trace event passes through the
+`TraceSink.emit` that bench/spans.py counts, and `trace` is the one module
+that names the event kinds."""
 
+import ast
 import importlib
 import re
 import types
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import lazylab
 import lazylab.cli
+import lazylab.trace
 from lazylab.evaluator import Output
 from lazylab.lab import Verdict, run_with_metrics
 from lazylab.trace import EventKind as K
@@ -18,6 +21,7 @@ from lazylab.trace import EventKind as K
 README = Path(__file__).resolve().parents[1] / "README.md"
 BENCH = README.parent / "bench"
 BENCH_RUN = BENCH / "run.py"
+PACKAGE = README.parent / "src" / "lazylab"
 
 
 def library_sketch() -> str:
@@ -80,3 +84,39 @@ def test_spans_count_every_event_of_the_sinks(monkeypatch):
             "maclang.refs_resolved": kinds[K.VAR_RESOLVED],
             "maclang.stores": kinds[K.VAR_STORED],
         }, workload
+
+
+def _member_aliases(path: Path, enum: str) -> list[str]:
+    """The module-level names that `path` binds to members of `enum`, as
+    `X = Enum.X`, `X, Y = Enum.X, Enum.Y` or `X, Y = Enum`."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        unpacks = (isinstance(value, ast.Name) and value.id == enum
+                   and any(isinstance(t, ast.Tuple) for t in targets))
+        members = value.elts if isinstance(value, ast.Tuple) else [value]
+        if unpacks or any(isinstance(m, ast.Attribute) and isinstance(m.value, ast.Name)
+                          and m.value.id == enum for m in members):
+            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_trace_is_the_one_holder_of_the_event_kind_names():
+    """Hot code reads an event kind through a module name, not `EventKind.X`
+    (the comment under `trace.EventKind`). `trace` binds the twelve names,
+    each to its own member, and no other module binds one; the evaluator
+    binds no `Strategy` member either, since a run decides what its strategy
+    means once, when it is made."""
+    assert len(K) == 12
+    assert [kind.name for kind in K if getattr(lazylab.trace, kind.name, None) is not kind] == []
+    assert sorted(_member_aliases(PACKAGE / "trace.py", "EventKind")) == sorted(K.__members__)
+    aliases = {path.name: _member_aliases(path, "EventKind")
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "trace.py"}
+    assert len(aliases) >= 9 and {name: a for name, a in aliases.items() if a} == {}
+    assert _member_aliases(PACKAGE / "evaluator.py", "Strategy") == []
