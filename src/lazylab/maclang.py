@@ -33,7 +33,9 @@ from `)` to `)`, counting the `(` before each, and searches once per call
 for the next `%eval(`; an outermost call that holds none is evaluated where
 it closes, and only a call that opens in another puts the enclosing one on
 a stack.
-In the arithmetic one search finds what the call's tokens cannot hold, and
+In the arithmetic one search finds what the call's tokens cannot hold (in a
+text of at most 640 characters, a bad character only, since no digit run
+there is too long to convert), two C calls split the text into tokens, and
 one pass over the tokens keeps a running sum and term per open `(`.  One
 global symbol table lives for the whole session; each macro invocation
 pushes a local table that is deleted at `%mend`, and invocations nest at
@@ -304,11 +306,18 @@ def scan(source: str, line: int = 1, col: int = 1) -> list[tuple]:
 
 # --- %eval integer arithmetic
 
-_ARITH_TOKEN = re.compile(r"\d+|[-+*/()]")
 # what tokenizing can fail on: a character that is neither a digit, an
 # operator nor a blank, or a digit run too long for any int-string limit
-# CPython accepts (0, or 640 and up), so a run of at most 640 digits converts
-_ARITH_SUSPECT = re.compile(r"[^\d+\-*/() \t\r\n]|\d{641,}")
+# CPython accepts (0, or 640 and up), so a run of at most 640 digits converts.
+# A text of at most 640 characters holds no longer run and is searched for bad
+# characters only.  In a longer text a run is tried at its first digit only:
+# without the anchor `\d{641,}` is tried again at every digit of a run, and
+# the search is quadratic in the run's length.
+_ARITH_BAD = re.compile(r"[^\d+\-*/() \t\r\n]")
+_ARITH_SUSPECT = re.compile(r"[^\d+\-*/() \t\r\n]|(?<!\d)\d{641,}")
+# each operator with a blank on either side, so that `str.split` cuts a text
+# that passed the search into its tokens
+_ARITH_SPACED = str.maketrans({op: f" {op} " for op in "+-*/()"})
 
 
 def _divide(dividend: int, divisor: int) -> int:
@@ -324,15 +333,18 @@ def eval_arith(text: str) -> int:
 
     One search for what tokenizing can fail on raises the first such error
     in text order, before anything is evaluated; only then is the text split
-    into tokens, with one `findall`.  One pass over the tokens keeps a level's
-    sum of closed terms in `total` and its open term in `term`, which starts
-    as the sign of the `+` or `-` before it; each unary `-` negates `term`,
-    and `op` is the `*` or `/` that takes the next factor.  Each open `(`
-    stacks its enclosing level.  A factor is applied as soon as it is
-    complete, so each error is raised where a left-to-right reading meets
-    it; truncating division is odd in its dividend, so the sign carried in
-    `term` gives the same result as applying it last."""
-    suspect = _ARITH_SUSPECT.search(text)
+    into tokens, by one `str.translate` that puts blanks around each operator
+    and one `str.split`, which is exact because only digits, operators and
+    blanks are left.  One pass over the tokens keeps a level's sum of closed
+    terms in `total` and its open term in `term`, which starts as the sign
+    of the `+` or `-` before it; each unary `-` negates `term`, and `op` is
+    the `*` or `/` that takes the next factor.  Each open `(` stacks its
+    enclosing level.  A factor is applied as soon as it is complete, so each
+    error is raised where a left-to-right reading meets it; truncating
+    division is odd in its dividend, so the sign carried in `term` gives the
+    same result as applying it last."""
+    search = (_ARITH_BAD if len(text) <= 640 else _ARITH_SUSPECT).search
+    suspect = search(text)
     while suspect is not None:
         found = suspect.group()
         if len(found) == 1:
@@ -342,8 +354,8 @@ def eval_arith(text: str) -> int:
         except ValueError:  # CPython's int/str conversion digit limit
             raise NumberTooLargeError(
                 f"integer of {len(found)} digits is too long for %eval") from None
-        suspect = _ARITH_SUSPECT.search(text, suspect.end())
-    toks = _ARITH_TOKEN.findall(text)
+        suspect = search(text, suspect.end())
+    toks = text.translate(_ARITH_SPACED).split()
     if not toks:
         raise ArithSyntaxError("empty integer expression")
     stack: list[tuple] = []  # (total, term, op) of each enclosing level
@@ -387,9 +399,10 @@ def eval_arith(text: str) -> int:
 
 # --- symbol tables and resolution
 
-@dataclass
+@dataclass(slots=True)
 class SymbolTable:
-    """Name → raw text entries for one scope; insertion order preserved."""
+    """Name → raw text entries for one scope; insertion order preserved.
+    Slotted: `resolve_text` reads `entries` once per table it probes."""
     name: str  # "global", or the name of the macro whose invocation it serves
     entries: dict[str, str] = field(default_factory=dict)
     # "global", or "name#k" for the k-th invocation of a macro; only a traced
@@ -670,8 +683,10 @@ class MacroSession:
 
         `name` is lowercase, as the scanner's LET records hold it, and the
         table keeps that string as its key; lowering it here again cost a
-        C call per store."""
-        value = resolve_text(raw_text, self._tables, self.trace, self._templates)
+        C call per store.  A value without `&` is stored as it is, without
+        a call to `resolve_text`."""
+        value = resolve_text(raw_text, self._tables, self.trace, self._templates) \
+            if "&" in raw_text else raw_text
         for table in self._tables:  # innermost first; inline, one call less per store
             if name in table.entries:
                 break
@@ -682,7 +697,9 @@ class MacroSession:
             self.trace.emit(VAR_STORED, name, value, table.trace_label, "let")
 
     def put(self, text: str):
-        if text.strip().lower() == "_user_":
+        # `_user_` in any case, with blanks around it: only a text that holds
+        # `_` is copied twice to test for it
+        if "_" in text and text.strip().lower() == "_user_":
             for table in self._tables:
                 for key, value in table.entries.items():
                     self._log_line(f"{table.name.upper()} {key.upper()} {value}")

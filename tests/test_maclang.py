@@ -303,6 +303,14 @@ def _outcome(evaluate, text):
 @example("1/0 " + "9" * 5000)
 @example("--(1/(2-2))")
 @example("2*(3+4)/0 +")
+# either side of 640 characters, where the search starts to look for digit runs
+@example("1+" * 319 + "1x")
+@example("1+" * 320 + "x")
+@example("9" * 640 + "x")
+@example("9" * 641 + "x")
+@example("1+" * 400 + "٣" * 700)
+@example("1+" * 400 + "²")
+@example("1+" * 400 + "\f1")
 def test_eval_arith_matches_recursive_reference(text):
     assert _outcome(eval_arith, text) == _outcome(_recursive_eval_arith, text)
 
@@ -573,6 +581,13 @@ class TestLetAndPut:
         )
         out = run_session(src)
         assert out.log_lines == ["INNER I 1", "OUTER O 2", "GLOBAL G 7"]
+
+    def test_put_user_is_the_whole_text_in_any_case(self):
+        session = MacroSession()
+        session.run("%let g=7;")
+        for text in (" _User_ ", "\xa0_USER_\t", "a_user_", "_user_x"):
+            session.put(text)
+        assert session.log == ["GLOBAL G 7", "GLOBAL G 7", "a_user_", "_user_x"]
 
     def test_put_eval_after_a_capital_dotted_i(self):
         # "İ".lower() is two characters long; %eval is still found

@@ -129,6 +129,13 @@ def eval_sum(n: int) -> str:
     return "%put %eval(" + "+".join(["1"] * n) + ");\n"
 
 
+def digit_runs(n: int) -> str:
+    """`%eval` of 300 copies of one n-digit literal joined by `+`: the sum
+    stays linear in n, and the text is longer than 640 characters at either
+    size, so its search also looks for digit runs too long to convert."""
+    return "%put %eval(" + "+".join(["7" * n] * 300) + ");\n"
+
+
 def eval_calls(n: int) -> str:
     return "%put " + " ".join(f"w %eval({k})" for k in range(n)) + ";\n"
 
@@ -196,6 +203,7 @@ CASES = {
     "put-user": (17000, globals_table, put_user),
     "eval-sum": (3000, eval_sum, run_session),
     "eval-parentheses": (3000, eval_parentheses, run_session),
+    "digit-runs": (160, digit_runs, run_session),  # 4n = 640, the longest run searched for
     "eval-calls": (3000, eval_calls, run_session),
     "nested-eval-calls": (3000, nested_eval_calls, run_session),
     "entry-references": (3000, entry_references, run_session),
