@@ -203,7 +203,7 @@ CASES = {
     "put-user": (17000, globals_table, put_user),
     "eval-sum": (3000, eval_sum, run_session),
     "eval-parentheses": (3000, eval_parentheses, run_session),
-    "digit-runs": (160, digit_runs, run_session),  # 4n = 640, the longest run searched for
+    "digit-runs": (160, digit_runs, run_session),  # 4n = 640, the longest run that always converts
     "eval-calls": (3000, eval_calls, run_session),
     "nested-eval-calls": (3000, nested_eval_calls, run_session),
     "entry-references": (3000, entry_references, run_session),
