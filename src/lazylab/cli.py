@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from .errors import LazyLabError, LexError
+from .errors import LazyLabError, LexError, line_col
 # bench/run.py reads Strategy and run_program off this module
 from .evaluator import Strategy, run_program  # noqa: F401
 from .lab import (
@@ -122,7 +122,7 @@ def _read_input(path: str) -> str:
         # the column counts characters, as the lexers do
         before = data[:err.start].decode("utf-8")
         raise LexError(f"invalid UTF-8 byte 0x{data[err.start]:02x}",
-                       before.count("\n") + 1, len(before) - before.rfind("\n")) from None
+                       *line_col(before, 0, len(before), 1, 1)) from None
 
 
 def _cmd_run(args) -> int:

@@ -23,6 +23,14 @@ class LazyLabError(Exception):
         return self.message
 
 
+def line_col(text: str, start: int, end: int, line: int, col: int) -> tuple[int, int]:
+    """(line, col) of offset end in text, where offset start is at (line, col)."""
+    newlines = text.count("\n", start, end)
+    if newlines:
+        return line + newlines, end - text.rfind("\n", start, end)
+    return line, col + end - start
+
+
 # --- resource limits, in both engines
 
 class DepthExceededError(LazyLabError):

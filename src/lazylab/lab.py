@@ -1,6 +1,7 @@
 """Differential harness: runs, metrics, the v1 JSON-lines trace, output
 diffing, paired program comparisons, and deterministic program generation
-for property tests.
+for property tests. It is the one holder of the v1 trace layout, `DETAIL`'s
+`key=value` renderers included; `trace` records the events and renders none.
 
 `run` is the one holder of how an input runs in a cell of the (engine,
 strategy) grid and of what `lazylab run` prints; `run_with_metrics` is a
@@ -21,11 +22,9 @@ from .errors import LazyLabError
 from .evaluator import Strategy, run_program
 from .maclang import run_session
 from .syntax import format_value, parse_source
-from .trace import (DETAIL, NAME_REEVAL, OUTPUT_LINE, PROMISE_CACHE_HIT, PROMISE_FORCED,
+from .trace import (ARITH_EVAL, ENV_CREATED, ENV_DISCARDED, NAME_REEVAL, OUTPUT_LINE,
+                    PROMISE_CACHE_HIT, PROMISE_CREATED, PROMISE_FORCED, TABLE_CREATED,
                     TABLE_DELETED, VAR_RESOLVED, VAR_STORED, EventKind, TraceEvent, TraceSink)
-
-TRACE_FORMAT = "lazylab-trace"
-TRACE_VERSION = 1
 
 
 class Verdict(str, Enum):
@@ -220,13 +219,32 @@ def paired_run(pair: PairName | str) -> DivergenceReport:
     return report
 
 
-# --- trace serialization
+# --- trace serialization: the v1 JSON-lines layout
 #
 # json.dumps writes a dict's keys in order with ", " and ": " separators,
 # and escapes each string with encode_basestring_ascii under its default
 # ensure_ascii. One f-string per event, with each kind's `"kind"` text made
 # once below and each string escaped by the same function, gives the same
 # line without building a dict per event.
+
+TRACE_FORMAT = "lazylab-trace"
+TRACE_VERSION = 1
+
+# the v1 detail renderer of each kind
+DETAIL = {
+    ENV_CREATED: lambda e: f"parent=env{e.env}",
+    ENV_DISCARDED: lambda e: "",
+    PROMISE_CREATED: lambda e: f"name={e.param} env=env{e.env} expr={e.text}",
+    PROMISE_FORCED: lambda e: f"name={e.param} value={e.text}",
+    PROMISE_CACHE_HIT: lambda e: f"name={e.param}",
+    NAME_REEVAL: lambda e: f"name={e.param} value={e.text}",
+    TABLE_CREATED: lambda e: f"macro={e.text}",
+    TABLE_DELETED: lambda e: "",
+    VAR_STORED: lambda e: f"{e.table} {e.origin} bytes={len(e.text)} text={e.text}",
+    VAR_RESOLVED: lambda e: f"{e.table} text={e.text}",
+    ARITH_EVAL: lambda e: e.text,
+    OUTPUT_LINE: lambda e: e.text,
+}
 
 _HEADER_LINE = json.dumps({"format": TRACE_FORMAT, "version": TRACE_VERSION})
 _KIND_SUBJECT = {kind: f', "kind": {json.dumps(kind.value)}, "subject": ' for kind in EventKind}
@@ -243,7 +261,7 @@ def trace_jsonl(events: list[TraceEvent], metrics: Metrics | None = None) -> lis
     Each line is one f-string: the ord, the kind's `, "kind": ..., "subject":
     ` text, then the subject and the detail, each escaped by
     `encode_basestring_ascii`. The detail comes from the renderers in
-    `trace.DETAIL`; every field it shows is already text, printed once when
+    `DETAIL`, above; every field it shows is already text, printed once when
     the run made it, so a line needs nothing from the lines before it.
     """
     lines = [_HEADER_LINE]

@@ -61,6 +61,7 @@ from .errors import (
     UnknownParamError,
     UnresolvedRefError,
     UnterminatedMacroError,
+    line_col,
 )
 from .trace import (ARITH_EVAL, OUTPUT_LINE, TABLE_CREATED, TABLE_DELETED, VAR_RESOLVED,
                     VAR_STORED, TraceSink)
@@ -128,14 +129,6 @@ def _is_ident_start(ch: str) -> bool:
     return ch.isalpha() or ch == "_"
 
 
-def _line_col(text: str, start: int, end: int, line: int, col: int) -> tuple[int, int]:
-    """(line, col) of offset end in text, where offset start is at (line, col)."""
-    newlines = text.count("\n", start, end)
-    if newlines:
-        return line + newlines, end - text.rfind("\n", start, end)
-    return line, col + end - start
-
-
 class _Scanner:
     """Single pass over offsets; `%let`, `%put`, `%macro`, and macro calls
     capture raw text so stored values keep their source spelling."""
@@ -160,7 +153,7 @@ class _Scanner:
     def _pos(self, i: int) -> tuple[int, int]:
         """(line, col) of offset i, for a body's start or an error; the
         offsets asked for never decrease."""
-        self._line, self._col = _line_col(self.src, self._mark, i, self._line, self._col)
+        self._line, self._col = line_col(self.src, self._mark, i, self._line, self._col)
         self._mark = i
         return self._line, self._col
 
@@ -620,7 +613,7 @@ class MacroSession:
                     raise a(b)
             except LazyLabError as err:
                 if err.line is None:  # raised by this statement, not inside a body
-                    err.at(*_line_col(text, 0, at, line, col))
+                    err.at(*line_col(text, 0, at, line, col))
                 raise
 
     # statement semantics

@@ -41,9 +41,7 @@ class PromiseState(str, Enum):
 
 
 # module names for every force (the hot-path rule in syntax's docstring)
-_UNFORCED = PromiseState.UNFORCED
-_FORCING = PromiseState.FORCING
-_FORCED = PromiseState.FORCED
+_UNFORCED, _FORCING, _FORCED = PromiseState
 
 
 class Promise:

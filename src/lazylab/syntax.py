@@ -12,11 +12,12 @@ deep; the `(` beyond it is a positioned `DepthExceededError`.
 
 Hot-path rule, here and in the engines: hot code reads Enum members through
 module-level names, never as `TokKind.EOF`, for the cost measured under
-`trace.EventKind`.  This module binds its token kinds to private names
-(`_EOF = TokKind.EOF`), `promises` its promise states, and `trace` the event
-kinds, once, for every module that emits or folds them.  No AST class has a
-subclass, so the evaluator compares a node's `__class__` by identity instead
-of calling `isinstance`.
+`trace.EventKind`.  One unpacking statement right after each Enum binds
+its names: here the token kinds, private (`(_NUMBER, ..., _EOF) = TokKind`),
+in `promises` the promise states, and in `trace` the event kinds, public,
+for every module that emits or folds them.  No AST class has a subclass, so
+the evaluator compares a node's `__class__` by identity instead of calling
+`isinstance`.
 
 `tokenize` makes no object per token: it appends each token's kind, text,
 line and column to four parallel lists, which `Tokens` holds, and the parser
@@ -66,6 +67,11 @@ class TokKind(str, Enum):
     EOF = "EOF"
 
 
+# the token kinds under module names (see the hot-path rule above)
+(_NUMBER, _IDENT, _ASSIGN, _OP, _LPAREN, _RPAREN, _LBRACE, _RBRACE, _COMMA, _KW_FUNCTION,
+ _EOF) = TokKind
+
+
 class Tokens:
     """`tokenize`'s result: one entry per token in each of four parallel
     lists, the last token the EOF.  The parser reads the lists by index."""
@@ -78,19 +84,6 @@ class Tokens:
     def __len__(self) -> int:
         return len(self.kinds)
 
-
-# the token kinds under module names (see the hot-path rule above)
-_NUMBER = TokKind.NUMBER
-_IDENT = TokKind.IDENT
-_ASSIGN = TokKind.ASSIGN
-_OP = TokKind.OP
-_LPAREN = TokKind.LPAREN
-_RPAREN = TokKind.RPAREN
-_LBRACE = TokKind.LBRACE
-_RBRACE = TokKind.RBRACE
-_COMMA = TokKind.COMMA
-_KW_FUNCTION = TokKind.KW_FUNCTION
-_EOF = TokKind.EOF
 
 # one-character tokens: their kind
 _SINGLE = {

@@ -12,11 +12,9 @@ same NamedTuple.  An event holds only strings and ints: a traced run makes
 each promise's and frame's name once, when it makes the promise or frame,
 and every event about it holds that one string; the promise store prints
 each promise expression and each distinct Decimal value once (see
-`promises`).  An event carries its facts as fields, and `DETAIL` holds one
-renderer per kind of the v1 `key=value` layout; `lab.trace_jsonl` calls the
-renderers directly and `TraceEvent.detail` renders a single event.  This
-module is the only one that knows that layout, and it imports nothing from
-either engine.
+`promises`).  An event carries its facts as fields and renders nothing:
+`lab` holds the v1 JSON-lines layout that writes them.  This module imports
+nothing from either engine.
 """
 
 from enum import Enum
@@ -58,28 +56,6 @@ class TraceEvent(NamedTuple):
     text: str = ""
     table: str | None = None   # VAR_STORED, VAR_RESOLVED: the table's label
     origin: str | None = None  # VAR_STORED: "param" or "let"
-
-    @property
-    def detail(self) -> str:
-        """The v1 detail text of this event."""
-        return DETAIL[self.kind](self)
-
-
-# the v1 detail renderer of each kind
-DETAIL = {
-    ENV_CREATED: lambda e: f"parent=env{e.env}",
-    ENV_DISCARDED: lambda e: "",
-    PROMISE_CREATED: lambda e: f"name={e.param} env=env{e.env} expr={e.text}",
-    PROMISE_FORCED: lambda e: f"name={e.param} value={e.text}",
-    PROMISE_CACHE_HIT: lambda e: f"name={e.param}",
-    NAME_REEVAL: lambda e: f"name={e.param} value={e.text}",
-    TABLE_CREATED: lambda e: f"macro={e.text}",
-    TABLE_DELETED: lambda e: "",
-    VAR_STORED: lambda e: f"{e.table} {e.origin} bytes={len(e.text)} text={e.text}",
-    VAR_RESOLVED: lambda e: f"{e.table} text={e.text}",
-    ARITH_EVAL: lambda e: e.text,
-    OUTPUT_LINE: lambda e: e.text,
-}
 
 
 # what `emit` builds each event through (the module docstring); with CPython

@@ -170,7 +170,7 @@ def test_a09_strategy_agreement_and_forced_divergence(corpus):
                 assert need_metrics.arg_evaluations["p"] == 1, f"seed {seed}"
                 assert name_metrics.arg_evaluations["p"] >= 2, f"seed {seed}"
                 reevals = [e for e in name_events if e.kind is EventKind.NAME_REEVAL]
-                values = [e.detail.split("value=", 1)[1] for e in reevals]
+                values = [e.text for e in reevals]
                 assert len(set(values)) > 1, f"seed {seed}"
         for block in {seed // 50 for seed in seeds}:
             assert diverged_by_block.get(block, 0) >= 1, f"block {block}"
@@ -188,13 +188,10 @@ def test_a10_memory_proxies_at_parameter_storage_time():
         # maclang: parameter storage occupies table bytes before the body runs
         _, _, events = run_with_metrics(load_program("sas_prog1.ml"), "macro")
         param_stores = [e for e in events if e.kind is EventKind.VAR_STORED
-                        and e.detail.split(" ")[1] == "param"]
+                        and e.origin == "param"]
         other_var_events = [e for e in events if e.kind is EventKind.VAR_RESOLVED
-                            or (e.kind is EventKind.VAR_STORED
-                                and e.detail.split(" ")[1] != "param")]
-        param_bytes = sum(
-            int(e.detail.split("bytes=", 1)[1].split(" ", 1)[0]) for e in param_stores
-        )
+                            or (e.kind is EventKind.VAR_STORED and e.origin != "param")]
+        param_bytes = sum(len(e.text) for e in param_stores)
         assert param_bytes > 0
         assert max(e.ord for e in param_stores) < min(e.ord for e in other_var_events)
 

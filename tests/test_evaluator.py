@@ -250,8 +250,7 @@ class TestRunHygiene:
         r1, out1 = run_full(r_prog2_listing, Strategy.NEED)
         r2, out2 = run_full(r_prog2_listing, Strategy.NEED)
         assert out1.lines == out2.lines
-        assert [(e.kind, e.subject, e.detail) for e in r1.trace.events] == \
-               [(e.kind, e.subject, e.detail) for e in r2.trace.events]
+        assert r1.trace.events == r2.trace.events
 
     def test_live_state_stays_bounded(self):
         # discarded frames and the promises they bound are garbage at once,
@@ -372,7 +371,7 @@ class TestPromiseMetricsThroughRuns:
     @staticmethod
     def _promises_named(r, name):
         return [e.subject for e in of_kind(r.trace.events, EventKind.PROMISE_CREATED)
-                if e.detail.startswith(f"name={name} ")]
+                if e.param == name]
 
     def test_prog2_need_metrics_for_y(self, r_prog2_listing):
         r, _ = run_full(r_prog2_listing, Strategy.NEED)
@@ -400,7 +399,7 @@ class TestPromiseMetricsThroughRuns:
     def test_trace_shows_the_printed_value(self, strategy, kind, arg, value):
         r, _ = run_full(f"f <- function(x) {{ x }}\nf({arg})\n", strategy)
         (event,) = of_kind(r.trace.events, kind)
-        assert event.detail == f"name=x value={value}"
+        assert (event.param, event.text) == ("x", value)
 
 
 # --- slotted nodes and values

@@ -19,6 +19,7 @@ from lazylab.evaluator import Strategy
 from lazylab.lab import (
     CELLS,
     CORPORA,
+    DETAIL,
     PAIRS,
     DivergenceReport,
     PairName,
@@ -175,7 +176,8 @@ class TestTracedRuns:
             assert type(moved) is TraceEvent
             assert moved[1:] == ev[1:] and moved.ord == ev.ord + 1
             assert json.loads(trace_jsonl([ev])[1]) == {
-                "ord": ev.ord, "kind": kind.value, "subject": ev.subject, "detail": ev.detail}
+                "ord": ev.ord, "kind": kind.value, "subject": ev.subject,
+                "detail": DETAIL[kind](ev)}
 
 
 class _EventBuilt(Exception):
@@ -320,7 +322,7 @@ class TestGenerator:
         assert need_metrics.arg_evaluations["p"] == 1
         assert name_metrics.arg_evaluations["p"] == 2
         reevals = [e for e in name_events if e.kind is EventKind.NAME_REEVAL
-                   and "name=p " in e.detail + " "]
+                   and e.param == "p"]
         assert len(reevals) == 2
 
 
@@ -375,7 +377,7 @@ class TestTraceSerialization:
 
     def test_output_lines_are_events(self):
         _, _, events = run_with_metrics(load_program("sas_prog1.ml"), "macro")
-        outputs = [e.detail for e in events if e.kind is EventKind.OUTPUT_LINE]
+        outputs = [e.text for e in events if e.kind is EventKind.OUTPUT_LINE]
         assert outputs == ["(2 20 7)"]
 
     @pytest.mark.parametrize("kind", list(EventKind))
@@ -386,7 +388,8 @@ class TestTraceSerialization:
                                                     table, text):
         ev = TraceEvent(ord_, kind, subject, param, 0, text, table, "let")
         assert trace_jsonl([ev])[1] == json.dumps(
-            {"ord": ev.ord, "kind": ev.kind.value, "subject": ev.subject, "detail": ev.detail})
+            {"ord": ev.ord, "kind": ev.kind.value, "subject": ev.subject,
+             "detail": DETAIL[kind](ev)})
 
     # a traced store prints each promise expression once per Expr object:
     # promises that share one object, that hold equal but distinct objects,

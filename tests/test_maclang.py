@@ -387,7 +387,7 @@ class TestDefinitions:
         with pytest.raises(DuplicateParamError) as exc:
             run_with_metrics("%put a; %macro m(a=1,a=2); %mend;", "macro")
         assert (exc.value.line, exc.value.col) == (1, 22)
-        assert [(ev.kind, ev.detail) for ev in exc.value.partial_trace] == [
+        assert [(ev.kind, ev.text) for ev in exc.value.partial_trace] == [
             (EventKind.OUTPUT_LINE, "a")]
 
     def test_redefinition_runs_the_new_body(self):
@@ -654,7 +654,7 @@ class TestSessions:
             "%macro lazy(x=5,y=&x*10,z=&a+&b);\n%mend;\n%lazy()"
         )
         stored = {
-            ev.subject: ev.detail.split("text=", 1)[1]
+            ev.subject: ev.text
             for ev in of_kind(sink.events, EventKind.VAR_STORED)
         }
         assert stored == {"x": "5", "y": "&x*10", "z": "&a+&b"}

@@ -13,9 +13,10 @@ from pathlib import Path
 
 import lazylab
 import lazylab.cli
-import lazylab.trace
 from lazylab.evaluator import Output
 from lazylab.lab import Verdict, run_with_metrics
+from lazylab.promises import PromiseState
+from lazylab.syntax import TokKind
 from lazylab.trace import EventKind as K
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -112,11 +113,17 @@ def test_trace_is_the_one_holder_of_the_event_kind_names():
     (the comment under `trace.EventKind`). `trace` binds the twelve names,
     each to its own member, and no other module binds one; the evaluator
     binds no `Strategy` member either, since a run decides what its strategy
-    means once, when it is made."""
+    means once, when it is made. `syntax` and `promises` bind `TokKind` and
+    `PromiseState` the same way, to private names. Each binds by position in
+    one unpacking statement, so a reordered member or name fails here."""
     assert len(K) == 12
-    assert [kind.name for kind in K if getattr(lazylab.trace, kind.name, None) is not kind] == []
-    assert sorted(_member_aliases(PACKAGE / "trace.py", "EventKind")) == sorted(K.__members__)
+    for enum, prefix in ((K, ""), (TokKind, "_"), (PromiseState, "_")):
+        module = importlib.import_module(enum.__module__)
+        assert [m.name for m in enum if getattr(module, prefix + m.name, None) is not m] == []
+        assert sorted(_member_aliases(Path(module.__file__), enum.__name__)) == sorted(
+            prefix + m.name for m in enum)
     aliases = {path.name: _member_aliases(path, "EventKind")
                for path in sorted(PACKAGE.glob("*.py")) if path.name != "trace.py"}
     assert len(aliases) >= 9 and {name: a for name, a in aliases.items() if a} == {}
     assert _member_aliases(PACKAGE / "evaluator.py", "Strategy") == []
+

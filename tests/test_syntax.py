@@ -38,6 +38,14 @@ def texts(tokens):
     return tokens.texts
 
 
+@pytest.mark.parametrize("error,text", [
+    (LexError("m", 2, 5), "m (line 2, col 5)"),
+    (LexError("m"), "m"),
+], ids=["positioned", "unpositioned"])
+def test_error_text_names_its_position(error, text):
+    assert str(error) == text
+
+
 class TestTokenize:
     def test_minimal_statement(self):
         toks = tokenize("x <- 1")
