@@ -19,18 +19,18 @@ Supplied-argument promises capture the caller's environment; default
 promises capture the execution environment, so defaults see assignments made
 earlier in the body.
 
-A closure is its `FunctionDef` and the frame it was made in.  Closure calls
-and promise evaluations in progress (a cache hit is neither) nest at most
-`CALL_DEPTH_LIMIT` levels deep; one more is a positioned `DepthExceededError`.
-A call is its `Call.weight`: one more than the `c(` lists, parenthesised
-right operands and enclosing chained calls around it, which nest Python
-frames that no other level counts (`syntax._Parser.factor`), plus the called
-function's `FunctionDef.reads`, the `c(` lists and parenthesised right
-operands around the deepest name read in its body.  A promise
-evaluation is its argument's or default's weight (`Call.weights`,
-`FunctionDef.weights`): one more than the `c(` lists and parenthesised right
-operands around the deepest name read in its expression, since a read may
-evaluate another promise.
+A closure is its `FunctionDef` and the frame it was made in.
+
+A run counts one level wherever the evaluator nests Python frames that can
+hold a recursion.  A call is a level, counted in `eval_expr` before its
+callee is evaluated, so `f()()` is two.  A promise evaluation is a level; a
+cache hit evaluates nothing and is none.  A chain of binary operators is a
+level, counted in `_binary`.  A `c(` vector is a level, counted in
+`_vector`.  The bound is checked only where a level can recur: a call or a
+promise evaluation beyond `CALL_DEPTH_LIMIT` levels is a positioned
+`DepthExceededError`, while a chain or a vector nests no deeper than its
+source, which `syntax.NESTING_LIMIT` bounds.  A level closes with a plain
+decrement; an error ends the run, and `run` sets the count back to 0.
 """
 
 import decimal
@@ -73,9 +73,10 @@ class Strategy(str, Enum):
     NAME = "name"
 
 
-# A level nests five to six Python frames.  From a shallow stack on CPython
-# 3.10-3.13, the deepest runs at this bound and syntax.NESTING_LIMIT need at
-# most 615 of Python's default 1,000 frames; the rest is the callers'.
+# A call or a promise evaluation nests three or four Python frames, a chain
+# or a vector two.  From a shallow stack on CPython 3.10-3.13, the deepest
+# runs at this bound and syntax.NESTING_LIMIT need at most 615 of Python's
+# default 1,000 frames; the rest is the callers'.
 CALL_DEPTH_LIMIT = 100
 _LEVELS = "nested calls and argument evaluations"
 
@@ -120,14 +121,18 @@ class FunclangRun:
         self._read_promise = (PromiseStore.evaluate_uncached
                               if self.strategy is Strategy.NAME else PromiseStore.force)
         self.output = Output()
-        self.depth = 0  # levels in progress: call weights and promise evaluations
+        self.depth = 0  # levels in progress (the module docstring)
 
     def run(self, program: Program) -> Output:
         g = self.envs.global_id
-        for stmt in program.stmts:
-            value = self.exec_stmt(stmt, g)
-            # the result is the value of a bare expression that ends the program
-            self.output.result = value if stmt.__class__ is ExprStmt else None
+        try:
+            for stmt in program.stmts:
+                value = self.exec_stmt(stmt, g)
+                # the result is the value of a bare expression that ends the program
+                self.output.result = value if stmt.__class__ is ExprStmt else None
+        except LazyLabError:
+            self.depth = 0  # the error ends the run, and no level closes on the way out
+            raise
         return self.output
 
     def exec_stmt(self, stmt: Stmt, env: int) -> Value:
@@ -152,10 +157,15 @@ class FunclangRun:
             if cls is Binary:
                 return self._binary(e, env)
             if cls is Call:
+                if self.depth >= CALL_DEPTH_LIMIT:
+                    raise DepthExceededError("calling a function", CALL_DEPTH_LIMIT, _LEVELS)
+                self.depth += 1
                 callee = self.eval_expr(e.callee, env)
                 if not isinstance(callee, Closure):
                     raise TypeMismatchError("call of a non-function value")
-                return self.call_closure(callee, e, env)
+                value = self.call_closure(callee, e, env)
+                self.depth -= 1
+                return value
             if cls is VectorCtor:
                 return self._vector(e, env)
             if cls is FunctionDef:
@@ -172,19 +182,19 @@ class FunclangRun:
             raise MissingArgError(name)
         return binding
 
-    def _evaluate(self, e: Expr, env: int, weight: int) -> Value:
-        """Evaluate a promise's expression, `weight` levels deeper."""
-        if self.depth + weight > CALL_DEPTH_LIMIT:
+    def _evaluate(self, e: Expr, env: int) -> Value:
+        """Evaluate a promise's expression one level deeper."""
+        if self.depth >= CALL_DEPTH_LIMIT:
             raise DepthExceededError("evaluating an argument", CALL_DEPTH_LIMIT, _LEVELS)
-        self.depth += weight
-        try:
-            return self.eval_expr(e, env)
-        finally:
-            self.depth -= weight
+        self.depth += 1
+        value = self.eval_expr(e, env)
+        self.depth -= 1
+        return value
 
     def _binary(self, e: Binary, env: int) -> Value:
         # The parser builds `a + b + c` left-deep: walk its left spine in a
         # loop, so only source nesting (parentheses, calls) nests Python frames.
+        self.depth += 1
         chain = [e]
         while isinstance(chain[-1].lhs, Binary):
             chain.append(chain[-1].lhs)
@@ -211,9 +221,11 @@ class FunclangRun:
                     "arithmetic overflow: exponent out of range", *node.pos) from None
             except LazyLabError as err:
                 raise err.at(*node.pos)
+        self.depth -= 1
         return lhs
 
     def _vector(self, e: VectorCtor, env: int) -> Value:
+        self.depth += 1
         elements: list[Decimal] = []
         for el in e.elements:
             value = self.eval_expr(el, env)
@@ -223,17 +235,13 @@ class FunclangRun:
                 elements.extend(value)
             else:
                 raise TypeMismatchError("a function cannot be a vector element")
+        self.depth -= 1
         return tuple(elements)
 
     def call_closure(self, f: Closure, call: Call, caller_env: int) -> Value:
-        """Call `f` with the arguments of `call`, `call.weight` levels deeper
-        plus the levels open around the deepest name read in `f`'s body."""
+        """Call `f` with the arguments of `call`."""
         defn = f.defn
-        weight = call.weight + defn.reads
-        if self.depth + weight > CALL_DEPTH_LIMIT:
-            raise DepthExceededError("calling a function", CALL_DEPTH_LIMIT, _LEVELS)
         exec_env = self.envs.child(f.defined_in)
-        self.depth += weight
         try:
             args = call.args
             supplied = self._match_args(defn.params, args)
@@ -242,21 +250,18 @@ class FunclangRun:
                 # Supplied args evaluate in the caller, in source order,
                 # before any default.
                 values = {p: self.eval_expr(args[j][1], caller_env) for p, j in supplied.items()}
-            for k, (p, default) in enumerate(defn.params):
+            for p, default in defn.params:
                 if p in supplied:
                     if strict:
                         value = values[p]
                     else:
-                        j = supplied[p]
-                        value = self.promises.new(args[j][1], caller_env, p,
-                                                  1 if call.weights is None else call.weights[j])
+                        value = self.promises.new(args[supplied[p]][1], caller_env, p)
                 elif default is None:
                     value = MISSING
                 elif strict:
                     value = self.eval_expr(default, exec_env)
                 else:
-                    value = self.promises.new(default, exec_env, p,
-                                              1 if defn.weights is None else defn.weights[k])
+                    value = self.promises.new(default, exec_env, p)
                 self.envs.define(exec_env, p, value)
             result: Value | None = None
             for stmt in defn.body:
@@ -264,7 +269,6 @@ class FunclangRun:
             assert result is not None  # parser rejects empty bodies
             return result
         finally:
-            self.depth -= weight
             self.envs.discard(exec_env)
 
     @staticmethod

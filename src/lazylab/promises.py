@@ -45,20 +45,19 @@ _UNFORCED, _FORCING, _FORCED = PromiseState
 
 
 class Promise:
-    __slots__ = ("name", "expr", "env", "label", "weight", "state", "value")
+    __slots__ = ("name", "expr", "env", "label", "state", "value")
 
-    def __init__(self, name: str | None, expr: Expr, env: int, label: str, weight: int):
+    def __init__(self, name: str | None, expr: Expr, env: int, label: str):
         self.name = name  # a traced run's "promise<N>", the subject of its events
         self.expr = expr
         self.env = env
         self.label = label
-        self.weight = weight  # the levels its evaluation counts (Call.weights)
         self.state = _UNFORCED
         self.value = None
 
 
-# called with the promise's expression, environment and weight
-Evaluator = Callable[[Expr, int, int], object]
+# called with the promise's expression and environment
+Evaluator = Callable[[Expr, int], object]
 
 
 class PromiseStore:
@@ -74,17 +73,17 @@ class PromiseStore:
         # reused while the store lives
         self._exprs: dict[int, tuple[Expr, str]] | None = None if trace is None else {}
 
-    def new(self, expr: Expr, env: int, label: str, weight: int = 1) -> Promise:
+    def new(self, expr: Expr, env: int, label: str) -> Promise:
         """Wrap an expression for the parameter `label` without evaluating anything."""
         if self._trace is None:
-            return Promise(None, expr, env, label, weight)
+            return Promise(None, expr, env, label)
         name = f"promise{self._named}"
         self._named += 1
         printed = self._exprs.get(id(expr))
         if printed is None:
             printed = self._exprs[id(expr)] = (expr, expr_source(expr))
         self._trace.emit(PROMISE_CREATED, name, printed[1], None, None, label, env)
-        return Promise(name, expr, env, label, weight)
+        return Promise(name, expr, env, label)
 
     def _text(self, value: object) -> str:
         """The printed form of `value`.  Equal Decimals print alike, so each
@@ -106,7 +105,7 @@ class PromiseStore:
             raise CyclicForceError(p.label)
         p.state = _FORCING
         try:
-            value = evaluator(p.expr, p.env, p.weight)
+            value = evaluator(p.expr, p.env)
         except BaseException:
             p.state = _UNFORCED
             raise
@@ -122,7 +121,7 @@ class PromiseStore:
             raise CyclicForceError(p.label)
         p.state = _FORCING
         try:
-            value = evaluator(p.expr, p.env, p.weight)
+            value = evaluator(p.expr, p.env)
         finally:
             p.state = _UNFORCED
         if self._trace is not None:

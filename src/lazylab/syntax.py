@@ -224,11 +224,6 @@ class Call(Expr):
     callee: Expr
     args: tuple[tuple[str | None, Expr], ...]
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
-    # the levels the evaluator counts for this call: 1 plus the evaluator
-    # frames around it that no call or promise counts (see _Parser.factor)
-    weight: int = field(default=1, compare=False, repr=False)
-    # the levels of each argument's promise evaluation, or None when each is 1
-    weights: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -236,11 +231,6 @@ class FunctionDef(Expr):
     params: tuple[tuple[str, Expr | None], ...]
     body: tuple["Stmt", ...]
     pos: Pos = field(default=NO_POS, compare=False, repr=False)
-    # the levels of each default's promise evaluation, or None when each is 1
-    weights: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    # the levels open around the deepest name read in the body, which each
-    # call of it adds to its weight
-    reads: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -283,8 +273,8 @@ class Program:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 # A level nests at most six parser frames (a function as a parameter's
-# default) and two evaluator frames; evaluator.CALL_DEPTH_LIMIT gives the stack
-# that both bounds leave.
+# default); the comment on evaluator.CALL_DEPTH_LIMIT gives the stack that
+# this bound and the evaluator's leave.
 NESTING_LIMIT = 100
 
 
@@ -292,19 +282,13 @@ class _Parser:
     # reads the token lists by index (the module docstring); `self.i += 1`
     # only passes a token whose kind was checked, so it never passes the
     # final EOF
-    __slots__ = ("kinds", "texts", "lines", "cols", "i", "depth", "levels", "reads")
+    __slots__ = ("kinds", "texts", "lines", "cols", "i", "depth")
 
     def __init__(self, tokens: Tokens):
         self.kinds, self.texts = tokens.kinds, tokens.texts
         self.lines, self.cols = tokens.lines, tokens.cols
         self.i = 0
         self.depth = 0  # open parentheses, lists and chained calls
-        # open `c(` lists and `(` that open a right operand, in the innermost
-        # function or argument list
-        self.levels = 0
-        # the most levels open around a name read in the innermost argument,
-        # default or function body
-        self.reads = 0
 
     def fail(self, expected: tuple[str, ...]):
         i = self.i
@@ -372,8 +356,6 @@ class _Parser:
                 left = NumberLit(Decimal(texts[i]), (lines[i], self.cols[i]))
             else:
                 left = Ident(texts[i], (lines[i], self.cols[i]))
-                if self.levels > self.reads:
-                    self.reads = self.levels
         else:
             left = self.factor()
         while kinds[i := self.i] is _OP and (prec := _PREC[op := texts[i]]) >= min_prec:
@@ -382,38 +364,16 @@ class _Parser:
         return left
 
     def factor(self) -> Expr:
-        """A primary and the calls chained on it.
-
-        A call's weight is 1 plus the evaluator frames around it that no call
-        or promise counts, from the start of its function or argument list:
-        each open `c(` list, each open `(` that opens a right operand, and
-        each call it is the callee of, as in `f()()`.  Bare parentheses make
-        no frame, a call's arguments are read inside its own level, and the
-        chains of `Binary` that precedence alone nests fit in a level.  An
-        argument, like a default, weighs 1 plus the levels open around its
-        deepest name read, counted from its own start (see weighed)."""
+        """A primary and the calls chained on it.  Each call in `f()()` holds
+        the one before it as its callee, so the chain counts toward
+        NESTING_LIMIT as its arguments' parentheses do."""
         e = self.primary()
         kinds, lines = self.kinds, self.lines
-        i = self.i
-        if kinds[i] is not _LPAREN or lines[i] != lines[i - 1]:
-            return e
-        depth, levels, reads = self.depth, self.levels, self.reads
-        self.levels = 0
-        while True:
-            extra: list[int] = []
-            args = tuple(self.comma_list(self.call_arg, set(), extra))
-            e = Call(e, args, (lines[i], self.cols[i]), 1 + levels, _weights(extra))
+        depth = self.depth
+        while kinds[i := self.i] is _LPAREN and lines[i] == lines[i - 1]:
+            e = Call(e, tuple(self.comma_list(self.call_arg, set())), (lines[i], self.cols[i]))
             self.depth += 1  # the next call's tree holds this one
-            i = self.i
-            if kinds[i] is not _LPAREN or lines[i] != lines[i - 1]:
-                break
-        chained = self.depth - depth
-        self.depth, self.levels, self.reads = depth, levels, reads
-        # the evaluator reads each callee one frame inside each call chained on it
-        callee, k = e.callee, 1
-        while callee.__class__ is Call:
-            callee.weight += min(k, chained)
-            callee, k = callee.callee, k + 1
+        self.depth = depth
         return e
 
     def primary(self) -> Expr:
@@ -428,21 +388,11 @@ class _Parser:
             self.i = i + 1
             name = self.texts[i]
             if name == "c" and kinds[i + 1] is _LPAREN and self.lines[i + 1] == line:
-                self.levels += 1  # the evaluator reads the elements in a _vector frame
-                elements = tuple(self.comma_list(self.expression))
-                self.levels -= 1
-                return VectorCtor(elements, pos)
-            if self.levels > self.reads:
-                self.reads = self.levels
+                return VectorCtor(tuple(self.comma_list(self.expression)), pos)
             return Ident(name, pos)
         if kind is _LPAREN:
-            # a right operand in parentheses can hold a chain of its own,
-            # which the evaluator reads in a deeper _binary frame
-            nested = kinds[i - 1] is _OP  # funclang has no unary operator
             self.open_paren()
-            self.levels += nested
             e = self.expression()
-            self.levels -= nested
             self.close_paren()
             return e
         if kind is _KW_FUNCTION:
@@ -470,14 +420,7 @@ class _Parser:
             raise ParseError(f"duplicate {what} '{name}'", self.lines[i], self.cols[i])
         seen.add(name)
 
-    def weighed(self, extra: list[int]) -> Expr:
-        """An argument or a default, with the levels around its deepest read appended to extra."""
-        self.reads = 0
-        e = self.expression()
-        extra.append(self.reads)
-        return e
-
-    def call_arg(self, seen: set[str], extra: list[int]) -> tuple[str | None, Expr]:
+    def call_arg(self, seen: set[str]) -> tuple[str | None, Expr]:
         kinds = self.kinds
         i = self.i
         if kinds[i] is _IDENT and kinds[i + 1] is _ASSIGN:
@@ -488,10 +431,10 @@ class _Parser:
                 )
             self.reject_duplicate(i, seen, "named argument")
             self.i = i + 2
-            return self.texts[i], self.weighed(extra)
-        return None, self.weighed(extra)
+            return self.texts[i], self.expression()
+        return None, self.expression()
 
-    def param(self, seen: set[str], extra: list[int]) -> tuple[str, Expr | None]:
+    def param(self, seen: set[str]) -> tuple[str, Expr | None]:
         kinds = self.kinds
         i = self.i
         if kinds[i] is not _IDENT:
@@ -499,13 +442,12 @@ class _Parser:
         self.reject_duplicate(i, seen, "parameter")
         if kinds[i + 1] is not _ASSIGN:
             self.i = i + 1
-            extra.append(0)
             return self.texts[i], None
         if self.texts[i + 1] != "=":
             raise ParseError("parameter defaults are written with '='",
                              self.lines[i + 1], self.cols[i + 1])
         self.i = i + 2
-        return self.texts[i], self.weighed(extra)
+        return self.texts[i], self.expression()
 
     def function_def(self) -> FunctionDef:
         kinds = self.kinds
@@ -513,14 +455,10 @@ class _Parser:
         self.i = kw + 1
         if kinds[kw + 1] is not _LPAREN:
             self.fail(("'('",))
-        levels, reads = self.levels, self.reads
-        self.levels = 0  # a call of it reads its defaults and body
-        extra: list[int] = []
-        params = self.comma_list(self.param, set(), extra)
+        params = self.comma_list(self.param, set())
         if kinds[self.i] is not _LBRACE:
             self.fail(("'{'",))
         self.i += 1
-        self.reads = 0
         body: list[Stmt] = []
         while (kind := kinds[self.i]) is not _RBRACE:
             if kind is _EOF:
@@ -529,14 +467,7 @@ class _Parser:
         if not body:
             self.fail(("a statement (function bodies cannot be empty)",))
         self.i += 1
-        body_reads, self.levels, self.reads = self.reads, levels, reads
-        return FunctionDef(tuple(params), tuple(body), (self.lines[kw], self.cols[kw]),
-                           _weights(extra), body_reads)
-
-
-def _weights(extra: list[int]) -> tuple[int, ...] | None:
-    """Each item's weight, 1 plus its extra levels, or None when each weighs 1."""
-    return tuple([1 + n for n in extra]) if any(extra) else None
+        return FunctionDef(tuple(params), tuple(body), (self.lines[kw], self.cols[kw]))
 
 
 def parse_program(tokens: Tokens) -> Program:

@@ -37,7 +37,7 @@ DEFAULT_CHAIN = ("f <- function(" + ", ".join(["a0 = 1"] + [f"a{i} = a{i - 1}" f
                  + ") { a330 }\nprint(f())\n")
 # the read of a231 in `a232 = a231` would be the 101st level: the call and 100 defaults
 DEFAULT_CHAIN_READ = DEFAULT_CHAIN.index("a232 = a231") + len("a232 = ") + 1
-# the evaluator reads each callee one frame inside the call chained on it
+# each call of a chain is a level, counted before its callee is evaluated
 CHAINED_CALLEE = "f <- function() { f" + "()" * 40 + " }\nf()\n"
 
 
@@ -135,7 +135,7 @@ class TestRun:
          f"1:{DEFAULT_CHAIN_READ}: error: evaluating an argument exceeded 100"),
         ("x <- " + "(" * 330 + "1" + ")" * 330 + "\n", "strict",
          "1:106: error: opening '(' exceeded 100"),
-        *((CHAINED_CALLEE, strategy, "1:20: error: calling a function exceeded 100")
+        *((CHAINED_CALLEE, strategy, "1:60: error: calling a function exceeded 100")
           for strategy in STRATEGIES),
     ], ids=["self-call-strict", "self-call-need", "self-call-name", "default-call-need",
             "default-call-name", "reread-chain-need", "reread-chain-name",
@@ -147,14 +147,12 @@ class TestRun:
         assert main(["run", "--lang", "func", "--strategy", strategy, path]) == 1
         assert capsys.readouterr().err.startswith(f"{path}:{error} ")
 
-    # Recursion under static nesting: `c(1, ` and `1 + (` add Python frames per
-    # level that only a call's weight, or an argument's, counts; bare `(` and
-    # `g(` add none that no level counts. Without the call weight, the
-    # recursive call ended in a RecursionError traceback from depth 4 and the
-    # default chain from depth 8 (strict) or 14 (need, name); the recursive
-    # argument never did. Without the argument weight, the re-read chain did
-    # under name from depth 16, since each read re-evaluates a chain of
-    # promises that each nest its shape.
+    # Recursion under static nesting: each `c(1, ` and `1 + (` nests Python
+    # frames that only its vector or chain level counts, each `g(` is a call
+    # level, and a bare `(` nests no frame. Without the vector or the chain
+    # level, the recursive call, the default chain and name's re-read chain
+    # end in a RecursionError; without the call level, the recursive call and
+    # argument, strict's default chain and strict's and need's re-read chain.
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("program,inner", [
         ("f <- function(x) {{ {} }}\nf(1)\n", "f(x)"),
@@ -176,8 +174,8 @@ class TestRun:
                 assert "Traceback" not in err
 
     # Recursion through a parameter read nested in the called function's body:
-    # each call of g also counts the levels open around its read of x. Without
-    # that, need and name ended in a RecursionError traceback from depth 16.
+    # need and name force `f(y)` inside g's vector or chain levels, so without
+    # those levels they end in a RecursionError.
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("opening", ["c(1, ", "1 + ("])
     def test_recursion_through_a_called_body_is_a_diagnostic(self, tmp_path, capsys, opening,
@@ -554,8 +552,8 @@ CLI_CASES = {
     "called-body-need": (["run", "--lang", "func", "--strategy", "need", "-"],
                          f"g <- function(x) {{ {NESTED} }}\nf <- function(y) {{ g(f(y)) }}\n"
                          "f(1)\n".encode(), 1, "",
-                         "<stdin>:2:21: error: calling a function exceeded 100 nested calls"
-                         " and argument evaluations\n"),
+                         "<stdin>:1:100: error: evaluating an argument exceeded 100 nested"
+                         " calls and argument evaluations\n"),
     # a closure that escapes its call meets its discarded frame at its first
     # lookup there
     "escaping-closure-need": (["run", "--lang", "func", "--strategy", "need", "-"], ESCAPING, 1,

@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 from dataclasses import fields, is_dataclass
 from decimal import Decimal
@@ -289,25 +290,68 @@ def default_chain(first: str, links: int) -> str:
     return f"f <- function({params}) {{ a{links} }}\nprint(f())\n"
 
 
+def call_chain(calls: int, wrap: str = "{}") -> str:
+    """`f0` calls `f1` and so on, each a distinct function, down to
+    `f{calls - 1}`, whose body is 7; `print` reads `f0()` through `wrap`."""
+    lines = [f"f{i} <- function() {{ f{i + 1}() }}\n" for i in range(calls - 1)]
+    return "".join(lines) + f"f{calls - 1} <- function() {{ 7 }}\nprint({wrap.format('f0()')})\n"
+
+
+_CALLING = "calling a function exceeded 100 nested calls and argument evaluations"
+_EVALUATING = "evaluating an argument exceeded 100 nested calls and argument evaluations"
+
+
+def _deepest(site: str, levels: int) -> tuple[str, str, str, tuple[int, int]]:
+    """A program whose deepest level is `levels` deep at `site`, the line it
+    prints, and the message and position of its error when that is one level
+    more than CALL_DEPTH_LIMIT."""
+    if site == "promises":
+        source = default_chain("7", levels - 2)
+        return source, "7", _EVALUATING, (1, source.index("a1 = a0") + len("a1 = ") + 1)
+    wrap, printed = {"calls": ("{}", "7"), "binary chains": ("0 + {}", "7"),
+                     "vectors": ("c(1, {})", "1 7")}[site]
+    # a binary chain or a vector around the first call is one level
+    calls = levels if site == "calls" else levels - 1
+    source = call_chain(calls, wrap)
+    # the last call, at the deepest level, is in the body of the one before
+    col = source.splitlines()[calls - 2].index(f"f{calls - 1}()") + len(f"f{calls - 1}") + 1
+    return source, printed, _CALLING, (calls - 1, col)
+
+
+# the frames the comment on CALL_DEPTH_LIMIT says both bounds need at most
+_FRAME_BUDGET = 615
+
+
 class TestDepthBounds:
     LINKS = CALL_DEPTH_LIMIT - 2  # a0 is evaluated at the deepest level admitted
 
-    @pytest.mark.parametrize("strategy", [Strategy.NEED, Strategy.NAME])
+    # One case per strategy, which checks each site whose level it can reach,
+    # plain and traced; strict evaluates no promise.
+    @pytest.mark.parametrize("strategy", list(Strategy))
     def test_deepest_admitted_level_runs_and_one_more_fails(self, strategy):
-        assert run(default_chain("7", self.LINKS), strategy).lines == ["7"]
-        r = FunclangRun(strategy, TraceSink())
-        with pytest.raises(DepthExceededError) as exc:
-            r.run(parse_source(default_chain("7", self.LINKS + 1)))
-        assert exc.value.message == ("evaluating an argument exceeded 100 nested calls "
-                                     "and argument evaluations")
-        read = default_chain("7", self.LINKS + 1).index("a1 = a0") + len("a1 = ") + 1
-        assert (exc.value.line, exc.value.col) == (1, read)
-        assert r.depth == 0
-        events = r.trace.events
-        assert count(events, EventKind.ENV_CREATED) == count(events, EventKind.ENV_DISCARDED)
+        sites = ["calls", "binary chains", "vectors"]
+        if strategy is not Strategy.STRICT:
+            sites.append("promises")
+        for site in sites:
+            for traced in (False, True):
+                source, printed, _, _ = _deepest(site, CALL_DEPTH_LIMIT)
+                r = FunclangRun(strategy, TraceSink() if traced else None)
+                assert r.run(parse_source(source)).lines == [printed], site
+                assert r.depth == 0, site
+                source, _, message, pos = _deepest(site, CALL_DEPTH_LIMIT + 1)
+                r = FunclangRun(strategy, TraceSink() if traced else None)
+                with pytest.raises(DepthExceededError) as exc:
+                    r.run(parse_source(source))
+                assert exc.value.message == message, site
+                assert (exc.value.line, exc.value.col) == pos, site
+                assert r.depth == 0, site
+                if traced:
+                    events = r.trace.events
+                    assert count(events, EventKind.ENV_CREATED) == \
+                        count(events, EventKind.ENV_DISCARDED), site
 
-    # Nesting that costs no frame outside a counted level leaves the depth
-    # alone: each program nests 31 to 46 levels and runs.
+    # Nesting within the bound runs: bare parentheses are no level, and the
+    # other programs reach 24 to 60 levels, by strategy.
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize("source,printed", [
         ("".join(f"f{i} <- function() {{ {'(' * 30}f{i + 1}(){')' * 30} }}\n" for i in range(4))
@@ -321,25 +365,35 @@ class TestDepthBounds:
         assert run(source, strategy).lines == [printed]
 
     def test_a_cache_hit_is_not_a_level(self):
-        # z is forced at depth 2, then read again at the deepest level: need
-        # hits the cache there, name evaluates it once more
-        source = default_chain("z", self.LINKS).replace(
+        # the body `z + a...` is a binary level, so z is forced at depth 3,
+        # then read again at the deepest level: need hits the cache there,
+        # name evaluates it once more
+        source = default_chain("z", self.LINKS - 1).replace(
             "function(a0", "function(z = 3, a0").replace("{ a", "{ z + a")
         assert run(source, Strategy.NEED).lines == ["6"]
         with pytest.raises(DepthExceededError):
             run(source, Strategy.NAME)
 
     def test_counter_and_frames_unwind_after_the_error(self):
-        recursive = "f <- function(n) { n + f(n - 1) }\nf(1)\n"
-        for strategy in Strategy:
-            r = FunclangRun(strategy, TraceSink())
-            with pytest.raises(DepthExceededError) as exc:
-                r.run(parse_source(recursive))
-            assert exc.value.message.startswith(("calling a function exceeded 100",
-                                                 "evaluating an argument exceeded 100"))
-            assert r.depth == 0
-            events = r.trace.events
-            assert count(events, EventKind.ENV_CREATED) == count(events, EventKind.ENV_DISCARDED)
+        # the other two fail inside counted binary and vector levels inside a
+        # call, the last one also inside a promise under need and name
+        failing = [
+            ("f <- function(n) { n + f(n - 1) }\nf(1)\n",
+             ("calling a function exceeded 100", "evaluating an argument exceeded 100")),
+            ("f <- function(n) { c(1, 1 + (1 / 0)) }\nf(1)\n", ("division by zero",)),
+            ("f <- function(n) { 1 + (2 * c(1, n)) }\nf(c(1, f(1)))\n",
+             ("arithmetic on a vector",)),
+        ]
+        for source, messages in failing:
+            for strategy in Strategy:
+                r = FunclangRun(strategy, TraceSink())
+                with pytest.raises(LazyLabError) as exc:
+                    r.run(parse_source(source))
+                assert exc.value.message.startswith(messages), (source, strategy)
+                assert r.depth == 0, (source, strategy)
+                events = r.trace.events
+                assert count(events, EventKind.ENV_CREATED) == \
+                    count(events, EventKind.ENV_DISCARDED), (source, strategy)
 
     @pytest.mark.parametrize("strategy", list(Strategy))
     @pytest.mark.parametrize("deep,value", [
@@ -352,11 +406,17 @@ class TestDepthBounds:
     def test_both_bounds_together_fit_the_stack(self, strategy, deep, value):
         """The deepest nesting the parser admits, as a default read at the
         deepest level the evaluator admits, ends in output or the positioned
-        error, traced or not."""
+        error, traced or not, within the frames that the comment on
+        CALL_DEPTH_LIMIT gives it: any more is a RecursionError."""
         source = "g <- function(x) { x }\n" + default_chain(deep, self.LINKS)
         deeper = source.replace("a0 = ", "a0 = (", 1).replace(", a1 =", "), a1 =", 1)
         with pytest.raises(DepthExceededError):
             parse_source(deeper)
+        frame, frames = sys._getframe(), 0
+        while frame is not None:
+            frame, frames = frame.f_back, frames + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frames + _FRAME_BUDGET)
         try:
             lines = run(source, strategy).lines
             traced, metrics, events = run_with_metrics(source, "func", strategy)
@@ -365,6 +425,8 @@ class TestDepthBounds:
             assert err.line is not None
         else:
             assert lines == traced == [value]
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 class TestPromiseMetricsThroughRuns:

@@ -27,7 +27,7 @@ def store():
 def _counting_evaluator(result=Decimal(1)):
     calls = []
 
-    def evaluator(expr, env, weight):
+    def evaluator(expr, env):
         calls.append((expr, env))
         return result
 
@@ -88,7 +88,7 @@ def test_error_leaves_promise_unforced_and_retryable(store):
     p = promises.new(_expr("x"), envs.global_id, label="p")
     failed = []
 
-    def failing(expr, env, weight):
+    def failing(expr, env):
         failed.append(expr)
         raise UnboundNameError("x")
 
@@ -113,7 +113,7 @@ def test_two_promise_cycle_detected(store):
     px = promises.new(_expr("y"), envs.global_id, label="x")
     py = promises.new(_expr("x"), envs.global_id, label="y")
 
-    def evaluator(expr, env, weight):
+    def evaluator(expr, env):
         target = px if expr == _expr("x") else py
         return promises.force(target, evaluator)
 
@@ -143,7 +143,7 @@ def test_equal_values_share_one_printed_text(store):
     values = iter([Decimal("12.50"), Decimal("12.5"), Decimal("1.25E+1")])
     p = promises.new(_expr("q"), envs.global_id, label="p")
     for _ in range(3):
-        promises.evaluate_uncached(p, lambda expr, env, weight: next(values))
+        promises.evaluate_uncached(p, lambda expr, env: next(values))
     first, second, third = [ev.text for ev in sink.events if ev.kind is EventKind.NAME_REEVAL]
     assert first == "12.5"
     assert first is second is third

@@ -304,87 +304,6 @@ class TestFormatNumber:
             assert format_value(twin) == format_value(d)
 
 
-class TestCallWeight:
-    def weights(self, source):
-        """The weight of each call in the program, in source order."""
-        found = []
-
-        def walk(node):
-            if isinstance(node, tuple):
-                for item in node:
-                    walk(item)
-            elif isinstance(node, (Expr, Stmt)):
-                if isinstance(node, Call):
-                    found.append((node.pos, node.weight))
-                for f in fields(node):
-                    walk(getattr(node, f.name))
-        walk(parse_source(source).stmts)
-        return [weight for _, weight in sorted(found)]
-
-    @pytest.mark.parametrize("source,weights", [
-        ("f()\n", [1]),
-        # bare parentheses and one unparenthesised chain make no level
-        ("((f()))\n", [1]),
-        ("x + f(x + 1)\n", [1]),
-        ("(f() + 1) * 2\n", [1]),
-        # each `(` that opens a right operand and each `c(` list does
-        ("1 + (1 + (f()))\n", [3]),
-        ("1 + 2 * (f())\n", [2]),
-        ("1 + (2) * f()\n", [1]),
-        ("c(1, (g(1 + (f()))))\n", [2, 2]),
-        # a callee is read inside each call chained on it
-        ("f()()()\n", [3, 2, 1]),
-        ("(f()())()\n", [3, 2, 1]),
-        # counted from the innermost function or argument list
-        ("g(g(f()))\n", [1, 1, 1]),
-        ("g(function(x = h(f())) { c(1, f(x)) })\n", [1, 1, 1, 2]),
-    ])
-    def test_weight_counts_the_nesting_in_its_function(self, source, weights):
-        assert self.weights(source) == weights
-
-    def test_weight_is_not_compared(self):
-        assert Call(Ident("f"), (), weight=3) == Call(Ident("f"), ())
-        assert Call(Ident("f"), ((None, Ident("x")),), weights=(2,)) == \
-            Call(Ident("f"), ((None, Ident("x")),))
-
-    @pytest.mark.parametrize("source,weights", [
-        ("f(x, 1 + 2)\n", None),
-        # each `c(` list and each `(` that opens a right operand around a
-        # name read counts, from the start of the argument
-        ("f(c(1, x))\n", (2,)),
-        ("f(y, c(1, c(1, x)), z = 1 + (1 + (x)))\n", (1, 3, 3)),
-        ("f(c(1, g()))\n", (2,)),
-        # no read, bare parentheses, or a read in a nested argument list or
-        # function body count nothing
-        ("f(c(1, 2), 1 + (2))\n", None),
-        ("f(((x)))\n", None),
-        ("f(c(1, function(a) { c(1, a) }), g(c(1, x)))\n", None),
-    ])
-    def test_argument_weight_counts_the_nesting_around_its_reads(self, source, weights):
-        (stmt,) = parse_source(source).stmts
-        assert stmt.expr.weights == weights
-
-    def test_default_weight_counts_the_nesting_around_its_reads(self):
-        (stmt,) = parse_source("function(a = c(1, b), d, e = 1 + (b), f = c(1)) { a }\n").stmts
-        assert stmt.expr.weights == (2, 1, 2, 1)
-        (stmt,) = parse_source("function(a = b, d) { c(1, a) }\n").stmts
-        assert stmt.expr.weights is None
-
-    @pytest.mark.parametrize("source,reads", [
-        ("function(a) { a }\n", 0),
-        # the deepest read of the body counts, from the body's own start
-        ("function(a) { print(c(1, a))\n1 + (1 + (a)) }\n", 2),
-        ("function(a = c(1, c(1, b))) { c(1, a) }\n", 1),
-        # reads in an argument list or a nested function body count nothing
-        ("function(a) { g(c(1, a))\nfunction(b) { c(1, c(1, b)) } }\n", 0),
-        ("function(a) { c(1, 2) }\n", 0),
-    ])
-    def test_body_reads_count_the_nesting_around_its_reads(self, source, reads):
-        (stmt,) = parse_source(source).stmts
-        assert stmt.expr.reads == reads
-        assert stmt.expr == FunctionDef(stmt.expr.params, stmt.expr.body)
-
-
 # --- the parser against a reference: the earlier parser, kept verbatim, which
 # reads every token through peek/advance/expect/opens_args
 
@@ -407,10 +326,6 @@ class _ReferenceParser:
         self.toks = tokens
         self.i = 0
         self.depth = 0  # open parentheses, lists and chained calls
-        # open `c(` lists and `(` that open a right operand, in the innermost
-        # function or argument list
-        self.levels = 0
-        self.operand = -1  # index of the token that starts the last right operand
 
     def peek(self, ahead: int = 0) -> SrcToken:
         # in bounds: advance() stops at the final EOF, and peek(1) is only
@@ -484,38 +399,20 @@ class _ReferenceParser:
         left = self.factor()
         while (op := self.peek()).kind is _OP and _PREC[op.text] >= min_prec:
             self.advance()
-            self.operand = self.i
             right = self.expression(_PREC[op.text] + 1)
             left = Binary(op.text, left, right, (op.line, op.col))
         return left
 
     def factor(self) -> Expr:
-        """A primary and the calls chained on it.
-
-        A call's weight is 1 plus the evaluator frames around it that no call
-        or promise counts, from the start of its function or argument list:
-        each open `c(` list, each open `(` that opens a right operand, and
-        each call it is the callee of, as in `f()()`.  Bare parentheses make
-        no frame, a call's arguments are read inside its own level, and the
-        chains of `Binary` that precedence alone nests fit in a level."""
+        """A primary and the calls chained on it."""
         e = self.primary()
         depth = self.depth
         while self.opens_args(0):
             tok = self.peek()
-            levels = self.levels
-            self.levels = 0
             args = tuple(self.comma_list(self.call_arg, set()))
-            self.levels = levels
-            e = Call(e, args, (tok.line, tok.col), 1 + levels)
+            e = Call(e, args, (tok.line, tok.col))
             self.depth += 1  # the next call's tree holds this one
-        chained = self.depth - depth
-        if chained:
-            self.depth = depth
-            # the evaluator reads each callee one frame inside each call chained on it
-            callee, k = e.callee, 1
-            while callee.__class__ is Call:
-                callee.weight += min(k, chained)
-                callee, k = callee.callee, k + 1
+        self.depth = depth
         return e
 
     def primary(self) -> Expr:
@@ -527,19 +424,12 @@ class _ReferenceParser:
         if tok.kind is _IDENT:
             self.advance()
             if tok.text == "c" and self.opens_args(0):
-                self.levels += 1  # the evaluator reads the elements in a _vector frame
                 elements = tuple(self.comma_list(self.expression))
-                self.levels -= 1
                 return VectorCtor(elements, pos)
             return Ident(tok.text, pos)
         if tok.kind is _LPAREN:
-            # a right operand in parentheses can hold a chain of its own,
-            # which the evaluator reads in a deeper _binary frame
-            nested = self.i == self.operand
             self.open_paren()
-            self.levels += nested
             e = self.expression()
-            self.levels -= nested
             self.close_paren()
             return e
         if tok.kind is _KW_FUNCTION:
@@ -592,8 +482,6 @@ class _ReferenceParser:
 
     def function_def(self) -> FunctionDef:
         kw = self.expect(_KW_FUNCTION, "'function'")
-        levels = self.levels
-        self.levels = 0  # a call of it reads its defaults and body
         params = self.comma_list(self.param, set())
         self.expect(_LBRACE, "'{'")
         body: list[Stmt] = []
@@ -604,7 +492,6 @@ class _ReferenceParser:
         if not body:
             self.fail(("a statement (function bodies cannot be empty)",))
         self.expect(_RBRACE, "'}'")
-        self.levels = levels
         return FunctionDef(tuple(params), tuple(body), (kw.line, kw.col))
 
 
@@ -616,17 +503,17 @@ def _outcome(parse, source):
         return type(err), err.message, err.line, err.col
 
 
-def _positions_and_weights(program):
-    """Each node's class, `pos` and call weights, depth first: equality ignores them."""
+def _positions(program):
+    """Each node's class and `pos`, depth first: equality ignores them."""
     found, stack = [], [program.stmts]
     while stack:
         node = stack.pop()
         if isinstance(node, tuple):
             stack.extend(reversed(node))
         elif isinstance(node, (Expr, Stmt)):
-            found.append((type(node).__name__, node.pos, getattr(node, "weight", None)))
+            found.append((type(node).__name__, node.pos))
             stack.extend(getattr(node, f.name) for f in reversed(fields(node))
-                         if f.name not in ("pos", "weight", "weights"))
+                         if f.name != "pos")
     return found
 
 
@@ -685,7 +572,7 @@ def test_parser_matches_the_reference(source):
     got, expected = _outcome(parse_source, source), _outcome(reference, source)
     assert got == expected
     if isinstance(got, Program):
-        assert _positions_and_weights(got) == _positions_and_weights(expected)
+        assert _positions(got) == _positions(expected)
 
 
 # --- the tokenizer against a reference: the earlier tokenizer, kept verbatim,
