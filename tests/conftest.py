@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import strategies as st
 
@@ -36,6 +38,15 @@ def bindings_of(envs, env):
     """A copy of one live frame's bindings; a discarded handle raises
     DiscardedEnvError, as every other use of it does."""
     return dict(envs._live(env).bindings)
+
+
+def stack_depth():
+    """How many Python frames are on the stack, the caller's among them: a
+    frame-budget test sets the recursion limit to this plus its budget."""
+    frame, frames = sys._getframe(1), 0
+    while frame is not None:
+        frame, frames = frame.f_back, frames + 1
+    return frames
 
 
 def global_table(session):

@@ -30,7 +30,7 @@ from lazylab.promises import Promise
 from lazylab.syntax import NESTING_LIMIT, parse_source, program_source
 from lazylab.trace import EventKind, TraceSink
 
-from conftest import STRATEGIES, bindings_of, cell_runs, count, of_kind, sources_of
+from conftest import STRATEGIES, bindings_of, cell_runs, count, of_kind, sources_of, stack_depth
 
 
 def run(source, strategy=Strategy.NEED):
@@ -412,11 +412,8 @@ class TestDepthBounds:
         deeper = source.replace("a0 = ", "a0 = (", 1).replace(", a1 =", "), a1 =", 1)
         with pytest.raises(DepthExceededError):
             parse_source(deeper)
-        frame, frames = sys._getframe(), 0
-        while frame is not None:
-            frame, frames = frame.f_back, frames + 1
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(frames + _FRAME_BUDGET)
+        sys.setrecursionlimit(stack_depth() + _FRAME_BUDGET)
         try:
             lines = run(source, strategy).lines
             traced, metrics, events = run_with_metrics(source, "func", strategy)

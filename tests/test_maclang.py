@@ -24,7 +24,7 @@ from lazylab.errors import (
     UnterminatedMacroError,
 )
 from lazylab import maclang
-from lazylab.lab import run_with_metrics
+from lazylab.lab import run_with_metrics, trace_jsonl
 from lazylab.maclang import (
     MacroDef,
     MacroSession,
@@ -36,7 +36,7 @@ from lazylab.maclang import (
 )
 from lazylab.trace import EventKind, TraceSink
 
-from conftest import count, global_table, of_kind
+from conftest import count, global_table, of_kind, stack_depth
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402  (bench/workloads.py)
@@ -315,6 +315,12 @@ def test_eval_arith_matches_recursive_reference(text):
     assert _outcome(eval_arith, text) == _outcome(_recursive_eval_arith, text)
 
 
+def _chain_params(last: int) -> str:
+    """Defaults a0=&a1, ..., a{last}=x: `%put &a0` resolves &a{k} at rescan
+    depth k, so last = RESCAN_LIMIT - 1 is the deepest chain admitted."""
+    return "".join(f"a{i}=&a{i + 1}, " for i in range(last)) + f"a{last}=x"
+
+
 class TestResolveText:
     def test_chained_reference_rescans(self):
         tables = [_table({"x": "2", "y": "&x*10"}, "lazy#1")]
@@ -343,9 +349,7 @@ class TestResolveText:
 
     def test_rescan_bound_at_its_edge(self):
         def chain(last: int) -> str:
-            """Defaults a0=&a1, ..., a{last}=x; &a{k} is resolved at rescan depth k."""
-            params = "".join(f"a{i}=&a{i + 1}, " for i in range(last)) + f"a{last}=x"
-            return f"%macro m({params});\n%put &a0;\n%mend;\n%m()\n"
+            return f"%macro m({_chain_params(last)});\n%put &a0;\n%mend;\n%m()\n"
 
         assert run_session(chain(63)).log_lines == ["x"]
         with pytest.raises(DepthExceededError) as exc:  # although &a64's entry holds no `&`
@@ -446,6 +450,10 @@ class TestDefinitions:
         assert run_session(src).log_lines == ["in", "in"]
 
 
+# the frames the comment on MACRO_DEPTH_LIMIT says both bounds need at most
+_FRAME_BUDGET = 215
+
+
 class TestInvocation:
     def test_unknown_macro(self):
         with pytest.raises(UnknownMacroError):
@@ -497,6 +505,27 @@ class TestInvocation:
             assert f"exceeded {maclang.MACRO_DEPTH_LIMIT} nested" in exc.value.message
         events = sink.events
         assert count(events, EventKind.TABLE_CREATED) == count(events, EventKind.TABLE_DELETED)
+
+    def test_both_bounds_together_fit_the_stack(self):
+        """The deepest `&` chain admitted, put in the innermost of
+        MACRO_DEPTH_LIMIT nested invocations, runs plain and traced within
+        the frames that the comment on MACRO_DEPTH_LIMIT gives it: a rescan
+        nests no Python frame."""
+        limit = maclang.MACRO_DEPTH_LIMIT
+        macros = "".join(f"%macro m{i}(); %m{i + 1}() %mend;\n" for i in range(limit - 1))
+        params = _chain_params(maclang.RESCAN_LIMIT - 1)
+        source = f"{macros}%macro m{limit - 1}({params}); %put &a0; %mend;\n%m0()\n"
+        recursion_limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + _FRAME_BUDGET)
+        try:
+            lines = run_session(source).log_lines
+            traced, metrics, events = run_with_metrics(source, "macro")
+            trace_jsonl(events, metrics)
+        finally:
+            sys.setrecursionlimit(recursion_limit)
+        assert lines == traced == ["x"]
+        assert count(events, EventKind.VAR_RESOLVED) == maclang.RESCAN_LIMIT
+        assert count(events, EventKind.TABLE_CREATED) == limit
 
     def test_table_deleted_even_on_error(self):
         sink = TraceSink()
